@@ -7,8 +7,9 @@ Subcommands::
     engel verify --max-order <N>
 
 Exit codes: 0 on success, 1 when any theorem-style check failed, 2 for
-usage or parse errors.  ENGEL_CLOSURE_CAP bounds element enumeration for
-``@file`` specs.
+usage or parse errors and for groups above the order limit of 4096
+elements.  ENGEL_CLOSURE_CAP (default 4096) bounds element enumeration for
+``@file`` specs; it can only lower the limit.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ class EngelGraphError(Exception):
 
 
 class ClosureTooLarge(EngelGraphError):
-    """Group enumeration exceeded the configured element cap."""
+    """A group would exceed the order limit (``groups.MAX_ORDER``) or the
+    configured element cap."""
 
 
 class InvalidParameter(EngelGraphError):

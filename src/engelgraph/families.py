@@ -10,44 +10,40 @@ x^(2n) = 1, y^2 = x^n, x^y = x^-1.
 
 from __future__ import annotations
 
-from math import factorial
-
-from .errors import InvalidParameter
-from .groups import DEFAULT_TABLE_THRESHOLD, Group, closure
+from .errors import ClosureTooLarge, InvalidParameter
+from .groups import MAX_ORDER, Group, closure
 from .permutations import IDENTITY, Permutation
 
 
-def symmetric_group(n: int, table_threshold: int = DEFAULT_TABLE_THRESHOLD) -> Group:
+def symmetric_group(n: int) -> Group:
     if n < 1:
         raise InvalidParameter(f"symmetric group needs n >= 1, got {n}")
     if n == 1:
         return Group([IDENTITY], "S1", generators=[IDENTITY])
     gens = [Permutation.from_cycles([[1, 2]]), Permutation.from_cycles([range(1, n + 1)])]
-    return closure(gens, f"S{n}", cap=factorial(n) + 1, table_threshold=table_threshold)
+    return closure(gens, f"S{n}")
 
 
-def alternating_group(n: int, table_threshold: int = DEFAULT_TABLE_THRESHOLD) -> Group:
+def alternating_group(n: int) -> Group:
     if n < 2:
         raise InvalidParameter(f"alternating group needs n >= 2, got {n}")
     name = f"A{n}"
     if n == 2:
         return Group([IDENTITY], name, generators=[IDENTITY])
     gens = [Permutation.from_cycles([[1, 2, k]]) for k in range(3, n + 1)]
-    return closure(gens, name, cap=factorial(n) // 2 + 1, table_threshold=table_threshold)
+    return closure(gens, name)
 
 
-def cyclic_group(n: int, table_threshold: int = DEFAULT_TABLE_THRESHOLD) -> Group:
+def cyclic_group(n: int) -> Group:
     if n < 1:
         raise InvalidParameter(f"cyclic group needs n >= 1, got {n}")
     if n == 1:
         return Group([IDENTITY], "C1", generators=[IDENTITY])
     g = Permutation.from_cycles([range(1, n + 1)])
-    return closure([g], f"C{n}", cap=n + 1, table_threshold=table_threshold)
+    return closure([g], f"C{n}")
 
 
-def _regular_representation(
-    forms: list, mul, name: str, gen_forms: list, table_threshold: int
-) -> Group:
+def _regular_representation(forms: list, mul, name: str, gen_forms: list) -> Group:
     # Right-regular action: each word w becomes the permutation of word
     # positions sending x to x*w.  With left-to-right composition this is a
     # faithful homomorphism.
@@ -55,15 +51,10 @@ def _regular_representation(
     perm_of = {
         w: Permutation(tuple(pos[mul(x, w)] + 1 for x in forms)) for w in forms
     }
-    return Group(
-        perm_of.values(),
-        name,
-        generators=[perm_of[w] for w in gen_forms],
-        table_threshold=table_threshold,
-    )
+    return Group(perm_of.values(), name, generators=[perm_of[w] for w in gen_forms])
 
 
-def dihedral_group(order: int, table_threshold: int = DEFAULT_TABLE_THRESHOLD) -> Group:
+def dihedral_group(order: int) -> Group:
     """Dihedral group OF ORDER ``order`` (even, >= 6): s^n = r^2 = 1 and
     s^r = s^-1 with n = order/2."""
     if order < 6 or order % 2:
@@ -76,12 +67,10 @@ def dihedral_group(order: int, table_threshold: int = DEFAULT_TABLE_THRESHOLD) -
         return ((i1 + (i2 if j1 == 0 else -i2)) % n, (j1 + j2) % 2)
 
     forms = [(i, j) for j in (0, 1) for i in range(n)]
-    return _regular_representation(
-        forms, mul, f"D{order}", [(1, 0), (0, 1)], table_threshold
-    )
+    return _regular_representation(forms, mul, f"D{order}", [(1, 0), (0, 1)])
 
 
-def dicyclic_group(order: int, table_threshold: int = DEFAULT_TABLE_THRESHOLD) -> Group:
+def dicyclic_group(order: int) -> Group:
     """Dicyclic group of order 4n (order divisible by 4, >= 8): x^(2n) = 1,
     y^2 = x^n, x^y = x^-1.  Generators are returned in the order [x, y]."""
     if order < 8 or order % 4:
@@ -98,16 +87,17 @@ def dicyclic_group(order: int, table_threshold: int = DEFAULT_TABLE_THRESHOLD) -
         return (i % two_n, (j1 + j2) % 2)
 
     forms = [(i, j) for j in (0, 1) for i in range(two_n)]
-    return _regular_representation(
-        forms, mul, f"Dic{n}", [(1, 0), (0, 1)], table_threshold
-    )
+    return _regular_representation(forms, mul, f"Dic{n}", [(1, 0), (0, 1)])
 
 
-def direct_product(
-    a: Group, b: Group, name: str | None = None, table_threshold: int = DEFAULT_TABLE_THRESHOLD
-) -> Group:
+def direct_product(a: Group, b: Group, name: str | None = None) -> Group:
     """Direct product acting on disjoint point sets (b is shifted past the
-    largest point a moves)."""
+    largest point a moves).  Raises ClosureTooLarge, before building any
+    element, when the product order exceeds ``MAX_ORDER``."""
+    if a.order * b.order > MAX_ORDER:
+        raise ClosureTooLarge(
+            f"{a.name}x{b.name} has {a.order * b.order} elements, above the limit of {MAX_ORDER}"
+        )
     shift = max((p.degree for p in a.elements), default=0)
 
     def embed(p: Permutation, q: Permutation) -> Permutation:
@@ -119,9 +109,4 @@ def direct_product(
     elems = [embed(p, q) for p in a.elements for q in b.elements]
     gens = [embed(a.perm(i), IDENTITY) for i in a.generators]
     gens += [embed(IDENTITY, b.perm(j)) for j in b.generators]
-    return Group(
-        elems,
-        name if name is not None else f"{a.name}x{b.name}",
-        generators=gens,
-        table_threshold=table_threshold,
-    )
+    return Group(elems, name if name is not None else f"{a.name}x{b.name}", generators=gens)

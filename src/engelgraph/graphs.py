@@ -1,11 +1,11 @@
 """The Engel graph and exact graph metrics.
 
 All metrics are exact: diameter by BFS from every vertex, clique number by
-branch and bound with a greedy-coloring bound, isomorphism by backtracking
-over degree-refined classes.  Planarity is delegated to networkx's
-linear-time test, which also extracts a Kuratowski subgraph on failure;
-every witness handed out is re-verified here as a subdivision of K5 or
-K_{3,3} that lies inside the host graph.
+branch and bound with a greedy-coloring bound.  Isomorphism is delegated to
+networkx's VF2++ and every mapping is replayed edge by edge here.  Planarity
+is delegated to networkx's linear-time test, which also extracts a
+Kuratowski subgraph on failure; every witness handed out is re-verified here
+as a subdivision of K5 or K_{3,3} that lies inside the host graph.
 """
 
 from __future__ import annotations
@@ -340,67 +340,23 @@ def verify_kuratowski_witness(witness: SimpleGraph, host: SimpleGraph) -> str:
     return kind
 
 
-def _refine_colors(g1: SimpleGraph, g2: SimpleGraph) -> tuple[list[int], list[int]]:
-    # shared iterated degree refinement so colors are comparable across graphs
-    c1 = [0] * g1.vertex_count
-    c2 = [0] * g2.vertex_count
-    for _ in range(g1.vertex_count + 1):
-        sig1 = [(c1[v], tuple(sorted(c1[u] for u in g1.neighbors(v)))) for v in range(g1.vertex_count)]
-        sig2 = [(c2[v], tuple(sorted(c2[u] for u in g2.neighbors(v)))) for v in range(g2.vertex_count)]
-        palette = {s: i for i, s in enumerate(sorted(set(sig1) | set(sig2)))}
-        n1 = [palette[s] for s in sig1]
-        n2 = [palette[s] for s in sig2]
-        if len(set(n1)) == len(set(c1)) and len(set(n2)) == len(set(c2)):
-            return n1, n2
-        c1, c2 = n1, n2
-    return c1, c2
-
-
 def find_isomorphism(g1: SimpleGraph, g2: SimpleGraph) -> dict[int, int] | None:
     """An edge-preserving vertex bijection from g1 to g2, or None.
 
-    Backtracking search over color classes from iterated degree refinement;
-    a discovered bijection is replayed edge by edge before being returned.
+    Found by networkx's VF2++; the bijection is replayed edge by edge
+    before being returned.
     """
-    n = g1.vertex_count
-    if n != g2.vertex_count or g1.edge_count != g2.edge_count:
+    if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
         return None
-    c1, c2 = _refine_colors(g1, g2)
-    if sorted(c1) != sorted(c2):
-        return None
-    class_size = {c: c1.count(c) for c in set(c1)}
-    order = sorted(range(n), key=lambda v: (class_size[c1[v]], -g1.degree(v), v))
-    candidates = {v: [w for w in range(n) if c2[w] == c1[v]] for v in range(n)}
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            for u, x in mapping.items():
-                if g1.adjacent(u, v) != g2.adjacent(x, w):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if backtrack(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    if not backtrack(0):
+    if g1.vertex_count == 0:
+        return {}
+    mapping = nx.vf2pp_isomorphism(_to_networkx(g1), _to_networkx(g2))
+    if mapping is None:
         return None
     # replay: same edge count plus edges-to-edges makes it an isomorphism
     for u, v in g1.edges():
         if not g2.adjacent(mapping[u], mapping[v]):
-            raise AssertionError("backtracking produced a non-isomorphism")
+            raise AssertionError("VF2++ produced a non-isomorphism")
     return dict(mapping)
 
 

@@ -5,8 +5,8 @@ same set of permutations twice yields identical indices, reports, and DOT
 output.  Elements are referred to by index everywhere; an "element set" is a
 sorted, duplicate-free tuple of indices.
 
-Multiplication is backed by a full Cayley table for orders up to
-``table_threshold`` (default 4096) and composed on demand above it.
+Multiplication is a lookup in a full Cayley table, so orders are limited to
+``MAX_ORDER`` (4096); larger groups raise ClosureTooLarge.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from typing import Iterable, Sequence
 from .errors import ClosureTooLarge, NotASubgroup
 from .permutations import IDENTITY, Permutation
 
-DEFAULT_CLOSURE_CAP = 1_000_000
-DEFAULT_TABLE_THRESHOLD = 4096
+MAX_ORDER = 4096
 
 
 class Group:
@@ -27,15 +26,17 @@ class Group:
     Parameters
     ----------
     elements:
-        The full element list.  Closure is verified while the Cayley table
-        is built (a product falling outside the set raises ValueError).
+        The full element list, at most ``MAX_ORDER`` of them (more raise
+        ClosureTooLarge).  Closure is verified while the Cayley table is
+        built (a product falling outside the set raises ValueError).
     name:
         Display name, also used to sort survey reports.
     generators:
         Optional generating permutations, kept in the given order.  When
         omitted, all elements are taken as generators.  Supplying a small
-        generating set makes table construction O(n^2) instead of O(n^2 d)
-        because non-generator rows are derived through associativity.
+        generating set makes table construction O(n^2) instead of O(n^2 d):
+        only generator rows are composed from permutations, and every other
+        row is derived through associativity.
     """
 
     def __init__(
@@ -43,11 +44,14 @@ class Group:
         elements: Iterable[Permutation],
         name: str,
         generators: Sequence[Permutation] | None = None,
-        table_threshold: int = DEFAULT_TABLE_THRESHOLD,
     ):
         elems = sorted(set(elements))
         if not elems:
             raise ValueError("a group needs at least the identity element")
+        if len(elems) > MAX_ORDER:
+            raise ClosureTooLarge(
+                f"{name!r} has {len(elems)} elements, above the limit of {MAX_ORDER}"
+            )
         self.name = name
         self.elements: tuple[Permutation, ...] = tuple(elems)
         self.order = len(elems)
@@ -69,10 +73,8 @@ class Group:
                 gens.append(idx)
         self.generators: tuple[int, ...] = tuple(gens) or (self.identity,)
 
-        self._table: list[list[int]] | None = None
-        if self.order <= table_threshold:
-            self._table = self._build_table()
-        self._inv = tuple(self._find_inverse(i) for i in range(self.order))
+        self._table = self._build_table()
+        self._inv = tuple(row.index(self.identity) for row in self._table)
         self._memo: dict = {}
 
     # -- construction internals --
@@ -96,41 +98,26 @@ class Group:
         for g in self.generators:
             if rows[g] is None:
                 rows[g] = self._compose_row(g)
-        # Derive the remaining rows along a Cayley-graph BFS: if x = u*g with
-        # rows for u and g known, then x*q = u*(g*q) for every q.
-        queue = deque([self.identity])
+        # Derive the remaining rows along a Cayley-graph BFS from the known
+        # rows: if x = u*g with rows for u and g known, then x*q = u*(g*q).
+        queue = deque(dict.fromkeys((self.identity, *self.generators)))
         while queue:
             u = queue.popleft()
             row_u = rows[u]
             for g in self.generators:
                 x = row_u[g]
                 if rows[x] is None:
-                    row_g = rows[g]
-                    rows[x] = [row_u[row_g[j]] for j in range(n)]
+                    rows[x] = [row_u[k] for k in rows[g]]
                     queue.append(x)
         for i in range(n):
             if rows[i] is None:  # generators do not span; fall back per row
                 rows[i] = self._compose_row(i)
         return rows  # type: ignore[return-value]
 
-    def _find_inverse(self, i: int) -> int:
-        if self._table is not None:
-            return self._table[i].index(self.identity)
-        inv = self.elements[i].inverse()
-        idx = self._index.get(inv)
-        if idx is None:
-            raise ValueError(f"element set of {self.name!r} is not closed under inverse")
-        return idx
-
     # -- element arithmetic (by index) --
 
     def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
-        idx = self._index.get(self.elements[i] * self.elements[j])
-        if idx is None:
-            raise ValueError(f"element set of {self.name!r} is not closed under product")
-        return idx
+        return self._table[i][j]
 
     def inv(self, i: int) -> int:
         return self._inv[i]
@@ -182,17 +169,18 @@ def closure(
     generators: Sequence[Permutation],
     name: str | None = None,
     *,
-    cap: int = DEFAULT_CLOSURE_CAP,
-    table_threshold: int = DEFAULT_TABLE_THRESHOLD,
+    cap: int = MAX_ORDER,
 ) -> Group:
     """The group generated by the given permutations, by breadth-first
     enumeration of right products.
 
-    Raises ClosureTooLarge once more than ``cap`` elements have been found.
+    Raises ClosureTooLarge once more than ``cap`` elements have been found;
+    ``cap`` can only lower the limit, never raise it above ``MAX_ORDER``.
     """
     if not generators:
         raise ValueError("generator list must be non-empty")
     gens = list(dict.fromkeys(generators))
+    cap = min(cap, MAX_ORDER)
     seen = {IDENTITY}
     queue = deque([IDENTITY])
     while queue:
@@ -202,13 +190,13 @@ def closure(
             if v not in seen:
                 if len(seen) >= cap:
                     raise ClosureTooLarge(
-                        f"closure exceeded the cap of {cap} elements"
+                        f"closure exceeded the limit of {cap} elements"
                     )
                 seen.add(v)
                 queue.append(v)
     if name is None:
         name = "<" + ",".join(str(g) for g in gens) + ">"
-    return Group(seen, name, generators=gens, table_threshold=table_threshold)
+    return Group(seen, name, generators=gens)
 
 
 def subgroup_generated(G: Group, members: Iterable[int]) -> tuple[int, ...]:

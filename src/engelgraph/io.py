@@ -32,7 +32,7 @@ from .families import (
     direct_product,
     symmetric_group,
 )
-from .groups import DEFAULT_CLOSURE_CAP, DEFAULT_TABLE_THRESHOLD, Group, closure
+from .groups import MAX_ORDER, Group, closure
 from .permutations import Permutation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -222,7 +222,7 @@ def _closure_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(CLOSURE_CAP_ENV)
-    return int(env) if env else DEFAULT_CLOSURE_CAP
+    return int(env) if env else MAX_ORDER
 
 
 def build_group(
@@ -230,21 +230,20 @@ def build_group(
     *,
     base_dir: str | os.PathLike = ".",
     cap: int | None = None,
-    table_threshold: int = DEFAULT_TABLE_THRESHOLD,
 ) -> Group:
     """Realize a spec (or spec text) as a Group named by its canonical
     rendering.  ``cap`` bounds closure enumeration for ``@`` specs and
-    defaults to the ENGEL_CLOSURE_CAP environment variable when set."""
+    defaults to the ENGEL_CLOSURE_CAP environment variable when set; either
+    can only lower ``MAX_ORDER``.  Raises ClosureTooLarge for a group of
+    more than ``MAX_ORDER`` elements."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     name = render_group_spec(spec)
     if isinstance(spec, FileSpec):
         gens = read_generator_file(Path(base_dir) / spec.path)
-        return closure(gens, name, cap=_closure_cap(cap), table_threshold=table_threshold)
+        return closure(gens, name, cap=_closure_cap(cap))
     if isinstance(spec, ProductSpec):
-        groups = [build_group(f, base_dir=base_dir, cap=cap, table_threshold=table_threshold)
-                  for f in spec.factors]
-        product = reduce(lambda a, b: direct_product(a, b, table_threshold=table_threshold), groups)
+        product = reduce(direct_product, (build_group(f) for f in spec.factors))
         product.name = name
         return product
     maker = {
@@ -254,8 +253,8 @@ def build_group(
         "dihedral": dihedral_group,
     }.get(spec.kind)
     if maker is not None:
-        return maker(spec.param, table_threshold=table_threshold)
-    return dicyclic_group(4 * spec.param, table_threshold=table_threshold)
+        return maker(spec.param)
+    return dicyclic_group(4 * spec.param)
 
 
 def _dot_escape(label: str) -> str:

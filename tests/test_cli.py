@@ -33,6 +33,11 @@ def test_report_rejects_bad_spec(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_report_rejects_group_above_order_limit(capsys):
+    assert main(["report", "--group", "S7"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["report"]) == 2

@@ -242,7 +242,7 @@ def test_isomorphism_counterexamples():
 def test_isomorphism_under_random_relabeling():
     rng = random.Random(23)
     for _ in range(25):
-        n = rng.randint(1, 9)
+        n = rng.randint(0, 9)
         g = random_graph(rng, n, 0.4)
         relabel = list(range(n))
         rng.shuffle(relabel)

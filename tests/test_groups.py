@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from engelgraph import (
     Group,
     NotASubgroup,
     Permutation,
+    build_group,
     closure,
     conjugacy_class,
     conjugacy_classes,
@@ -58,6 +60,15 @@ def test_closure_cap():
         closure([T12, C123], cap=5)
 
 
+def test_order_limit_cannot_be_raised():
+    s7_gens = [T12, Permutation.from_cycles([range(1, 8)])]
+    with pytest.raises(ClosureTooLarge):
+        closure(s7_gens, cap=10**6)
+    s7 = (Permutation(p) for p in itertools.permutations(range(1, 8)))
+    with pytest.raises(ClosureTooLarge):
+        Group(s7, "S7")
+
+
 def test_identity_and_inverse_laws(s4, d12):
     for G in (s4, d12):
         e = G.identity
@@ -89,18 +100,6 @@ def test_mul_table_agrees_with_direct_composition(d12):
         assert s5.perm(s5.mul(i, j)) == s5.perm(i) * s5.perm(j)
 
 
-def test_mul_works_without_table():
-    G = Group(
-        closure([T12, C123]).elements, "S3-no-table", table_threshold=1
-    )
-    table_backed = closure([T12, C123])
-    assert G._table is None
-    for i in range(6):
-        for j in range(6):
-            assert G.mul(i, j) == table_backed.mul(i, j)
-        assert G.inv(i) == table_backed.inv(i)
-
-
 def test_table_fallback_when_generators_do_not_span(s3):
     # declared generators only reach A3; the remaining Cayley rows are
     # filled by direct composition and must still agree
@@ -108,6 +107,25 @@ def test_table_fallback_when_generators_do_not_span(s3):
     for i in range(6):
         for j in range(6):
             assert partial.mul(i, j) == s3.mul(i, j)
+
+
+def test_only_generator_rows_are_composed(monkeypatch, repo_root):
+    # every other Cayley row is derived along the Cayley graph, so building
+    # a group composes permutations for at most one row per generator
+    composed = []
+    compose_row = Group._compose_row
+
+    def counting(self, i):
+        composed.append(self)
+        return compose_row(self, i)
+
+    monkeypatch.setattr(Group, "_compose_row", counting)
+    for spec in ("S5", "D12", "Dic3", "S4xC5", "@fixtures/c7_c3.gens"):
+        composed.clear()
+        G = build_group(spec, base_dir=repo_root)
+        assert G in composed
+        for H in set(composed):  # the factors of a product too
+            assert composed.count(H) <= len(H.generators), (spec, H.name)
 
 
 def test_canonical_indexing_is_reproducible():

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -170,6 +171,19 @@ def test_closure_cap_env_is_honored(repo_root, monkeypatch):
         build_group("@fixtures/c7_c3.gens", base_dir=repo_root)
     monkeypatch.delenv("ENGEL_CLOSURE_CAP")
     assert build_group("@fixtures/c7_c3.gens", base_dir=repo_root).order == 21
+
+
+def test_groups_above_the_order_limit_fail_fast(tmp_path, monkeypatch):
+    (tmp_path / "s7.gens").write_text("(1,2)\n(1,2,3,4,5,6,7)\n")
+    for spec in ("S7", "S5xS6", "@s7.gens"):
+        start = time.perf_counter()
+        with pytest.raises(ClosureTooLarge):
+            build_group(spec, base_dir=tmp_path)
+        assert time.perf_counter() - start < 2, spec
+    # the environment variable can lower the limit but not raise it
+    monkeypatch.setenv("ENGEL_CLOSURE_CAP", "1000000")
+    with pytest.raises(ClosureTooLarge):
+        build_group("@s7.gens", base_dir=tmp_path)
 
 
 # -- DOT output --
