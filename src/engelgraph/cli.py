@@ -6,10 +6,12 @@ Subcommands::
     engel survey --max-order <N> [--jobs <k>] [--out <dir>]
     engel verify --max-order <N>
 
-Exit codes: 0 on success, 1 when any theorem-style check failed, 2 for
-usage or parse errors and for groups above the order limit of 4096
-elements.  ENGEL_CLOSURE_CAP (default 4096) bounds element enumeration for
-``@file`` specs; it can only lower the limit.
+Exit codes: 0 on success; 1 when any theorem-style check failed (``report``
+prints one ``FAILED <check>: <detail>`` line per failed check on stderr);
+2 for a usage error, that is any ``EngelGraphError``: a malformed spec, an
+unreadable ``@file``, an out-of-range parameter, or a group above the order
+limit of 4096 elements.  Any other exception is an internal error and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import EngelGraphError, ParseError
+from .errors import EngelGraphError
 from .io import parse_group_spec, write_dot, write_report
 from .survey import (
     SurveyResult,
@@ -73,11 +75,11 @@ def _run_report(args: argparse.Namespace) -> int:
             graph = evaluation.graph
             labels = tuple(str(evaluation.group.perm(x)) for x in graph.labels)
         args.dot.write_text(write_dot(graph, labels))
-    failed = [name for name, c in evaluation.report.checks.items() if not c.passed]
-    if failed:
-        print(f"FAILED checks: {', '.join(sorted(failed))}", file=sys.stderr)
-        return CHECK_FAILED
-    return 0
+    checks = evaluation.report.checks
+    failed = [name for name in sorted(checks) if not checks[name].passed]
+    for name in failed:
+        print(f"FAILED {name}: {checks[name].detail}", file=sys.stderr)
+    return CHECK_FAILED if failed else 0
 
 
 def _print_survey(result: SurveyResult) -> None:
@@ -132,13 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "survey":
             return _run_survey(args)
         return _run_verify(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
     except EngelGraphError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

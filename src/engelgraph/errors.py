@@ -7,11 +7,12 @@ class EngelGraphError(Exception):
 
 class ClosureTooLarge(EngelGraphError):
     """A group would exceed the order limit (``groups.MAX_ORDER``) or the
-    configured element cap."""
+    element cap given to ``closure``."""
 
 
-class InvalidParameter(EngelGraphError):
-    """A family constructor was given an out-of-range parameter."""
+class InvalidParameter(EngelGraphError, ValueError):
+    """A family constructor, survey or theorem check was given an
+    out-of-range parameter."""
 
 
 class NotASubgroup(EngelGraphError):

@@ -32,14 +32,12 @@ from .families import (
     direct_product,
     symmetric_group,
 )
-from .groups import MAX_ORDER, Group, closure
+from .groups import Group, closure
 from .permutations import Permutation
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graphs import SimpleGraph
     from .survey import GroupReport
-
-CLOSURE_CAP_ENV = "ENGEL_CLOSURE_CAP"
 
 _FAMILY_CODES = {
     "S": "symmetric",
@@ -202,9 +200,16 @@ def parse_cycles(line: str) -> Permutation:
 
 
 def read_generator_file(path: str | os.PathLike) -> list[Permutation]:
-    """Generators from a file, one permutation per line in cycle notation."""
+    """Generators from a file, one permutation per line in cycle notation.
+
+    Raises ParseError when the file cannot be read or holds no generators."""
     perms = []
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise ParseError(f"cannot read {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise ParseError(f"cannot read {path}: {err}") from err
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -218,30 +223,16 @@ def read_generator_file(path: str | os.PathLike) -> list[Permutation]:
     return perms
 
 
-def _closure_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(CLOSURE_CAP_ENV)
-    return int(env) if env else MAX_ORDER
-
-
-def build_group(
-    spec: GroupSpec | str,
-    *,
-    base_dir: str | os.PathLike = ".",
-    cap: int | None = None,
-) -> Group:
+def build_group(spec: GroupSpec | str, *, base_dir: str | os.PathLike = ".") -> Group:
     """Realize a spec (or spec text) as a Group named by its canonical
-    rendering.  ``cap`` bounds closure enumeration for ``@`` specs and
-    defaults to the ENGEL_CLOSURE_CAP environment variable when set; either
-    can only lower ``MAX_ORDER``.  Raises ClosureTooLarge for a group of
-    more than ``MAX_ORDER`` elements."""
+    rendering.  Raises ClosureTooLarge for a group of more than
+    ``groups.MAX_ORDER`` elements."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     name = render_group_spec(spec)
     if isinstance(spec, FileSpec):
         gens = read_generator_file(Path(base_dir) / spec.path)
-        return closure(gens, name, cap=_closure_cap(cap))
+        return closure(gens, name)
     if isinstance(spec, ProductSpec):
         product = reduce(direct_product, (build_group(f) for f in spec.factors))
         product.name = name

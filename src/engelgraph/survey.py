@@ -7,6 +7,12 @@ plus per-group checks.  The catalog is NOT all groups of bounded order -- a
 small-groups database is out of scope -- so every result carries the exact
 plan list that was checked.
 
+``survey`` and ``verify_theorems`` share one catalog pass
+(``_catalog_pass``), which reduces each evaluation to a small record at
+once, so about one group is in memory at a time: ``survey`` keeps the
+report, ``verify_theorems`` a ``_TheoremFacts`` (name, flags and
+counterexample strings), which it folds into its verdicts.
+
 A disconnected Engel graph would answer an open question, so it is flagged
 prominently in the summary instead of being treated as a tool failure.
 """
@@ -17,14 +23,16 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import partial
+from operator import attrgetter
+from typing import Callable, Iterable, TypeVar
 
 from .engel import (
     fitting_subgroup,
     is_randomly_engel_conjugates,
     left_engel_set,
 )
-from .errors import BaerViolation
+from .errors import BaerViolation, InvalidParameter
 from .graphs import (
     GraphMetrics,
     SimpleGraph,
@@ -34,6 +42,7 @@ from .graphs import (
     diameter,
     find_isomorphism,
     induced_subgraph,
+    isolated_vertices,
 )
 from .groups import (
     Group,
@@ -53,6 +62,8 @@ from .io import (
 )
 
 RANDOMLY_ENGEL_CHECK_MAX_ORDER = 60
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,7 @@ def evaluate_group(spec: GroupSpec | str, *, base_dir: str = ".") -> GroupEvalua
             metrics.clique_number >= 3,
             "" if metrics.clique_number >= 3 else f"clique number is {metrics.clique_number}",
         )
-        isolated = [v for v in range(graph.vertex_count) if not graph.neighbors(v)]
+        isolated = isolated_vertices(graph)
         checks["no_isolated_vertices"] = CheckResult(
             not isolated,
             ""
@@ -182,7 +193,7 @@ def catalog_plans(
     known = {"symmetric", "alternating", "dihedral", "dicyclic", "products"}
     wanted = set(families) if families is not None else known
     if not wanted <= known:
-        raise ValueError(f"unknown families: {sorted(wanted - known)}")
+        raise InvalidParameter(f"unknown families: {sorted(wanted - known)}")
     bases: list[FamilySpec] = []
     if "symmetric" in wanted:
         n = 3
@@ -211,13 +222,32 @@ def catalog_plans(
     return unique
 
 
-def _survey_one(spec: GroupSpec) -> GroupReport | None:
+def _evaluate_and_keep(keep: Callable[[GroupEvaluation], T], spec: GroupSpec) -> T | None:
     evaluation = evaluate_group(spec)
     # only non-nilpotent groups enter the survey; for finite groups
     # nilpotent and Engel coincide
     if evaluation.report.is_engel:
         return None
-    return evaluation.report
+    return keep(evaluation)
+
+
+def _catalog_pass(
+    plans: list[GroupSpec], keep: Callable[[GroupEvaluation], T], jobs: int = 1
+) -> list[T]:
+    """``keep(evaluation)`` for every non-nilpotent plan, in plan order.
+
+    Each evaluation is dropped as soon as ``keep`` returns, so what stays
+    alive is only what ``keep`` returns.  With ``jobs > 1`` the plans are
+    evaluated in worker processes (one group per task, no shared state), and
+    ``keep`` must then be a picklable module-level function.
+    """
+    work = partial(_evaluate_and_keep, keep)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            kept = list(pool.map(work, plans))
+    else:
+        kept = list(map(work, plans))
+    return [k for k in kept if k is not None]
 
 
 def survey(
@@ -231,15 +261,10 @@ def survey(
     the result is merged by sorting and is byte-identical for any ``jobs``.
     """
     if max_order < 6:
-        raise ValueError(f"max_order must be at least 6, got {max_order}")
+        raise InvalidParameter(f"max_order must be at least 6, got {max_order}")
     plans = catalog_plans(max_order, families)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            maybe_reports = list(pool.map(_survey_one, plans))
-    else:
-        maybe_reports = [_survey_one(p) for p in plans]
     reports = sorted(
-        (r for r in maybe_reports if r is not None), key=lambda r: (r.order, r.name)
+        _catalog_pass(plans, attrgetter("report"), jobs), key=lambda r: (r.order, r.name)
     )
 
     histogram: dict[str, int] = {}
@@ -313,11 +338,10 @@ def _is_dic3_like(G: Group) -> bool:
     return G.order == 12 and _involution_count(G) == 1 and not is_abelian(G)
 
 
-def _diameter_one_violation(G: Group, graph: SimpleGraph) -> str | None:
+def _diameter_one_violation(G: Group, L: tuple[int, ...], graph: SimpleGraph) -> str | None:
     """Structure forced on a group whose Engel graph is complete: the Engel
-    set is a normal abelian subgroup of odd order and index 2, and every
-    vertex is an involution inverting it."""
-    L = left_engel_set(G)
+    set ``L`` is a normal abelian subgroup of odd order and index 2, and
+    every vertex is an involution inverting it."""
     members = set(L)
     if not is_abelian(G, L):
         return "Engel set is not abelian"
@@ -338,9 +362,7 @@ def _diameter_one_violation(G: Group, graph: SimpleGraph) -> str | None:
             return f"G != L<x> for {_describe(G, x)}"
         for a in L:
             if G.conjugate(a, x) != G.inv(a):
-                return (
-                    f"{_describe(G, x)} does not invert {_describe(G, a)}"
-                )
+                return f"{_describe(G, x)} does not invert {_describe(G, a)}"
     return None
 
 
@@ -361,11 +383,10 @@ def _universal_vertex_violation(G: Group, graph: SimpleGraph) -> str | None:
     return None
 
 
-def _metabelian_violation(G: Group, graph: SimpleGraph) -> str | None:
+def _metabelian_violation(G: Group, graph: SimpleGraph, whole: float) -> str | None:
     """For metabelian groups: the induced subgraph on each vertex conjugacy
-    class is connected with diameter <= 2, and the whole graph has diameter
-    <= 6."""
-    whole = diameter(graph)
+    class is connected with diameter <= 2, and the whole graph (of diameter
+    ``whole``) has diameter <= 6."""
     if whole > 6:
         return f"graph diameter is {whole}"
     position = {x: v for v, x in enumerate(graph.labels)}
@@ -384,35 +405,59 @@ def _metabelian_violation(G: Group, graph: SimpleGraph) -> str | None:
     return None
 
 
+@dataclass(frozen=True)
+class _TheoremFacts:
+    """What the verdicts need from one non-nilpotent group; it holds no
+    reference to the group or its graph."""
+
+    name: str
+    planar: bool
+    planar_type: bool  # of the S3, D12 or Dic3 type
+    diameter_one: bool
+    metabelian: bool
+    violations: dict[str, str]  # verdict name -> counterexample, failures only
+
+
+def _theorem_facts(evaluation: GroupEvaluation) -> _TheoremFacts:
+    G, graph, report = evaluation.group, evaluation.graph, evaluation.report
+    m = report.metrics
+    metabelian = is_abelian(G, derived_subgroup(G))
+    isolated = report.checks["no_isolated_vertices"]
+    violations = {
+        "diameter_one_structure": (
+            _diameter_one_violation(G, evaluation.engel_set, graph) if m.diameter == 1 else None
+        ),
+        "universal_vertex_structure": _universal_vertex_violation(G, graph),
+        "no_isolated_vertices": isolated.detail if not isolated.passed else None,
+        "metabelian_class_subgraphs": (
+            _metabelian_violation(G, graph, m.diameter) if metabelian else None
+        ),
+    }
+    return _TheoremFacts(
+        name=report.name,
+        planar=m.planar,
+        planar_type=_is_s3_like(G) or _is_d12_like(G) or _is_dic3_like(G),
+        diameter_one=m.diameter == 1,
+        metabelian=metabelian,
+        violations={name: v for name, v in violations.items() if v},
+    )
+
+
 def verify_theorems(max_order: int) -> list[TheoremVerdict]:
     """Run the survey-wide theorem checks over the catalog and report one
     named verdict per check, each failure carrying a counterexample."""
     if max_order < 12:
-        raise ValueError(f"max_order must be at least 12, got {max_order}")
-    evaluations = [
-        e
-        for e in (evaluate_group(p) for p in catalog_plans(max_order))
-        if not e.report.is_engel
-    ]
+        raise InvalidParameter(f"max_order must be at least 12, got {max_order}")
+    facts = _catalog_pass(catalog_plans(max_order), _theorem_facts)
     verdicts: list[TheoremVerdict] = []
 
-    expected_planar = {
-        e.report.name
-        for e in evaluations
-        if _is_s3_like(e.group) or _is_d12_like(e.group) or _is_dic3_like(e.group)
-    }
-    actual_planar = {e.report.name for e in evaluations if e.report.metrics.planar}
+    expected_planar = {f.name for f in facts if f.planar_type}
+    actual_planar = {f.name for f in facts if f.planar}
+    detail = f"planar={sorted(actual_planar)}"
+    if expected_planar != actual_planar:
+        detail += f" but groups of the three planar types are {sorted(expected_planar)}"
     verdicts.append(
-        TheoremVerdict(
-            "planar_classification",
-            expected_planar == actual_planar,
-            f"planar={sorted(actual_planar)}"
-            + (
-                ""
-                if expected_planar == actual_planar
-                else f" but groups of the three planar types are {sorted(expected_planar)}"
-            ),
-        )
+        TheoremVerdict("planar_classification", expected_planar == actual_planar, detail)
     )
 
     d12 = build_group("D12")
@@ -434,53 +479,17 @@ def verify_theorems(max_order: int) -> list[TheoremVerdict]:
         )
     )
 
-    failures = []
-    diameter_one = []
-    for e in evaluations:
-        if e.report.metrics.diameter == 1:
-            diameter_one.append(e.report.name)
-            violation = _diameter_one_violation(e.group, e.graph)
-            if violation:
-                failures.append(f"{e.report.name}: {violation}")
-    verdicts.append(
-        TheoremVerdict(
-            "diameter_one_structure",
-            not failures,
-            "; ".join(failures) if failures else f"diameter-1 groups: {diameter_one}",
-        )
-    )
-
-    failures = []
-    for e in evaluations:
-        violation = _universal_vertex_violation(e.group, e.graph)
-        if violation:
-            failures.append(f"{e.report.name}: {violation}")
-    verdicts.append(
-        TheoremVerdict("universal_vertex_structure", not failures, "; ".join(failures))
-    )
-
-    failures = [
-        f"{e.report.name}: {e.report.checks['no_isolated_vertices'].detail}"
-        for e in evaluations
-        if not e.report.checks["no_isolated_vertices"].passed
-    ]
-    verdicts.append(
-        TheoremVerdict("no_isolated_vertices", not failures, "; ".join(failures))
-    )
-
-    failures = []
-    metabelian = []
-    for e in evaluations:
-        if is_abelian(e.group, derived_subgroup(e.group)):
-            metabelian.append(e.report.name)
-            violation = _metabelian_violation(e.group, e.graph)
-            if violation:
-                failures.append(f"{e.report.name}: {violation}")
-    verdicts.append(
-        TheoremVerdict(
-            "metabelian_class_subgraphs",
-            not failures,
-            "; ".join(failures) if failures else f"metabelian groups checked: {len(metabelian)}",
-        )
-    )
+    # each remaining verdict lists the groups' counterexamples when it fails,
+    # else it carries this detail
+    diameter_one = [f.name for f in facts if f.diameter_one]
+    metabelian = sum(f.metabelian for f in facts)
+    passed_details = {
+        "diameter_one_structure": f"diameter-1 groups: {diameter_one}",
+        "universal_vertex_structure": "",
+        "no_isolated_vertices": "",
+        "metabelian_class_subgraphs": f"metabelian groups checked: {metabelian}",
+    }
+    for name, passed_detail in passed_details.items():
+        failures = [f"{f.name}: {f.violations[name]}" for f in facts if name in f.violations]
+        verdicts.append(TheoremVerdict(name, not failures, "; ".join(failures) or passed_detail))
     return verdicts

@@ -344,6 +344,24 @@ def test_all_theorem_verdicts_pass_at_120(verdicts120):
         assert verdict.passed, f"{verdict.name}: {verdict.detail}"
 
 
+def test_theorem_verdicts_at_120_are_exact(verdicts120):
+    verdicts, _ = verdicts120
+    dihedral = ", ".join(f"'D{n}'" for n in range(14, 119, 4))
+    assert [(v.name, v.passed, v.detail) for v in verdicts.values()] == [
+        ("planar_classification", True, "planar=['D12', 'Dic3', 'S3', 'S3xC2']"),
+        (
+            "isomorphic_pair_divisibility",
+            True,
+            "E_D12 ~ E_Dic3: True; |L(Dic3)|=6 divides |D12|-|L(D12)|=6: True; "
+            "complements equal: True",
+        ),
+        ("diameter_one_structure", True, f"diameter-1 groups: ['S3', {dihedral}]"),
+        ("universal_vertex_structure", True, ""),
+        ("no_isolated_vertices", True, ""),
+        ("metabelian_class_subgraphs", True, "metabelian groups checked: 198"),
+    ]
+
+
 def test_criterion_12_graph_algorithm_oracles():
     rng = random.Random(12)
     for _ in range(200):

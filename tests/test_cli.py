@@ -1,8 +1,14 @@
+import importlib
 import json
 import subprocess
 import sys
 
+import pytest
+
 from engelgraph.cli import main
+
+# the package re-exports the function `survey` under the module's name
+survey_module = importlib.import_module("engelgraph.survey")
 
 
 def test_report_command(tmp_path, capsys):
@@ -36,6 +42,36 @@ def test_report_rejects_bad_spec(capsys):
 def test_report_rejects_group_above_order_limit(capsys):
     assert main(["report", "--group", "S7"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_report_rejects_unreadable_generator_files(repo_root, monkeypatch, capsys):
+    monkeypatch.chdir(repo_root)
+    for spec in ("@nope.gens", "@fixtures"):
+        assert main(["report", "--group", spec]) == 2, spec
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read"), err
+
+
+def test_internal_errors_are_not_usage_errors(monkeypatch):
+    def broken(spec):
+        raise ValueError("element set is not closed")
+
+    monkeypatch.setattr("engelgraph.cli.evaluate_group", broken)
+    with pytest.raises(ValueError, match="not closed"):
+        main(["report", "--group", "S3"])
+
+
+def test_report_prints_failed_check_details(monkeypatch, capsys):
+    # a wrong randomly-Engel test makes the cross-check against L(G) fail
+    monkeypatch.setattr(
+        survey_module, "is_randomly_engel_conjugates", lambda G, x: True
+    )
+    assert main(["report", "--group", "S3"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["checks"]["fitting_matches_randomly_engel"] is False
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAILED fitting_matches_randomly_engel: element ")
 
 
 def test_usage_error_exit_code(capsys):

@@ -165,25 +165,20 @@ def test_generator_file_errors(tmp_path):
         read_generator_file(bad)
 
 
-def test_closure_cap_env_is_honored(repo_root, monkeypatch):
-    monkeypatch.setenv("ENGEL_CLOSURE_CAP", "5")
-    with pytest.raises(ClosureTooLarge):
-        build_group("@fixtures/c7_c3.gens", base_dir=repo_root)
-    monkeypatch.delenv("ENGEL_CLOSURE_CAP")
-    assert build_group("@fixtures/c7_c3.gens", base_dir=repo_root).order == 21
+def test_unreadable_generator_files_are_parse_errors(tmp_path):
+    (tmp_path / "binary.gens").write_bytes(b"(1,2)\n\xff\xfe\n")
+    for name in ("missing.gens", ".", "binary.gens"):
+        with pytest.raises(ParseError, match="cannot read"):
+            read_generator_file(tmp_path / name)
 
 
-def test_groups_above_the_order_limit_fail_fast(tmp_path, monkeypatch):
+def test_groups_above_the_order_limit_fail_fast(tmp_path):
     (tmp_path / "s7.gens").write_text("(1,2)\n(1,2,3,4,5,6,7)\n")
     for spec in ("S7", "S5xS6", "@s7.gens"):
         start = time.perf_counter()
         with pytest.raises(ClosureTooLarge):
             build_group(spec, base_dir=tmp_path)
         assert time.perf_counter() - start < 2, spec
-    # the environment variable can lower the limit but not raise it
-    monkeypatch.setenv("ENGEL_CLOSURE_CAP", "1000000")
-    with pytest.raises(ClosureTooLarge):
-        build_group("@s7.gens", base_dir=tmp_path)
 
 
 # -- DOT output --

@@ -1,4 +1,6 @@
+import importlib
 import math
+import weakref
 
 import pytest
 
@@ -12,6 +14,9 @@ from engelgraph import (
 )
 from engelgraph.cli import exit_code_for_verdicts
 from engelgraph.survey import TheoremVerdict
+
+# the package re-exports the function `survey` under the module's name
+survey_module = importlib.import_module("engelgraph.survey")
 
 
 def test_report_s3():
@@ -141,6 +146,23 @@ def test_verify_theorems_at_24():
     assert all(v.passed for v in verdicts)
     planar = next(v for v in verdicts if v.name == "planar_classification")
     assert "planar=['D12', 'Dic3', 'S3', 'S3xC2']" in planar.detail
+
+
+def test_verify_holds_about_one_group_at_a_time(monkeypatch):
+    evaluate = survey_module.evaluate_group
+    groups = []
+    alive_at_call = []
+
+    def recording_evaluate(spec, **kwargs):
+        alive_at_call.append(sum(ref() is not None for ref in groups))
+        evaluation = evaluate(spec, **kwargs)
+        groups.append(weakref.ref(evaluation.group))
+        return evaluation
+
+    monkeypatch.setattr(survey_module, "evaluate_group", recording_evaluate)
+    verify_theorems(24)
+    assert len(alive_at_call) == len(catalog_plans(24))
+    assert max(alive_at_call) <= 2
 
 
 def test_verify_rejects_tiny_bounds():
