@@ -10,14 +10,15 @@ Exit codes: 0 on success; 1 when any theorem-style check failed (``report``
 prints one ``FAILED <check>: <detail>`` line per failed check on stderr);
 2 for a usage error, that is any ``EngelGraphError``: a malformed spec, an
 unreadable ``@file``, an out-of-range parameter, or a group above the order
-limit of 4096 elements.  Any other exception is an internal error and
-propagates with its traceback.
+limit of 4096 elements; 3 for an internal error, that is any other
+exception, whose traceback is printed on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .errors import EngelGraphError
@@ -33,6 +34,7 @@ from .survey import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+INTERNAL_ERROR = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,6 +139,9 @@ def main(argv: list[str] | None = None) -> int:
     except EngelGraphError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

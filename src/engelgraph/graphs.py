@@ -1,11 +1,12 @@
 """The Engel graph and exact graph metrics.
 
-All metrics are exact: diameter by BFS from every vertex, clique number by
-branch and bound with a greedy-coloring bound.  Isomorphism is delegated to
-networkx's VF2++ and every mapping is replayed edge by edge here.  Planarity
-is delegated to networkx's linear-time test, which also extracts a
-Kuratowski subgraph on failure; every witness handed out is re-verified here
-as a subdivision of K5 or K_{3,3} that lies inside the host graph.
+All metrics are exact.  Connected components and the diameter come from
+networkx; the clique number is found here by branch and bound with a
+greedy-coloring bound.  Isomorphism is delegated to networkx's VF2++ and
+every mapping is replayed edge by edge here.  Planarity is delegated to
+networkx's linear-time test, which also extracts a Kuratowski subgraph on
+failure; every witness handed out is re-verified here as a subdivision of
+K5 or K_{3,3} that lies inside the host graph.
 """
 
 from __future__ import annotations
@@ -124,57 +125,20 @@ def build_engel_graph(G: Group) -> SimpleGraph:
 
 
 def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
-    """Maximal connected vertex sets by BFS, ordered by least vertex."""
-    seen: set[int] = set()
-    out: list[tuple[int, ...]] = []
-    for start in range(g.vertex_count):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in g.neighbors(u):
-                    if v not in comp:
-                        comp.add(v)
-                        nxt.append(v)
-            queue = nxt
-        seen |= comp
-        out.append(tuple(sorted(comp)))
-    return out
-
-
-def _eccentricity(g: SimpleGraph, start: int) -> tuple[int, int]:
-    # (farthest distance from start, number of vertices reached)
-    dist = {start: 0}
-    queue = [start]
-    ecc = 0
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in g.neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    ecc = dist[v]
-                    nxt.append(v)
-        queue = nxt
-    return ecc, len(dist)
+    """Maximal connected vertex sets, each sorted, ordered by least vertex."""
+    return sorted(tuple(sorted(c)) for c in nx.connected_components(_to_networkx(g)))
 
 
 def diameter(g: SimpleGraph) -> float:
     """Largest shortest-path distance; math.inf when disconnected, 0 for a
     single vertex.  Raises EmptyGraphError for zero vertices."""
-    n = g.vertex_count
-    if n == 0:
+    return _diameter(_to_networkx(g))
+
+
+def _diameter(gx: nx.Graph) -> float:
+    if gx.number_of_nodes() == 0:
         raise EmptyGraphError("the diameter of the empty graph is undefined")
-    best = 0
-    for v in range(n):
-        ecc, reached = _eccentricity(g, v)
-        if reached < n:
-            return math.inf
-        best = max(best, ecc)
-    return best
+    return nx.diameter(gx) if nx.is_connected(gx) else math.inf
 
 
 def isolated_vertices(g: SimpleGraph) -> tuple[int, ...]:
@@ -256,7 +220,7 @@ def _to_networkx(g: SimpleGraph) -> nx.Graph:
 
 
 def is_planar(g: SimpleGraph) -> bool:
-    return nx.check_planarity(_to_networkx(g), counterexample=False)[0]
+    return nx.is_planar(_to_networkx(g))
 
 
 def kuratowski_witness(g: SimpleGraph) -> SimpleGraph | None:
@@ -365,14 +329,15 @@ def graphs_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:
 
 
 def compute_metrics(g: SimpleGraph) -> GraphMetrics:
-    """All exact metrics for a graph with at least one vertex."""
-    comps = connected_components(g)
+    """All exact metrics for a graph with at least one vertex; components,
+    diameter and planarity are read from one networkx copy of it."""
+    gx = _to_networkx(g)
     return GraphMetrics(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,
-        component_count=len(comps),
-        diameter=diameter(g),
+        component_count=nx.number_connected_components(gx),
+        diameter=_diameter(gx),
         clique_number=clique_number(g),
-        planar=is_planar(g),
+        planar=nx.is_planar(gx),
         isolated_count=len(isolated_vertices(g)),
     )

@@ -1,11 +1,13 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the library's algorithms: closure by repeated set
-products instead of BFS, clique number by subset enumeration, planarity by
-exhaustive search for K5/K_{3,3} subdivisions (feasible up to ~12 vertices),
-and Engel reachability by direct iteration of the commutator map.
+products instead of BFS, clique number by subset enumeration, distances by
+Floyd-Warshall instead of BFS, planarity by exhaustive search for
+K5/K_{3,3} subdivisions (feasible up to ~12 vertices), and Engel
+reachability by direct iteration of the commutator map.
 """
 
+import math
 from itertools import combinations
 
 from engelgraph import IDENTITY, SimpleGraph
@@ -39,6 +41,19 @@ def brute_clique_number(g):
             if all(g.adjacent(u, v) for u, v in combinations(combo, 2)):
                 return k
     return 0
+
+
+def brute_distances(g):
+    """All shortest-path distances by Floyd-Warshall; math.inf between
+    vertices in different components."""
+    n = g.vertex_count
+    dist = [[0 if u == v else 1 if g.adjacent(u, v) else math.inf for v in range(n)]
+            for u in range(n)]
+    for k in range(n):
+        for u in range(n):
+            for v in range(n):
+                dist[u][v] = min(dist[u][v], dist[u][k] + dist[k][v])
+    return dist
 
 
 def _paths(g, a, b, blocked):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import engelgraph.graphs as graphs_module
 from engelgraph import (
     EmptyGraphError,
     EngelGroupError,
@@ -27,6 +28,7 @@ from engelgraph import (
 from conftest import elem
 from oracles import (
     brute_clique_number,
+    brute_distances,
     engel_reaches_by_iteration,
     find_k33_subdivision,
     planar_by_subdivision_search,
@@ -121,18 +123,30 @@ def test_diameter():
 
 
 def test_diameter_one_means_complete():
+    # also checks components and diameter against the Floyd-Warshall oracle
     rng = random.Random(13)
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(2, 8), rng.random())
-        complete = all(
-            g.adjacent(u, v)
-            for u in range(g.vertex_count)
-            for v in range(u + 1, g.vertex_count)
+    graphs = [SimpleGraph(0, []), SimpleGraph(1, []), SimpleGraph(3, [(0, 1)])]
+    graphs += [random_graph(rng, rng.randint(0, 12), rng.random()) for _ in range(100)]
+    for g in graphs:
+        n = g.vertex_count
+        dist = brute_distances(g)
+        components = sorted(
+            {tuple(v for v in range(n) if dist[u][v] < math.inf) for u in range(n)}
         )
-        try:
-            assert (diameter(g) == 1) == complete
-        except AssertionError:  # pragma: no cover
-            raise
+        assert connected_components(g) == components
+        if n == 0:
+            with pytest.raises(EmptyGraphError):
+                diameter(g)
+            with pytest.raises(EmptyGraphError):
+                compute_metrics(g)
+            continue
+        expected = max(max(row) for row in dist)
+        assert diameter(g) == expected
+        m = compute_metrics(g)
+        assert (m.component_count, m.diameter) == (len(components), expected)
+        if n >= 2:
+            complete = all(g.adjacent(u, v) for u in range(n) for v in range(u + 1, n))
+            assert (expected == 1) == complete
 
 
 def test_isolated_vertices(s3):
@@ -250,6 +264,16 @@ def test_isomorphism_under_random_relabeling():
         mapping = find_isomorphism(g, h)
         assert mapping is not None
         assert graphs_isomorphic(h, g)  # symmetric
+
+
+def test_compute_metrics_converts_to_networkx_once(monkeypatch, a4):
+    calls = []
+    convert = graphs_module._to_networkx
+    monkeypatch.setattr(graphs_module, "_to_networkx", lambda g: calls.append(g) or convert(g))
+    for g in (build_engel_graph(a4), SimpleGraph(3, [(0, 1)]), SimpleGraph(1, [])):
+        calls.clear()
+        compute_metrics(g)
+        assert calls == [g]
 
 
 def test_metrics_invariants(s3, a4, d12):
