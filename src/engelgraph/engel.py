@@ -77,12 +77,17 @@ def engel_depths(G: Group, x: int) -> tuple[int, ...]:
     Engel sequence of (a, x) never reaches the identity.
 
     Computed for all a at once by reverse BFS from the identity in the
-    functional graph of y -> [y, x]; results are cached on the group.
+    functional graph of y -> [y, x]; each map is built once per group and
+    cached on it.
     """
     key = ("engel_depths", x)
     cached = G._memo.get(key)
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = G._memo[key] = _depth_map(G, x)
+    return cached
+
+
+def _depth_map(G: Group, x: int) -> tuple[int, ...]:
     n = G.order
     step = [G.commutator(y, x) for y in range(n)]
     preimages: list[list[int]] = [[] for _ in range(n)]
@@ -99,9 +104,7 @@ def engel_depths(G: Group, x: int) -> tuple[int, ...]:
                     depth[y] = depth[v] + 1
                     nxt.append(y)
         queue = nxt
-    result = tuple(depth)
-    G._memo[key] = result
-    return result
+    return tuple(depth)
 
 
 def is_left_engel(G: Group, x: int) -> bool:
@@ -117,7 +120,7 @@ def is_left_k_engel(G: Group, x: int, k: int) -> bool:
 
 
 def left_engel_set(G: Group) -> tuple[int, ...]:
-    """All left Engel elements of G, as sorted indices."""
+    """All left Engel elements of G, as sorted indices; cached on the group."""
     cached = G._memo.get("left_engel_set")
     if cached is None:
         cached = tuple(x for x in range(G.order) if is_left_engel(G, x))
@@ -148,11 +151,9 @@ def fitting_subgroup(G: Group) -> tuple[int, ...]:
 
     The verifications are assertions, not assumptions: for finite groups
     they are guaranteed, so a failure raises BaerViolation and means the
-    implementation is wrong.
+    implementation is wrong.  They run on every call; only L(G) itself
+    is cached.
     """
-    cached = G._memo.get("fitting")
-    if cached is not None:
-        return cached
     L = left_engel_set(G)
     members = set(L)
     if not is_subgroup(G, members):
@@ -162,7 +163,6 @@ def fitting_subgroup(G: Group) -> tuple[int, ...]:
             raise BaerViolation(f"left Engel set of {G.name!r} is not normal")
     if not is_nilpotent(G, L):
         raise BaerViolation(f"left Engel set of {G.name!r} is not nilpotent")
-    G._memo["fitting"] = L
     return L
 
 

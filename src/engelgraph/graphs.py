@@ -154,9 +154,10 @@ def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
             raise UnknownVertex(f"vertex {v} is not in the graph")
     renumber = {v: i for i, v in enumerate(vs)}
     edges = [
-        (renumber[u], renumber[v])
-        for u, v in g.edges()
-        if u in renumber and v in renumber
+        (i, renumber[v])
+        for i, u in enumerate(vs)
+        for v in g.neighbors(u)
+        if u < v and v in renumber
     ]
     return SimpleGraph(len(vs), edges, labels=tuple(g.labels[v] for v in vs))
 

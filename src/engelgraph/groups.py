@@ -75,6 +75,7 @@ class Group:
 
         self._table = self._build_table()
         self._inv = tuple(row.index(self.identity) for row in self._table)
+        # Engel depth maps and L(G); read and written only by engel.py
         self._memo: dict = {}
 
     # -- construction internals --
@@ -227,15 +228,9 @@ def normal_closure(G: Group, members: Iterable[int]) -> tuple[int, ...]:
 
 
 def derived_subgroup(G: Group) -> tuple[int, ...]:
-    """Subgroup generated by all commutators [x, y]."""
-    cached = G._memo.get("derived")
-    if cached is None:
-        comms = {
-            G.commutator(x, y) for x in range(G.order) for y in range(G.order)
-        }
-        cached = subgroup_generated(G, comms)
-        G._memo["derived"] = cached
-    return cached
+    """Subgroup generated by all commutators [x, y], computed on each call."""
+    comms = {G.commutator(x, y) for x in range(G.order) for y in range(G.order)}
+    return subgroup_generated(G, comms)
 
 
 def is_subgroup(G: Group, members: Iterable[int]) -> bool:
@@ -295,18 +290,16 @@ def conjugacy_class(G: Group, x: int) -> tuple[int, ...]:
 
 
 def conjugacy_classes(G: Group) -> list[tuple[int, ...]]:
-    """All conjugacy classes, ordered by least member."""
-    cached = G._memo.get("classes")
-    if cached is None:
-        cached = []
-        assigned: set[int] = set()
-        for x in range(G.order):
-            if x not in assigned:
-                cls = conjugacy_class(G, x)
-                assigned.update(cls)
-                cached.append(cls)
-        G._memo["classes"] = cached
-    return cached
+    """All conjugacy classes, ordered by least member, as a new list on each
+    call."""
+    classes = []
+    assigned: set[int] = set()
+    for x in range(G.order):
+        if x not in assigned:
+            cls = conjugacy_class(G, x)
+            assigned.update(cls)
+            classes.append(cls)
+    return classes
 
 
 def centralizer(G: Group, x: int) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import engelgraph.engel as engel_module
 from engelgraph import (
     PreconditionFailed,
     SameVertex,
@@ -27,7 +28,7 @@ from engelgraph import (
     symmetric_group,
 )
 from engelgraph.io import build_group
-from engelgraph.survey import catalog_plans
+from engelgraph.survey import catalog_plans, evaluate_group
 from conftest import elem
 from oracles import engel_reaches_by_iteration
 
@@ -278,6 +279,24 @@ def test_caches_do_not_leak_between_groups():
     two = symmetric_group(3)
     assert left_engel_set(one) == left_engel_set(two)
     assert one is not two
+
+
+def test_each_engel_depth_map_is_built_once(monkeypatch, repo_root):
+    # the graph and the randomly-Engel check re-read the maps that L(G)
+    # built, so a full evaluation builds at most one map per element
+    built = []
+    depth_map = engel_module._depth_map
+
+    def counting(G, x):
+        built.append((G, x))
+        return depth_map(G, x)
+
+    monkeypatch.setattr(engel_module, "_depth_map", counting)
+    for spec in ("S4", "@fixtures/c7_c3.gens"):
+        built.clear()
+        G = evaluate_group(spec, base_dir=repo_root).group
+        assert {H for H, _ in built} == {G}, spec
+        assert len(set(built)) == len(built) <= G.order, spec
 
 
 def test_engel_outcome_consistency():

@@ -171,6 +171,19 @@ def test_induced_subgraph(d12):
     sub = induced_subgraph(g, [position[x] for x in cls])
     assert sub.edge_count == 3
     assert diameter(sub) == 1
+    # against a plain filter of every host edge, on random labelled graphs
+    # and random vertex subsets given in shuffled order
+    rng = random.Random(29)
+    for _ in range(100):
+        n = rng.randint(0, 12)
+        host = random_graph(rng, n, rng.random())
+        g = SimpleGraph(n, host.edges(), labels=[f"v{v}" for v in range(n)])
+        vs = [v for v in range(n) if rng.random() < 0.5]
+        pos = {v: i for i, v in enumerate(vs)}
+        kept = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+        sub = induced_subgraph(g, rng.sample(vs, len(vs)))
+        assert sub.adjacency == SimpleGraph(len(vs), kept).adjacency
+        assert sub.labels == tuple(g.labels[v] for v in vs)
 
 
 def test_clique_number_examples(s3, a4):

@@ -249,6 +249,16 @@ def test_conjugacy_classes(s4):
                 assert s4.conjugate(x, g) in members
 
 
+def test_conjugacy_classes_returns_a_new_list():
+    # a group of its own, so a shared result cannot leak into other tests
+    G = build_group("S4")
+    classes = conjugacy_classes(G)
+    expected = list(classes)
+    classes.clear()
+    assert conjugacy_classes(G) == expected
+    assert sum(len(c) for c in expected) == G.order
+
+
 def test_centralizer(s3):
     t = elem(s3, (1, 2))
     assert set(centralizer(s3, t)) == {s3.identity, t}
