@@ -5,9 +5,9 @@ The iterated commutator [a,_k x] is defined by [a,_0 x] = a and
 deterministic self-map of a finite group, so every question about the Engel
 sequence of (a, x) is a question about the functional graph of that map:
 ``engel_depths`` computes, in one reverse breadth-first search from the
-identity, the least k with [a,_k x] = 1 for every a at once.  Pointwise
-operations iterate the map directly with a first-repeat early exit; both
-routes are cross-checked in the test suite.
+identity, the least k with [a,_k x] = 1 for every a at once.  Every Engel
+question here, pointwise ones included, reads those depth maps; the test
+suite cross-checks them against direct iteration of the commutator map.
 """
 
 from __future__ import annotations
@@ -53,23 +53,10 @@ def iterated_commutator(G: Group, a: int, x: int, k: int) -> int:
 
 
 def engel_reaches_identity(G: Group, a: int, x: int) -> EngelOutcome:
-    """Smallest k <= |G| with [a,_k x] = 1, or reached=False.
-
-    The bound is sound: the map y -> [y, x] is deterministic on a finite
-    set, so a sequence that has not hit the identity within |G| steps has
-    entered a cycle avoiding it.  A first repeat is used as an early exit.
-    """
-    n = G.order
-    seen: set[int] = set()
-    y, k = a, 0
-    while True:
-        if y == G.identity:
-            return EngelOutcome(True, k)
-        if y in seen or k >= n:
-            return EngelOutcome(False)
-        seen.add(y)
-        y = G.commutator(y, x)
-        k += 1
+    """Smallest k with [a,_k x] = 1, or reached=False when the sequence
+    never reaches the identity; read from the Engel depth map of x."""
+    depth = engel_depths(G, x)[a]
+    return EngelOutcome(True, depth) if depth >= 0 else EngelOutcome(False)
 
 
 def engel_depths(G: Group, x: int) -> tuple[int, ...]:
@@ -152,13 +139,14 @@ def fitting_subgroup(G: Group) -> tuple[int, ...]:
     The verifications are assertions, not assumptions: for finite groups
     they are guaranteed, so a failure raises BaerViolation and means the
     implementation is wrong.  They run on every call; only L(G) itself
-    is cached.
+    is cached.  Normality is checked on ``G.generators``, which generate
+    G: a subgroup mapped into itself by each generator is normal.
     """
     L = left_engel_set(G)
     members = set(L)
     if not is_subgroup(G, members):
         raise BaerViolation(f"left Engel set of {G.name!r} is not a subgroup")
-    for g in range(G.order):
+    for g in G.generators:
         if any(G.conjugate(a, g) not in members for a in L):
             raise BaerViolation(f"left Engel set of {G.name!r} is not normal")
     if not is_nilpotent(G, L):

@@ -6,8 +6,7 @@ class EngelGraphError(Exception):
 
 
 class ClosureTooLarge(EngelGraphError):
-    """A group would exceed the order limit (``groups.MAX_ORDER``) or the
-    element cap given to ``closure``."""
+    """A group would exceed the order limit (``groups.MAX_ORDER``)."""
 
 
 class InvalidParameter(EngelGraphError, ValueError):

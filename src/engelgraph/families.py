@@ -1,11 +1,12 @@
 """Constructors for the built-in group families.
 
-Dihedral and dicyclic groups are built from their normal-form multiplication
-(words x^i y^j) and then converted to the regular permutation representation,
-which avoids any coset enumeration.  Dihedral groups are named by ORDER
-(``dihedral_group(12)`` has 12 elements), dicyclic groups by order as well,
-with ``dicyclic_group(4*n)`` the order-4n group with presentation
-x^(2n) = 1, y^2 = x^n, x^y = x^-1.
+Every family hands a few generating permutations to :class:`Group`, which
+enumerates the elements.  The dihedral and dicyclic generators are x and y
+in the regular permutation representation, read off the normal-form
+multiplication of words x^i y^j, which avoids any coset enumeration.
+Dihedral groups are named by ORDER (``dihedral_group(12)`` has 12
+elements), dicyclic groups by order as well, with ``dicyclic_group(4*n)``
+the order-4n group with presentation x^(2n) = 1, y^2 = x^n, x^y = x^-1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ def symmetric_group(n: int) -> Group:
     if n < 1:
         raise InvalidParameter(f"symmetric group needs n >= 1, got {n}")
     if n == 1:
-        return Group([IDENTITY], "S1", generators=[IDENTITY])
+        return Group([IDENTITY], "S1")
     gens = [Permutation.from_cycles([[1, 2]]), Permutation.from_cycles([range(1, n + 1)])]
     return closure(gens, f"S{n}")
 
@@ -29,7 +30,7 @@ def alternating_group(n: int) -> Group:
         raise InvalidParameter(f"alternating group needs n >= 2, got {n}")
     name = f"A{n}"
     if n == 2:
-        return Group([IDENTITY], name, generators=[IDENTITY])
+        return Group([IDENTITY], name)
     gens = [Permutation.from_cycles([[1, 2, k]]) for k in range(3, n + 1)]
     return closure(gens, name)
 
@@ -38,20 +39,18 @@ def cyclic_group(n: int) -> Group:
     if n < 1:
         raise InvalidParameter(f"cyclic group needs n >= 1, got {n}")
     if n == 1:
-        return Group([IDENTITY], "C1", generators=[IDENTITY])
+        return Group([IDENTITY], "C1")
     g = Permutation.from_cycles([range(1, n + 1)])
     return closure([g], f"C{n}")
 
 
 def _regular_representation(forms: list, mul, name: str, gen_forms: list) -> Group:
-    # Right-regular action: each word w becomes the permutation of word
-    # positions sending x to x*w.  With left-to-right composition this is a
-    # faithful homomorphism.
+    # Right-regular action: each generating word w becomes the permutation
+    # of word positions sending x to x*w.  With left-to-right composition
+    # this is a faithful homomorphism.
     pos = {w: k for k, w in enumerate(forms)}
-    perm_of = {
-        w: Permutation(tuple(pos[mul(x, w)] + 1 for x in forms)) for w in forms
-    }
-    return Group(perm_of.values(), name, generators=[perm_of[w] for w in gen_forms])
+    gens = [Permutation(tuple(pos[mul(x, w)] + 1 for x in forms)) for w in gen_forms]
+    return Group(gens, name)
 
 
 def dihedral_group(order: int) -> Group:
@@ -92,13 +91,15 @@ def dicyclic_group(order: int) -> Group:
 
 def direct_product(a: Group, b: Group, name: str | None = None) -> Group:
     """Direct product acting on disjoint point sets (b is shifted past the
-    largest point a moves).  Raises ClosureTooLarge, before building any
-    element, when the product order exceeds ``MAX_ORDER``."""
+    largest point a moves), generated by the embedded generators of a and
+    then of b.  Raises ClosureTooLarge, before building any element, when
+    the product order exceeds ``MAX_ORDER``."""
     if a.order * b.order > MAX_ORDER:
         raise ClosureTooLarge(
             f"{a.name}x{b.name} has {a.order * b.order} elements, above the limit of {MAX_ORDER}"
         )
-    shift = max((p.degree for p in a.elements), default=0)
+    # a point moved by some element of a is moved by one of its generators
+    shift = max((a.perm(i).degree for i in a.generators), default=0)
 
     def embed(p: Permutation, q: Permutation) -> Permutation:
         degree = shift + q.degree
@@ -106,7 +107,6 @@ def direct_product(a: Group, b: Group, name: str | None = None) -> Group:
         imgs += [shift + q(i) for i in range(1, degree - shift + 1)]
         return Permutation(imgs)
 
-    elems = [embed(p, q) for p in a.elements for q in b.elements]
     gens = [embed(a.perm(i), IDENTITY) for i in a.generators]
     gens += [embed(IDENTITY, b.perm(j)) for j in b.generators]
-    return Group(elems, name if name is not None else f"{a.name}x{b.name}", generators=gens)
+    return Group(gens, name if name is not None else f"{a.name}x{b.name}")

@@ -1,12 +1,14 @@
 """Finite permutation groups with canonical element indexing.
 
-A :class:`Group` stores its elements sorted by image tuple, so building the
-same set of permutations twice yields identical indices, reports, and DOT
-output.  Elements are referred to by index everywhere; an "element set" is a
-sorted, duplicate-free tuple of indices.
+A :class:`Group` is built from generating permutations in one breadth-first
+search, which enumerates the elements and fills the Cayley table.  Elements
+are stored sorted by image tuple, so building the same group twice, from any
+generating set, yields identical indices, reports, and DOT output.  Elements
+are referred to by index everywhere; an "element set" is a sorted,
+duplicate-free tuple of indices.
 
-Multiplication is a lookup in a full Cayley table, so orders are limited to
-``MAX_ORDER`` (4096); larger groups raise ClosureTooLarge.
+Multiplication is a lookup in the full Cayley table, so orders are limited
+to ``MAX_ORDER`` (4096); larger groups raise ClosureTooLarge.
 """
 
 from __future__ import annotations
@@ -21,99 +23,73 @@ MAX_ORDER = 4096
 
 
 class Group:
-    """A finite group of permutations, closed under product and inverse.
+    """The finite group generated by the given permutations.
 
     Parameters
     ----------
-    elements:
-        The full element list, at most ``MAX_ORDER`` of them (more raise
-        ClosureTooLarge).  Closure is verified while the Cayley table is
-        built (a product falling outside the set raises ValueError).
+    generators:
+        Generating permutations; duplicates are dropped and the rest kept,
+        in the given order, as the indices ``self.generators``, which
+        therefore always generate the group.
     name:
         Display name, also used to sort survey reports.
-    generators:
-        Optional generating permutations, kept in the given order.  When
-        omitted, all elements are taken as generators.  Supplying a small
-        generating set makes table construction O(n^2) instead of O(n^2 d):
-        only generator rows are composed from permutations, and every other
-        row is derived through associativity.
+
+    One breadth-first search over left products ``g * u`` from the
+    identity enumerates the elements and, as a by-product, fills the
+    Cayley row of every generator: one permutation product per (element,
+    generator) pair.  Every other row follows by associativity, in search
+    order: an element first reached as ``x = g * u`` has
+    ``x * q = g * (u * q)``.  Raises ClosureTooLarge as soon as more than
+    ``MAX_ORDER`` elements are found.
     """
 
-    def __init__(
-        self,
-        elements: Iterable[Permutation],
-        name: str,
-        generators: Sequence[Permutation] | None = None,
-    ):
-        elems = sorted(set(elements))
-        if not elems:
-            raise ValueError("a group needs at least the identity element")
-        if len(elems) > MAX_ORDER:
-            raise ClosureTooLarge(
-                f"{name!r} has {len(elems)} elements, above the limit of {MAX_ORDER}"
-            )
+    def __init__(self, generators: Sequence[Permutation], name: str):
+        gens = list(dict.fromkeys(generators))
+        # Search-order indices: reached[x] is element x, first reached as
+        # gens[j] * reached[u] with (j, u) = parent[x]; gen_rows[j][u] is
+        # the index of gens[j] * reached[u].
+        found = {IDENTITY: 0}
+        reached = [IDENTITY]
+        parent = [(0, 0)]
+        gen_rows: list[list[int]] = [[] for _ in gens]
+        for u, p in enumerate(reached):  # also visits the elements appended below
+            for j, g in enumerate(gens):
+                v = g * p
+                x = found.get(v)
+                if x is None:
+                    if len(reached) >= MAX_ORDER:
+                        raise ClosureTooLarge(
+                            f"{name!r} exceeds the limit of {MAX_ORDER} elements"
+                        )
+                    x = found[v] = len(reached)
+                    reached.append(v)
+                    parent.append((j, u))
+                gen_rows[j].append(x)
+
         self.name = name
-        self.elements: tuple[Permutation, ...] = tuple(elems)
-        self.order = len(elems)
+        self.elements: tuple[Permutation, ...] = tuple(sorted(reached))
+        self.order = n = len(reached)
         self._index = {p: i for i, p in enumerate(self.elements)}
-        if IDENTITY not in self._index:
-            raise ValueError("element set does not contain the identity")
         self.identity: int = self._index[IDENTITY]
+        self.generators: tuple[int, ...] = tuple(self._index[g] for g in gens)
 
-        if generators is None:
-            gen_perms = list(self.elements)
-        else:
-            gen_perms = list(generators)
-        gens: list[int] = []
-        for g in gen_perms:
-            idx = self._index.get(g)
-            if idx is None:
-                raise ValueError(f"generator {g} is not in the element list")
-            if idx not in gens:
-                gens.append(idx)
-        self.generators: tuple[int, ...] = tuple(gens) or (self.identity,)
-
-        self._table = self._build_table()
+        rank = [self._index[p] for p in reached]
+        table: list[list[int] | None] = [None] * n
+        table[self.identity] = list(range(n))
+        for gi, bfs_row in zip(self.generators, gen_rows):
+            row = [0] * n
+            for u, x in enumerate(bfs_row):
+                row[rank[u]] = rank[x]
+            table[gi] = row
+        for x in range(1, n):
+            if table[rank[x]] is None:
+                j, u = parent[x]
+                row_g = table[self.generators[j]]
+                table[rank[x]] = [row_g[k] for k in table[rank[u]]]
+        self._table: list[list[int]] = table  # type: ignore[assignment]
         self._inv = tuple(row.index(self.identity) for row in self._table)
         # Engel depth maps and L(G); read and written only by engel.py
         self._memo: dict = {}
-
-    # -- construction internals --
-
-    def _compose_row(self, i: int) -> list[int]:
-        p = self.elements[i]
-        row = []
-        for q in self.elements:
-            idx = self._index.get(p * q)
-            if idx is None:
-                raise ValueError(
-                    f"element set of {self.name!r} is not closed: {p} * {q} missing"
-                )
-            row.append(idx)
-        return row
-
-    def _build_table(self) -> list[list[int]]:
-        n = self.order
-        rows: list[list[int] | None] = [None] * n
-        rows[self.identity] = list(range(n))
-        for g in self.generators:
-            if rows[g] is None:
-                rows[g] = self._compose_row(g)
-        # Derive the remaining rows along a Cayley-graph BFS from the known
-        # rows: if x = u*g with rows for u and g known, then x*q = u*(g*q).
-        queue = deque(dict.fromkeys((self.identity, *self.generators)))
-        while queue:
-            u = queue.popleft()
-            row_u = rows[u]
-            for g in self.generators:
-                x = row_u[g]
-                if rows[x] is None:
-                    rows[x] = [row_u[k] for k in rows[g]]
-                    queue.append(x)
-        for i in range(n):
-            if rows[i] is None:  # generators do not span; fall back per row
-                rows[i] = self._compose_row(i)
-        return rows  # type: ignore[return-value]
 
     # -- element arithmetic (by index) --
 
@@ -166,38 +142,14 @@ class Group:
         return f"Group({self.name!r}, order={self.order})"
 
 
-def closure(
-    generators: Sequence[Permutation],
-    name: str | None = None,
-    *,
-    cap: int = MAX_ORDER,
-) -> Group:
-    """The group generated by the given permutations, by breadth-first
-    enumeration of right products.
-
-    Raises ClosureTooLarge once more than ``cap`` elements have been found;
-    ``cap`` can only lower the limit, never raise it above ``MAX_ORDER``.
-    """
+def closure(generators: Sequence[Permutation], name: str | None = None) -> Group:
+    """The group generated by a non-empty list of permutations, named
+    ``<g1,g2,...>`` unless a name is given."""
     if not generators:
         raise ValueError("generator list must be non-empty")
-    gens = list(dict.fromkeys(generators))
-    cap = min(cap, MAX_ORDER)
-    seen = {IDENTITY}
-    queue = deque([IDENTITY])
-    while queue:
-        u = queue.popleft()
-        for g in gens:
-            v = u * g
-            if v not in seen:
-                if len(seen) >= cap:
-                    raise ClosureTooLarge(
-                        f"closure exceeded the limit of {cap} elements"
-                    )
-                seen.add(v)
-                queue.append(v)
     if name is None:
-        name = "<" + ",".join(str(g) for g in gens) + ">"
-    return Group(seen, name, generators=gens)
+        name = "<" + ",".join(str(g) for g in dict.fromkeys(generators)) + ">"
+    return Group(generators, name)
 
 
 def subgroup_generated(G: Group, members: Iterable[int]) -> tuple[int, ...]:

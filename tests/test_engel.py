@@ -5,6 +5,7 @@ import pytest
 
 import engelgraph.engel as engel_module
 from engelgraph import (
+    BaerViolation,
     PreconditionFailed,
     SameVertex,
     bounded_left_engel_set,
@@ -116,6 +117,21 @@ def test_fitting_subgroup(s3, d12, c6):
     assert fitting_subgroup(s3) == left_engel_set(s3)
     assert len(fitting_subgroup(d12)) == 6
     assert fitting_subgroup(c6) == tuple(range(6))
+
+
+@pytest.mark.parametrize(
+    "cycles, message",
+    [
+        ([(), [(1, 2)], [(1, 3)]], "is not a subgroup"),
+        ([(), [(1, 2)]], "is not normal"),
+        ([(), [(1, 2)], [(1, 3)], [(2, 3)], [(1, 2, 3)], [(1, 3, 2)]], "is not nilpotent"),
+    ],
+)
+def test_fitting_subgroup_rejects_a_wrong_left_engel_set(s3, monkeypatch, cycles, message):
+    members = tuple(sorted(elem(s3, *c) for c in cycles))
+    monkeypatch.setattr(engel_module, "left_engel_set", lambda G: members)
+    with pytest.raises(BaerViolation, match=message):
+        fitting_subgroup(s3)
 
 
 def test_left_engel_is_conjugation_invariant(s4, dic3):

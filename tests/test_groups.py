@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -9,6 +8,7 @@ from engelgraph import (
     NotASubgroup,
     Permutation,
     build_group,
+    catalog_plans,
     closure,
     conjugacy_class,
     conjugacy_classes,
@@ -20,6 +20,7 @@ from engelgraph import (
     lower_central_series,
     normal_closure,
     subgroup_generated,
+    symmetric_group,
 )
 from conftest import elem
 from oracles import naive_closure
@@ -55,18 +56,12 @@ def test_closure_frobenius_21():
     assert set(G.elements) == naive_closure(gens)
 
 
-def test_closure_cap():
-    with pytest.raises(ClosureTooLarge):
-        closure([T12, C123], cap=5)
-
-
 def test_order_limit_cannot_be_raised():
     s7_gens = [T12, Permutation.from_cycles([range(1, 8)])]
     with pytest.raises(ClosureTooLarge):
-        closure(s7_gens, cap=10**6)
-    s7 = (Permutation(p) for p in itertools.permutations(range(1, 8)))
+        closure(s7_gens)
     with pytest.raises(ClosureTooLarge):
-        Group(s7, "S7")
+        Group(s7_gens, "S7")
 
 
 def test_identity_and_inverse_laws(s4, d12):
@@ -85,14 +80,16 @@ def test_associativity_on_random_triples(s4, dic3):
             assert G.mul(G.mul(x, y), z) == G.mul(x, G.mul(y, z))
 
 
-def test_mul_table_agrees_with_direct_composition(d12):
-    # all pairs for a small group, a sample for a larger one
-    for i in range(d12.order):
-        for j in range(d12.order):
-            composed = d12.perm(i) * d12.perm(j)
-            assert d12.perm(d12.mul(i, j)) == composed
-    from engelgraph import symmetric_group
-
+def test_mul_table_agrees_with_direct_composition(repo_root):
+    # every construction route, all pairs: closure (S, A, C), the regular
+    # representation (D, Dic), direct products and generator files
+    specs = [*catalog_plans(24), "@fixtures/c7_c3.gens", "@fixtures/s3_s3.gens"]
+    for spec in specs:
+        G = build_group(spec, base_dir=repo_root)
+        for i in range(G.order):
+            for j in range(G.order):
+                assert G.perm(G.mul(i, j)) == G.perm(i) * G.perm(j), (G.name, i, j)
+    # and a sample for a larger group
     s5 = symmetric_group(5)
     rng = random.Random(5)
     for _ in range(2000):
@@ -100,32 +97,38 @@ def test_mul_table_agrees_with_direct_composition(d12):
         assert s5.perm(s5.mul(i, j)) == s5.perm(i) * s5.perm(j)
 
 
-def test_table_fallback_when_generators_do_not_span(s3):
-    # declared generators only reach A3; the remaining Cayley rows are
-    # filled by direct composition and must still agree
-    partial = Group(s3.elements, "S3-partial", generators=[s3.perm(1)])
-    for i in range(6):
-        for j in range(6):
-            assert partial.mul(i, j) == s3.mul(i, j)
+def test_generators_generate_the_group():
+    for plan in catalog_plans(120):
+        G = build_group(plan)
+        assert subgroup_generated(G, G.generators) == tuple(range(G.order)), G.name
 
 
-def test_only_generator_rows_are_composed(monkeypatch, repo_root):
-    # every other Cayley row is derived along the Cayley graph, so building
-    # a group composes permutations for at most one row per generator
-    composed = []
-    compose_row = Group._compose_row
+def test_one_product_per_element_and_generator(monkeypatch, repo_root):
+    # construction composes g * u once for each element u and generator g;
+    # every other Cayley entry is derived from those
+    products = 0
+    built = []
+    compose = Permutation.__mul__
+    init = Group.__init__
 
-    def counting(self, i):
-        composed.append(self)
-        return compose_row(self, i)
+    def counting(self, other):
+        nonlocal products
+        products += 1
+        return compose(self, other)
 
-    monkeypatch.setattr(Group, "_compose_row", counting)
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Permutation, "__mul__", counting)
+    monkeypatch.setattr(Group, "__init__", recording)
     for spec in ("S5", "D12", "Dic3", "S4xC5", "@fixtures/c7_c3.gens"):
-        composed.clear()
+        products = 0
+        built.clear()
         G = build_group(spec, base_dir=repo_root)
-        assert G in composed
-        for H in set(composed):  # the factors of a product too
-            assert composed.count(H) <= len(H.generators), (spec, H.name)
+        assert G in built
+        bound = sum(H.order * len(H.generators) for H in built)  # factors too
+        assert products <= bound, (spec, products, bound)
 
 
 def test_canonical_indexing_is_reproducible():
