@@ -1,12 +1,17 @@
 """The Engel graph and exact graph metrics.
 
-All metrics are exact.  Connected components and the diameter come from
-networkx; the clique number is found here by branch and bound with a
-greedy-coloring bound.  Isomorphism is delegated to networkx's VF2++ and
-every mapping is replayed edge by edge here.  Planarity is delegated to
-networkx's linear-time test, which also extracts a Kuratowski subgraph on
-failure; every witness handed out is re-verified here as a subdivision of
-K5 or K_{3,3} that lies inside the host graph.
+All metrics are exact.  The clique number, the component count and the
+diameter are read from the twin quotient: vertices with equal
+neighbourhoods (false twins) are never adjacent, so a clique meets each
+twin class at most once and distances between classes survive the
+quotient (Gallai's modules, in their simplest form).  Components and
+diameters come from networkx; the clique number is found here by branch
+and bound with a greedy-coloring bound.  Isomorphism is delegated to
+networkx's VF2++ and every mapping is replayed edge by edge here.  A graph
+denser than Euler's bound is not planar; sparser graphs go to networkx's
+linear-time test, which also extracts a Kuratowski subgraph on failure;
+every witness handed out is re-verified here as a subdivision of K5 or
+K_{3,3} that lies inside the host graph.
 """
 
 from __future__ import annotations
@@ -131,14 +136,43 @@ def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
 
 def diameter(g: SimpleGraph) -> float:
     """Largest shortest-path distance; math.inf when disconnected, 0 for a
-    single vertex.  Raises EmptyGraphError for zero vertices."""
-    return _diameter(_to_networkx(g))
+    single vertex.  Raises EmptyGraphError for zero vertices.
+
+    Read from the twin quotient: two twins of a connected graph with an
+    edge are at distance 2, and every other distance is one of the
+    quotient's."""
+    return _components_and_diameter(*_twin_quotient(g))[1]
 
 
-def _diameter(gx: nx.Graph) -> float:
-    if gx.number_of_nodes() == 0:
+def _twin_quotient(g: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
+    """The quotient of g by its false twins, one vertex per neighbourhood in
+    order of least member, and the size of each class.
+
+    Twins are never adjacent (a vertex is not its own neighbour), so the
+    quotient is a simple graph; the isolated vertices of g form its one
+    isolated vertex, if any."""
+    class_of: dict[tuple[int, ...], int] = {}
+    classes = [class_of.setdefault(nbrs, len(class_of)) for nbrs in g.adjacency]
+    sizes = [0] * len(class_of)
+    for c in classes:
+        sizes[c] += 1
+    edges = [(c, classes[w]) for nbrs, c in class_of.items() for w in nbrs]
+    return SimpleGraph(len(class_of), edges), sizes
+
+
+def _components_and_diameter(q: SimpleGraph, sizes: list[int]) -> tuple[int, float]:
+    """Component count and diameter of a graph from its twin quotient q and
+    class sizes.  Raises EmptyGraphError for zero vertices."""
+    if q.vertex_count == 0:
         raise EmptyGraphError("the diameter of the empty graph is undefined")
-    return nx.diameter(gx) if nx.is_connected(gx) else math.inf
+    qx = _to_networkx(q)
+    isolated = sum(sizes[c] for c in isolated_vertices(q))
+    components = nx.number_connected_components(qx) + max(isolated - 1, 0)
+    if components > 1:
+        return components, math.inf
+    if q.vertex_count == 1:  # a single vertex
+        return components, 0
+    return components, max(nx.diameter(qx), 2 if max(sizes) > 1 else 1)
 
 
 def isolated_vertices(g: SimpleGraph) -> tuple[int, ...]:
@@ -165,10 +199,16 @@ def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
 def clique_number(g: SimpleGraph) -> int:
     """Exact maximum clique size; 0 for the empty graph.
 
-    Branch and bound over bitmask candidate sets: candidates are greedily
-    colored and a branch is cut when the current clique plus the color of
-    the pivot vertex cannot beat the incumbent.
+    A clique meets each twin class at most once, so the search runs on the
+    twin quotient.
     """
+    return _max_clique_size(_twin_quotient(g)[0])
+
+
+def _max_clique_size(g: SimpleGraph) -> int:
+    """Branch and bound over bitmask candidate sets: candidates are greedily
+    colored and a branch is cut when the current clique plus the color of
+    the pivot vertex cannot beat the incumbent."""
     n = g.vertex_count
     if n == 0:
         return 0
@@ -221,6 +261,11 @@ def _to_networkx(g: SimpleGraph) -> nx.Graph:
 
 
 def is_planar(g: SimpleGraph) -> bool:
+    """Planarity.  A simple planar graph on V >= 3 vertices has at most
+    3V - 6 edges (Euler), so a denser graph is answered without networkx."""
+    v = g.vertex_count
+    if v >= 3 and g.edge_count > 3 * v - 6:
+        return False
     return nx.is_planar(_to_networkx(g))
 
 
@@ -330,15 +375,17 @@ def graphs_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:
 
 
 def compute_metrics(g: SimpleGraph) -> GraphMetrics:
-    """All exact metrics for a graph with at least one vertex; components,
-    diameter and planarity are read from one networkx copy of it."""
-    gx = _to_networkx(g)
+    """All exact metrics for a graph with at least one vertex.  The
+    component count, the diameter and the clique number are read from one
+    twin quotient; planarity from ``is_planar``."""
+    q, sizes = _twin_quotient(g)
+    components, diam = _components_and_diameter(q, sizes)
     return GraphMetrics(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,
-        component_count=nx.number_connected_components(gx),
-        diameter=_diameter(gx),
-        clique_number=clique_number(g),
-        planar=nx.is_planar(gx),
+        component_count=components,
+        diameter=diam,
+        clique_number=_max_clique_size(q),
+        planar=is_planar(g),
         isolated_count=len(isolated_vertices(g)),
     )

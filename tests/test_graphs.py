@@ -1,6 +1,7 @@
 import math
 import random
 
+import networkx as nx
 import pytest
 
 import engelgraph.graphs as graphs_module
@@ -11,6 +12,7 @@ from engelgraph import (
     SimpleGraph,
     UnknownVertex,
     build_engel_graph,
+    build_group,
     clique_number,
     compute_metrics,
     conjugacy_class,
@@ -280,13 +282,73 @@ def test_isomorphism_under_random_relabeling():
 
 
 def test_compute_metrics_converts_to_networkx_once(monkeypatch, a4):
+    # the twin quotient is converted once; the full graph only when it is
+    # sparse enough (E <= 3V - 6) for planarity to need networkx
     calls = []
     convert = graphs_module._to_networkx
     monkeypatch.setattr(graphs_module, "_to_networkx", lambda g: calls.append(g) or convert(g))
-    for g in (build_engel_graph(a4), SimpleGraph(3, [(0, 1)]), SimpleGraph(1, [])):
+    e_a4 = build_engel_graph(a4)  # 8 vertices, 24 edges: K4 with every vertex doubled
+    sparse, single = SimpleGraph(3, [(0, 1)]), SimpleGraph(1, [])
+    for g, full in ((e_a4, []), (sparse, [sparse]), (single, [single])):
         calls.clear()
         compute_metrics(g)
-        assert calls == [g]
+        quotient, *rest = calls
+        assert quotient is not g
+        assert quotient.vertex_count == len(set(g.adjacency))
+        assert rest == full
+
+
+def with_planted_twins(rng, g, count):
+    """g plus ``count`` new vertices, each a copy of the neighbourhood of a
+    random vertex (planted ones included), so twin classes grow."""
+    nbrs = [list(g.neighbors(v)) for v in range(g.vertex_count)]
+    for _ in range(count):
+        twin = list(nbrs[rng.randrange(len(nbrs))])
+        for v in twin:
+            nbrs[v].append(len(nbrs))
+        nbrs.append(twin)
+    return SimpleGraph(len(nbrs), [(u, v) for u, vs in enumerate(nbrs) for v in vs])
+
+
+def test_metrics_on_planted_twins():
+    # the quotient formulas against the Floyd-Warshall, subset-enumeration
+    # and subdivision-search oracles
+    with pytest.raises(EmptyGraphError):
+        compute_metrics(SimpleGraph(0, []))
+    rng = random.Random(31)
+    graphs = [SimpleGraph(1, []), SimpleGraph(4, []), SimpleGraph(5, [(0, 1)]),
+              with_planted_twins(rng, SimpleGraph(4, [(0, 1), (1, 2)]), 3)]
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 12), rng.random())
+        if rng.random() < 0.3:  # an isolated vertex to plant twins on
+            g = SimpleGraph(g.vertex_count + 1, g.edges())
+        graphs.append(with_planted_twins(rng, g, rng.randint(0, 4)))
+    for g in graphs:
+        n = g.vertex_count
+        dist = brute_distances(g)
+        components = {frozenset(v for v in range(n) if dist[u][v] < math.inf) for u in range(n)}
+        expected = max(max(row) for row in dist)
+        m = compute_metrics(g)
+        assert (m.component_count, m.diameter) == (len(components), expected)
+        assert m.clique_number == brute_clique_number(g) == clique_number(g)
+        assert m.planar == planar_by_subdivision_search(g)
+        assert diameter(g) == expected
+
+
+def test_twin_quotient_at_scale():
+    # Engel graphs of 119-719 vertices on which a clique search over the
+    # full graph does not finish in seconds; each omega is checked against
+    # networkx's exact clique search or meets the colouring bound
+    # omega <= chi on the quotient
+    for spec, omega in (("S5", 25), ("S5xC2", 25), ("A6", 81), ("S6", 201)):
+        g = build_engel_graph(build_group(spec))
+        m = compute_metrics(g)
+        assert (m.clique_number, m.diameter, m.component_count, m.planar) == (omega, 2, 1, False)
+        qx = graphs_module._to_networkx(graphs_module._twin_quotient(g)[0])
+        if spec in ("S5", "S5xC2"):
+            assert len(nx.max_weight_clique(qx, weight=None)[0]) == omega
+        else:
+            assert len(set(nx.greedy_color(qx, "largest_first").values())) == omega
 
 
 def test_metrics_invariants(s3, a4, d12):
