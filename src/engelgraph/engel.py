@@ -17,13 +17,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import BaerViolation, PreconditionFailed, SameVertex
-from .groups import (
-    Group,
-    is_abelian,
-    is_nilpotent,
-    is_subgroup,
-    subgroup_generated,
-)
+from .groups import Group, _normal_span, _subgroup_span, is_abelian, is_nilpotent
 
 
 @dataclass(frozen=True)
@@ -139,15 +133,16 @@ def fitting_subgroup(G: Group) -> tuple[int, ...]:
     The verifications are assertions, not assumptions: for finite groups
     they are guaranteed, so a failure raises BaerViolation and means the
     implementation is wrong.  They run on every call; only L(G) itself
-    is cached.  Normality is checked on ``G.generators``, which generate
-    G: a subgroup mapped into itself by each generator is normal.
+    is cached.  Normality is checked on generators: the greedy generators
+    of L conjugated by ``G.generators``, which generate G.  A subgroup that
+    each generator of G maps into itself is normal.
     """
     L = left_engel_set(G)
-    members = set(L)
-    if not is_subgroup(G, members):
+    span = _subgroup_span(G, L)
+    if span is None:
         raise BaerViolation(f"left Engel set of {G.name!r} is not a subgroup")
     for g in G.generators:
-        if any(G.conjugate(a, g) not in members for a in L):
+        if any(G.conjugate(a, g) not in span.members for a in span.gens):
             raise BaerViolation(f"left Engel set of {G.name!r} is not normal")
     if not is_nilpotent(G, L):
         raise BaerViolation(f"left Engel set of {G.name!r} is not nilpotent")
@@ -203,10 +198,10 @@ def lcm_power_engel_check(G: Group, a: int, g: int, ts: Sequence[int]) -> bool:
     ts = list(ts)
     if not ts or any(t < 1 for t in ts):
         raise ValueError(f"ts must be a non-empty list of positive integers, got {ts}")
-    H = subgroup_generated(G, (a, g))
-    conjugates = {G.conjugate(a, h) for h in H}
-    ncl = subgroup_generated(G, conjugates)
-    if not is_abelian(G, ncl):
+    # The normal closure of <a> in <a, g>: conjugation by a maps every
+    # subgroup containing a into itself, so conjugating by g alone suffices.
+    ncl = _normal_span(G, [a], [g])
+    if not is_abelian(G, ncl.gens):
         raise PreconditionFailed(
             "hypothesis failed: the normal closure of <a> in <a,g> is not abelian"
         )

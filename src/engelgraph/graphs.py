@@ -120,12 +120,12 @@ def build_engel_graph(G: Group) -> SimpleGraph:
         )
     verts = [x for x in range(G.order) if x not in L]
     depth_of = {v: engel_depths(G, v) for v in verts}
-    edges = []
-    for i, x in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            y = verts[j]
-            if depth_of[y][x] < 0 and depth_of[x][y] < 0:
-                edges.append((i, j))
+    edges = (
+        (i, j)
+        for i, x in enumerate(verts)
+        for j, y in enumerate(verts[i + 1:], i + 1)
+        if depth_of[y][x] < 0 and depth_of[x][y] < 0
+    )
     return SimpleGraph(len(verts), edges, labels=tuple(verts))
 
 

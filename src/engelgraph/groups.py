@@ -9,6 +9,14 @@ duplicate-free tuple of indices.
 
 Multiplication is a lookup in the full Cayley table, so orders are limited
 to ``MAX_ORDER`` (4096); larger groups raise ClosureTooLarge.
+
+Subgroup queries work on generators, never on all pairs of members
+(Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 3-4).
+A member set is spanned from greedy generators, the members not yet in the
+subgroup the earlier ones generate, by Dimino's coset extension.  Normal
+closures conjugate the generators of the subgroup by ``G.generators``,
+which generate G; the lower central series of H conjugates by the
+generators of H.  The all-pairs versions are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -152,72 +160,149 @@ def closure(generators: Sequence[Permutation], name: str | None = None) -> Group
     return Group(generators, name)
 
 
-def subgroup_generated(G: Group, members: Iterable[int]) -> tuple[int, ...]:
-    """Smallest subgroup of G containing ``members``, as sorted indices.
+class _Span:
+    """The subgroup generated by ``gens``, grown one generator at a time,
+    starting from greedy generators of ``members``.
 
-    Finite order makes closure under products imply closure under inverses.
+    ``adjoin`` is Dimino's algorithm: the span is kept as a union of right
+    cosets of the subgroup K it had before the new generator came, so only
+    coset representatives are multiplied by the generators; every other
+    new element is a product ``k * x`` with k in K.  Adjoining s costs one
+    product per new element plus one per (new coset, generator) pair.
     """
-    gens = sorted(set(members))
-    seen = {G.identity}
-    queue = deque([G.identity])
-    while queue:
-        u = queue.popleft()
-        for s in gens:
-            v = G.mul(u, s)
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return tuple(sorted(seen))
+
+    __slots__ = ("G", "gens", "elements", "members")
+
+    def __init__(self, G: Group, members: Iterable[int] = ()):
+        self.G = G
+        self.gens: list[int] = []
+        self.elements: list[int] = [G.identity]
+        self.members: set[int] = {G.identity}
+        self.extend(members)
+
+    def adjoin(self, s: int, limit: set[int] | None = None) -> bool:
+        """Grow the span to ``<gens, s>``.  Returns False, leaving the span
+        partial, as soon as a new element falls outside ``limit``."""
+        G, members = self.G, self.members
+        old = list(self.elements)
+        self.gens.append(s)
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            if x in members:
+                continue
+            coset = [G.mul(k, x) for k in old]
+            if limit is not None and not limit.issuperset(coset):
+                return False
+            members.update(coset)
+            self.elements.extend(coset)
+            for g in self.gens:
+                y = G.mul(x, g)
+                if y not in members:
+                    queue.append(y)
+        return True
+
+    def extend(self, members: Iterable[int], limit: set[int] | None = None) -> bool:
+        """Adjoin greedy generators of ``members``: the members in sorted
+        order, each one that is not yet in the span.  False as soon as the
+        span leaves ``limit``."""
+        for s in sorted(set(members)):
+            if s not in self.members and not self.adjoin(s, limit):
+                return False
+        return True
+
+
+def _subgroup_span(G: Group, members: Iterable[int]) -> _Span | None:
+    """The span of a member set that is a subgroup of G, or None when it is
+    not one: a set containing the identity is a subgroup iff the subgroup
+    it generates does not leave it."""
+    ms = set(members)
+    if G.identity not in ms or any(not 0 <= m < G.order for m in ms):
+        return None
+    span = _Span(G)
+    return span if span.extend(ms, limit=ms) else None
+
+
+def _normal_span(G: Group, members: Iterable[int], conjugators: Sequence[int]) -> _Span:
+    """Smallest subgroup containing ``members`` that each of ``conjugators``
+    maps into itself: each generator k of the span, those adjoined on the
+    way included, is conjugated by every conjugator, and k^g is adjoined
+    when it lies outside.  When the conjugators generate a group H, this is
+    the normal closure in H of the members of H."""
+    span = _Span(G, members)
+    for k in span.gens:  # also visits the generators adjoined below
+        for g in conjugators:
+            c = G.conjugate(k, g)
+            if c not in span.members:
+                span.adjoin(c)
+    return span
+
+
+def subgroup_generated(G: Group, members: Iterable[int]) -> tuple[int, ...]:
+    """Smallest subgroup of G containing ``members``, as sorted indices,
+    spanned from greedy generators of the members."""
+    return tuple(sorted(_Span(G, members).members))
 
 
 def normal_closure(G: Group, members: Iterable[int]) -> tuple[int, ...]:
-    """Smallest normal subgroup of G containing ``members``: the subgroup
-    generated by all conjugates of the members."""
-    conjugates = {
-        G.conjugate(s, g) for s in set(members) for g in range(G.order)
-    }
-    return subgroup_generated(G, conjugates)
+    """Smallest normal subgroup of G containing ``members``.
+
+    Starts from the subgroup the members generate and conjugates its
+    generators by ``G.generators`` only, which generate G, never by all of
+    G."""
+    return tuple(sorted(_normal_span(G, members, G.generators).members))
 
 
 def derived_subgroup(G: Group) -> tuple[int, ...]:
-    """Subgroup generated by all commutators [x, y], computed on each call."""
-    comms = {G.commutator(x, y) for x in range(G.order) for y in range(G.order)}
-    return subgroup_generated(G, comms)
+    """The derived subgroup G' = [G, G], computed on each call: the normal
+    closure of the commutators [a, b] of pairs of ``G.generators``."""
+    gens = G.generators
+    return normal_closure(G, {G.commutator(a, b) for a in gens for b in gens})
 
 
 def is_subgroup(G: Group, members: Iterable[int]) -> bool:
-    """True iff the set contains the identity and is closed under products."""
-    ms = set(members)
-    if G.identity not in ms:
-        return False
-    if any(not 0 <= m < G.order for m in ms):
-        return False
-    return all(G.mul(a, b) in ms for a in ms for b in ms)
+    """True iff the set contains the identity and is closed under products.
+
+    Tested on generators: the subgroup generated by greedy generators of
+    the set is grown only while it stays inside the set."""
+    return _subgroup_span(G, members) is not None
 
 
 def is_abelian(G: Group, members: Iterable[int] | None = None) -> bool:
-    ms = sorted(set(members)) if members is not None else range(G.order)
-    return all(G.mul(a, b) == G.mul(b, a) for a in ms for b in ms)
+    """True iff the members (all of G by default) commute pairwise.
+
+    Only generators are compared: ``G.generators`` for the whole group,
+    greedy generators of the members otherwise.  Generators that commute
+    pairwise generate an abelian group, which contains every member."""
+    gens = G.generators if members is None else _Span(G, members).gens
+    return all(
+        G.mul(a, b) == G.mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1:]
+    )
 
 
 def lower_central_series(G: Group, members: Iterable[int]) -> list[tuple[int, ...]]:
     """Lower central series of the subgroup H on the given indices, computed
     inside G, listed until it stabilizes.
 
+    Each term is γ_{i+1} = [γ_i, H], the normal closure in H (conjugating by
+    greedy generators of H) of the commutators [x, y] with x over the
+    generators of γ_i and y over those of H.
+
     Raises NotASubgroup if the member set is not a subgroup of G.
     """
     H = tuple(sorted(set(members)))
-    if not is_subgroup(G, H):
+    span = _subgroup_span(G, H)
+    if span is None:
         raise NotASubgroup(f"member set of size {len(H)} is not a subgroup of {G.name!r}")
+    hgens = span.gens
     series = [H]
-    current = H
     while True:
-        comms = {G.commutator(a, h) for a in current for h in H}
-        nxt = subgroup_generated(G, comms)
-        if nxt == current:
+        comms = {G.commutator(x, y) for x in span.gens for y in hgens}
+        span = _normal_span(G, comms, hgens)
+        nxt = tuple(sorted(span.members))
+        if nxt == series[-1]:
             break
         series.append(nxt)
-        current = nxt
     return series
 
 

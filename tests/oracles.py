@@ -3,14 +3,17 @@
 These deliberately avoid the library's algorithms: closure by repeated set
 products instead of BFS, clique number by subset enumeration, distances by
 Floyd-Warshall instead of BFS, planarity by exhaustive search for
-K5/K_{3,3} subdivisions (feasible up to ~12 vertices), and Engel
-reachability by direct iteration of the commutator map.
+K5/K_{3,3} subdivisions (feasible up to ~12 vertices), Engel
+reachability by direct iteration of the commutator map, and subgroup
+queries by all-pairs loops over the members (generation by a BFS that
+multiplies by every member) instead of work on greedy generators.
 """
 
 import math
+from collections import deque
 from itertools import combinations
 
-from engelgraph import IDENTITY, SimpleGraph
+from engelgraph import IDENTITY, NotASubgroup, SimpleGraph
 
 
 def naive_closure(perms):
@@ -21,6 +24,75 @@ def naive_closure(perms):
         if not new:
             return elems
         elems |= new
+
+
+def naive_subgroup_generated(G, members):
+    """Smallest subgroup of G containing ``members``, as sorted indices.
+
+    Finite order makes closure under products imply closure under inverses.
+    """
+    gens = sorted(set(members))
+    seen = {G.identity}
+    queue = deque([G.identity])
+    while queue:
+        u = queue.popleft()
+        for s in gens:
+            v = G.mul(u, s)
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return tuple(sorted(seen))
+
+
+def naive_normal_closure(G, members):
+    """Smallest normal subgroup of G containing ``members``: the subgroup
+    generated by all conjugates of the members."""
+    conjugates = {
+        G.conjugate(s, g) for s in set(members) for g in range(G.order)
+    }
+    return naive_subgroup_generated(G, conjugates)
+
+
+def naive_derived_subgroup(G):
+    """Subgroup generated by all commutators [x, y], computed on each call."""
+    comms = {G.commutator(x, y) for x in range(G.order) for y in range(G.order)}
+    return naive_subgroup_generated(G, comms)
+
+
+def naive_is_subgroup(G, members):
+    """True iff the set contains the identity and is closed under products."""
+    ms = set(members)
+    if G.identity not in ms:
+        return False
+    if any(not 0 <= m < G.order for m in ms):
+        return False
+    return all(G.mul(a, b) in ms for a in ms for b in ms)
+
+
+def naive_is_abelian(G, members=None):
+    ms = sorted(set(members)) if members is not None else range(G.order)
+    return all(G.mul(a, b) == G.mul(b, a) for a in ms for b in ms)
+
+
+def naive_lower_central_series(G, members):
+    """Lower central series of the subgroup H on the given indices, computed
+    inside G, listed until it stabilizes.
+
+    Raises NotASubgroup if the member set is not a subgroup of G.
+    """
+    H = tuple(sorted(set(members)))
+    if not naive_is_subgroup(G, H):
+        raise NotASubgroup(f"member set of size {len(H)} is not a subgroup of {G.name!r}")
+    series = [H]
+    current = H
+    while True:
+        comms = {G.commutator(a, h) for a in current for h in H}
+        nxt = naive_subgroup_generated(G, comms)
+        if nxt == current:
+            break
+        series.append(nxt)
+        current = nxt
+    return series
 
 
 def engel_reaches_by_iteration(G, a, x):

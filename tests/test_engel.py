@@ -31,7 +31,7 @@ from engelgraph import (
 from engelgraph.io import build_group
 from engelgraph.survey import catalog_plans, evaluate_group
 from conftest import elem
-from oracles import engel_reaches_by_iteration
+from oracles import engel_reaches_by_iteration, naive_is_abelian, naive_subgroup_generated
 
 
 def test_iterated_commutator_base_case(s3):
@@ -256,6 +256,22 @@ def test_lcm_power_engel_check_trivial_cases(s3):
         lcm_power_engel_check(s3, s3.identity, g, [])
     with pytest.raises(ValueError):
         lcm_power_engel_check(s3, s3.identity, g, [0, 1])
+
+
+def test_lcm_power_engel_check_normal_closure_matches_all_conjugates(s4, d12, dic3):
+    # the closure hypothesis fails exactly when the subgroup generated by
+    # the conjugates of a under all of <a, g> is not abelian
+    for G in (s4, d12, dic3):
+        for a in range(G.order):
+            for g in range(G.order):
+                H = naive_subgroup_generated(G, (a, g))
+                ncl = naive_subgroup_generated(G, {G.conjugate(a, h) for h in H})
+                try:
+                    lcm_power_engel_check(G, a, g, [1])
+                    closure_abelian = True
+                except PreconditionFailed as err:
+                    closure_abelian = "abelian" not in str(err)
+                assert closure_abelian == naive_is_abelian(G, ncl), (G.name, a, g)
 
 
 def _fitting_by_enumeration(G):

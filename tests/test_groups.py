@@ -13,7 +13,9 @@ from engelgraph import (
     conjugacy_class,
     conjugacy_classes,
     centralizer,
+    left_engel_set,
     derived_subgroup,
+    fitting_subgroup,
     is_abelian,
     is_nilpotent,
     is_subgroup,
@@ -23,7 +25,15 @@ from engelgraph import (
     symmetric_group,
 )
 from conftest import elem
-from oracles import naive_closure
+from oracles import (
+    naive_closure,
+    naive_derived_subgroup,
+    naive_is_abelian,
+    naive_is_subgroup,
+    naive_lower_central_series,
+    naive_normal_closure,
+    naive_subgroup_generated,
+)
 
 T12 = Permutation.from_cycles([(1, 2)])
 C123 = Permutation.from_cycles([(1, 2, 3)])
@@ -238,6 +248,105 @@ def test_is_subgroup_and_abelian(s3):
     assert not is_subgroup(s3, [s3.identity, elem(s3, (1, 2)), elem(s3, (1, 3))])
     assert is_abelian(s3, a3)
     assert not is_abelian(s3)
+
+
+def _member_sets(G, rng):
+    """Member sets to query: random sets with and without the identity,
+    the subgroup generated by each conjugacy class with and without one
+    more element (and that subgroup plus the element, rarely a subgroup),
+    and L(G) plus the representative of each class outside it."""
+    for _ in range(6):
+        S = set(rng.sample(range(G.order), rng.randint(1, min(G.order, 5))))
+        yield S
+        yield S | {G.identity}
+    L = set(left_engel_set(G))
+    for cls in conjugacy_classes(G):
+        x = rng.randrange(G.order)
+        H = set(subgroup_generated(G, cls))
+        yield H
+        yield H | {x}
+        yield set(subgroup_generated(G, [*cls, x]))
+        if cls[0] not in L:
+            yield L | {cls[0]}
+
+
+def _series_or_error(lower_central_series, G, S):
+    try:
+        return lower_central_series(G, S)
+    except NotASubgroup:
+        return NotASubgroup
+
+
+def test_subgroup_queries_match_all_pairs_oracles():
+    rng = random.Random(48)
+    mismatches = []
+    cases = 0
+    for plan in catalog_plans(48):
+        G = build_group(plan)
+        if derived_subgroup(G) != naive_derived_subgroup(G):
+            mismatches.append(f"{G.name}: derived_subgroup")
+        for S in _member_sets(G, rng):
+            cases += 1
+            where = f"{G.name} {sorted(S)}"
+            if subgroup_generated(G, S) != naive_subgroup_generated(G, S):
+                mismatches.append(f"{where}: subgroup_generated")
+            if is_subgroup(G, S) != naive_is_subgroup(G, S):
+                mismatches.append(f"{where}: is_subgroup")
+            if normal_closure(G, S) != naive_normal_closure(G, S):
+                mismatches.append(f"{where}: normal_closure")
+            if is_abelian(G, S) != naive_is_abelian(G, S):
+                mismatches.append(f"{where}: is_abelian")
+            ours = _series_or_error(lower_central_series, G, S)
+            theirs = _series_or_error(naive_lower_central_series, G, S)
+            if ours is NotASubgroup or theirs is NotASubgroup:
+                if ours is not theirs:
+                    mismatches.append(f"{where}: NotASubgroup raised by one side only")
+                continue
+            for i, (a, b) in enumerate(zip(ours, theirs)):
+                if a != b:
+                    mismatches.append(f"{where}: lower central series term {i}: {a} != {b}")
+                    break
+            else:
+                if len(ours) != len(theirs):
+                    mismatches.append(f"{where}: {len(ours)} terms != {len(theirs)}")
+    assert cases > 3000
+    assert mismatches == []
+
+
+def test_subgroup_queries_work_on_generators(monkeypatch):
+    # an all-pairs loop over a subgroup H makes at least |H|^2 products,
+    # conjugates or commutators; working on generators stays far below
+    calls = 0
+
+    def counting(method):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return method(*args)
+
+        return wrapper
+
+    def work(query, G, *args):
+        nonlocal calls
+        calls = 0
+        return query(G, *args), calls
+
+    for spec in ("S5", "D12xC5", "A5xC4"):
+        G = build_group(spec)
+        L = set(fitting_subgroup(G))
+        reps = [cls[0] for cls in conjugacy_classes(G) if cls[0] not in L]
+        with monkeypatch.context() as m:
+            for name in ("mul", "conjugate", "commutator"):
+                m.setattr(Group, name, counting(getattr(Group, name)))
+            _, n = work(derived_subgroup, G)
+            assert n <= G.order ** 2 // 8, (spec, "derived_subgroup", n)
+            _, n = work(is_nilpotent, G, range(G.order))
+            assert n <= G.order ** 2 // 8, (spec, "is_nilpotent", n)
+            for rep in reps:
+                H, n = work(normal_closure, G, L | {rep})
+                assert n <= len(H) ** 2 // 8, (spec, "normal_closure", rep, n)
+                _, n = work(is_nilpotent, G, H)
+                assert n <= len(H) ** 2 // 8, (spec, "is_nilpotent", rep, n)
 
 
 def test_conjugacy_classes(s4):
