@@ -1,22 +1,24 @@
 """The Engel graph and exact graph metrics.
 
-All metrics are exact.  The clique number, the component count and the
-diameter are read from the twin quotient: vertices with equal
-neighbourhoods (false twins) are never adjacent, so a clique meets each
-twin class at most once and distances between classes survive the
-quotient (Gallai's modules, in their simplest form).  Components and
-diameters come from networkx; the clique number is found here by branch
-and bound with a greedy-coloring bound.  Isomorphism is delegated to
-networkx's VF2++ and every mapping is replayed edge by edge here.  A graph
-denser than Euler's bound is not planar; sparser graphs go to networkx's
-linear-time test, which also extracts a Kuratowski subgraph on failure;
-every witness handed out is re-verified here as a subdivision of K5 or
-K_{3,3} that lies inside the host graph.
+A graph keeps one sorted neighbour tuple per vertex, so a dense Engel graph
+holds each edge once per endpoint.  All metrics are exact.  The clique
+number, the component count and the diameter are read from the twin
+quotient: vertices with equal neighbourhoods (false twins) are never
+adjacent, so a clique meets each twin class at most once and distances
+between classes survive the quotient (Gallai's modules, in their simplest
+form).  Components and diameters come from networkx; the clique number is
+found here by branch and bound with a greedy-coloring bound.  Isomorphism
+is delegated to networkx's VF2++ and every mapping is replayed edge by edge
+here.  A graph denser than Euler's bound is not planar; sparser graphs go
+to networkx's linear-time test, which also extracts a Kuratowski subgraph
+on failure; every witness handed out is re-verified here as a subdivision
+of K5 or K_{3,3} that lies inside the host graph.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -30,11 +32,11 @@ from .groups import Group
 class SimpleGraph:
     """Undirected simple graph on vertices 0..n-1 with optional labels.
 
-    Adjacency is kept both as sorted neighbor tuples (deterministic
-    iteration) and frozensets (O(1) membership).  Loops are rejected.
+    Adjacency is one sorted neighbour tuple per vertex, which ``adjacent``
+    searches by bisection.  Duplicate edges collapse; loops are rejected.
     """
 
-    __slots__ = ("labels", "adjacency", "_sets")
+    __slots__ = ("labels", "adjacency")
 
     def __init__(
         self,
@@ -52,19 +54,18 @@ class SimpleGraph:
                 raise ValueError(
                     f"{len(labels)} labels for {vertex_count} vertices"
                 )
-        nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
+        nbrs: list[list[int]] = [[] for _ in range(vertex_count)]
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise UnknownVertex(f"edge ({u}, {v}) leaves 0..{vertex_count - 1}")
             if u == v:
                 raise SameVertex(f"loop at vertex {u} is not allowed in a simple graph")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         self.labels = labels
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in nbrs
+            tuple(sorted(set(s))) for s in nbrs
         )
-        self._sets = tuple(frozenset(s) for s in nbrs)
 
     @property
     def vertex_count(self) -> int:
@@ -81,7 +82,9 @@ class SimpleGraph:
         return len(self.adjacency[v])
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._sets[u]
+        nbrs = self.adjacency[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once, as (u, v) with u < v, in sorted order."""
@@ -156,7 +159,7 @@ def _twin_quotient(g: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
     sizes = [0] * len(class_of)
     for c in classes:
         sizes[c] += 1
-    edges = [(c, classes[w]) for nbrs, c in class_of.items() for w in nbrs]
+    edges = [(c, d) for nbrs, c in class_of.items() for d in {classes[w] for w in nbrs}]
     return SimpleGraph(len(class_of), edges), sizes
 
 

@@ -8,6 +8,7 @@ to right: ``(p * q)(i) == q(p(i))``.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -71,13 +72,14 @@ class Permutation:
         if not isinstance(other, Permutation):
             return NotImplemented
         a, b = self.images, other.images
-        la, lb = len(a), len(b)
-        n = max(la, lb)
-        out = []
-        for i in range(1, n + 1):
-            j = a[i - 1] if i <= la else i
-            out.append(b[j - 1] if j <= lb else j)
-        return Permutation._raw(tuple(out))
+        n = max(len(a), len(b))
+        if n == 0:
+            return self
+        # pad both to degree n (0 or >= 2, so itemgetter returns a tuple)
+        # and read b at every image of a in one call
+        a += tuple(range(len(a) + 1, n + 1))
+        b = (0,) + b + tuple(range(len(b) + 1, n + 1))
+        return Permutation._raw(itemgetter(*a)(b))
 
     def inverse(self) -> "Permutation":
         out = [0] * len(self.images)

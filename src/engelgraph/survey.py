@@ -86,7 +86,6 @@ class GroupEvaluation:
     """A report together with the objects it was computed from (the report
     alone is what surveys keep and serialize)."""
 
-    spec: GroupSpec
     group: Group
     engel_set: tuple[int, ...]
     graph: SimpleGraph | None
@@ -170,7 +169,7 @@ def evaluate_group(spec: GroupSpec | str, *, base_dir: str = ".") -> GroupEvalua
         metrics=metrics,
         checks=checks,
     )
-    return GroupEvaluation(spec, G, L, graph, report)
+    return GroupEvaluation(G, L, graph, report)
 
 
 def report(spec: GroupSpec | str, *, base_dir: str = ".") -> GroupReport:
@@ -249,11 +248,7 @@ def _catalog_pass(
     return [k for k in kept if k is not None]
 
 
-def survey(
-    max_order: int,
-    families: Iterable[str] | None = None,
-    jobs: int = 1,
-) -> SurveyResult:
+def survey(max_order: int, *, jobs: int = 1) -> SurveyResult:
     """Reports for every non-nilpotent catalog group of order <= max_order.
 
     Evaluation may run in parallel (one group per task, no shared state);
@@ -261,7 +256,7 @@ def survey(
     """
     if max_order < 6:
         raise InvalidParameter(f"max_order must be at least 6, got {max_order}")
-    plans = catalog_plans(max_order, families)
+    plans = catalog_plans(max_order)
     reports = sorted(
         _catalog_pass(plans, attrgetter("report"), jobs), key=lambda r: (r.order, r.name)
     )

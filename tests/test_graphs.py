@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -186,6 +187,32 @@ def test_induced_subgraph(d12):
         sub = induced_subgraph(g, rng.sample(vs, len(vs)))
         assert sub.adjacency == SimpleGraph(len(vs), kept).adjacency
         assert sub.labels == tuple(g.labels[v] for v in vs)
+        # adjacency against a plain edge set, built from repeated edges in
+        # both orientations and with isolated vertices past every neighbour
+        edges = set(host.edges())
+        extra = rng.randint(0, 3)
+        given = [e[::-1] if rng.random() < 0.5 else e for e in edges for _ in range(2)]
+        h = SimpleGraph(n + extra, rng.sample(given, len(given)))
+        assert h.edge_count == len(edges) and set(h.edges()) == edges
+        for u in range(n + extra):
+            for v in range(n + extra):
+                assert h.adjacent(u, v) == ((min(u, v), max(u, v)) in edges)
+
+
+def test_engel_graph_holds_each_edge_once_per_endpoint():
+    # E_A5xC6 has 48,600 edges on 354 vertices; a pointer per endpoint is
+    # 16 bytes per edge, so 64 leaves room for the tuples and large ints
+    # but not for a second copy of the adjacency as sets
+    G = build_group("A5xC6")
+    left_engel_set(G)  # fills the Engel depth cache outside the trace
+    tracemalloc.start()
+    try:
+        g = build_engel_graph(G)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 48_600
+    assert kept <= 64 * g.edge_count and peak <= 100 * g.edge_count
 
 
 def test_clique_number_examples(s3, a4):
