@@ -1,24 +1,58 @@
-"""Constructors for the built-in group families.
+"""The built-in group families, one ``Family`` row each in ``FAMILIES``,
+and their constructors.  The spec parser, the constructors and the survey
+catalog all read the rows.  Dihedral groups are named by ORDER (``D12`` has
+12 elements), dicyclic groups by a quarter of it (``Dic3`` has 12:
+x^(2n) = 1, y^2 = x^n, x^y = x^-1).
 
 Every family hands a few generating permutations to :class:`Group`, which
 enumerates the elements.  The dihedral and dicyclic generators are x and y
 in the regular permutation representation, read off the normal-form
 multiplication of words x^i y^j, which avoids any coset enumeration.
-Dihedral groups are named by ORDER (``dihedral_group(12)`` has 12
-elements), dicyclic groups by order as well, with ``dicyclic_group(4*n)``
-the order-4n group with presentation x^(2n) = 1, y^2 = x^n, x^y = x^-1.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ClosureTooLarge, InvalidParameter
 from .groups import MAX_ORDER, Group, closure
 from .permutations import IDENTITY, Permutation
 
 
+@dataclass(frozen=True)
+class Family:
+    """A family's spec code, its valid numbers ``least``, ``least + step``,
+    ..., the group order for a number, and the first number the survey
+    catalog takes (None: the family enters the catalog only as a product
+    factor)."""
+
+    code: str
+    least: int
+    step: int
+    order: Callable[[int], int]
+    catalog_least: int | None
+
+    def check(self, n: int) -> None:
+        """Raise InvalidParameter unless ``n`` is a valid number."""
+        if n < self.least or (n - self.least) % self.step:
+            valid = ", ".join(str(self.least + k * self.step) for k in range(3))
+            raise InvalidParameter(f"{self.code}<n> needs n in {valid}, ..., got {n}")
+
+
+FAMILIES = {
+    "symmetric": Family("S", 1, 1, math.factorial, 3),
+    "alternating": Family("A", 2, 1, lambda n: math.factorial(n) // 2, 4),
+    "cyclic": Family("C", 1, 1, lambda n: n, None),
+    # D6..D10 stay out of the catalog: D6 duplicates S3
+    "dihedral": Family("D", 6, 2, lambda n: n, 12),
+    "dicyclic": Family("Dic", 2, 1, lambda n: 4 * n, 2),
+}
+
+
 def symmetric_group(n: int) -> Group:
-    if n < 1:
-        raise InvalidParameter(f"symmetric group needs n >= 1, got {n}")
+    FAMILIES["symmetric"].check(n)
     if n == 1:
         return Group([IDENTITY], "S1")
     gens = [Permutation.from_cycles([[1, 2]]), Permutation.from_cycles([range(1, n + 1)])]
@@ -26,8 +60,7 @@ def symmetric_group(n: int) -> Group:
 
 
 def alternating_group(n: int) -> Group:
-    if n < 2:
-        raise InvalidParameter(f"alternating group needs n >= 2, got {n}")
+    FAMILIES["alternating"].check(n)
     name = f"A{n}"
     if n == 2:
         return Group([IDENTITY], name)
@@ -36,8 +69,7 @@ def alternating_group(n: int) -> Group:
 
 
 def cyclic_group(n: int) -> Group:
-    if n < 1:
-        raise InvalidParameter(f"cyclic group needs n >= 1, got {n}")
+    FAMILIES["cyclic"].check(n)
     if n == 1:
         return Group([IDENTITY], "C1")
     g = Permutation.from_cycles([range(1, n + 1)])
@@ -56,8 +88,7 @@ def _regular_representation(forms: list, mul, name: str, gen_forms: list) -> Gro
 def dihedral_group(order: int) -> Group:
     """Dihedral group OF ORDER ``order`` (even, >= 6): s^n = r^2 = 1 and
     s^r = s^-1 with n = order/2."""
-    if order < 6 or order % 2:
-        raise InvalidParameter(f"dihedral order must be even and >= 6, got {order}")
+    FAMILIES["dihedral"].check(order)
     n = order // 2
 
     def mul(a, b):
@@ -72,9 +103,10 @@ def dihedral_group(order: int) -> Group:
 def dicyclic_group(order: int) -> Group:
     """Dicyclic group of order 4n (order divisible by 4, >= 8): x^(2n) = 1,
     y^2 = x^n, x^y = x^-1.  Generators are returned in the order [x, y]."""
-    if order < 8 or order % 4:
-        raise InvalidParameter(f"dicyclic order must be divisible by 4 and >= 8, got {order}")
+    if order % 4:
+        raise InvalidParameter(f"dicyclic order must be divisible by 4, got {order}")
     n = order // 4
+    FAMILIES["dicyclic"].check(n)
     two_n = 2 * n
 
     def mul(a, b):
@@ -89,10 +121,10 @@ def dicyclic_group(order: int) -> Group:
     return _regular_representation(forms, mul, f"Dic{n}", [(1, 0), (0, 1)])
 
 
-def direct_product(a: Group, b: Group, name: str | None = None) -> Group:
-    """Direct product acting on disjoint point sets (b is shifted past the
-    largest point a moves), generated by the embedded generators of a and
-    then of b.  Raises ClosureTooLarge, before building any element, when
+def direct_product(a: Group, b: Group) -> Group:
+    """Direct product ``AxB`` acting on disjoint point sets (b is shifted
+    past the largest point a moves), generated by the embedded generators of
+    a and then of b.  Raises ClosureTooLarge, before building any element, when
     the product order exceeds ``MAX_ORDER``."""
     if a.order * b.order > MAX_ORDER:
         raise ClosureTooLarge(
@@ -109,4 +141,4 @@ def direct_product(a: Group, b: Group, name: str | None = None) -> Group:
 
     gens = [embed(a.perm(i), IDENTITY) for i in a.generators]
     gens += [embed(IDENTITY, b.perm(j)) for j in b.generators]
-    return Group(gens, name if name is not None else f"{a.name}x{b.name}")
+    return Group(gens, f"{a.name}x{b.name}")

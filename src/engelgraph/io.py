@@ -2,11 +2,14 @@
 
 Group specs
 -----------
-``S<n>`` symmetric, ``A<n>`` alternating, ``C<n>`` cyclic, ``D<n>`` dihedral
-of ORDER n (even, >= 6), ``Dic<n>`` dicyclic of order 4n, ``T`` an alias for
-``Dic3``, ``<spec>x<spec>`` direct products of family terms, and ``@<path>``
-a generator file.  A ``@`` spec consumes the rest of the text (file groups
-cannot appear inside products; list extra generators in the file instead).
+A family term is a code and a number, both read from the rows of
+``families.FAMILIES``, whose ``check`` says which numbers are valid:
+``S<n>`` symmetric (n >= 1), ``A<n>`` alternating (n >= 2), ``C<n>`` cyclic
+(n >= 1), ``D<n>`` dihedral of ORDER n (even, >= 6), ``Dic<n>`` dicyclic
+of order 4n (n >= 2).  ``T`` is an alias for ``Dic3``, ``<spec>x<spec>`` a
+direct product of family terms, and ``@<path>`` a generator file.  A ``@``
+spec consumes the rest of the text (file groups cannot appear inside
+products; list extra generators in the file instead).
 
 Generator files hold one permutation per line in disjoint-cycle notation;
 ``#`` starts a comment and blank lines are ignored.
@@ -23,8 +26,9 @@ from functools import reduce
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
-from .errors import ParseError
+from .errors import InvalidParameter, ParseError
 from .families import (
+    FAMILIES,
     alternating_group,
     cyclic_group,
     dicyclic_group,
@@ -32,22 +36,15 @@ from .families import (
     direct_product,
     symmetric_group,
 )
+from .graphs import GraphMetrics, SimpleGraph
 from .groups import Group, closure
 from .permutations import Permutation
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .graphs import SimpleGraph
     from .survey import GroupReport
 
-_FAMILY_CODES = {
-    "S": "symmetric",
-    "A": "alternating",
-    "C": "cyclic",
-    "D": "dihedral",
-    "Dic": "dicyclic",
-}
-_CODE_OF = {kind: code for code, kind in _FAMILY_CODES.items()}
-_TERM_RE = re.compile(r"(Dic|S|A|C|D)(\d+)$")
+_KIND_OF_CODE = {family.code: kind for kind, family in FAMILIES.items()}
+_TERM_RE = re.compile(f"({'|'.join(_KIND_OF_CODE)})(\\d+)$")
 
 
 @dataclass(frozen=True)
@@ -59,15 +56,7 @@ class FamilySpec:
     param: int
 
     def order(self) -> int:
-        if self.kind == "symmetric":
-            return math.factorial(self.param)
-        if self.kind == "alternating":
-            return math.factorial(self.param) // 2
-        if self.kind == "cyclic":
-            return self.param
-        if self.kind == "dihedral":
-            return self.param
-        return 4 * self.param  # dicyclic
+        return FAMILIES[self.kind].order(self.param)
 
 
 @dataclass(frozen=True)
@@ -94,21 +83,11 @@ def _parse_term(term: str, position: int) -> FamilySpec:
         raise ParseError(
             f"expected a family code like S4, D12, Dic3, or T, got {term!r}", position
         )
-    code, number = m.group(1), int(m.group(2))
-    kind = _FAMILY_CODES[code]
-    if kind in ("symmetric", "cyclic") and number < 1:
-        raise ParseError(f"{code}<n> needs n >= 1, got {term!r}", position)
-    if kind == "alternating" and number < 2:
-        raise ParseError(f"A<n> needs n >= 2, got {term!r}", position)
-    if kind == "dihedral" and (number < 6 or number % 2):
-        raise ParseError(
-            f"D<n> is the dihedral group of ORDER n, so n must be even and >= 6, got {term!r}",
-            position,
-        )
-    if kind == "dicyclic" and number < 2:
-        raise ParseError(
-            f"Dic<n> has order 4n, so n must be >= 2, got {term!r}", position
-        )
+    kind, number = _KIND_OF_CODE[m.group(1)], int(m.group(2))
+    try:
+        FAMILIES[kind].check(number)
+    except InvalidParameter as err:
+        raise ParseError(f"{err} in {term!r}", position) from err
     return FamilySpec(kind, number)
 
 
@@ -138,7 +117,7 @@ def parse_group_spec(text: str) -> GroupSpec:
 def render_group_spec(spec: GroupSpec) -> str:
     """Canonical text for a spec; parsing it back yields an equal plan."""
     if isinstance(spec, FamilySpec):
-        return f"{_CODE_OF[spec.kind]}{spec.param}"
+        return f"{FAMILIES[spec.kind].code}{spec.param}"
     if isinstance(spec, ProductSpec):
         return "x".join(render_group_spec(f) for f in spec.factors)
     return f"@{spec.path}"
@@ -229,30 +208,27 @@ def build_group(spec: GroupSpec | str, *, base_dir: str | os.PathLike = ".") -> 
     ``groups.MAX_ORDER`` elements."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
-    name = render_group_spec(spec)
     if isinstance(spec, FileSpec):
         gens = read_generator_file(Path(base_dir) / spec.path)
-        return closure(gens, name)
+        return closure(gens, render_group_spec(spec))
     if isinstance(spec, ProductSpec):
-        product = reduce(direct_product, (build_group(f) for f in spec.factors))
-        product.name = name
-        return product
+        return reduce(direct_product, (build_group(f) for f in spec.factors))
+    if spec.kind == "dicyclic":  # the only constructor whose number is not the spec's
+        return dicyclic_group(spec.order())
     maker = {
         "symmetric": symmetric_group,
         "alternating": alternating_group,
         "cyclic": cyclic_group,
         "dihedral": dihedral_group,
-    }.get(spec.kind)
-    if maker is not None:
-        return maker(spec.param)
-    return dicyclic_group(4 * spec.param)
+    }[spec.kind]
+    return maker(spec.param)
 
 
 def _dot_escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def write_dot(g: "SimpleGraph", labels: list[str] | tuple[str, ...]) -> str:
+def write_dot(g: SimpleGraph, labels: list[str] | tuple[str, ...]) -> str:
     """Deterministic DOT text: vertices in canonical order, each edge once."""
     from .errors import LabelMismatch
 
@@ -269,42 +245,32 @@ def write_dot(g: "SimpleGraph", labels: list[str] | tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# what a report shows for an Engel group, whose graph is empty (and planar)
+_EMPTY_GRAPH = GraphMetrics(0, 0, 0, 0, 0, True, 0)
+
+
 def write_report(report: "GroupReport") -> str:
     """Deterministic JSON for a group report, with this fixed key order:
     name, order, isEngel, fittingOrder, vertexCount, edgeCount,
     componentCount, diameter, cliqueNumber, planar, isolatedCount, checks.
 
     A disconnected diameter serializes as the string "inf" (JSON has no
-    infinity literal); for an Engel group the graph fields are zeros and
-    planar is true (the empty graph is planar).
+    infinity literal); an Engel group reports the metrics of the empty
+    graph, zeros and planar (``_EMPTY_GRAPH``).
     """
-    m = report.metrics
-    if m is None:
-        graph_fields = {
-            "vertexCount": 0,
-            "edgeCount": 0,
-            "componentCount": 0,
-            "diameter": 0,
-            "cliqueNumber": 0,
-            "planar": True,
-            "isolatedCount": 0,
-        }
-    else:
-        graph_fields = {
-            "vertexCount": m.vertex_count,
-            "edgeCount": m.edge_count,
-            "componentCount": m.component_count,
-            "diameter": "inf" if math.isinf(m.diameter) else int(m.diameter),
-            "cliqueNumber": m.clique_number,
-            "planar": m.planar,
-            "isolatedCount": m.isolated_count,
-        }
+    m = report.metrics or _EMPTY_GRAPH
     payload = {
         "name": report.name,
         "order": report.order,
         "isEngel": report.is_engel,
         "fittingOrder": report.fitting_order,
-        **graph_fields,
+        "vertexCount": m.vertex_count,
+        "edgeCount": m.edge_count,
+        "componentCount": m.component_count,
+        "diameter": "inf" if math.isinf(m.diameter) else int(m.diameter),
+        "cliqueNumber": m.clique_number,
+        "planar": m.planar,
+        "isolatedCount": m.isolated_count,
         "checks": {name: report.checks[name].passed for name in sorted(report.checks)},
     }
     return json.dumps(payload, indent=2) + "\n"

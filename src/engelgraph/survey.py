@@ -1,7 +1,8 @@
 """Per-group reports, order-bounded catalog surveys, and theorem checks.
 
 The survey walks a catalog of constructible groups (symmetric, alternating,
-dihedral, dicyclic, and their direct products with cyclic groups), builds
+dihedral, dicyclic, and their direct products with cyclic groups; the
+family rows of ``families.FAMILIES`` say where each starts), builds
 the Engel graph of every non-nilpotent member, and records exact metrics
 plus per-group checks.  The catalog is NOT all groups of bounded order -- a
 small-groups database is out of scope -- so every result carries the exact
@@ -25,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, TypeVar
 
 from .engel import (
     fitting_subgroup,
@@ -33,6 +34,7 @@ from .engel import (
     left_engel_set,
 )
 from .errors import BaerViolation, InvalidParameter
+from .families import FAMILIES
 from .graphs import (
     GraphMetrics,
     SimpleGraph,
@@ -176,48 +178,30 @@ def report(spec: GroupSpec | str, *, base_dir: str = ".") -> GroupReport:
     return evaluate_group(spec, base_dir=base_dir).report
 
 
-def catalog_plans(
-    max_order: int, families: Iterable[str] | None = None
-) -> list[GroupSpec]:
+def catalog_plans(max_order: int) -> list[GroupSpec]:
     """Candidate plans of order <= max_order, sorted by (order, name).
 
-    Families: "symmetric" (n >= 3), "alternating" (n >= 4), "dihedral"
-    (orders 12, 14, ...; D6..D10 are omitted because D6 duplicates S3 and
-    the catalog's own floor starts there), "dicyclic" (orders 8, 12, ...),
-    and "products" (each of the above times a cyclic group).  Nilpotent
-    members are weeded out at evaluation time, matching a survey over
-    non-nilpotent groups only.
+    The bases walk each row of ``families.FAMILIES`` from its
+    ``catalog_least`` (S_n from 3, A_n from 4, D from order 12, Dic from
+    order 8) in its own step while the order fits; each base times C_k,
+    k >= 2, is a plan too.  Nilpotent members are weeded out at evaluation
+    time, matching a survey over non-nilpotent groups only.
     """
-    known = {"symmetric", "alternating", "dihedral", "dicyclic", "products"}
-    wanted = set(families) if families is not None else known
-    if not wanted <= known:
-        raise InvalidParameter(f"unknown families: {sorted(wanted - known)}")
     bases: list[FamilySpec] = []
-    if "symmetric" in wanted:
-        n = 3
-        while math.factorial(n) <= max_order:
-            bases.append(FamilySpec("symmetric", n))
-            n += 1
-    if "alternating" in wanted:
-        n = 4
-        while math.factorial(n) // 2 <= max_order:
-            bases.append(FamilySpec("alternating", n))
-            n += 1
-    if "dihedral" in wanted:
-        for order in range(12, max_order + 1, 2):
-            bases.append(FamilySpec("dihedral", order))
-    if "dicyclic" in wanted:
-        for order in range(8, max_order + 1, 4):
-            bases.append(FamilySpec("dicyclic", order // 4))
+    for kind, family in FAMILIES.items():
+        if family.catalog_least is None:  # a product factor only
+            continue
+        n = family.catalog_least
+        while family.order(n) <= max_order:
+            bases.append(FamilySpec(kind, n))
+            n += family.step
     plans: list[GroupSpec] = list(bases)
-    if "products" in wanted:
-        for base in bases:
-            k = 2
-            while base.order() * k <= max_order:
-                plans.append(ProductSpec((base, FamilySpec("cyclic", k))))
-                k += 1
-    unique = sorted(set(plans), key=lambda p: (p.order(), render_group_spec(p)))
-    return unique
+    for base in bases:
+        plans += (
+            ProductSpec((base, FamilySpec("cyclic", k)))
+            for k in range(2, max_order // base.order() + 1)
+        )
+    return sorted(plans, key=lambda p: (p.order(), render_group_spec(p)))
 
 
 def _evaluate_and_keep(keep: Callable[[GroupEvaluation], T], spec: GroupSpec) -> T | None:

@@ -2,16 +2,23 @@ from math import factorial
 
 import pytest
 
+import engelgraph.families as families_module
 from engelgraph import (
     InvalidParameter,
+    ParseError,
     alternating_group,
+    build_group,
+    catalog_plans,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
     direct_product,
     is_abelian,
+    parse_group_spec,
+    render_group_spec,
     symmetric_group,
 )
+from engelgraph.families import FAMILIES
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -77,6 +84,37 @@ def test_dicyclic_relations(dic3):
 def test_invalid_parameters(build, bad):
     with pytest.raises(InvalidParameter):
         build(bad)
+
+
+def test_parser_and_constructors_accept_the_same_numbers(monkeypatch):
+    # only the number's validity is compared, so no group is enumerated
+    monkeypatch.setattr(families_module, "closure", lambda gens, name: name)
+    monkeypatch.setattr(families_module, "Group", lambda gens, name: name)
+    constructors = {
+        "symmetric": symmetric_group,
+        "alternating": alternating_group,
+        "cyclic": cyclic_group,
+        "dihedral": dihedral_group,
+        "dicyclic": lambda n: dicyclic_group(4 * n),  # it takes the order
+    }
+    assert set(constructors) == set(FAMILIES)
+    for kind, build in constructors.items():
+        for n in range(41):
+            text = f"{FAMILIES[kind].code}{n}"
+            try:
+                rendered = render_group_spec(parse_group_spec(text))
+            except ParseError:
+                rendered = None
+            try:
+                name = build(n)
+            except InvalidParameter:
+                name = None
+            assert name == rendered, text
+
+
+def test_built_groups_are_named_by_their_rendered_spec():
+    for plan in [*catalog_plans(120), parse_group_spec("T")]:
+        assert build_group(plan).name == render_group_spec(plan)
 
 
 def test_direct_product_order_and_disjoint_supports(s3, c6):

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -260,6 +261,61 @@ def test_witness_verifier_rejects_junk():
     edges += [(2, 6), (5, 6)]
     subdivided = SimpleGraph(7, edges)
     assert verify_kuratowski_witness(subdivided, subdivided) == "K33"
+
+
+def _witness_kind(g):
+    try:
+        return verify_kuratowski_witness(g, g)
+    except ValueError:
+        return None
+
+
+def _minimal_nonplanar_kind(g):
+    """Oracle: g subdivides K5 or K_{3,3} exactly when it is non-planar and
+    deleting any one edge makes it planar; K5 has the vertices of degree 4."""
+    edges = list(g.edges())
+    if is_planar(g) or not all(
+        is_planar(SimpleGraph(g.vertex_count, [f for f in edges if f != e])) for e in edges
+    ):
+        return None
+    return "K5" if max(map(len, g.adjacency)) == 4 else "K33"
+
+
+def _random_subdivision(rng):
+    n, edges = rng.choice([(5, list(complete_graph(5).edges())), (6, list(k33().edges()))])
+    for _ in range(rng.randint(0, 6)):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, n), (n, v)]
+        n += 1
+    n += rng.randint(0, 2)  # isolated vertices
+    relabel = rng.sample(range(n), n)
+    return SimpleGraph(n, [(relabel[u], relabel[v]) for u, v in edges])
+
+
+def test_witness_verifier_against_minimal_nonplanar_oracle():
+    graphs = []
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            graphs.append(SimpleGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+    cubic = [SimpleGraph(6, es) for es in combinations(list(combinations(range(6), 2)), 9)]
+    cubic = [g for g in cubic if all(len(a) == 3 for a in g.adjacency)]
+    assert len(cubic) == 70  # 10 labelled K_{3,3} and 60 prisms
+    graphs += cubic
+    rng = random.Random(23)
+    for _ in range(200):
+        g = _random_subdivision(rng)
+        edges = list(g.edges())
+        non_edges = [e for e in combinations(range(g.vertex_count), 2) if not g.adjacent(*e)]
+        if non_edges and rng.random() < 0.5:
+            edges.append(rng.choice(non_edges))
+        else:
+            edges.pop(rng.randrange(len(edges)))
+        graphs += [g, SimpleGraph(g.vertex_count, edges)]
+    kinds = [_witness_kind(g) for g in graphs]
+    for g, kind in zip(graphs, kinds):
+        assert kind == _minimal_nonplanar_kind(g), sorted(g.edges())
+    assert kinds.count("K5") >= 50 and kinds.count("K33") >= 60
 
 
 def test_planarity_against_subdivision_oracle():
