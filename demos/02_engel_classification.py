@@ -9,7 +9,6 @@ Run from the repository root:  python demos/02_engel_classification.py
 
 from engelgraph import (
     Permutation,
-    bounded_left_engel_set,
     dihedral_group,
     engel_reaches_identity,
     fitting_subgroup,
@@ -39,8 +38,6 @@ d12 = dihedral_group(12)
 L = left_engel_set(d12)
 print(f"L(D12) = {{{', '.join(str(d12.perm(x)) for x in L)}}}")
 print(f"|L(D12)| = {len(L)} (the rotations)")
-print("bounded and unbounded Engel elements coincide in a finite group:",
-      bounded_left_engel_set(d12) == L)
 
 # fitting_subgroup returns the same set after asserting it is a subgroup,
 # normal, and nilpotent (a failure would be a bug, not a property of D12)

@@ -10,7 +10,6 @@ replays these checks over a catalog of small groups.
 
 from .engel import (
     EngelOutcome,
-    bounded_left_engel_set,
     engel_adjacent,
     engel_depths,
     engel_reaches_identity,

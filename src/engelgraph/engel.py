@@ -8,6 +8,13 @@ sequence of (a, x) is a question about the functional graph of that map:
 identity, the least k with [a,_k x] = 1 for every a at once.  Every Engel
 question here, pointwise ones included, reads those depth maps; the test
 suite cross-checks them against direct iteration of the commutator map.
+
+Conjugation is an automorphism of the relation: [a^g,_k x^g] = [a,_k x]^g,
+so depth_{x^g}[a^g] = depth_x[a].  A map is therefore built only for the
+least member r of each conjugacy class.  For x = r^g, with g read from the
+transversal that ``groups.conjugacy_class`` records, depth_x[a] is
+depth_r[a^(g^-1)], one lookup.  L(G), the Engel graph and the
+randomly-Engel check read only representatives' maps.
 """
 
 from __future__ import annotations
@@ -17,7 +24,16 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import BaerViolation, PreconditionFailed, SameVertex
-from .groups import Group, _normal_span, _subgroup_span, is_abelian, is_nilpotent
+from .groups import (
+    Group,
+    _normal_span,
+    _subgroup_span,
+    _transversal,
+    conjugacy_class,
+    conjugacy_classes,
+    is_abelian,
+    is_nilpotent,
+)
 
 
 @dataclass(frozen=True)
@@ -57,20 +73,29 @@ def engel_depths(G: Group, x: int) -> tuple[int, ...]:
     """For every element a, the smallest k with [a,_k x] = 1, or -1 when the
     Engel sequence of (a, x) never reaches the identity.
 
-    Computed for all a at once by reverse BFS from the identity in the
-    functional graph of y -> [y, x]; each map is built once per group and
-    cached on it.
+    For the least member r of its conjugacy class the map is computed for
+    all a at once, by reverse BFS from the identity in the functional graph
+    of y -> [y, x].  Any other x = r^g gets r's map relabelled,
+    depth_x[a] = depth_r[a^(g^-1)], with no commutators.  Each map is built
+    once per group and cached on it.
     """
     key = ("engel_depths", x)
     cached = G._memo.get(key)
     if cached is None:
-        cached = G._memo[key] = _depth_map(G, x)
+        r, g = _transversal(G, x)
+        if r == x:
+            cached = _depth_map(G, x)
+        else:
+            depth_r, table, g_inv = engel_depths(G, r), G._table, G._inv[g]
+            cached = tuple(depth_r[table[b][g_inv]] for b in table[g])
+        G._memo[key] = cached
     return cached
 
 
 def _depth_map(G: Group, x: int) -> tuple[int, ...]:
-    n = G.order
-    step = [G.commutator(y, x) for y in range(n)]
+    n, table, inv = G.order, G._table, G._inv
+    # [y, x] = y^-1 * y^x, with y^x = (x^-1 y) x read from the row of x^-1
+    step = [table[iy][table[u][x]] for iy, u in zip(inv, table[inv[x]])]
     preimages: list[list[int]] = [[] for _ in range(n)]
     for y, v in enumerate(step):
         preimages[v].append(y)
@@ -90,36 +115,29 @@ def _depth_map(G: Group, x: int) -> tuple[int, ...]:
 
 def is_left_engel(G: Group, x: int) -> bool:
     """True iff every Engel sequence [a,_k x] reaches the identity."""
-    return all(d >= 0 for d in engel_depths(G, x))
+    return all(d >= 0 for d in engel_depths(G, _transversal(G, x)[0]))
 
 
 def is_left_k_engel(G: Group, x: int, k: int) -> bool:
     """True iff [a,_k x] = 1 for every a, with the single exponent k."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return all(0 <= d <= k for d in engel_depths(G, x))
+    return all(0 <= d <= k for d in engel_depths(G, _transversal(G, x)[0]))
 
 
 def left_engel_set(G: Group) -> tuple[int, ...]:
-    """All left Engel elements of G, as sorted indices; cached on the group."""
+    """All left Engel elements of G, as sorted indices; cached on the group.
+
+    Each class is tested at its least member only, since the map of any
+    other member relabels that member's map, and L(G) is the union of the
+    classes that pass."""
     cached = G._memo.get("left_engel_set")
     if cached is None:
-        cached = tuple(x for x in range(G.order) if is_left_engel(G, x))
+        cached = tuple(sorted(
+            x for cls in conjugacy_classes(G) if is_left_engel(G, cls[0]) for x in cls
+        ))
         G._memo["left_engel_set"] = cached
     return cached
-
-
-def bounded_left_engel_set(G: Group) -> tuple[int, ...]:
-    """All x that are left k-Engel for some k <= |G|.
-
-    In a finite group a reached Engel sequence needs fewer than |G| steps,
-    so this always coincides with ``left_engel_set``; the test suite checks
-    that collapse rather than assuming it.
-    """
-    n = G.order
-    return tuple(
-        x for x in range(n) if all(0 <= d <= n for d in engel_depths(G, x))
-    )
 
 
 def is_engel_group(G: Group) -> bool:
@@ -151,11 +169,16 @@ def fitting_subgroup(G: Group) -> tuple[int, ...]:
 
 def is_randomly_engel_conjugates(G: Group, x: int) -> bool:
     """True iff for every g, at least one of the Engel sequences of
-    (x^g, x) and (x, x^g) reaches the identity."""
-    depths_x = engel_depths(G, x)
-    for g in range(G.order):
-        xg = G.conjugate(x, g)
-        if depths_x[xg] < 0 and engel_depths(G, xg)[x] < 0:
+    (x^g, x) and (x, x^g) reaches the identity.
+
+    The answer is the same for every member of x's class, so it is read
+    from the map of its least member r alone: for y = r^t in the class,
+    depth_y[r] = depth_r[r^(t^-1)]."""
+    r = _transversal(G, x)[0]
+    depth_r, table, inv = engel_depths(G, r), G._table, G._inv
+    for y in conjugacy_class(G, r):
+        t = _transversal(G, y)[1]
+        if depth_r[y] < 0 and depth_r[table[table[t][r]][inv[t]]] < 0:
             return False
     return True
 

@@ -26,7 +26,7 @@ import networkx as nx
 
 from .engel import engel_depths, left_engel_set
 from .errors import EmptyGraphError, EngelGroupError, SameVertex, UnknownVertex
-from .groups import Group
+from .groups import Group, _transversal, conjugacy_classes
 
 
 class SimpleGraph:
@@ -66,6 +66,14 @@ class SimpleGraph:
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(set(s))) for s in nbrs
         )
+
+    @classmethod
+    def _from_rows(cls, rows: list[tuple[int, ...]], labels: tuple) -> "SimpleGraph":
+        """The graph whose adjacency is ``rows``: sorted, symmetric neighbour
+        tuples without loops, taken as given."""
+        g = cls.__new__(cls)
+        g.labels, g.adjacency = labels, tuple(rows)
+        return g
 
     @property
     def vertex_count(self) -> int:
@@ -114,6 +122,11 @@ def build_engel_graph(G: Group) -> SimpleGraph:
     order); two vertices are joined when neither Engel sequence between
     them reaches the identity.
 
+    Conjugation is an automorphism of the graph, so the neighbourhood is
+    found only for the least member r of each class, from the class
+    representatives' depth maps (depth_y[r] = depth_s[r^(h^-1)] for
+    y = s^h), and carried to x = r^g as N(x) = N(r)^g.
+
     Raises EngelGroupError when every element is left Engel.
     """
     L = set(left_engel_set(G))
@@ -122,14 +135,24 @@ def build_engel_graph(G: Group) -> SimpleGraph:
             f"{G.name!r} is an Engel group, so its Engel graph is undefined"
         )
     verts = [x for x in range(G.order) if x not in L]
-    depth_of = {v: engel_depths(G, v) for v in verts}
-    edges = (
-        (i, j)
-        for i, x in enumerate(verts)
-        for j, y in enumerate(verts[i + 1:], i + 1)
-        if depth_of[y][x] < 0 and depth_of[x][y] < 0
-    )
-    return SimpleGraph(len(verts), edges, labels=tuple(verts))
+    position = {x: v for v, x in enumerate(verts)}
+    table, inv = G._table, G._inv
+    where = [_transversal(G, y) for y in verts]  # (s, h) with s^h = y
+    reps = [cls for cls in conjugacy_classes(G) if cls[0] not in L]
+    depth_of = {cls[0]: engel_depths(G, cls[0]) for cls in reps}
+    rows: list[tuple[int, ...]] = [()] * len(verts)
+    for cls in reps:
+        r = cls[0]
+        depth_r = depth_of[r]
+        nbrs = [
+            y for y, (s, h) in zip(verts, where)
+            if depth_r[y] < 0 and depth_of[s][table[table[h][r]][inv[h]]] < 0
+        ]
+        for x in cls:
+            g = _transversal(G, x)[1]
+            row_g_inv = table[inv[g]]
+            rows[position[x]] = tuple(sorted(position[table[row_g_inv[y]][g]] for y in nbrs))
+    return SimpleGraph._from_rows(rows, labels=tuple(verts))
 
 
 def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:

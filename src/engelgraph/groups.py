@@ -96,7 +96,8 @@ class Group:
                 table[rank[x]] = [row_g[k] for k in table[rank[u]]]
         self._table: list[list[int]] = table  # type: ignore[assignment]
         self._inv = tuple(row.index(self.identity) for row in self._table)
-        # Engel depth maps and L(G); read and written only by engel.py
+        # Conjugacy classes and their transversal, written by
+        # conjugacy_class; Engel depth maps and L(G), written by engel.py
         self._memo: dict = {}
 
     # -- element arithmetic (by index) --
@@ -313,30 +314,51 @@ def is_nilpotent(G: Group, members: Iterable[int]) -> bool:
 
 
 def conjugacy_class(G: Group, x: int) -> tuple[int, ...]:
-    """Orbit of x under conjugation, as sorted indices."""
-    seen = {x}
+    """Orbit of x under conjugation, as sorted indices.
+
+    One breadth-first search conjugates by ``G.generators`` and records, as a
+    by-product, an element t with x^t = v for each member v.  Re-rooted at the
+    least member r, these form the class's transversal, kept in ``G._memo``:
+    (r, g) with r^g = v for every member v.  A later call for any member
+    reads the class from there."""
+    transversal = G._memo.setdefault("transversal", {})
+    classes = G._memo.setdefault("classes", {})
+    if x in transversal:
+        return classes[transversal[x][0]]
+    table, inv = G._table, G._inv
+    path = {x: G.identity}  # v -> t with x^t = v
     queue = deque([x])
     while queue:
         u = queue.popleft()
+        t = path[u]
         for g in G.generators:
-            v = G.conjugate(u, g)
-            if v not in seen:
-                seen.add(v)
+            v = table[table[inv[g]][u]][g]
+            if v not in path:
+                path[v] = table[t][g]
                 queue.append(v)
-    return tuple(sorted(seen))
+    cls = tuple(sorted(path))
+    r = cls[0]
+    back = table[inv[path[r]]]  # r^(t_r^-1 t) = x^t
+    for v, t in path.items():
+        transversal[v] = (r, back[t])
+    classes[r] = cls
+    return cls
+
+
+def _transversal(G: Group, x: int) -> tuple[int, int]:
+    """(r, g) with r the least member of the conjugacy class of x and
+    r^g = x, as ``conjugacy_class`` recorded it."""
+    entry = G._memo.get("transversal", {}).get(x)
+    if entry is None:
+        conjugacy_class(G, x)
+        entry = G._memo["transversal"][x]
+    return entry
 
 
 def conjugacy_classes(G: Group) -> list[tuple[int, ...]]:
     """All conjugacy classes, ordered by least member, as a new list on each
     call."""
-    classes = []
-    assigned: set[int] = set()
-    for x in range(G.order):
-        if x not in assigned:
-            cls = conjugacy_class(G, x)
-            assigned.update(cls)
-            classes.append(cls)
-    return classes
+    return [cls for x in range(G.order) if (cls := conjugacy_class(G, x))[0] == x]
 
 
 def centralizer(G: Group, x: int) -> tuple[int, ...]:

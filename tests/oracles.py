@@ -4,16 +4,17 @@ These deliberately avoid the library's algorithms: closure by repeated set
 products instead of BFS, clique number by subset enumeration, distances by
 Floyd-Warshall instead of BFS, planarity by exhaustive search for
 K5/K_{3,3} subdivisions (feasible up to ~12 vertices), Engel
-reachability by direct iteration of the commutator map, and subgroup
-queries by all-pairs loops over the members (generation by a BFS that
-multiplies by every member) instead of work on greedy generators.
+reachability and depths by direct iteration of the commutator map, the
+randomly-Engel predicate element by element instead of class by class, and
+subgroup queries by all-pairs loops over the members (generation by a BFS
+that multiplies by every member) instead of work on greedy generators.
 """
 
 import math
 from collections import deque
 from itertools import combinations
 
-from engelgraph import IDENTITY, NotASubgroup, SimpleGraph
+from engelgraph import IDENTITY, NotASubgroup, SimpleGraph, engel_depths
 
 
 def naive_closure(perms):
@@ -104,6 +105,42 @@ def engel_reaches_by_iteration(G, a, x):
             return True
         y = G.mul(G.mul(G.mul(G.inv(y), G.inv(x)), y), x)
     return False
+
+
+def engel_depths_by_iteration(G, x):
+    """For every a, the least k <= |G| with [a,_k x] = 1, or -1: each
+    sequence iterated with ``G.commutator``, no depth maps and no
+    conjugation."""
+    depths = []
+    for a in range(G.order):
+        y, depth = a, -1
+        for k in range(G.order + 1):
+            if y == G.identity:
+                depth = k
+                break
+            y = G.commutator(y, x)
+        depths.append(depth)
+    return tuple(depths)
+
+
+def bounded_left_engel_set(G):
+    """All x that are left k-Engel for some k <= |G|.  In a finite group a
+    reached Engel sequence needs fewer than |G| steps, so this coincides
+    with ``left_engel_set``; the tests check that collapse."""
+    return tuple(
+        x for x in range(G.order) if all(d >= 0 for d in engel_depths_by_iteration(G, x))
+    )
+
+
+def randomly_engel_conjugates_by_elements(G, x):
+    """``is_randomly_engel_conjugates`` element by element: every conjugate
+    x^g of x, over all g, against the depth maps of x and of x^g."""
+    depths_x = engel_depths(G, x)
+    for g in range(G.order):
+        xg = G.conjugate(x, g)
+        if depths_x[xg] < 0 and engel_depths(G, xg)[x] < 0:
+            return False
+    return True
 
 
 def brute_clique_number(g):

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -8,7 +10,6 @@ from engelgraph import (
     BaerViolation,
     PreconditionFailed,
     SameVertex,
-    bounded_left_engel_set,
     conjugacy_classes,
     engel_adjacent,
     engel_depths,
@@ -31,7 +32,13 @@ from engelgraph import (
 from engelgraph.io import build_group
 from engelgraph.survey import catalog_plans, evaluate_group
 from conftest import elem
-from oracles import engel_reaches_by_iteration, naive_is_abelian, naive_subgroup_generated
+from oracles import (
+    bounded_left_engel_set,
+    engel_reaches_by_iteration,
+    naive_is_abelian,
+    naive_subgroup_generated,
+    randomly_engel_conjugates_by_elements,
+)
 
 
 def test_iterated_commutator_base_case(s3):
@@ -313,9 +320,7 @@ def test_caches_do_not_leak_between_groups():
     assert one is not two
 
 
-def test_each_engel_depth_map_is_built_once(monkeypatch, repo_root):
-    # the graph and the randomly-Engel check re-read the maps that L(G)
-    # built, so a full evaluation builds at most one map per element
+def _count_depth_maps(monkeypatch):
     built = []
     depth_map = engel_module._depth_map
 
@@ -324,11 +329,55 @@ def test_each_engel_depth_map_is_built_once(monkeypatch, repo_root):
         return depth_map(G, x)
 
     monkeypatch.setattr(engel_module, "_depth_map", counting)
+    return built
+
+
+def test_each_engel_depth_map_is_built_once(monkeypatch, repo_root):
+    # L(G), the graph and the randomly-Engel check read only the maps of
+    # class representatives, so a full evaluation builds at most one map
+    # per conjugacy class, never one per element
+    built = _count_depth_maps(monkeypatch)
     for spec in ("S4", "@fixtures/c7_c3.gens"):
         built.clear()
         G = evaluate_group(spec, base_dir=repo_root).group
         assert {H for H, _ in built} == {G}, spec
-        assert len(set(built)) == len(built) <= G.order, spec
+        reps = {cls[0] for cls in conjugacy_classes(G)}
+        assert len(set(built)) == len(built) and {x for _, x in built} <= reps, spec
+
+
+def test_left_engel_set_of_a5xa5_builds_one_map_per_class(monkeypatch):
+    # 3,600 elements in 25 classes: L(A5xA5) is trivial and needs 25 maps
+    built = _count_depth_maps(monkeypatch)
+    G = build_group("A5xA5")
+    assert left_engel_set(G) == (G.identity,)
+    assert len(built) == 25 == len(conjugacy_classes(G))
+
+
+def test_evaluation_keeps_at_most_one_depth_map_per_class():
+    # A5xC6 has 360 elements in 30 classes; a map for every element would
+    # keep about 1 MiB allocated in engel.py, one per class about 86 KiB
+    tracemalloc.start()
+    try:
+        G = evaluate_group("A5xC6").group
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    ours = snapshot.filter_traces([tracemalloc.Filter(True, engel_module.__file__)])
+    held = sum(stat.size for stat in ours.statistics("filename"))
+    maps = [value for key, value in G._memo.items() if isinstance(key, tuple)]
+    classes = len(conjugacy_classes(G))
+    assert len(maps) <= classes == 30
+    # one map per class, plus 16 KiB for the memo's keys and L(G)
+    assert held <= classes * sys.getsizeof(maps[0]) + 16 * 1024
+
+
+def test_randomly_engel_by_class_matches_element_oracle():
+    for plan in catalog_plans(60):
+        G = build_group(plan)
+        for x in range(G.order):
+            assert is_randomly_engel_conjugates(G, x) == randomly_engel_conjugates_by_elements(
+                G, x
+            ), (G.name, x)
 
 
 def test_engel_outcome_consistency():

@@ -92,16 +92,21 @@ def test_engel_graph_vertices_are_complement_of_engel_set(s4, dic3):
         assert list(g.labels) == expected
 
 
-def test_engel_graph_matches_iteration_oracle(a4):
-    g = build_engel_graph(a4)
-    labels = g.labels
-    for i in range(g.vertex_count):
-        for j in range(i + 1, g.vertex_count):
-            x, y = labels[i], labels[j]
-            oracle = not engel_reaches_by_iteration(
-                a4, x, y
-            ) and not engel_reaches_by_iteration(a4, y, x)
-            assert g.adjacent(i, j) == oracle
+def test_engel_graph_matches_iteration_oracle(repo_root):
+    # the graph carries each class representative's neighbourhood to the
+    # rest of its class by conjugation; the oracle iterates every pair
+    for spec in ("A4", "S4", "D12", "Dic3", "S3xC3", "@fixtures/c7_c3.gens"):
+        G = build_group(spec, base_dir=repo_root)
+        g = build_engel_graph(G)
+        labels = g.labels
+        edges = [
+            (i, j)
+            for i in range(g.vertex_count)
+            for j in range(i + 1, g.vertex_count)
+            if not engel_reaches_by_iteration(G, labels[i], labels[j])
+            and not engel_reaches_by_iteration(G, labels[j], labels[i])
+        ]
+        assert g.adjacency == SimpleGraph(g.vertex_count, edges).adjacency, spec
 
 
 def test_engel_graph_rejects_engel_groups(c6):

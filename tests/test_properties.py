@@ -6,6 +6,11 @@ Two facts about the Engel graph E_G hold in every group:
   automorphisms;
 - commuting elements are never adjacent, so E_G is a subgraph of the
   non-commuting graph.
+
+The library builds depth maps for class representatives only and relabels
+them by conjugation, so the equivariance check alone would compare the code
+with itself; the depth maps are also compared with direct iteration of the
+commutator map on randomly generated groups.
 """
 
 from functools import cache
@@ -17,7 +22,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import REPO_ROOT  # noqa: E402
-from engelgraph import build_group, centralizer, engel_adjacent  # noqa: E402
+from engelgraph import (  # noqa: E402
+    Group,
+    Permutation,
+    build_group,
+    centralizer,
+    conjugacy_classes,
+    engel_adjacent,
+    engel_depths,
+)
+from oracles import engel_depths_by_iteration  # noqa: E402
 
 SPECS = ("S3", "A4", "D12", "Dic3", "S4", "S3xC2", "@fixtures/c7_c3.gens")
 
@@ -48,3 +62,26 @@ def test_commuting_elements_are_not_adjacent(G, data):
     y = data.draw(st.sampled_from([c for c in centralizer(G, x) if c != x]), label="y")
     assert G.mul(x, y) == G.mul(y, x)
     assert not engel_adjacent(G, x, y)
+
+
+@st.composite
+def generated_groups(draw):
+    """The group generated by one to three random permutations of degree
+    at most 5 (order at most 120)."""
+    degree = draw(st.integers(2, 5), label="degree")
+    images = st.permutations(range(1, degree + 1)).map(Permutation)
+    gens = draw(st.lists(images, min_size=1, max_size=3), label="generators")
+    return Group(gens, "random")
+
+
+@settings(deadline=None, max_examples=60)
+@given(generated_groups(), st.data())
+def test_relabelled_depth_maps_match_direct_iteration(G, data):
+    xs = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3), label="xs")
+    for x in xs:
+        assert engel_depths(G, x) == engel_depths_by_iteration(G, x), x
+    least = {y: cls[0] for cls in conjugacy_classes(G) for y in cls}
+    transversal = G._memo["transversal"]
+    assert sorted(transversal) == list(range(G.order))
+    for x, (r, g) in transversal.items():
+        assert G.conjugate(r, g) == x and r == least[x]
