@@ -1,25 +1,28 @@
 """The Engel graph and exact graph metrics.
 
-A graph keeps one sorted neighbour tuple per vertex, so a dense Engel graph
-holds each edge once per endpoint.  All metrics are exact.  The clique
-number, the component count and the diameter are read from the twin
-quotient: vertices with equal neighbourhoods (false twins) are never
-adjacent, so a clique meets each twin class at most once and distances
-between classes survive the quotient (Gallai's modules, in their simplest
-form).  Components and diameters come from networkx; the clique number is
-found here by branch and bound with a greedy-coloring bound.  Isomorphism
-is delegated to networkx's VF2++ and every mapping is replayed edge by edge
-here.  A graph denser than Euler's bound is not planar; sparser graphs go
-to networkx's linear-time test, which also extracts a Kuratowski subgraph
-on failure; every witness handed out is re-verified here as a subdivision
-of K5 or K_{3,3} that lies inside the host graph.
+A graph keeps one bit row per vertex: an int of n bits on n vertices.
+All metrics are exact.  The clique number, the component count and the
+diameter are read from the twin quotient: vertices with equal
+neighbourhoods (false twins) are never adjacent, so a clique meets each
+twin class at most once and distances between classes survive the
+quotient (Gallai's modules, in their simplest form).  A breadth-first
+search that ORs the rows of each frontier gives components and diameters,
+and branch and bound over the rows with a greedy-coloring bound gives the
+clique number.  Isomorphism is delegated to networkx's VF2++ and every
+mapping is replayed edge by edge here.  A graph denser than Euler's bound
+is not planar; sparser graphs go to networkx's linear-time test, which
+also extracts a Kuratowski subgraph on failure; every witness handed out
+is re-verified here as a subdivision of K5 or K_{3,3} that lies inside
+the host graph.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, compress, count
+from operator import or_
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import networkx as nx
@@ -32,8 +35,8 @@ from .groups import Group, _transversal, conjugacy_classes
 class SimpleGraph:
     """Undirected simple graph on vertices 0..n-1 with optional labels.
 
-    Adjacency is one sorted neighbour tuple per vertex, which ``adjacent``
-    searches by bisection.  Duplicate edges collapse; loops are rejected.
+    Adjacency is one bit row per vertex: bit v of ``adjacency[u]`` is set
+    when u and v are adjacent.  Duplicate edges collapse; loops fail.
     """
 
     __slots__ = ("labels", "adjacency")
@@ -46,31 +49,24 @@ class SimpleGraph:
     ):
         if vertex_count < 0:
             raise ValueError("vertex count must be non-negative")
-        if labels is None:
-            labels = tuple(range(vertex_count))
-        else:
-            labels = tuple(labels)
-            if len(labels) != vertex_count:
-                raise ValueError(
-                    f"{len(labels)} labels for {vertex_count} vertices"
-                )
-        nbrs: list[list[int]] = [[] for _ in range(vertex_count)]
+        labels = tuple(range(vertex_count) if labels is None else labels)
+        if len(labels) != vertex_count:
+            raise ValueError(f"{len(labels)} labels for {vertex_count} vertices")
+        rows = [0] * vertex_count
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise UnknownVertex(f"edge ({u}, {v}) leaves 0..{vertex_count - 1}")
             if u == v:
                 raise SameVertex(f"loop at vertex {u} is not allowed in a simple graph")
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         self.labels = labels
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(set(s))) for s in nbrs
-        )
+        self.adjacency: tuple[int, ...] = tuple(rows)
 
     @classmethod
-    def _from_rows(cls, rows: list[tuple[int, ...]], labels: tuple) -> "SimpleGraph":
-        """The graph whose adjacency is ``rows``: sorted, symmetric neighbour
-        tuples without loops, taken as given."""
+    def _from_rows(cls, rows: list[int], labels: tuple) -> "SimpleGraph":
+        """The graph whose adjacency is ``rows``: symmetric bit rows without
+        loops, taken as given."""
         g = cls.__new__(cls)
         g.labels, g.adjacency = labels, tuple(rows)
         return g
@@ -81,28 +77,41 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return sum(bin(row).count("1") for row in self.adjacency) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        return _bits(self.adjacency[v])
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return bin(self.adjacency[v]).count("1")
 
     def adjacent(self, u: int, v: int) -> bool:
-        nbrs = self.adjacency[u]
-        i = bisect_left(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
+        return self.adjacency[u] >> v & 1 == 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once, as (u, v) with u < v, in sorted order."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        for u, row in enumerate(self.adjacency):
+            for v in _bits(row >> (u + 1)):
+                yield (u, u + 1 + v)
 
     def __repr__(self) -> str:
         return f"SimpleGraph(vertices={self.vertex_count}, edges={self.edge_count})"
+
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(row: int) -> tuple[int, ...]:
+    """The set bits of a row, ascending."""
+    return tuple(compress(count(), bin(row)[:1:-1].encode().translate(_BINARY_DIGITS)))
+
+
+def _row(bits: Iterable[int], n: int) -> int:
+    """The row with the given bits set, each in 0..n-1."""
+    digits = bytearray(b"0") * n
+    for b in bits:
+        digits[b] = 49  # ord("1")
+    return int(digits[::-1] or b"0", 2)
 
 
 @dataclass(frozen=True)
@@ -125,22 +134,20 @@ def build_engel_graph(G: Group) -> SimpleGraph:
     Conjugation is an automorphism of the graph, so the neighbourhood is
     found only for the least member r of each class, from the class
     representatives' depth maps (depth_y[r] = depth_s[r^(h^-1)] for
-    y = s^h), and carried to x = r^g as N(x) = N(r)^g.
+    y = s^h), and carried to x = r^g as the bit row of N(x) = N(r)^g.
 
     Raises EngelGroupError when every element is left Engel.
     """
     L = set(left_engel_set(G))
     if len(L) == G.order:
-        raise EngelGroupError(
-            f"{G.name!r} is an Engel group, so its Engel graph is undefined"
-        )
+        raise EngelGroupError(f"{G.name!r} is an Engel group, so its Engel graph is undefined")
     verts = [x for x in range(G.order) if x not in L]
     position = {x: v for v, x in enumerate(verts)}
     table, inv = G._table, G._inv
     where = [_transversal(G, y) for y in verts]  # (s, h) with s^h = y
     reps = [cls for cls in conjugacy_classes(G) if cls[0] not in L]
     depth_of = {cls[0]: engel_depths(G, cls[0]) for cls in reps}
-    rows: list[tuple[int, ...]] = [()] * len(verts)
+    n, rows = len(verts), [0] * len(verts)
     for cls in reps:
         r = cls[0]
         depth_r = depth_of[r]
@@ -148,16 +155,30 @@ def build_engel_graph(G: Group) -> SimpleGraph:
             y for y, (s, h) in zip(verts, where)
             if depth_r[y] < 0 and depth_of[s][table[table[h][r]][inv[h]]] < 0
         ]
-        for x in cls:
-            g = _transversal(G, x)[1]
-            row_g_inv = table[inv[g]]
-            rows[position[x]] = tuple(sorted(position[table[row_g_inv[y]][g]] for y in nbrs))
+        for x in cls:  # y^g = (g^-1 (g^-1 y)^-1)^-1 reads one table row
+            row = table[inv[_transversal(G, x)[1]]]
+            rows[position[x]] = _row((position[inv[row[inv[row[y]]]]] for y in nbrs), n)
     return SimpleGraph._from_rows(rows, labels=tuple(verts))
 
 
 def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
     """Maximal connected vertex sets, each sorted, ordered by least vertex."""
-    return sorted(tuple(sorted(c)) for c in nx.connected_components(_to_networkx(g)))
+    components, unseen = [], (1 << g.vertex_count) - 1
+    while unseen:
+        component = reduce(or_, _layers(g.adjacency, (unseen & -unseen).bit_length() - 1))
+        components.append(_bits(component))
+        unseen &= ~component
+    return components
+
+
+def _layers(rows: Sequence[int], source: int) -> Iterator[int]:
+    """Breadth-first layers from ``source``, as bit masks: each layer is the
+    OR of the previous layer's rows, minus every vertex already seen."""
+    seen = layer = 1 << source
+    while layer:
+        yield layer
+        layer = reduce(or_, map(rows.__getitem__, _bits(layer))) & ~seen
+        seen |= layer
 
 
 def diameter(g: SimpleGraph) -> float:
@@ -177,13 +198,14 @@ def _twin_quotient(g: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
     Twins are never adjacent (a vertex is not its own neighbour), so the
     quotient is a simple graph; the isolated vertices of g form its one
     isolated vertex, if any."""
-    class_of: dict[tuple[int, ...], int] = {}
-    classes = [class_of.setdefault(nbrs, len(class_of)) for nbrs in g.adjacency]
-    sizes = [0] * len(class_of)
+    class_of: dict[int, int] = {}
+    classes = [class_of.setdefault(row, len(class_of)) for row in g.adjacency]
+    k = len(class_of)
+    sizes = [0] * k
     for c in classes:
         sizes[c] += 1
-    edges = [(c, d) for nbrs, c in class_of.items() for d in {classes[w] for w in nbrs}]
-    return SimpleGraph(len(class_of), edges), sizes
+    rows = [_row(map(classes.__getitem__, _bits(row)), k) for row in class_of]
+    return SimpleGraph._from_rows(rows, tuple(range(k))), sizes
 
 
 def _components_and_diameter(q: SimpleGraph, sizes: list[int]) -> tuple[int, float]:
@@ -191,14 +213,14 @@ def _components_and_diameter(q: SimpleGraph, sizes: list[int]) -> tuple[int, flo
     class sizes.  Raises EmptyGraphError for zero vertices."""
     if q.vertex_count == 0:
         raise EmptyGraphError("the diameter of the empty graph is undefined")
-    qx = _to_networkx(q)
     isolated = sum(sizes[c] for c in isolated_vertices(q))
-    components = nx.number_connected_components(qx) + max(isolated - 1, 0)
+    components = len(connected_components(q)) + max(isolated - 1, 0)
     if components > 1:
         return components, math.inf
     if q.vertex_count == 1:  # a single vertex
         return components, 0
-    return components, max(nx.diameter(qx), 2 if max(sizes) > 1 else 1)
+    layers = max(sum(1 for _ in _layers(q.adjacency, v)) for v in range(q.vertex_count))
+    return components, max(layers - 1, 2 if max(sizes) > 1 else 1)
 
 
 def isolated_vertices(g: SimpleGraph) -> tuple[int, ...]:
@@ -212,14 +234,10 @@ def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
     for v in vs:
         if not 0 <= v < g.vertex_count:
             raise UnknownVertex(f"vertex {v} is not in the graph")
+    mask = _row(vs, g.vertex_count)
     renumber = {v: i for i, v in enumerate(vs)}
-    edges = [
-        (i, renumber[v])
-        for i, u in enumerate(vs)
-        for v in g.neighbors(u)
-        if u < v and v in renumber
-    ]
-    return SimpleGraph(len(vs), edges, labels=tuple(g.labels[v] for v in vs))
+    rows = [_row(map(renumber.__getitem__, _bits(g.adjacency[u] & mask)), len(vs)) for u in vs]
+    return SimpleGraph._from_rows(rows, tuple(g.labels[v] for v in vs))
 
 
 def clique_number(g: SimpleGraph) -> int:
@@ -232,16 +250,13 @@ def clique_number(g: SimpleGraph) -> int:
 
 
 def _max_clique_size(g: SimpleGraph) -> int:
-    """Branch and bound over bitmask candidate sets: candidates are greedily
-    colored and a branch is cut when the current clique plus the color of
-    the pivot vertex cannot beat the incumbent."""
+    """Branch and bound over the bit rows: candidates are greedily colored
+    and a branch is cut when the current clique plus the color of the
+    pivot vertex cannot beat the incumbent."""
     n = g.vertex_count
     if n == 0:
         return 0
-    nbr = [0] * n
-    for u, v in g.edges():
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = g.adjacency
     best = 0
 
     def expand(size: int, candidates: int) -> None:
@@ -264,11 +279,7 @@ def _max_clique_size(g: SimpleGraph) -> int:
                 available &= ~(bit | nbr[v])
                 rest &= ~bit
                 colored.append((v, color))
-        prefix = 0
-        prefixes = []
-        for v, _ in colored:
-            prefixes.append(prefix)
-            prefix |= 1 << v
+        prefixes = list(accumulate((1 << v for v, _ in colored), or_, initial=0))
         for i in range(len(colored) - 1, -1, -1):
             v, c = colored[i]
             if size + c <= best:
@@ -301,9 +312,7 @@ def kuratowski_witness(g: SimpleGraph) -> SimpleGraph | None:
     planar, certificate = nx.check_planarity(_to_networkx(g), counterexample=True)
     if planar:
         return None
-    witness = SimpleGraph(
-        g.vertex_count, sorted(tuple(sorted(e)) for e in certificate.edges()), g.labels
-    )
+    witness = SimpleGraph(g.vertex_count, certificate.edges(), g.labels)
     verify_kuratowski_witness(witness, g)
     return witness
 
@@ -319,10 +328,11 @@ def verify_kuratowski_witness(witness: SimpleGraph, host: SimpleGraph) -> str:
     no edge inside {v0} plus the non-neighbours of v0 (K_{3,3})."""
     if witness.vertex_count != host.vertex_count:
         raise ValueError("witness must live on the host's vertex set")
-    for u, v in witness.edges():
-        if not host.adjacent(u, v):
+    for u, (w, h) in enumerate(zip(witness.adjacency, host.adjacency)):
+        if w & ~h:  # rows are symmetric: at the first such u, every such v > u
+            v = _bits(w & ~h)[0]
             raise ValueError(f"witness edge {(u, v)} is not an edge of the host graph")
-    nbrs = {v: set(a) for v, a in enumerate(witness.adjacency) if a}
+    nbrs = {v: set(witness.neighbors(v)) for v, w in enumerate(witness.adjacency) if w}
     for v in [v for v, a in nbrs.items() if len(a) == 2]:
         a, b = nbrs.pop(v)
         if b in nbrs[a]:

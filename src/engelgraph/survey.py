@@ -351,7 +351,7 @@ def _universal_vertex_violation(G: Group, graph: SimpleGraph) -> str | None:
     if n < 2:
         return None
     for v in range(n):
-        if len(graph.neighbors(v)) != n - 1:
+        if graph.degree(v) != n - 1:
             continue
         x = graph.labels[v]
         if G.mul(x, x) != G.identity:

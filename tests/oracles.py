@@ -2,12 +2,14 @@
 
 These deliberately avoid the library's algorithms: closure by repeated set
 products instead of BFS, clique number by subset enumeration, distances by
-Floyd-Warshall instead of BFS, planarity by exhaustive search for
-K5/K_{3,3} subdivisions (feasible up to ~12 vertices), Engel
-reachability and depths by direct iteration of the commutator map, the
-randomly-Engel predicate element by element instead of class by class, and
-subgroup queries by all-pairs loops over the members (generation by a BFS
-that multiplies by every member) instead of work on greedy generators.
+Floyd-Warshall or, on larger graphs, by a queue-based search over plain
+edge lists instead of the library's search over bit rows, planarity by
+exhaustive search for K5/K_{3,3} subdivisions (feasible up to ~12
+vertices), Engel reachability and depths by direct iteration of the
+commutator map, the randomly-Engel predicate element by element instead of
+class by class, and subgroup queries by all-pairs loops over the members
+(generation by a BFS that multiplies by every member) instead of work on
+greedy generators.
 """
 
 import math
@@ -162,6 +164,29 @@ def brute_distances(g):
         for u in range(n):
             for v in range(n):
                 dist[u][v] = min(dist[u][v], dist[u][k] + dist[k][v])
+    return dist
+
+
+def bfs_distances(n, edges):
+    """All shortest-path distances on vertices 0..n-1 joined by ``edges``,
+    by a queue-based breadth-first search from every vertex over adjacency
+    lists; math.inf between vertices in different components."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = []
+    for source in range(n):
+        d = [math.inf] * n
+        d[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if d[w] == math.inf:
+                    d[w] = d[u] + 1
+                    queue.append(w)
+        dist.append(d)
     return dist
 
 

@@ -31,6 +31,7 @@ from engelgraph import (
 )
 from conftest import elem
 from oracles import (
+    bfs_distances,
     brute_clique_number,
     brute_distances,
     engel_reaches_by_iteration,
@@ -64,7 +65,8 @@ def test_simple_graph_validation():
         SimpleGraph(2, [], labels=("a",))
     g = SimpleGraph(3, [(0, 1), (1, 0), (0, 1)])  # duplicates collapse
     assert g.edge_count == 1
-    assert g.adjacency == ((1,), (0,), ())
+    assert [g.neighbors(v) for v in range(3)] == [(1,), (0,), ()]
+    assert [g.degree(v) for v in range(3)] == [1, 1, 0]
 
 
 def test_adjacency_is_symmetric_and_irreflexive(a4):
@@ -158,6 +160,52 @@ def test_diameter_one_means_complete():
             assert (expected == 1) == complete
 
 
+def test_rows_match_a_plain_edge_set_across_word_boundaries():
+    # the oracle tests above stop at 12 vertices, inside one machine word;
+    # here rows run to 200 bits, and the graphs range from empty to dense,
+    # with long paths and random trees so that distances grow
+    rng = random.Random(37)
+    for i in range(36):  # each density with each shape twice
+        n = rng.randint(0, 200)
+        p = (0.0, 0.005, 0.02, 0.1, 0.5, 0.95)[i // 3 % 6]
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+        shape = ("none", "path", "tree")[i % 3]
+        order = rng.sample(range(n), n)
+        for j in range(1, n if shape != "none" else 0):
+            a, b = order[j], order[j - 1 if shape == "path" else rng.randrange(j)]
+            edges.add((min(a, b), max(a, b)))
+        given = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+        g = SimpleGraph(n, rng.sample(given, len(given)))
+        assert list(g.edges()) == sorted(edges)
+        assert g.edge_count == len(edges)
+        nbrs = [set() for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        for u in range(n):
+            assert g.neighbors(u) == tuple(sorted(nbrs[u]))
+            assert g.degree(u) == len(nbrs[u])
+            assert [g.adjacent(u, v) for v in range(n)] == [v in nbrs[u] for v in range(n)]
+        vs = [v for v in range(n) if rng.random() < rng.random()]
+        pos = {v: i for i, v in enumerate(vs)}
+        sub = induced_subgraph(g, rng.sample(vs, len(vs)))
+        assert sub.vertex_count == len(vs)
+        assert list(sub.edges()) == sorted(
+            (pos[u], pos[v]) for u, v in edges if u in pos and v in pos
+        )
+        dist = bfs_distances(n, edges)
+        components = sorted(
+            {tuple(v for v in range(n) if dist[u][v] < math.inf) for u in range(n)}
+        )
+        assert connected_components(g) == components
+        if n == 0:
+            continue
+        expected = max(max(row) for row in dist)
+        assert diameter(g) == expected
+        quotient = graphs_module._twin_quotient(g)
+        assert graphs_module._components_and_diameter(*quotient) == (len(components), expected)
+
+
 def test_isolated_vertices(s3):
     assert isolated_vertices(build_engel_graph(s3)) == ()
     assert isolated_vertices(SimpleGraph(2, [])) == (0, 1)
@@ -205,10 +253,11 @@ def test_induced_subgraph(d12):
                 assert h.adjacent(u, v) == ((min(u, v), max(u, v)) in edges)
 
 
-def test_engel_graph_holds_each_edge_once_per_endpoint():
-    # E_A5xC6 has 48,600 edges on 354 vertices; a pointer per endpoint is
-    # 16 bytes per edge, so 64 leaves room for the tuples and large ints
-    # but not for a second copy of the adjacency as sets
+def test_engel_graph_keeps_one_bit_row_per_vertex():
+    # E_A5xC6 has 48,600 edges on 354 vertices; a row of n bits takes n/8
+    # bytes, and 64 more per vertex leave room for the int header, the
+    # pointers to the row and the label, and the label itself, but not for
+    # a neighbour list (8 bytes per edge end, 2,200 bytes per vertex here)
     G = build_group("A5xC6")
     left_engel_set(G)  # fills the Engel depth cache outside the trace
     tracemalloc.start()
@@ -217,8 +266,9 @@ def test_engel_graph_holds_each_edge_once_per_endpoint():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert g.edge_count == 48_600
-    assert kept <= 64 * g.edge_count and peak <= 100 * g.edge_count
+    n = g.vertex_count
+    assert (n, g.edge_count) == (354, 48_600)
+    assert kept <= n * (n / 8 + 64) and peak <= n * (n / 8 + 256)
 
 
 def test_clique_number_examples(s3, a4):
@@ -259,8 +309,10 @@ def test_witness_verifier_rejects_junk():
     with pytest.raises(ValueError):
         verify_kuratowski_witness(complete_graph(4), host)  # K4 is neither
     fake = complete_graph(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"witness edge \(0, 2\) is not an edge"):
         verify_kuratowski_witness(fake, SimpleGraph(5, [(0, 1)]))  # not a subgraph
+    with pytest.raises(ValueError, match=r"witness edge \(2, 4\) is not an edge"):
+        verify_kuratowski_witness(fake, SimpleGraph(5, [e for e in fake.edges() if e != (2, 4)]))
     # a K33 with one edge subdivided still verifies against a host holding it
     edges = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5) if (a, b) != (2, 5)]
     edges += [(2, 6), (5, 6)]
@@ -283,7 +335,7 @@ def _minimal_nonplanar_kind(g):
         is_planar(SimpleGraph(g.vertex_count, [f for f in edges if f != e])) for e in edges
     ):
         return None
-    return "K5" if max(map(len, g.adjacency)) == 4 else "K33"
+    return "K5" if max(map(g.degree, range(g.vertex_count))) == 4 else "K33"
 
 
 def _random_subdivision(rng):
@@ -304,7 +356,7 @@ def test_witness_verifier_against_minimal_nonplanar_oracle():
         for mask in range(1 << len(pairs)):
             graphs.append(SimpleGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
     cubic = [SimpleGraph(6, es) for es in combinations(list(combinations(range(6), 2)), 9)]
-    cubic = [g for g in cubic if all(len(a) == 3 for a in g.adjacency)]
+    cubic = [g for g in cubic if all(g.degree(v) == 3 for v in range(6))]
     assert len(cubic) == 70  # 10 labelled K_{3,3} and 60 prisms
     graphs += cubic
     rng = random.Random(23)
@@ -370,8 +422,10 @@ def test_isomorphism_under_random_relabeling():
 
 
 def test_compute_metrics_converts_to_networkx_once(monkeypatch, a4):
-    # the twin quotient is converted once; the full graph only when it is
-    # sparse enough (E <= 3V - 6) for planarity to need networkx
+    # components, diameter and the clique number read the bit rows, so the
+    # twin quotient is never converted; the full graph is converted once,
+    # and only when it is sparse enough (E <= 3V - 6) for planarity to
+    # need networkx
     calls = []
     convert = graphs_module._to_networkx
     monkeypatch.setattr(graphs_module, "_to_networkx", lambda g: calls.append(g) or convert(g))
@@ -380,10 +434,10 @@ def test_compute_metrics_converts_to_networkx_once(monkeypatch, a4):
     for g, full in ((e_a4, []), (sparse, [sparse]), (single, [single])):
         calls.clear()
         compute_metrics(g)
-        quotient, *rest = calls
-        assert quotient is not g
-        assert quotient.vertex_count == len(set(g.adjacency))
-        assert rest == full
+        assert calls == full
+        calls.clear()
+        connected_components(g), diameter(g), clique_number(g)
+        assert calls == []
 
 
 def with_planted_twins(rng, g, count):
