@@ -171,13 +171,15 @@ def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
     return components
 
 
-def _layers(rows: Sequence[int], source: int) -> Iterator[int]:
-    """Breadth-first layers from ``source``, as bit masks: each layer is the
-    OR of the previous layer's rows, minus every vertex already seen."""
+def _layers(rows: Sequence[int], source: int, within: int = -1) -> Iterator[int]:
+    """Breadth-first layers from ``source`` in the subgraph induced on the
+    vertex mask ``within`` (all vertices by default), as bit masks: each
+    layer is the OR of the previous layer's rows, kept to ``within``, minus
+    every vertex already seen."""
     seen = layer = 1 << source
     while layer:
         yield layer
-        layer = reduce(or_, map(rows.__getitem__, _bits(layer))) & ~seen
+        layer = reduce(or_, map(rows.__getitem__, _bits(layer))) & within & ~seen
         seen |= layer
 
 
@@ -253,40 +255,34 @@ def _max_clique_size(g: SimpleGraph) -> int:
     """Branch and bound over the bit rows: candidates are greedily colored
     and a branch is cut when the current clique plus the color of the
     pivot vertex cannot beat the incumbent."""
-    n = g.vertex_count
-    if n == 0:
-        return 0
-    nbr = g.adjacency
-    best = 0
+    return _expand(g.adjacency, 0, (1 << g.vertex_count) - 1, 0)
 
-    def expand(size: int, candidates: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if not candidates:
-            return
-        # greedy coloring: vertices in the same class are pairwise
-        # non-adjacent, so any clique meets each class at most once
-        colored: list[tuple[int, int]] = []  # (vertex, color)
-        rest = candidates
-        color = 0
-        while rest:
-            color += 1
-            available = rest
-            while available:
-                v = (available & -available).bit_length() - 1
-                bit = 1 << v
-                available &= ~(bit | nbr[v])
-                rest &= ~bit
-                colored.append((v, color))
-        prefixes = list(accumulate((1 << v for v, _ in colored), or_, initial=0))
-        for i in range(len(colored) - 1, -1, -1):
-            v, c = colored[i]
-            if size + c <= best:
-                return
-            expand(size + 1, prefixes[i] & nbr[v])
 
-    expand(0, (1 << n) - 1)
+def _expand(nbr: Sequence[int], size: int, candidates: int, best: int) -> int:
+    """The larger of the incumbent ``best`` and the largest clique made of
+    a clique of ``size`` vertices and vertices of ``candidates``, all of
+    which are adjacent to that clique."""
+    best = max(best, size)
+    # greedy coloring: vertices in the same class are pairwise
+    # non-adjacent, so any clique meets each class at most once
+    colored: list[tuple[int, int]] = []  # (vertex, color)
+    rest = candidates
+    color = 0
+    while rest:
+        color += 1
+        available = rest
+        while available:
+            v = (available & -available).bit_length() - 1
+            bit = 1 << v
+            available &= ~(bit | nbr[v])
+            rest &= ~bit
+            colored.append((v, color))
+    prefixes = list(accumulate((1 << v for v, _ in colored), or_, initial=0))
+    for i in range(len(colored) - 1, -1, -1):
+        v, c = colored[i]
+        if size + c <= best:
+            break
+        best = _expand(nbr, size + 1, prefixes[i] & nbr[v], best)
     return best
 
 

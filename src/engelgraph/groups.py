@@ -1,7 +1,8 @@
 """Finite permutation groups with canonical element indexing.
 
 A :class:`Group` is built from generating permutations in one breadth-first
-search, which enumerates the elements and fills the Cayley table.  Elements
+search over image tuples padded to one degree, which enumerates the elements
+and fills the Cayley table without multiplying any Permutation.  Elements
 are stored sorted by image tuple, so building the same group twice, from any
 generating set, yields identical indices, reports, and DOT output.  Elements
 are referred to by index everywhere; an "element set" is a sorted,
@@ -22,10 +23,11 @@ generators of H.  The all-pairs versions are kept as test oracles.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ClosureTooLarge, NotASubgroup
-from .permutations import IDENTITY, Permutation
+from .permutations import Permutation
 
 MAX_ORDER = 4096
 
@@ -44,25 +46,34 @@ class Group:
 
     One breadth-first search over left products ``g * u`` from the
     identity enumerates the elements and, as a by-product, fills the
-    Cayley row of every generator: one permutation product per (element,
-    generator) pair.  Every other row follows by associativity, in search
-    order: an element first reached as ``x = g * u`` has
-    ``x * q = g * (u * q)``.  Raises ClosureTooLarge as soon as more than
-    ``MAX_ORDER`` elements are found.
+    Cayley row of every generator.  The search runs on image tuples padded
+    to one degree d >= 2, and ``g * u`` is one call of an ``itemgetter``
+    made once per generator g, so no Permutation is multiplied.  Each
+    element becomes a Permutation once, after sorting; padded tuples sort
+    as stripped ones do, and the identity sorts first, at index 0.  Every
+    other row follows by associativity, in search order: an element first
+    reached as ``x = g * u`` has ``x * q = g * (u * q)``.  Raises
+    ClosureTooLarge as soon as more than ``MAX_ORDER`` elements are found.
     """
 
     def __init__(self, generators: Sequence[Permutation], name: str):
         gens = list(dict.fromkeys(generators))
+        d = max([2] + [g.degree for g in gens])
+        # (g * u)(i) = u(g(i)): read u's padded images at g's, 0-based
+        steps = [
+            itemgetter(*(i - 1 for i in g.images), *range(g.degree, d)) for g in gens
+        ]
         # Search-order indices: reached[x] is element x, first reached as
         # gens[j] * reached[u] with (j, u) = parent[x]; gen_rows[j][u] is
         # the index of gens[j] * reached[u].
-        found = {IDENTITY: 0}
-        reached = [IDENTITY]
+        identity = tuple(range(1, d + 1))
+        found = {identity: 0}
+        reached = [identity]
         parent = [(0, 0)]
         gen_rows: list[list[int]] = [[] for _ in gens]
         for u, p in enumerate(reached):  # also visits the elements appended below
-            for j, g in enumerate(gens):
-                v = g * p
+            for j, step in enumerate(steps):
+                v = step(p)
                 x = found.get(v)
                 if x is None:
                     if len(reached) >= MAX_ORDER:
@@ -75,15 +86,21 @@ class Group:
                 gen_rows[j].append(x)
 
         self.name = name
-        self.elements: tuple[Permutation, ...] = tuple(sorted(reached))
         self.order = n = len(reached)
+        ordered = sorted(range(n), key=reached.__getitem__)
+        rank = [0] * n
+        for i, x in enumerate(ordered):
+            rank[x] = i
+        self.elements: tuple[Permutation, ...] = tuple(
+            Permutation._raw(reached[x]) for x in ordered
+        )
         self._index = {p: i for i, p in enumerate(self.elements)}
-        self.identity: int = self._index[IDENTITY]
-        self.generators: tuple[int, ...] = tuple(self._index[g] for g in gens)
+        self.identity: int = 0
+        # gens[j] = gens[j] * identity was reached from search index 0
+        self.generators: tuple[int, ...] = tuple(rank[row[0]] for row in gen_rows)
 
-        rank = [self._index[p] for p in reached]
         table: list[list[int] | None] = [None] * n
-        table[self.identity] = list(range(n))
+        table[0] = list(range(n))
         for gi, bfs_row in zip(self.generators, gen_rows):
             row = [0] * n
             for u, x in enumerate(bfs_row):
@@ -95,7 +112,7 @@ class Group:
                 row_g = table[self.generators[j]]
                 table[rank[x]] = [row_g[k] for k in table[rank[u]]]
         self._table: list[list[int]] = table  # type: ignore[assignment]
-        self._inv = tuple(row.index(self.identity) for row in self._table)
+        self._inv = tuple(row.index(0) for row in self._table)
         # Conjugacy classes and their transversal, written by
         # conjugacy_class; Engel depth maps and L(G), written by engel.py
         self._memo: dict = {}

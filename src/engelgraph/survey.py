@@ -24,9 +24,9 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
-from operator import attrgetter
-from typing import Callable, TypeVar
+from functools import partial, reduce
+from operator import attrgetter, or_
+from typing import Callable, Sequence, TypeVar
 
 from .engel import (
     fitting_subgroup,
@@ -38,14 +38,15 @@ from .families import FAMILIES
 from .graphs import (
     GraphMetrics,
     SimpleGraph,
+    _layers,
+    _row,
     build_engel_graph,
     compute_metrics,
-    diameter,
     find_isomorphism,
-    induced_subgraph,
     isolated_vertices,
 )
 from .groups import (
+    MAX_ORDER,
     Group,
     centralizer,
     conjugacy_class,
@@ -220,16 +221,29 @@ def _catalog_pass(
 
     Each evaluation is dropped as soon as ``keep`` returns, so what stays
     alive is only what ``keep`` returns.  With ``jobs > 1`` the plans are
-    evaluated in worker processes (one group per task, no shared state), and
-    ``keep`` must then be a picklable module-level function.
+    evaluated in ``jobs`` worker processes, or one per plan when there are
+    fewer plans (one group per task, no shared state), and ``keep`` must
+    then be a picklable module-level function.
     """
     work = partial(_evaluate_and_keep, keep)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(plans))) as pool:
             kept = list(pool.map(work, plans))
     else:
         kept = list(map(work, plans))
     return [k for k in kept if k is not None]
+
+
+def _check_max_order(max_order: int, least: int) -> None:
+    """Raise InvalidParameter unless least <= max_order <= MAX_ORDER, before
+    any plan is made: a catalog past the order limit would be planned and
+    evaluated, for hours, up to the first group too large to build."""
+    if max_order < least:
+        raise InvalidParameter(f"max_order must be at least {least}, got {max_order}")
+    if max_order > MAX_ORDER:
+        raise InvalidParameter(
+            f"max_order must be at most the order limit of {MAX_ORDER}, got {max_order}"
+        )
 
 
 def survey(max_order: int, *, jobs: int = 1) -> SurveyResult:
@@ -237,9 +251,12 @@ def survey(max_order: int, *, jobs: int = 1) -> SurveyResult:
 
     Evaluation may run in parallel (one group per task, no shared state);
     the result is merged by sorting and is byte-identical for any ``jobs``.
+    Raises InvalidParameter, before any plan is made, for ``max_order``
+    outside 6..MAX_ORDER or ``jobs`` below 1.
     """
-    if max_order < 6:
-        raise InvalidParameter(f"max_order must be at least 6, got {max_order}")
+    _check_max_order(max_order, 6)
+    if jobs < 1:
+        raise InvalidParameter(f"jobs must be at least 1, got {jobs}")
     plans = catalog_plans(max_order)
     reports = sorted(
         _catalog_pass(plans, attrgetter("report"), jobs), key=lambda r: (r.order, r.name)
@@ -361,10 +378,25 @@ def _universal_vertex_violation(G: Group, graph: SimpleGraph) -> str | None:
     return None
 
 
+def _class_search(graph: SimpleGraph, vertices: Sequence[int]) -> tuple[bool, int]:
+    """One breadth-first search, inside the subgraph induced on
+    ``vertices``, from the least of them: whether it reaches them all, and
+    the eccentricity of that vertex there."""
+    mask = _row(vertices, graph.vertex_count)
+    layers = list(_layers(graph.adjacency, min(vertices), mask))
+    return reduce(or_, layers) == mask, len(layers) - 1
+
+
 def _metabelian_violation(G: Group, graph: SimpleGraph, whole: float) -> str | None:
     """For metabelian groups: the induced subgraph on each vertex conjugacy
     class is connected with diameter <= 2, and the whole graph (of diameter
-    ``whole``) has diameter <= 6."""
+    ``whole``) has diameter <= 6.
+
+    Conjugation by any element of G is an automorphism of the Engel graph
+    that maps a class C onto itself, and it acts transitively on C, so the
+    subgraph induced on C is vertex-transitive: all its vertices have one
+    eccentricity, which is its diameter.  So one search from C's least
+    member decides both connectivity and diameter <= 2."""
     if whole > 6:
         return f"graph diameter is {whole}"
     position = {x: v for v, x in enumerate(graph.labels)}
@@ -374,12 +406,11 @@ def _metabelian_violation(G: Group, graph: SimpleGraph, whole: float) -> str | N
             continue
         cls = conjugacy_class(G, x)
         done.update(cls)
-        sub = induced_subgraph(graph, [position[y] for y in cls])
-        d = diameter(sub)
-        if math.isinf(d):
+        connected, eccentricity = _class_search(graph, [position[y] for y in cls])
+        if not connected:
             return f"class of {_describe(G, x)} induces a disconnected subgraph"
-        if d > 2:
-            return f"class of {_describe(G, x)} induces diameter {d}"
+        if eccentricity > 2:
+            return f"class of {_describe(G, x)} induces diameter {eccentricity}"
     return None
 
 
@@ -423,9 +454,10 @@ def _theorem_facts(evaluation: GroupEvaluation) -> _TheoremFacts:
 
 def verify_theorems(max_order: int) -> list[TheoremVerdict]:
     """Run the survey-wide theorem checks over the catalog and report one
-    named verdict per check, each failure carrying a counterexample."""
-    if max_order < 12:
-        raise InvalidParameter(f"max_order must be at least 12, got {max_order}")
+    named verdict per check, each failure carrying a counterexample.
+    Raises InvalidParameter, before any plan is made, for ``max_order``
+    outside 12..MAX_ORDER."""
+    _check_max_order(max_order, 12)
     facts = _catalog_pass(catalog_plans(max_order), _theorem_facts)
     verdicts: list[TheoremVerdict] = []
 

@@ -19,14 +19,16 @@ from itertools import combinations
 from engelgraph import IDENTITY, NotASubgroup, SimpleGraph, engel_depths
 
 
-def naive_closure(perms):
-    """Fixed-point iteration of pairwise products."""
+def naive_closure(perms, limit=None):
+    """Fixed-point iteration of pairwise products; None as soon as more
+    than ``limit`` elements are found, when a limit is given."""
     elems = {IDENTITY} | set(perms)
-    while True:
+    while limit is None or len(elems) <= limit:
         new = {p * q for p in elems for q in elems} - elems
         if not new:
             return elems
         elems |= new
+    return None
 
 
 def naive_subgroup_generated(G, members):

@@ -118,6 +118,18 @@ def test_verify_bad_bound(capsys):
     capsys.readouterr()
 
 
+def test_bounds_above_the_order_limit_are_usage_errors(capsys):
+    for command in ("survey", "verify"):
+        assert main([command, "--max-order", "5000"]) == 2, command
+        err = capsys.readouterr().err
+        assert err == "error: max_order must be at most the order limit of 4096, got 5000\n", err
+
+
+def test_survey_rejects_job_counts_below_one(capsys):
+    assert main(["survey", "--max-order", "12", "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "error: jobs must be at least 1, got 0\n"
+
+
 def test_console_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "engelgraph.cli", "report", "--group", "S3"],

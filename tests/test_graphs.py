@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import tracemalloc
@@ -284,6 +285,19 @@ def test_clique_number_against_enumeration_oracle():
     for _ in range(40):
         g = random_graph(rng, rng.randint(0, 10), rng.random())
         assert clique_number(g) == brute_clique_number(g)
+
+
+def test_clique_search_leaves_no_cyclic_garbage():
+    # a search that held itself in a reference cycle would keep the
+    # quotient's rows alive until the next collection
+    g = random_graph(random.Random(23), 60, 0.8)
+    gc.collect()
+    gc.disable()
+    try:
+        assert clique_number(g) >= 8
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_planarity_examples(s3, a4):

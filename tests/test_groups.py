@@ -113,32 +113,23 @@ def test_generators_generate_the_group():
         assert subgroup_generated(G, G.generators) == tuple(range(G.order)), G.name
 
 
-def test_one_product_per_element_and_generator(monkeypatch, repo_root):
-    # construction composes g * u once for each element u and generator g;
-    # every other Cayley entry is derived from those
+def test_construction_composes_no_permutations(monkeypatch, repo_root):
+    # every construction route: closure (S, A, C), the regular
+    # representation (D, Dic), direct products and generator files
     products = 0
-    built = []
     compose = Permutation.__mul__
-    init = Group.__init__
 
     def counting(self, other):
         nonlocal products
         products += 1
         return compose(self, other)
 
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
     monkeypatch.setattr(Permutation, "__mul__", counting)
-    monkeypatch.setattr(Group, "__init__", recording)
-    for spec in ("S5", "D12", "Dic3", "S4xC5", "@fixtures/c7_c3.gens"):
-        products = 0
-        built.clear()
-        G = build_group(spec, base_dir=repo_root)
-        assert G in built
-        bound = sum(H.order * len(H.generators) for H in built)  # factors too
-        assert products <= bound, (spec, products, bound)
+    specs = {"S1": 1, "S5": 120, "A5": 60, "C7": 7, "D12": 12, "Dic3": 12,
+             "S4xC5": 120, "A4xC3": 36, "@fixtures/c7_c3.gens": 21}
+    for spec, order in specs.items():
+        assert build_group(spec, base_dir=repo_root).order == order, spec
+    assert products == 0
 
 
 def test_canonical_indexing_is_reproducible():

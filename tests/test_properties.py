@@ -11,6 +11,9 @@ The library builds depth maps for class representatives only and relabels
 them by conjugation, so the equivariance check alone would compare the code
 with itself; the depth maps are also compared with direct iteration of the
 commutator map on randomly generated groups.
+
+Construction itself is checked on generators of mixed degree against the
+product fixpoint and direct composition.
 """
 
 from functools import cache
@@ -19,10 +22,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, seed, settings, strategies as st  # noqa: E402
 
 from conftest import REPO_ROOT  # noqa: E402
 from engelgraph import (  # noqa: E402
+    IDENTITY,
     Group,
     Permutation,
     build_group,
@@ -31,7 +35,7 @@ from engelgraph import (  # noqa: E402
     engel_adjacent,
     engel_depths,
 )
-from oracles import engel_depths_by_iteration  # noqa: E402
+from oracles import engel_depths_by_iteration, naive_closure  # noqa: E402
 
 SPECS = ("S3", "A4", "D12", "Dic3", "S4", "S3xC2", "@fixtures/c7_c3.gens")
 
@@ -85,3 +89,30 @@ def test_relabelled_depth_maps_match_direct_iteration(G, data):
     assert sorted(transversal) == list(range(G.order))
     for x, (r, g) in transversal.items():
         assert G.conjugate(r, g) == x and r == least[x]
+
+
+@st.composite
+def generator_lists(draw):
+    """Up to three permutations of degree 0 to 7, shuffled with up to two
+    repeats of them or of the identity."""
+    perms = st.integers(0, 7).flatmap(lambda d: st.permutations(range(1, d + 1)))
+    gens = draw(st.lists(perms.map(Permutation), max_size=3), label="drawn")
+    extra = draw(st.lists(st.sampled_from(gens + [IDENTITY]), max_size=2), label="repeats")
+    return draw(st.permutations(gens + extra), label="generators")
+
+
+@seed(2026)
+@settings(deadline=None, max_examples=80)
+@given(generator_lists())
+def test_construction_matches_product_fixpoint_oracle(gens):
+    oracle = naive_closure(gens, limit=120)
+    assume(oracle is not None)
+    G = Group(gens, "random")
+    assert G.order == len(oracle)
+    assert list(G.elements) == sorted(oracle)
+    assert G.identity == 0 and G.perm(0) == IDENTITY
+    assert G.generators == tuple(G.index(g) for g in dict.fromkeys(gens))
+    for i, p in enumerate(G.elements):
+        assert G.perm(G.inv(i)) == p.inverse()
+        for j, q in enumerate(G.elements):
+            assert G.perm(G.mul(i, j)) == p * q

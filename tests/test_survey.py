@@ -1,12 +1,21 @@
 import hashlib
 import importlib
 import math
+import random
 import weakref
 
 import pytest
 
 from engelgraph import (
+    InvalidParameter,
+    SimpleGraph,
+    build_engel_graph,
+    build_group,
     catalog_plans,
+    conjugacy_classes,
+    diameter,
+    induced_subgraph,
+    left_engel_set,
     render_group_spec,
     report,
     summary_json,
@@ -14,7 +23,9 @@ from engelgraph import (
     verify_theorems,
 )
 from engelgraph.cli import exit_code_for_verdicts
+from engelgraph.groups import MAX_ORDER
 from engelgraph.survey import TheoremVerdict
+from oracles import bfs_distances, random_graph
 
 # the package re-exports the function `survey` under the module's name
 survey_module = importlib.import_module("engelgraph.survey")
@@ -120,6 +131,55 @@ def test_survey_rejects_tiny_bounds():
         survey(5)
 
 
+def test_survey_and_verify_reject_bounds_above_the_order_limit(monkeypatch):
+    planned = []
+
+    def record(max_order):
+        planned.append(max_order)
+        return []
+
+    monkeypatch.setattr(survey_module, "catalog_plans", record)
+    for run in (survey, verify_theorems):
+        with pytest.raises(InvalidParameter, match=f"limit of {MAX_ORDER}, got {MAX_ORDER + 1}"):
+            run(MAX_ORDER + 1)
+        assert planned == []
+    # the limit itself is a valid bound
+    assert survey(MAX_ORDER).reports == []
+    assert len(verify_theorems(MAX_ORDER)) == 6
+    assert planned == [MAX_ORDER, MAX_ORDER]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_survey_rejects_job_counts_below_one(jobs):
+    with pytest.raises(InvalidParameter, match=f"jobs must be at least 1, got {jobs}"):
+        survey(12, jobs=jobs)
+
+
+def test_survey_asks_for_no_more_workers_than_plans(monkeypatch):
+    # a stand-in pool records max_workers and evaluates in this process
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(survey_module, "ProcessPoolExecutor", RecordingPool)
+    plans = len(catalog_plans(12))
+    assert [r.name for r in survey(6, jobs=8).reports] == ["S3"]
+    assert summary_json(survey(12, jobs=plans + 5)) == summary_json(survey(12))
+    survey(12, jobs=2)
+    assert asked == [1, plans, 2]
+
+
 def test_survey_is_deterministic_and_parallel_safe():
     sequential = survey(12)
     again = survey(12)
@@ -196,3 +256,67 @@ def test_exit_code_for_verdicts():
     ok = [TheoremVerdict("a", True), TheoremVerdict("b", True)]
     assert exit_code_for_verdicts(ok) == 0
     assert exit_code_for_verdicts(ok + [TheoremVerdict("c", False, "boom")]) == 1
+
+
+def test_class_search_matches_the_induced_subgraph_diameter():
+    # conjugation makes each class's subgraph vertex-transitive, so one
+    # search from its least member gives its connectivity and diameter;
+    # checked on every class of every non-nilpotent plan
+    seen = set()
+    for plan in catalog_plans(120):
+        G = build_group(plan)
+        L = set(left_engel_set(G))
+        if len(L) == G.order:
+            continue
+        graph = build_engel_graph(G)
+        position = {x: v for v, x in enumerate(graph.labels)}
+        for cls in conjugacy_classes(G):
+            if cls[0] in L:
+                continue
+            vs = [position[y] for y in cls]
+            connected, eccentricity = survey_module._class_search(graph, vs)
+            d = diameter(induced_subgraph(graph, vs))
+            assert (connected, eccentricity if connected else math.inf) == (
+                not math.isinf(d), d
+            ), (G.name, cls)
+            seen.add(d)
+    assert seen == {1, 2}  # no class subgraph here is disconnected
+
+
+def test_class_search_against_a_queue_search_on_random_vertex_sets():
+    # on any vertex set: connectivity, and the least vertex's eccentricity
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 90)
+        g = random_graph(rng, n, rng.choice([0.02, 0.05, 0.1, 0.3]))
+        vs = rng.sample(range(n), rng.randint(1, n))
+        inside = set(vs)
+        edges = [(vs.index(u), vs.index(v)) for u, v in g.edges() if {u, v} <= inside]
+        dist = bfs_distances(len(vs), edges)[vs.index(min(vs))]
+        connected, eccentricity = survey_module._class_search(g, vs)
+        assert connected == (math.inf not in dist)
+        assert eccentricity == max(d for d in dist if d != math.inf)
+
+
+@pytest.mark.parametrize("spec", ["S3", "A4", "D12", "Dic3", "S3xC2", "S3xC3"])
+def test_metabelian_check_names_a_class_cut_from_its_least_member(spec):
+    # deleting the edges between a class's least member and the rest of
+    # the class leaves that member isolated inside its class
+    G = build_group(spec)
+    graph = build_engel_graph(G)
+    whole = diameter(graph)
+    assert survey_module._metabelian_violation(G, graph, whole) is None
+    position = {x: v for v, x in enumerate(graph.labels)}
+    cut_classes = 0
+    for cls in conjugacy_classes(G):
+        if cls[0] not in position or len(cls) == 1:
+            continue
+        r, rest = position[cls[0]], {position[y] for y in cls[1:]}
+        edges = [(u, v) for u, v in graph.edges() if not ({u, v} - rest == {r})]
+        mutant = SimpleGraph(graph.vertex_count, edges, graph.labels)
+        assert mutant.edge_count < graph.edge_count
+        assert survey_module._metabelian_violation(G, mutant, whole) == (
+            f"class of element {cls[0]} = {G.perm(cls[0])} induces a disconnected subgraph"
+        )
+        cut_classes += 1
+    assert cut_classes > 0
