@@ -4,7 +4,7 @@ Subcommands::
 
     engel report --group <spec> [--json <path>] [--dot <path>]
     engel survey --max-order <N> [--jobs <k>] [--out <dir>]
-    engel verify --max-order <N>
+    engel verify --max-order <N> [--jobs <k>]
 
 Exit codes: 0 on success; 1 when any theorem-style check failed (``report``
 prints one ``FAILED <check>: <detail>`` line per failed check on stderr);
@@ -56,6 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the theorem checks over the catalog")
     p_verify.add_argument("--max-order", type=int, required=True)
+    p_verify.add_argument("--jobs", type=int, default=1, help="parallel group evaluations")
     return parser
 
 
@@ -116,7 +117,7 @@ def exit_code_for_verdicts(verdicts: list[TheoremVerdict]) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    verdicts = verify_theorems(args.max_order)
+    verdicts = verify_theorems(args.max_order, jobs=args.jobs)
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
         suffix = f": {v.detail}" if v.detail else ""

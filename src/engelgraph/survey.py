@@ -8,11 +8,15 @@ plus per-group checks.  The catalog is NOT all groups of bounded order -- a
 small-groups database is out of scope -- so every result carries the exact
 plan list that was checked.
 
-``survey`` and ``verify_theorems`` share one catalog pass
-(``_catalog_pass``), which reduces each evaluation to a small record at
-once, so about one group is in memory at a time: ``survey`` keeps the
-report, ``verify_theorems`` a ``_TheoremFacts`` (name, flags and
-counterexample strings), which it folds into its verdicts.
+``survey`` and ``verify_theorems`` read one catalog pass
+(``_catalog_pass``), which evaluates each plan once and reduces the
+evaluation at once, in the process that made it, to one record: the
+``GroupReport`` and the ``_TheoremFacts`` (flags and counterexample strings)
+the verdicts need.  So about one group is in memory at a time.  The records
+of the most recent catalog are kept, keyed by its plans, and a different
+catalog replaces them: ``survey`` folds them into its ``SurveyResult`` and
+``verify_theorems`` into its verdicts, and whichever runs second reads them
+without evaluating any plan again.
 
 A disconnected Engel graph would answer an open question, so it is flagged
 prominently in the summary instead of being treated as a tool failure.
@@ -24,9 +28,9 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from operator import attrgetter, or_
-from typing import Callable, Sequence, TypeVar
+from functools import reduce
+from operator import or_
+from typing import Sequence
 
 from .engel import (
     fitting_subgroup,
@@ -48,11 +52,9 @@ from .graphs import (
 from .groups import (
     MAX_ORDER,
     Group,
-    centralizer,
     conjugacy_class,
     derived_subgroup,
     is_abelian,
-    subgroup_generated,
 )
 from .io import (
     FamilySpec,
@@ -65,8 +67,6 @@ from .io import (
 
 RANDOMLY_ENGEL_CHECK_MAX_ORDER = 60
 
-T = TypeVar("T")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -74,7 +74,7 @@ class CheckResult:
     detail: str = ""  # counterexample description when failed
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupReport:
     name: str
     order: int
@@ -111,6 +111,20 @@ class SurveyResult:
     planar_groups: list[str]
     disconnected_groups: list[str]  # would answer an open question; flagged
     failed_checks: list[tuple[str, str, str]] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class _TheoremFacts:
+    """What the verdicts need from one non-nilpotent group beyond its
+    report; it holds no reference to the group or its graph."""
+
+    planar_type: bool  # of the S3, D12 or Dic3 type
+    metabelian: bool
+    violations: dict[str, str]  # verdict name -> counterexample, failures only
+
+
+# what the catalog pass keeps of one non-nilpotent plan
+_Record = tuple[GroupReport, _TheoremFacts]
 
 
 def _describe(G: Group, x: int) -> str:
@@ -205,45 +219,55 @@ def catalog_plans(max_order: int) -> list[GroupSpec]:
     return sorted(plans, key=lambda p: (p.order(), render_group_spec(p)))
 
 
-def _evaluate_and_keep(keep: Callable[[GroupEvaluation], T], spec: GroupSpec) -> T | None:
+def _catalog_record(spec: GroupSpec) -> _Record | None:
     evaluation = evaluate_group(spec)
     # only non-nilpotent groups enter the survey; for finite groups
     # nilpotent and Engel coincide
     if evaluation.report.is_engel:
         return None
-    return keep(evaluation)
+    return evaluation.report, _theorem_facts(evaluation)
 
 
-def _catalog_pass(
-    plans: list[GroupSpec], keep: Callable[[GroupEvaluation], T], jobs: int = 1
-) -> list[T]:
-    """``keep(evaluation)`` for every non-nilpotent plan, in plan order.
+# the plans of the most recent catalog pass and its records
+_last_catalog: tuple[tuple[GroupSpec, ...], tuple[_Record, ...]] | None = None
 
-    Each evaluation is dropped as soon as ``keep`` returns, so what stays
-    alive is only what ``keep`` returns.  With ``jobs > 1`` the plans are
-    evaluated in ``jobs`` worker processes, or one per plan when there are
-    fewer plans (one group per task, no shared state), and ``keep`` must
-    then be a picklable module-level function.
+
+def _catalog_pass(plans: list[GroupSpec], jobs: int = 1) -> tuple[_Record, ...]:
+    """The report and theorem facts of every non-nilpotent plan, in plan
+    order, from one evaluation per plan.
+
+    Each evaluation is dropped as soon as its record is made, so only the
+    records stay alive.  With ``jobs > 1`` the plans are evaluated in
+    ``jobs`` worker processes, or one per plan when there are fewer plans
+    (one group per task, no shared state).  The records of the last
+    catalog are kept: the same plans again return them without evaluating
+    anything, whatever ``jobs`` is, and other plans replace them.
     """
-    work = partial(_evaluate_and_keep, keep)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(plans))) as pool:
-            kept = list(pool.map(work, plans))
-    else:
-        kept = list(map(work, plans))
-    return [k for k in kept if k is not None]
+    global _last_catalog
+    key = tuple(plans)
+    if _last_catalog is None or _last_catalog[0] != key:
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(plans))) as pool:
+                records = list(pool.map(_catalog_record, plans))
+        else:
+            records = list(map(_catalog_record, plans))
+        _last_catalog = key, tuple(r for r in records if r is not None)
+    return _last_catalog[1]
 
 
-def _check_max_order(max_order: int, least: int) -> None:
-    """Raise InvalidParameter unless least <= max_order <= MAX_ORDER, before
-    any plan is made: a catalog past the order limit would be planned and
-    evaluated, for hours, up to the first group too large to build."""
+def _check_bounds(max_order: int, least: int, jobs: int) -> None:
+    """Raise InvalidParameter unless least <= max_order <= MAX_ORDER and
+    jobs >= 1, before any plan is made: a catalog past the order limit
+    would be planned and evaluated, for hours, up to the first group too
+    large to build."""
     if max_order < least:
         raise InvalidParameter(f"max_order must be at least {least}, got {max_order}")
     if max_order > MAX_ORDER:
         raise InvalidParameter(
             f"max_order must be at most the order limit of {MAX_ORDER}, got {max_order}"
         )
+    if jobs < 1:
+        raise InvalidParameter(f"jobs must be at least 1, got {jobs}")
 
 
 def survey(max_order: int, *, jobs: int = 1) -> SurveyResult:
@@ -254,12 +278,10 @@ def survey(max_order: int, *, jobs: int = 1) -> SurveyResult:
     Raises InvalidParameter, before any plan is made, for ``max_order``
     outside 6..MAX_ORDER or ``jobs`` below 1.
     """
-    _check_max_order(max_order, 6)
-    if jobs < 1:
-        raise InvalidParameter(f"jobs must be at least 1, got {jobs}")
+    _check_bounds(max_order, 6, jobs)
     plans = catalog_plans(max_order)
     reports = sorted(
-        _catalog_pass(plans, attrgetter("report"), jobs), key=lambda r: (r.order, r.name)
+        (r for r, _ in _catalog_pass(plans, jobs)), key=lambda r: (r.order, r.name)
     )
 
     histogram: dict[str, int] = {}
@@ -336,44 +358,52 @@ def _is_dic3_like(G: Group) -> bool:
 def _diameter_one_violation(G: Group, L: tuple[int, ...], graph: SimpleGraph) -> str | None:
     """Structure forced on a group whose Engel graph is complete: the Engel
     set ``L`` is a normal abelian subgroup of odd order and index 2, and
-    every vertex is an involution inverting it."""
+    every vertex is an involution inverting it.  Products are read from
+    Cayley table rows."""
     members = set(L)
     if not is_abelian(G, L):
         return "Engel set is not abelian"
     if len(L) % 2 == 0:
         return "Engel set has even order"
-    if any(G.order_of(a) == 2 for a in L):
+    table, inv, e = G._table, G._inv, G.identity
+    if any(a != e and table[a][a] == e for a in L):
         return "Engel set contains an involution"
     if G.order != 2 * len(L):
         return f"Engel set has index {G.order // len(L)}, not 2"
-    for v in range(graph.vertex_count):
-        x = graph.labels[v]
-        if G.mul(x, x) != G.identity:
+    everything = set(range(G.order))
+    for x in graph.labels:
+        row_x = table[x]
+        if row_x[x] != e:
             return f"vertex {_describe(G, x)} is not an involution"
-        cyclic_x = subgroup_generated(G, [x])
-        if members & set(cyclic_x) != {G.identity}:
+        if members & {e, x} != {e}:  # {e, x} = <x> for an involution x
             return f"<x> meets the Engel set beyond the identity for {_describe(G, x)}"
-        if set(G.mul(a, x) for a in L) | members != set(range(G.order)):
+        ax = [table[a][x] for a in L]
+        if set(ax) | members != everything:
             return f"G != L<x> for {_describe(G, x)}"
-        for a in L:
-            if G.conjugate(a, x) != G.inv(a):
+        for a, b in zip(L, ax):
+            if b != row_x[inv[a]]:  # x^-1 a x = a^-1 exactly when a x = x a^-1
                 return f"{_describe(G, x)} does not invert {_describe(G, a)}"
     return None
 
 
 def _universal_vertex_violation(G: Group, graph: SimpleGraph) -> str | None:
     """Any vertex adjacent to all others must be an involution that is its
-    own centralizer."""
+    own centralizer.  Universal vertices are found by comparing bit rows,
+    and products are read from Cayley table rows."""
     n = graph.vertex_count
     if n < 2:
         return None
-    for v in range(n):
-        if graph.degree(v) != n - 1:
+    full = (1 << n) - 1
+    table, e = G._table, G.identity
+    for v, row in enumerate(graph.adjacency):
+        if row != full ^ (1 << v):
             continue
         x = graph.labels[v]
-        if G.mul(x, x) != G.identity:
+        row_x = table[x]
+        if row_x[x] != e:
             return f"universal vertex {_describe(G, x)} has x^2 != 1"
-        if set(centralizer(G, x)) != set(subgroup_generated(G, [x])):
+        # the centralizer of x, against <x> = {e, x} for an involution x
+        if {g for g, row_g in enumerate(table) if row_g[x] == row_x[g]} != {e, x}:
             return f"centralizer of universal vertex {_describe(G, x)} exceeds <x>"
     return None
 
@@ -414,19 +444,6 @@ def _metabelian_violation(G: Group, graph: SimpleGraph, whole: float) -> str | N
     return None
 
 
-@dataclass(frozen=True)
-class _TheoremFacts:
-    """What the verdicts need from one non-nilpotent group; it holds no
-    reference to the group or its graph."""
-
-    name: str
-    planar: bool
-    planar_type: bool  # of the S3, D12 or Dic3 type
-    diameter_one: bool
-    metabelian: bool
-    violations: dict[str, str]  # verdict name -> counterexample, failures only
-
-
 def _theorem_facts(evaluation: GroupEvaluation) -> _TheoremFacts:
     G, graph, report = evaluation.group, evaluation.graph, evaluation.report
     m = report.metrics
@@ -443,26 +460,24 @@ def _theorem_facts(evaluation: GroupEvaluation) -> _TheoremFacts:
         ),
     }
     return _TheoremFacts(
-        name=report.name,
-        planar=m.planar,
         planar_type=_is_s3_like(G) or _is_d12_like(G) or _is_dic3_like(G),
-        diameter_one=m.diameter == 1,
         metabelian=metabelian,
         violations={name: v for name, v in violations.items() if v},
     )
 
 
-def verify_theorems(max_order: int) -> list[TheoremVerdict]:
+def verify_theorems(max_order: int, *, jobs: int = 1) -> list[TheoremVerdict]:
     """Run the survey-wide theorem checks over the catalog and report one
     named verdict per check, each failure carrying a counterexample.
-    Raises InvalidParameter, before any plan is made, for ``max_order``
-    outside 12..MAX_ORDER."""
-    _check_max_order(max_order, 12)
-    facts = _catalog_pass(catalog_plans(max_order), _theorem_facts)
+    ``jobs`` is as for ``survey``, and the verdicts are the same for any
+    ``jobs``.  Raises InvalidParameter, before any plan is made, for
+    ``max_order`` outside 12..MAX_ORDER or ``jobs`` below 1."""
+    _check_bounds(max_order, 12, jobs)
+    records = _catalog_pass(catalog_plans(max_order), jobs)
     verdicts: list[TheoremVerdict] = []
 
-    expected_planar = {f.name for f in facts if f.planar_type}
-    actual_planar = {f.name for f in facts if f.planar}
+    expected_planar = {r.name for r, f in records if f.planar_type}
+    actual_planar = {r.name for r, _ in records if r.metrics.planar}
     detail = f"planar={sorted(actual_planar)}"
     if expected_planar != actual_planar:
         detail += f" but groups of the three planar types are {sorted(expected_planar)}"
@@ -491,8 +506,8 @@ def verify_theorems(max_order: int) -> list[TheoremVerdict]:
 
     # each remaining verdict lists the groups' counterexamples when it fails,
     # else it carries this detail
-    diameter_one = [f.name for f in facts if f.diameter_one]
-    metabelian = sum(f.metabelian for f in facts)
+    diameter_one = [r.name for r, _ in records if r.metrics.diameter == 1]
+    metabelian = sum(f.metabelian for _, f in records)
     passed_details = {
         "diameter_one_structure": f"diameter-1 groups: {diameter_one}",
         "universal_vertex_structure": "",
@@ -500,6 +515,6 @@ def verify_theorems(max_order: int) -> list[TheoremVerdict]:
         "metabelian_class_subgraphs": f"metabelian groups checked: {metabelian}",
     }
     for name, passed_detail in passed_details.items():
-        failures = [f"{f.name}: {f.violations[name]}" for f in facts if name in f.violations]
+        failures = [f"{r.name}: {f.violations[name]}" for r, f in records if name in f.violations]
         verdicts.append(TheoremVerdict(name, not failures, "; ".join(failures) or passed_detail))
     return verdicts

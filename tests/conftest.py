@@ -9,7 +9,9 @@ from engelgraph import (
     cyclic_group,
     dicyclic_group,
     dihedral_group,
+    survey,
     symmetric_group,
+    verify_theorems,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
@@ -50,6 +52,14 @@ def d12():
 @pytest.fixture(scope="session")
 def dic3():
     return dicyclic_group(12)
+
+
+@pytest.fixture(scope="session")
+def catalog240():
+    """``survey(240)`` and the verdicts of ``verify_theorems(240)``, by
+    name, both read from one catalog pass."""
+    result = survey(240)
+    return result, {v.name: v for v in verify_theorems(240)}
 
 
 def elem(G, *cycles):

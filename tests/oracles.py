@@ -9,14 +9,24 @@ vertices), Engel reachability and depths by direct iteration of the
 commutator map, the randomly-Engel predicate element by element instead of
 class by class, and subgroup queries by all-pairs loops over the members
 (generation by a BFS that multiplies by every member) instead of work on
-greedy generators.
+greedy generators.  The theorem-fact checks are kept here in the form that
+calls the group's methods once per product, and the product invariant
+reads a catalog's reports of G x C_k against those of G.
 """
 
 import math
 from collections import deque
 from itertools import combinations
 
-from engelgraph import IDENTITY, NotASubgroup, SimpleGraph, engel_depths
+from engelgraph import (
+    IDENTITY,
+    NotASubgroup,
+    SimpleGraph,
+    centralizer,
+    engel_depths,
+    is_abelian,
+    subgroup_generated,
+)
 
 
 def naive_closure(perms, limit=None):
@@ -260,3 +270,101 @@ def random_graph(rng, n, p):
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return SimpleGraph(n, edges)
+
+
+def _describe(G, x):
+    return f"element {x} = {G.perm(x)}"
+
+
+def diameter_one_violation_by_group_calls(G, L, graph):
+    """The structure forced on a group whose Engel graph is complete, with
+    one ``G.mul``, ``G.conjugate`` or subgroup call per (vertex, member)
+    pair; the same checks, in the same order and with the same
+    counterexamples, as ``survey._diameter_one_violation``."""
+    members = set(L)
+    if not is_abelian(G, L):
+        return "Engel set is not abelian"
+    if len(L) % 2 == 0:
+        return "Engel set has even order"
+    if any(G.order_of(a) == 2 for a in L):
+        return "Engel set contains an involution"
+    if G.order != 2 * len(L):
+        return f"Engel set has index {G.order // len(L)}, not 2"
+    for v in range(graph.vertex_count):
+        x = graph.labels[v]
+        if G.mul(x, x) != G.identity:
+            return f"vertex {_describe(G, x)} is not an involution"
+        cyclic_x = subgroup_generated(G, [x])
+        if members & set(cyclic_x) != {G.identity}:
+            return f"<x> meets the Engel set beyond the identity for {_describe(G, x)}"
+        if set(G.mul(a, x) for a in L) | members != set(range(G.order)):
+            return f"G != L<x> for {_describe(G, x)}"
+        for a in L:
+            if G.conjugate(a, x) != G.inv(a):
+                return f"{_describe(G, x)} does not invert {_describe(G, a)}"
+    return None
+
+
+def universal_vertex_violation_by_degree(G, graph):
+    """Universal vertices found by their degree; otherwise as
+    ``survey._universal_vertex_violation``."""
+    n = graph.vertex_count
+    if n < 2:
+        return None
+    for v in range(n):
+        if graph.degree(v) != n - 1:
+            continue
+        x = graph.labels[v]
+        if G.mul(x, x) != G.identity:
+            return f"universal vertex {_describe(G, x)} has x^2 != 1"
+        if set(centralizer(G, x)) != set(subgroup_generated(G, [x])):
+            return f"centralizer of universal vertex {_describe(G, x)} exceeds <x>"
+    return None
+
+
+def product_invariant_mismatches(reports):
+    """Read every report of a product ``<base>xC<k>`` against the report of
+    its base, when that is among ``reports`` too.
+
+    [(a,b),_n (c,d)] = ([a,_n c], 1) for n >= 1, so E_{G x C_k} is E_G with
+    each vertex replaced by k pairwise non-adjacent copies: k|V| vertices,
+    k^2|E| edges, L of order k|L(G)|, k times as many isolated vertices,
+    the same components and clique number, and diameter max(diam E_G, 2).
+    Planarity does not carry over (E_S3 is a triangle, E_S3xC2 the
+    octahedron), so it is not compared.  Returns the number of pairs read
+    and one line per mismatch.
+    """
+    by_name = {r.name: r for r in reports}
+    pairs, mismatches = 0, []
+    for r in reports:
+        base_name, product, k = r.name.rpartition("xC")
+        base = by_name.get(base_name) if product else None
+        if base is None:
+            continue
+        k = int(k)
+        b, m = base.metrics, r.metrics
+        expected = {
+            "vertex_count": k * b.vertex_count,
+            "edge_count": k * k * b.edge_count,
+            "fitting_order": k * base.fitting_order,
+            "isolated_count": k * b.isolated_count,
+            "component_count": b.component_count,
+            "clique_number": b.clique_number,
+            "diameter": max(b.diameter, 2),
+        }
+        actual = {
+            "vertex_count": m.vertex_count,
+            "edge_count": m.edge_count,
+            "fitting_order": r.fitting_order,
+            "isolated_count": m.isolated_count,
+            "component_count": m.component_count,
+            "clique_number": m.clique_number,
+            "diameter": m.diameter,
+        }
+        pairs += 1
+        mismatches += [
+            f"{r.name}: {key} is {actual[key]}, {base_name} gives {expected[key]}"
+            for key in expected
+            if actual[key] != expected[key]
+        ]
+    return pairs, mismatches

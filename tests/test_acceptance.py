@@ -2,7 +2,8 @@
 
 The heavyweight fixtures (full catalog sweep at order 120) are shared at
 module scope and timed, so the single-threaded time bounds can be asserted
-alongside the exact values.  The millisecond bounds of criteria 01-03 are
+alongside the exact values; the order-240 criteria read ``catalog240``, one
+catalog pass shared by the session.  The millisecond bounds of criteria 01-03 are
 on the CPU time of this process, so a stall while another process holds
 the core does not count against them.
 """
@@ -366,6 +367,29 @@ def test_theorem_verdicts_at_120_are_exact(verdicts120):
         ("no_isolated_vertices", True, ""),
         ("metabelian_class_subgraphs", True, "metabelian groups checked: 198"),
     ]
+
+
+def test_all_theorem_verdicts_pass_at_240(catalog240):
+    _, verdicts = catalog240
+    assert len(verdicts) == 6
+    for verdict in verdicts.values():
+        assert verdict.passed, f"{verdict.name}: {verdict.detail}"
+
+
+def test_diameter_histogram_at_240(catalog240):
+    result, _ = catalog240
+    assert len(result.plans_checked) == 605
+    assert result.diameter_histogram == {"1": 58, "2": 465}
+
+
+def test_planar_groups_at_240(catalog240):
+    result, _ = catalog240
+    assert result.planar_groups == ["S3", "D12", "Dic3", "S3xC2"]
+
+
+def test_no_disconnected_engel_graph_at_240(catalog240):
+    result, _ = catalog240
+    assert result.disconnected_groups == []
 
 
 # sha256 of deterministic outputs; any change of an element's index, a

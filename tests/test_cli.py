@@ -100,7 +100,9 @@ def test_survey_command(tmp_path, capsys):
 
 def test_survey_reruns_are_byte_identical(tmp_path):
     first, second = tmp_path / "a", tmp_path / "b"
+    survey_module._last_catalog = None
     assert main(["survey", "--max-order", "12", "--out", str(first)]) == 0
+    survey_module._last_catalog = None  # so the second run evaluates too
     assert main(["survey", "--max-order", "12", "--jobs", "2", "--out", str(second)]) == 0
     for path in sorted(first.iterdir()):
         assert path.read_bytes() == (second / path.name).read_bytes()
@@ -111,6 +113,14 @@ def test_verify_command(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 6
     assert "FAIL" not in out
+
+
+def test_verify_jobs(capsys):
+    survey_module._last_catalog = None
+    assert main(["verify", "--max-order", "12", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 6
+    assert main(["verify", "--max-order", "12", "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "error: jobs must be at least 1, got 0\n"
 
 
 def test_verify_bad_bound(capsys):

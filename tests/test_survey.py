@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import math
@@ -21,14 +22,27 @@ from engelgraph import (
     summary_json,
     survey,
     verify_theorems,
+    write_report,
 )
 from engelgraph.cli import exit_code_for_verdicts
 from engelgraph.groups import MAX_ORDER
 from engelgraph.survey import TheoremVerdict
-from oracles import bfs_distances, random_graph
+from oracles import (
+    bfs_distances,
+    diameter_one_violation_by_group_calls,
+    product_invariant_mismatches,
+    random_graph,
+    universal_vertex_violation_by_degree,
+)
 
 # the package re-exports the function `survey` under the module's name
 survey_module = importlib.import_module("engelgraph.survey")
+
+
+def forget_catalog():
+    """Drop the records of the last catalog pass, so the next survey or
+    verify_theorems call evaluates every plan."""
+    survey_module._last_catalog = None
 
 
 def test_report_s3():
@@ -144,7 +158,9 @@ def test_survey_and_verify_reject_bounds_above_the_order_limit(monkeypatch):
             run(MAX_ORDER + 1)
         assert planned == []
     # the limit itself is a valid bound
+    forget_catalog()
     assert survey(MAX_ORDER).reports == []
+    forget_catalog()
     assert len(verify_theorems(MAX_ORDER)) == 6
     assert planned == [MAX_ORDER, MAX_ORDER]
 
@@ -153,6 +169,121 @@ def test_survey_and_verify_reject_bounds_above_the_order_limit(monkeypatch):
 def test_survey_rejects_job_counts_below_one(jobs):
     with pytest.raises(InvalidParameter, match=f"jobs must be at least 1, got {jobs}"):
         survey(12, jobs=jobs)
+
+
+def test_verify_rejects_job_counts_below_one_before_planning(monkeypatch):
+    planned = []
+    monkeypatch.setattr(survey_module, "catalog_plans", planned.append)
+    for jobs in (0, -3):
+        with pytest.raises(InvalidParameter, match=f"jobs must be at least 1, got {jobs}"):
+            verify_theorems(12, jobs=jobs)
+    assert planned == []
+
+
+def counting_evaluations(monkeypatch):
+    """The plans that ``evaluate_group`` is called with from now on."""
+    evaluate = survey_module.evaluate_group
+    calls = []
+
+    def counting_evaluate(spec, **kwargs):
+        calls.append(spec)
+        return evaluate(spec, **kwargs)
+
+    monkeypatch.setattr(survey_module, "evaluate_group", counting_evaluate)
+    return calls
+
+
+def outputs(result, verdicts):
+    return (
+        summary_json(result),
+        [write_report(r) for r in result.reports],
+        [(v.name, v.passed, v.detail) for v in verdicts],
+    )
+
+
+def test_survey_and_verify_share_one_catalog_pass(monkeypatch):
+    # whichever of the two runs first evaluates each plan once and the
+    # other reads its records; each output read from the records equals
+    # the one from the call that evaluated
+    calls = counting_evaluations(monkeypatch)
+    plans = catalog_plans(120)
+    assert len(plans) == 243
+    forget_catalog()
+    surveyed = survey(120)
+    from_records = verify_theorems(120)
+    assert calls == plans
+    forget_catalog()
+    calls.clear()
+    verified = verify_theorems(120)
+    surveyed_from_records = survey(120)
+    assert calls == plans
+    assert outputs(surveyed, from_records) == outputs(surveyed_from_records, verified)
+
+
+def test_catalog_pass_keeps_the_last_catalog_only(monkeypatch):
+    calls = counting_evaluations(monkeypatch)
+    forget_catalog()
+    survey(12)
+    assert len(calls) == len(catalog_plans(12))
+    # the records are keyed by the plans, not by the bound or the job count
+    assert catalog_plans(13) == catalog_plans(12)
+    assert survey(13).max_order == 13
+    verify_theorems(12, jobs=2)
+    assert len(calls) == len(catalog_plans(12))
+    # another catalog replaces them, so the first is evaluated again
+    survey(24)
+    assert len(calls) == len(catalog_plans(12)) + len(catalog_plans(24))
+    verify_theorems(12)
+    assert len(calls) == 2 * len(catalog_plans(12)) + len(catalog_plans(24))
+
+
+def test_parallel_records_equal_serial_records():
+    plans = catalog_plans(24)
+    forget_catalog()
+    serial = survey_module._catalog_pass(plans, 1)
+    forget_catalog()
+    parallel = survey_module._catalog_pass(plans, 2)
+    assert parallel == serial
+
+
+def test_verdicts_do_not_depend_on_jobs():
+    forget_catalog()
+    serial = verify_theorems(24)
+    forget_catalog()
+    assert verify_theorems(24, jobs=2) == serial
+
+
+def test_reports_are_frozen():
+    # a report the records keep cannot be changed by the caller it was
+    # handed to, so a later survey of the same catalog returns it unchanged
+    r = survey(12).reports[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.name = "changed"
+
+
+def test_products_with_cyclic_groups_follow_from_their_base():
+    pairs, mismatches = product_invariant_mismatches(survey(120).reports)
+    assert mismatches == []
+    assert pairs == 124
+
+
+def test_product_invariant_names_a_planted_mismatch():
+    reports = survey(12).reports
+    s3xc2 = next(r for r in reports if r.name == "S3xC2")
+    wrong = dataclasses.replace(
+        s3xc2,
+        metrics=dataclasses.replace(s3xc2.metrics, edge_count=11, diameter=1),
+        fitting_order=5,
+    )
+    planted = [wrong if r is s3xc2 else r for r in reports]
+    assert product_invariant_mismatches(planted) == (
+        1,
+        [
+            "S3xC2: edge_count is 11, S3 gives 12",
+            "S3xC2: fitting_order is 5, S3 gives 6",
+            "S3xC2: diameter is 1, S3 gives 2",
+        ],
+    )
 
 
 def test_survey_asks_for_no_more_workers_than_plans(monkeypatch):
@@ -174,20 +305,26 @@ def test_survey_asks_for_no_more_workers_than_plans(monkeypatch):
 
     monkeypatch.setattr(survey_module, "ProcessPoolExecutor", RecordingPool)
     plans = len(catalog_plans(12))
+    forget_catalog()
     assert [r.name for r in survey(6, jobs=8).reports] == ["S3"]
-    assert summary_json(survey(12, jobs=plans + 5)) == summary_json(survey(12))
+    forget_catalog()
+    wide = summary_json(survey(12, jobs=plans + 5))
+    forget_catalog()
+    assert wide == summary_json(survey(12))
+    forget_catalog()
     survey(12, jobs=2)
     assert asked == [1, plans, 2]
 
 
 def test_survey_is_deterministic_and_parallel_safe():
+    forget_catalog()
     sequential = survey(12)
+    forget_catalog()
     again = survey(12)
     assert summary_json(sequential) == summary_json(again)
+    forget_catalog()
     parallel = survey(12, jobs=2)
     assert summary_json(parallel) == summary_json(sequential)
-    from engelgraph import write_report
-
     for a, b in zip(sequential.reports, parallel.reports):
         assert write_report(a) == write_report(b)
 
@@ -237,6 +374,7 @@ def test_verify_holds_about_one_group_at_a_time(monkeypatch):
         return evaluation
 
     monkeypatch.setattr(survey_module, "evaluate_group", recording_evaluate)
+    forget_catalog()
     verify_theorems(24)
     assert len(alive_at_call) == len(catalog_plans(24))
     assert max(alive_at_call) <= 2
@@ -320,3 +458,69 @@ def test_metabelian_check_names_a_class_cut_from_its_least_member(spec):
         )
         cut_classes += 1
     assert cut_classes > 0
+
+
+def test_theorem_facts_match_the_group_call_versions_on_the_catalog():
+    diameter_one = universal = 0
+    for plan in catalog_plans(120):
+        evaluation = survey_module.evaluate_group(plan)
+        G, L, graph = evaluation.group, evaluation.engel_set, evaluation.graph
+        if graph is None:
+            continue
+        found = survey_module._diameter_one_violation(G, L, graph)
+        assert found == diameter_one_violation_by_group_calls(G, L, graph), G.name
+        diameter_one += found is None
+        assert survey_module._universal_vertex_violation(
+            G, graph
+        ) == universal_vertex_violation_by_degree(G, graph), G.name
+        universal += any(graph.degree(v) == graph.vertex_count - 1 for v in range(graph.vertex_count))
+    assert diameter_one == universal == 28
+
+
+def _complete(graph):
+    n = graph.vertex_count
+    return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)], graph.labels)
+
+
+def test_theorem_facts_name_planted_counterexamples():
+    # each case breaks one structural check; the table-row versions name
+    # the counterexample the group-call versions name
+    a4, d12 = build_group("A4"), build_group("D12")
+    for G, expected in [
+        (a4, "universal vertex element 1 = (2,3,4) has x^2 != 1"),
+        (
+            d12,
+            "centralizer of universal vertex element 6 = (1,7)(2,8)(3,9)(4,10)(5,11)(6,12)"
+            " exceeds <x>",
+        ),
+    ]:
+        graph = _complete(build_engel_graph(G))
+        found = survey_module._universal_vertex_violation(G, graph)
+        assert found == universal_vertex_violation_by_degree(G, graph) == expected
+
+    s3, c6, d14 = build_group("S3"), build_group("C6"), build_group("D14")
+    e = c6.identity
+    x = next(g for g in range(c6.order) if g != e and c6.mul(g, g) == e)
+    c3 = tuple(g for g in range(c6.order) if c6.power(g, 3) == e)
+    other = next(g for g in range(c6.order) if g not in c3 and g != x)
+    cubes = tuple(g for g in range(12) if a4.power(g, 3) == a4.identity)[:3]
+    l_d14 = left_engel_set(d14)
+    x_text = "element 3 = (1,4)(2,5)(3,6)"
+    for G, L, labels, expected in [
+        (s3, tuple(range(6)), (), "Engel set is not abelian"),
+        (d12, left_engel_set(d12), (), "Engel set has even order"),
+        (c6, (e, x, c3[1]), (), "Engel set contains an involution"),
+        (a4, cubes, (), "Engel set has index 4, not 2"),
+        (
+            d14,
+            l_d14,
+            (l_d14[1],),
+            "vertex element 1 = (1,2,3,4,5,6,7)(8,14,13,12,11,10,9) is not an involution",
+        ),
+        (c6, (other,) + c3[1:], (x,), f"<x> meets the Engel set beyond the identity for {x_text}"),
+        (c6, c3, (e,), "G != L<x> for element 0 = ()"),
+        (c6, c3, (x,), f"{x_text} does not invert element 2 = (1,3,5)(2,4,6)"),
+    ]:
+        graph = SimpleGraph(len(labels), [], labels)
+        found = survey_module._diameter_one_violation(G, L, graph)
+        assert found == diameter_one_violation_by_group_calls(G, L, graph) == expected
