@@ -22,6 +22,7 @@ import traceback
 from pathlib import Path
 
 from .errors import EngelGraphError
+from .graphs import SimpleGraph
 from .io import parse_group_spec, write_dot, write_report
 from .survey import (
     SurveyResult,
@@ -70,8 +71,6 @@ def _run_report(args: argparse.Namespace) -> int:
     if args.dot:
         if evaluation.graph is None:
             print(f"note: {evaluation.report.name} is an Engel group; writing an empty graph", file=sys.stderr)
-            from .graphs import SimpleGraph
-
             graph = SimpleGraph(0, [])
             labels: tuple[str, ...] = ()
         else:

@@ -22,20 +22,11 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
-from .errors import InvalidParameter, ParseError
-from .families import (
-    FAMILIES,
-    alternating_group,
-    cyclic_group,
-    dicyclic_group,
-    dihedral_group,
-    direct_product,
-    symmetric_group,
-)
+from .errors import InvalidParameter, LabelMismatch, ParseError
+from .families import FAMILIES, family_generators, family_group, product_group
 from .graphs import GraphMetrics, SimpleGraph
 from .groups import Group, closure
 from .permutations import Permutation
@@ -61,7 +52,7 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class ProductSpec:
-    factors: tuple["GroupSpec", ...]
+    factors: tuple[FamilySpec, ...]
 
     def order(self) -> int:
         return math.prod(f.order() for f in self.factors)
@@ -204,24 +195,19 @@ def read_generator_file(path: str | os.PathLike) -> list[Permutation]:
 
 def build_group(spec: GroupSpec | str, *, base_dir: str | os.PathLike = ".") -> Group:
     """Realize a spec (or spec text) as a Group named by its canonical
-    rendering.  Raises ClosureTooLarge for a group of more than
-    ``groups.MAX_ORDER`` elements."""
+    rendering.  A family term or a product of them is one list of generators
+    and one Group; no factor group is built.  Raises ClosureTooLarge for a
+    group of more than ``groups.MAX_ORDER`` elements, for a product from the
+    spec's order before anything is built."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     if isinstance(spec, FileSpec):
         gens = read_generator_file(Path(base_dir) / spec.path)
         return closure(gens, render_group_spec(spec))
     if isinstance(spec, ProductSpec):
-        return reduce(direct_product, (build_group(f) for f in spec.factors))
-    if spec.kind == "dicyclic":  # the only constructor whose number is not the spec's
-        return dicyclic_group(spec.order())
-    maker = {
-        "symmetric": symmetric_group,
-        "alternating": alternating_group,
-        "cyclic": cyclic_group,
-        "dihedral": dihedral_group,
-    }[spec.kind]
-    return maker(spec.param)
+        factors = (family_generators(f.kind, f.param) for f in spec.factors)
+        return product_group(factors, render_group_spec(spec), spec.order())
+    return family_group(spec.kind, spec.param)
 
 
 def _dot_escape(label: str) -> str:
@@ -230,8 +216,6 @@ def _dot_escape(label: str) -> str:
 
 def write_dot(g: SimpleGraph, labels: list[str] | tuple[str, ...]) -> str:
     """Deterministic DOT text: vertices in canonical order, each edge once."""
-    from .errors import LabelMismatch
-
     if len(labels) != g.vertex_count:
         raise LabelMismatch(
             f"{len(labels)} labels for {g.vertex_count} vertices"

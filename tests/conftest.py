@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from engelgraph import (
+    Group,
     Permutation,
     alternating_group,
     cyclic_group,
@@ -60,6 +61,21 @@ def catalog240():
     name, both read from one catalog pass."""
     result = survey(240)
     return result, {v.name: v for v in verify_theorems(240)}
+
+
+@pytest.fixture
+def group_inits(monkeypatch):
+    """The names of the groups constructed during a test, one entry per
+    ``Group.__init__`` call."""
+    names = []
+    init = Group.__init__
+
+    def counted(self, generators, name):
+        names.append(name)
+        init(self, generators, name)
+
+    monkeypatch.setattr(Group, "__init__", counted)
+    return names
 
 
 def elem(G, *cycles):

@@ -10,8 +10,9 @@ commutator map, the randomly-Engel predicate element by element instead of
 class by class, and subgroup queries by all-pairs loops over the members
 (generation by a BFS that multiplies by every member) instead of work on
 greedy generators.  The theorem-fact checks are kept here in the form that
-calls the group's methods once per product, and the product invariant
-reads a catalog's reports of G x C_k against those of G.
+calls the group's methods once per product, the product invariant
+reads a catalog's reports of G x C_k against those of G, and catalog
+groups' invariants are compared with those of sympy's ``PermutationGroup``.
 """
 
 import math
@@ -22,9 +23,15 @@ from engelgraph import (
     IDENTITY,
     NotASubgroup,
     SimpleGraph,
+    build_group,
+    catalog_plans,
     centralizer,
+    conjugacy_classes,
+    derived_subgroup,
     engel_depths,
     is_abelian,
+    is_nilpotent,
+    render_group_spec,
     subgroup_generated,
 )
 
@@ -368,3 +375,30 @@ def product_invariant_mismatches(reports):
             if actual[key] != expected[key]
         ]
     return pairs, mismatches
+
+
+def sympy_invariant_mismatches(max_order):
+    """Build every plan of ``catalog_plans(max_order)`` and compare its
+    order, number of conjugacy classes, derived subgroup order and
+    nilpotency with sympy's ``PermutationGroup`` on the same generators.
+    Returns the number of plans compared and one line per mismatch."""
+    # imported here so that the other oracles do not need sympy
+    from sympy.combinatorics import Permutation as SympyPermutation
+    from sympy.combinatorics import PermutationGroup
+
+    plans = catalog_plans(max_order)
+    mismatches = []
+    for plan in plans:
+        G = build_group(plan)
+        gens = [G.perm(g) for g in G.generators]
+        degree = max(p.degree for p in gens)
+        P = PermutationGroup(
+            [SympyPermutation([p(i) - 1 for i in range(1, degree + 1)]) for p in gens]
+        )
+        ours = (G.order, len(conjugacy_classes(G)), len(derived_subgroup(G)),
+                is_nilpotent(G, range(G.order)))
+        theirs = (P.order(), len(P.conjugacy_classes()), P.derived_subgroup().order(),
+                  P.is_nilpotent)
+        if ours != theirs:
+            mismatches.append(f"{render_group_spec(plan)}: {ours} != {theirs}")
+    return len(plans), mismatches

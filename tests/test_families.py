@@ -1,3 +1,5 @@
+import importlib
+from functools import reduce
 from math import factorial
 
 import pytest
@@ -6,6 +8,7 @@ import engelgraph.families as families_module
 from engelgraph import (
     InvalidParameter,
     ParseError,
+    ProductSpec,
     alternating_group,
     build_group,
     catalog_plans,
@@ -16,7 +19,9 @@ from engelgraph import (
     is_abelian,
     parse_group_spec,
     render_group_spec,
+    survey,
     symmetric_group,
+    verify_theorems,
 )
 from engelgraph.families import FAMILIES
 
@@ -139,3 +144,37 @@ def test_product_of_three(s3):
     c2 = cyclic_group(2)
     G = direct_product(direct_product(s3, c2), c2)
     assert G.order == 24
+
+
+EXTRA_PRODUCTS = ["S3xC2xC2", "A4xC2xC3", "S1xS3", "S3xC1", "Dic2xD12"]
+
+
+def test_products_equal_the_composition_of_their_factor_groups():
+    plans = [p for p in catalog_plans(120) if isinstance(p, ProductSpec)]
+    plans += [parse_group_spec(text) for text in EXTRA_PRODUCTS]
+    assert len(plans) == 154 + len(EXTRA_PRODUCTS)
+    for plan in plans:
+        G = build_group(plan)
+        reference = reduce(direct_product, (build_group(f) for f in plan.factors))
+        name = render_group_spec(plan)
+        assert G.name == reference.name == name
+        assert G.elements == reference.elements, name
+        assert G._table == reference._table, name
+        assert G.generators == reference.generators, name
+
+
+def test_every_spec_is_built_with_one_group(group_inits):
+    specs = [*catalog_plans(120), *EXTRA_PRODUCTS, "T", "D6", "S1", "A2", "C1", "C1xC1"]
+    for spec in specs:
+        group_inits.clear()
+        build_group(spec)
+        assert len(group_inits) == 1, spec
+
+
+def test_survey_and_verify_build_one_group_per_plan(monkeypatch, group_inits):
+    # the catalog pass plus D12 and Dic3 for the isomorphic-pair verdict
+    monkeypatch.setattr(importlib.import_module("engelgraph.survey"), "_last_catalog", None)
+    survey(120)
+    verify_theorems(120)
+    assert len(catalog_plans(120)) == 243
+    assert len(group_inits) == 245

@@ -172,13 +172,20 @@ def test_unreadable_generator_files_are_parse_errors(tmp_path):
             read_generator_file(tmp_path / name)
 
 
-def test_groups_above_the_order_limit_fail_fast(tmp_path):
+def test_groups_above_the_order_limit_fail_fast(tmp_path, group_inits):
     (tmp_path / "s7.gens").write_text("(1,2)\n(1,2,3,4,5,6,7)\n")
-    for spec in ("S7", "S5xS6", "@s7.gens"):
+    # a product is rejected from its spec's order, before any group is built
+    products = {"S5xS6": 86400, "C4096xC2": 8192, "A5xA5xC2": 7200, "S3xC2000": 12000}
+    for spec in ("S7", "@s7.gens", *products):
+        group_inits.clear()
         start = time.perf_counter()
-        with pytest.raises(ClosureTooLarge):
+        with pytest.raises(ClosureTooLarge) as err:
             build_group(spec, base_dir=tmp_path)
         assert time.perf_counter() - start < 2, spec
+        if spec in products:
+            limit = f"{spec} has {products[spec]} elements, above the limit of 4096"
+            assert str(err.value) == limit
+            assert group_inits == [], spec
 
 
 # -- DOT output --
