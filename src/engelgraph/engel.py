@@ -15,6 +15,16 @@ least member r of each conjugacy class.  For x = r^g, with g read from the
 transversal that ``groups.conjugacy_class`` records, depth_x[a] is
 depth_r[a^(g^-1)], one lookup.  L(G), the Engel graph and the
 randomly-Engel check read only representatives' maps.
+
+Those three read only whether a sequence reaches 1, and that is decided in
+G/Z(G): for a central z, [y,_k x] in Z(G) gives [y,_{k+1} x] = 1.  So when
+Z(G) != 1 they are read from the quotient Q = G/Z(G) (``_centre_quotient``),
+recursively, so Q reduces by Z(Q) in turn: L(G) is the preimage of L(Q),
+x and y are Engel-adjacent in G exactly when xZ and yZ are in Q, and the
+randomly-Engel check of x is that of xZ.  Z(G) lies in the Fitting
+subgroup (Baer, 1957), so nothing Engel is lost.  Exact depths do not
+transfer, since the depth in G is d or d + 1 for the depth d in Q, so
+``engel_depths`` and everything read from it stay on G.
 """
 
 from __future__ import annotations
@@ -125,17 +135,52 @@ def is_left_k_engel(G: Group, x: int, k: int) -> bool:
     return all(0 <= d <= k for d in engel_depths(G, _transversal(G, x)[0]))
 
 
+def _centre_quotient(G: Group) -> tuple[Group, list[int]] | None:
+    """None when the centre Z of G is trivial; otherwise (Q, proj) with Q
+    the group G/Z and proj[x] the index of xZ in Q; cached on G.
+
+    Z is the set of elements that commute with ``G.generators``.  Q's
+    elements are the cosets in order of least member, so the identity's
+    coset comes first, and its Cayley table is read from G's table over
+    those least members."""
+    if "centre_quotient" not in G._memo:
+        table, centre = G._table, range(G.order)
+        for g in G.generators:
+            row_g = table[g]
+            centre = [x for x in centre if table[x][g] == row_g[x]]
+        quotient = None
+        if len(centre) > 1:
+            proj, reps = [-1] * G.order, []
+            for x, row in enumerate(table):
+                if proj[x] < 0:
+                    for z in centre:
+                        proj[row[z]] = len(reps)
+                    reps.append(x)
+            rows = [[proj[row[s]] for s in reps] for row in map(table.__getitem__, reps)]
+            Q = Group._from_table(rows, [proj[g] for g in G.generators], f"{G.name}/Z")
+            quotient = Q, proj
+        G._memo["centre_quotient"] = quotient
+    return G._memo["centre_quotient"]
+
+
 def left_engel_set(G: Group) -> tuple[int, ...]:
     """All left Engel elements of G, as sorted indices; cached on the group.
 
-    Each class is tested at its least member only, since the map of any
-    other member relabels that member's map, and L(G) is the union of the
-    classes that pass."""
+    When Z(G) != 1 this is the preimage of L(G/Z(G)): x is left Engel
+    exactly when xZ is.  Otherwise each class is tested at its least member
+    only, since the map of any other member relabels that member's map, and
+    L(G) is the union of the classes that pass."""
     cached = G._memo.get("left_engel_set")
     if cached is None:
-        cached = tuple(sorted(
-            x for cls in conjugacy_classes(G) if is_left_engel(G, cls[0]) for x in cls
-        ))
+        quotient = _centre_quotient(G)
+        if quotient is None:
+            cached = tuple(sorted(
+                x for cls in conjugacy_classes(G) if is_left_engel(G, cls[0]) for x in cls
+            ))
+        else:
+            Q, proj = quotient
+            members = set(left_engel_set(Q))
+            cached = tuple(x for x, q in enumerate(proj) if q in members)
         G._memo["left_engel_set"] = cached
     return cached
 
@@ -171,9 +216,15 @@ def is_randomly_engel_conjugates(G: Group, x: int) -> bool:
     """True iff for every g, at least one of the Engel sequences of
     (x^g, x) and (x, x^g) reaches the identity.
 
-    The answer is the same for every member of x's class, so it is read
+    When Z(G) != 1 it is the answer for xZ in G/Z(G), since a sequence
+    reaches 1 in G exactly when its image does in the quotient.  Otherwise
+    the answer is the same for every member of x's class, so it is read
     from the map of its least member r alone: for y = r^t in the class,
     depth_y[r] = depth_r[r^(t^-1)]."""
+    quotient = _centre_quotient(G)
+    if quotient is not None:
+        Q, proj = quotient
+        return is_randomly_engel_conjugates(Q, proj[x])
     r = _transversal(G, x)[0]
     depth_r, table, inv = engel_depths(G, r), G._table, G._inv
     for y in conjugacy_class(G, r):

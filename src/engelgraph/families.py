@@ -94,8 +94,14 @@ def family_generators(kind: str, n: int) -> list[Permutation]:
 
 
 def family_group(kind: str, n: int) -> Group:
-    """The group of the spec term ``<code><n>``, named by that term."""
-    return closure(family_generators(kind, n), f"{FAMILIES[kind].code}{n}")
+    """The group of the spec term ``<code><n>``, named by that term.
+    Raises ClosureTooLarge, before any generator is made, when its order
+    exceeds ``MAX_ORDER``."""
+    row = FAMILIES[kind]
+    row.check(n)
+    name = f"{row.code}{n}"
+    _check_order(name, row.order(n))
+    return closure(row.generators(n), name)
 
 
 def symmetric_group(n: int) -> Group:
@@ -124,13 +130,17 @@ def dicyclic_group(order: int) -> Group:
     return family_group("dicyclic", order // 4)
 
 
+def _check_order(name: str, order: int) -> None:
+    if order > MAX_ORDER:
+        raise ClosureTooLarge(f"{name} has {order} elements, above the limit of {MAX_ORDER}")
+
+
 def product_group(factors: Iterable[Sequence[Permutation]], name: str, order: int) -> Group:
     """The direct product, of ``order`` elements, of the groups generated by
     the lists ``factors``, each shifted past the points the earlier ones
     move.  Raises ClosureTooLarge, before any factor is read, when ``order``
     exceeds ``MAX_ORDER``."""
-    if order > MAX_ORDER:
-        raise ClosureTooLarge(f"{name} has {order} elements, above the limit of {MAX_ORDER}")
+    _check_order(name, order)
     gens: list[Permutation] = []
     for factor in factors:
         shift = max((g.degree for g in gens), default=0)

@@ -27,7 +27,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import networkx as nx
 
-from .engel import engel_depths, left_engel_set
+from .engel import _centre_quotient, engel_depths, left_engel_set
 from .errors import EmptyGraphError, EngelGroupError, SameVertex, UnknownVertex
 from .groups import Group, _transversal, conjugacy_classes
 
@@ -131,10 +131,16 @@ def build_engel_graph(G: Group) -> SimpleGraph:
     order); two vertices are joined when neither Engel sequence between
     them reaches the identity.
 
-    Conjugation is an automorphism of the graph, so the neighbourhood is
-    found only for the least member r of each class, from the class
-    representatives' depth maps (depth_y[r] = depth_s[r^(h^-1)] for
-    y = s^h), and carried to x = r^g as the bit row of N(x) = N(r)^g.
+    When Z = Z(G) != 1 the graph is that of G/Z with each vertex replaced
+    by its coset, whose members are pairwise non-adjacent (x and xz
+    commute): x and y are adjacent exactly when xZ and yZ are, because a
+    sequence reaches 1 in G exactly when its image does in G/Z.  Each
+    coset's row is the OR of the adjacent cosets' masks, shared by all its
+    members.  Otherwise, conjugation being an automorphism of the graph,
+    the neighbourhood is found only for the least member r of each class,
+    from the class representatives' depth maps (depth_y[r] =
+    depth_s[r^(h^-1)] for y = s^h), and carried to x = r^g as the bit row
+    of N(x) = N(r)^g.
 
     Raises EngelGroupError when every element is left Engel.
     """
@@ -142,12 +148,28 @@ def build_engel_graph(G: Group) -> SimpleGraph:
     if len(L) == G.order:
         raise EngelGroupError(f"{G.name!r} is an Engel group, so its Engel graph is undefined")
     verts = [x for x in range(G.order) if x not in L]
+    n = len(verts)
+    quotient = _centre_quotient(G)
+    if quotient is not None:
+        Q, proj = quotient
+        E_Q = build_engel_graph(Q)
+        vertex_of = {q: w for w, q in enumerate(E_Q.labels)}
+        cosets: list[list[int]] = [[] for _ in E_Q.labels]
+        for v, x in enumerate(verts):
+            cosets[vertex_of[proj[x]]].append(v)
+        masks = [_row(coset, n) for coset in cosets]
+        rows = [0] * n
+        for q_row, coset in zip(E_Q.adjacency, cosets):
+            row = reduce(or_, map(masks.__getitem__, _bits(q_row)), 0)
+            for v in coset:
+                rows[v] = row
+        return SimpleGraph._from_rows(rows, labels=tuple(verts))
     position = {x: v for v, x in enumerate(verts)}
     table, inv = G._table, G._inv
     where = [_transversal(G, y) for y in verts]  # (s, h) with s^h = y
     reps = [cls for cls in conjugacy_classes(G) if cls[0] not in L]
     depth_of = {cls[0]: engel_depths(G, cls[0]) for cls in reps}
-    n, rows = len(verts), [0] * len(verts)
+    rows = [0] * n
     for cls in reps:
         r = cls[0]
         depth_r = depth_of[r]

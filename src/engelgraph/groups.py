@@ -114,8 +114,22 @@ class Group:
         self._table: list[list[int]] = table  # type: ignore[assignment]
         self._inv = tuple(row.index(0) for row in self._table)
         # Conjugacy classes and their transversal, written by
-        # conjugacy_class; Engel depth maps and L(G), written by engel.py
+        # conjugacy_class; the centre quotient, Engel depth maps and L(G),
+        # written by engel.py
         self._memo: dict = {}
+
+    @classmethod
+    def _from_table(cls, table: list[list[int]], generators: Iterable[int], name: str) -> "Group":
+        """The group whose Cayley table is ``table``, with the identity at
+        index 0, taken as given.  It has no permutations: ``elements`` is
+        empty, so ``perm`` and ``index`` do not apply."""
+        G = cls.__new__(cls)
+        G.name, G.order, G.identity = name, len(table), 0
+        G.elements, G._index = (), {}
+        G.generators = tuple(dict.fromkeys(generators))
+        G._table, G._memo = table, {}
+        G._inv = tuple(row.index(0) for row in table)
+        return G
 
     # -- element arithmetic (by index) --
 

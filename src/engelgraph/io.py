@@ -197,8 +197,8 @@ def build_group(spec: GroupSpec | str, *, base_dir: str | os.PathLike = ".") -> 
     """Realize a spec (or spec text) as a Group named by its canonical
     rendering.  A family term or a product of them is one list of generators
     and one Group; no factor group is built.  Raises ClosureTooLarge for a
-    group of more than ``groups.MAX_ORDER`` elements, for a product from the
-    spec's order before anything is built."""
+    group of more than ``groups.MAX_ORDER`` elements, for a family term or a
+    product from the spec's order before anything is built."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     if isinstance(spec, FileSpec):

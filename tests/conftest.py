@@ -66,15 +66,22 @@ def catalog240():
 @pytest.fixture
 def group_inits(monkeypatch):
     """The names of the groups constructed during a test, one entry per
-    ``Group.__init__`` call."""
+    ``Group.__init__`` call and one per centre quotient built from a
+    Cayley table by ``Group._from_table``."""
     names = []
     init = Group.__init__
+    from_table = Group._from_table.__func__
 
     def counted(self, generators, name):
         names.append(name)
         init(self, generators, name)
 
+    def counted_from_table(cls, table, generators, name):
+        names.append(name)
+        return from_table(cls, table, generators, name)
+
     monkeypatch.setattr(Group, "__init__", counted)
+    monkeypatch.setattr(Group, "_from_table", classmethod(counted_from_table))
     return names
 
 

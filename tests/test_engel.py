@@ -10,6 +10,7 @@ from engelgraph import (
     BaerViolation,
     PreconditionFailed,
     SameVertex,
+    build_engel_graph,
     conjugacy_classes,
     engel_adjacent,
     engel_depths,
@@ -34,6 +35,8 @@ from engelgraph.survey import catalog_plans, evaluate_group
 from conftest import elem
 from oracles import (
     bounded_left_engel_set,
+    direct_engel_graph,
+    direct_left_engel_set,
     engel_reaches_by_iteration,
     naive_is_abelian,
     naive_subgroup_generated,
@@ -353,9 +356,19 @@ def test_left_engel_set_of_a5xa5_builds_one_map_per_class(monkeypatch):
     assert len(built) == 25 == len(conjugacy_classes(G))
 
 
+def _quotient_chain(G):
+    """G, G/Z(G), and so on while the centre is non-trivial."""
+    chain = [G]
+    while (quotient := engel_module._centre_quotient(chain[-1])) is not None:
+        chain.append(quotient[0])
+    return chain
+
+
 def test_evaluation_keeps_at_most_one_depth_map_per_class():
-    # A5xC6 has 360 elements in 30 classes; a map for every element would
-    # keep about 1 MiB allocated in engel.py, one per class about 86 KiB
+    # A5xC6 has 360 elements in 30 classes and centre C6, so its maps sit
+    # on the quotient A5, with 60 elements in 5 classes and a trivial
+    # centre: at most 5 maps of 60 entries, where one map for every element
+    # of A5xC6 would keep about 1 MiB allocated in engel.py
     tracemalloc.start()
     try:
         G = evaluate_group("A5xC6").group
@@ -364,11 +377,51 @@ def test_evaluation_keeps_at_most_one_depth_map_per_class():
         tracemalloc.stop()
     ours = snapshot.filter_traces([tracemalloc.Filter(True, engel_module.__file__)])
     held = sum(stat.size for stat in ours.statistics("filename"))
-    maps = [value for key, value in G._memo.items() if isinstance(key, tuple)]
-    classes = len(conjugacy_classes(G))
-    assert len(maps) <= classes == 30
-    # one map per class, plus 16 KiB for the memo's keys and L(G)
-    assert held <= classes * sys.getsizeof(maps[0]) + 16 * 1024
+    chain = _quotient_chain(G)
+    assert [H.order for H in chain] == [360, 60]
+    maps = [value for H in chain for key, value in H._memo.items() if isinstance(key, tuple)]
+    Q, proj = engel_module._centre_quotient(G)
+    classes = len(conjugacy_classes(Q))
+    assert 0 < len(maps) <= classes == 5
+    assert all(len(m) == 60 for m in maps)
+    # the maps, the quotient's table and projection, and 16 KiB for the
+    # memos' keys, L(G) and L(Q)
+    table = sys.getsizeof(Q._table) + sum(map(sys.getsizeof, Q._table))
+    assert held <= classes * sys.getsizeof(maps[0]) + table + sys.getsizeof(proj) + 16 * 1024
+
+
+def test_centre_quotient_is_g_mod_its_centre():
+    for plan in catalog_plans(120):
+        G = build_group(plan)
+        centre = [x for x in range(G.order) if all(
+            G.mul(x, g) == G.mul(g, x) for g in range(G.order))]
+        quotient = engel_module._centre_quotient(G)
+        if len(centre) == 1:
+            assert quotient is None, G.name
+            continue
+        Q, proj = quotient
+        assert Q.order * len(centre) == G.order, G.name
+        assert [x for x in range(G.order) if proj[x] == Q.identity] == centre, G.name
+        assert all(proj[G.mul(x, y)] == Q.mul(proj[x], proj[y])
+                   for x in range(G.order) for y in G.generators), G.name
+        assert all(proj[G.inv(x)] == Q.inv(proj[x]) for x in range(G.order)), G.name
+        assert {proj[g] for g in G.generators} == set(Q.generators), G.name
+
+
+def test_quotient_path_matches_the_direct_path():
+    # L(G) and every bit row of E_G read from G/Z(G) are those read from
+    # G's own class representatives' depth maps
+    centred = 0
+    for plan in catalog_plans(120):
+        G = build_group(plan)
+        L = left_engel_set(G)
+        assert L == direct_left_engel_set(G), G.name
+        centred += engel_module._centre_quotient(G) is not None
+        if len(L) < G.order:
+            got, want = build_engel_graph(G), direct_engel_graph(G)
+            assert got.labels == want.labels, G.name
+            assert got.adjacency == want.adjacency, G.name
+    assert centred == 211
 
 
 def test_randomly_engel_by_class_matches_element_oracle():

@@ -6,6 +6,7 @@ import pytest
 
 import engelgraph.families as families_module
 from engelgraph import (
+    ClosureTooLarge,
     InvalidParameter,
     ParseError,
     ProductSpec,
@@ -17,6 +18,7 @@ from engelgraph import (
     dihedral_group,
     direct_product,
     is_abelian,
+    left_engel_set,
     parse_group_spec,
     render_group_spec,
     survey,
@@ -24,6 +26,7 @@ from engelgraph import (
     verify_theorems,
 )
 from engelgraph.families import FAMILIES
+from engelgraph.groups import MAX_ORDER
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -103,6 +106,7 @@ def test_parser_and_constructors_accept_the_same_numbers(monkeypatch):
         "dicyclic": lambda n: dicyclic_group(4 * n),  # it takes the order
     }
     assert set(constructors) == set(FAMILIES)
+    refused, too_large = [], []
     for kind, build in constructors.items():
         for n in range(41):
             text = f"{FAMILIES[kind].code}{n}"
@@ -114,7 +118,18 @@ def test_parser_and_constructors_accept_the_same_numbers(monkeypatch):
                 name = build(n)
             except InvalidParameter:
                 name = None
+            except ClosureTooLarge as err:
+                # a valid number whose group exceeds the order limit
+                order = FAMILIES[kind].order(n)
+                assert str(err) == f"{text} has {order} elements, above the limit of 4096"
+                refused.append(text)
+                name = text
             assert name == rendered, text
+            if rendered is not None and FAMILIES[kind].order(n) > MAX_ORDER:
+                too_large.append(text)
+    # the order limit refuses S7..S40 and A8..A40, and nothing else
+    assert refused == too_large
+    assert len(refused) == 34 + 33
 
 
 def test_built_groups_are_named_by_their_rendered_spec():
@@ -165,16 +180,26 @@ def test_products_equal_the_composition_of_their_factor_groups():
 
 def test_every_spec_is_built_with_one_group(group_inits):
     specs = [*catalog_plans(120), *EXTRA_PRODUCTS, "T", "D6", "S1", "A2", "C1", "C1xC1"]
+    quotients = 0
     for spec in specs:
         group_inits.clear()
-        build_group(spec)
+        G = build_group(spec)
         assert len(group_inits) == 1, spec
+        # L(G) adds one table-built group per step of the centre quotient
+        # chain G, G/Z, (G/Z)/Z(G/Z), ..., down to a trivial centre
+        left_engel_set(G)
+        assert group_inits == [G.name + "/Z" * i for i in range(len(group_inits))], spec
+        quotients += len(group_inits) - 1
+    assert quotients == 335
 
 
 def test_survey_and_verify_build_one_group_per_plan(monkeypatch, group_inits):
-    # the catalog pass plus D12 and Dic3 for the isomorphic-pair verdict
+    # the catalog pass plus D12 and Dic3 for the isomorphic-pair verdict,
+    # each with its centre quotient chain
     monkeypatch.setattr(importlib.import_module("engelgraph.survey"), "_last_catalog", None)
     survey(120)
     verify_theorems(120)
     assert len(catalog_plans(120)) == 243
-    assert len(group_inits) == 245
+    quotients = [name for name in group_inits if name.endswith("/Z")]
+    assert len(group_inits) - len(quotients) == 245
+    assert len(quotients) == 332

@@ -174,16 +174,21 @@ def test_unreadable_generator_files_are_parse_errors(tmp_path):
 
 def test_groups_above_the_order_limit_fail_fast(tmp_path, group_inits):
     (tmp_path / "s7.gens").write_text("(1,2)\n(1,2,3,4,5,6,7)\n")
-    # a product is rejected from its spec's order, before any group is built
-    products = {"S5xS6": 86400, "C4096xC2": 8192, "A5xA5xC2": 7200, "S3xC2000": 12000}
-    for spec in ("S7", "@s7.gens", *products):
+    # a family term or a product is rejected from its spec's order, before
+    # any group is built; a generator file only once its closure outgrows
+    # the limit
+    orders = {
+        "S7": 5040, "S9": 362880, "C100000": 100000,
+        "S5xS6": 86400, "C4096xC2": 8192, "A5xA5xC2": 7200, "S3xC2000": 12000,
+    }
+    for spec in ("@s7.gens", *orders):
         group_inits.clear()
         start = time.perf_counter()
         with pytest.raises(ClosureTooLarge) as err:
             build_group(spec, base_dir=tmp_path)
         assert time.perf_counter() - start < 2, spec
-        if spec in products:
-            limit = f"{spec} has {products[spec]} elements, above the limit of 4096"
+        if spec in orders:
+            limit = f"{spec} has {orders[spec]} elements, above the limit of 4096"
             assert str(err.value) == limit
             assert group_inits == [], spec
 

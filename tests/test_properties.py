@@ -12,6 +12,10 @@ them by conjugation, so the equivariance check alone would compare the code
 with itself; the depth maps are also compared with direct iteration of the
 commutator map on randomly generated groups.
 
+L(G), the Engel graph and the randomly-Engel check are read from G/Z(G)
+when the centre is non-trivial; on random groups with a centre they are
+compared with G's own depth maps and with the element-by-element check.
+
 Construction itself is checked on generators of mixed degree against the
 product fixpoint and direct composition.
 """
@@ -24,18 +28,29 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, seed, settings, strategies as st  # noqa: E402
 
+import engelgraph.engel as engel_module  # noqa: E402
 from conftest import REPO_ROOT  # noqa: E402
 from engelgraph import (  # noqa: E402
     IDENTITY,
     Group,
     Permutation,
+    build_engel_graph,
     build_group,
     centralizer,
     conjugacy_classes,
     engel_adjacent,
     engel_depths,
+    is_randomly_engel_conjugates,
+    left_engel_set,
 )
-from oracles import engel_depths_by_iteration, naive_closure  # noqa: E402
+from engelgraph.families import product_group  # noqa: E402
+from oracles import (  # noqa: E402
+    direct_engel_graph,
+    direct_left_engel_set,
+    engel_depths_by_iteration,
+    naive_closure,
+    randomly_engel_conjugates_by_elements,
+)
 
 SPECS = ("S3", "A4", "D12", "Dic3", "S4", "S3xC2", "@fixtures/c7_c3.gens")
 
@@ -89,6 +104,37 @@ def test_relabelled_depth_maps_match_direct_iteration(G, data):
     assert sorted(transversal) == list(range(G.order))
     for x, (r, g) in transversal.items():
         assert G.conjugate(r, g) == x and r == least[x]
+
+
+@st.composite
+def centred_groups(draw):
+    """A group with a non-trivial centre: Dic_n of order at most 120, or a
+    random generated group or a generator-file group times C_k."""
+    kind = draw(st.sampled_from(["dicyclic", "random", "file"]), label="kind")
+    if kind == "dicyclic":
+        return group(f"Dic{draw(st.integers(2, 30), label='n')}")
+    if kind == "random":
+        base = draw(generated_groups(), label="base")
+        k = draw(st.integers(2, 4), label="k")
+    else:
+        base = group(draw(st.sampled_from(["@fixtures/c7_c3.gens", "@fixtures/s3_s3.gens"])))
+        k = draw(st.integers(2, 6), label="k")
+    factors = [[base.perm(g) for g in base.generators], [Permutation.from_cycles([range(1, k + 1)])]]
+    return product_group(factors, f"{base.name}xC{k}", base.order * k)
+
+
+@settings(deadline=None, max_examples=40)
+@given(centred_groups(), st.data())
+def test_centre_quotient_matches_the_direct_path(G, data):
+    assert engel_module._centre_quotient(G) is not None
+    L = left_engel_set(G)
+    assert L == direct_left_engel_set(G)
+    if len(L) < G.order:
+        got, want = build_engel_graph(G), direct_engel_graph(G)
+        assert got.labels == want.labels
+        assert got.adjacency == want.adjacency
+    x = data.draw(st.integers(0, G.order - 1), label="x")
+    assert is_randomly_engel_conjugates(G, x) == randomly_engel_conjugates_by_elements(G, x)
 
 
 @st.composite

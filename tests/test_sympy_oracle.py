@@ -1,6 +1,6 @@
 """Group invariants of every catalog plan against sympy.combinatorics: the
-order, the number of conjugacy classes, the order of the derived subgroup
-and nilpotency."""
+order, the number of conjugacy classes, the order of the derived subgroup,
+nilpotency and the order of the centre."""
 
 import pytest
 
