@@ -132,7 +132,9 @@ def dicyclic_group(order: int) -> Group:
 
 def _check_order(name: str, order: int) -> None:
     if order > MAX_ORDER:
-        raise ClosureTooLarge(f"{name} has {order} elements, above the limit of {MAX_ORDER}")
+        # str() refuses an int of more than 4300 digits, such as 20000!
+        size = order if order < 10**100 else "more than 10^100"
+        raise ClosureTooLarge(f"{name} has {size} elements, above the limit of {MAX_ORDER}")
 
 
 def product_group(factors: Iterable[Sequence[Permutation]], name: str, order: int) -> Group:

@@ -178,8 +178,9 @@ def test_groups_above_the_order_limit_fail_fast(tmp_path, group_inits):
     # any group is built; a generator file only once its closure outgrows
     # the limit
     orders = {
-        "S7": 5040, "S9": 362880, "C100000": 100000,
+        "S7": 5040, "S9": 362880, "C100000": 100000, "S20000": "more than 10^100",
         "S5xS6": 86400, "C4096xC2": 8192, "A5xA5xC2": 7200, "S3xC2000": 12000,
+        "S3xS20000": "more than 10^100",
     }
     for spec in ("@s7.gens", *orders):
         group_inits.clear()
