@@ -9,9 +9,10 @@ Subcommands::
 Exit codes: 0 on success; 1 when any theorem-style check failed (``report``
 prints one ``FAILED <check>: <detail>`` line per failed check on stderr);
 2 for a usage error, that is any ``EngelGraphError``: a malformed spec, an
-unreadable ``@file``, an out-of-range parameter, or a group above the order
-limit of 4096 elements; 3 for an internal error, that is any other
-exception, whose traceback is printed on stderr.
+unreadable ``@file``, an out-of-range parameter, a group above the order
+limit of 4096 elements, or a ``--json``, ``--dot`` or ``--out`` path that
+cannot be written; 3 for an internal error, that is any other exception,
+whose traceback is printed on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .errors import EngelGraphError
 from .graphs import SimpleGraph
@@ -27,6 +30,7 @@ from .io import parse_group_spec, write_dot, write_report
 from .survey import (
     SurveyResult,
     TheoremVerdict,
+    _check_bounds,
     evaluate_group,
     summary_json,
     survey,
@@ -61,13 +65,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """Turn an OSError raised while writing ``path``, or a file inside it,
+    into a usage error naming the file; other errors pass through."""
+    try:
+        yield
+    except OSError as err:
+        name = err.filename or path
+        raise EngelGraphError(f"cannot write {name}: {err.strerror or err}") from err
+
+
 def _run_report(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.group)
     evaluation = evaluate_group(spec)
     text = write_report(evaluation.report)
     sys.stdout.write(text)
     if args.json:
-        args.json.write_text(text)
+        with _writing(args.json):
+            args.json.write_text(text)
     if args.dot:
         if evaluation.graph is None:
             print(f"note: {evaluation.report.name} is an Engel group; writing an empty graph", file=sys.stderr)
@@ -76,7 +92,8 @@ def _run_report(args: argparse.Namespace) -> int:
         else:
             graph = evaluation.graph
             labels = tuple(str(evaluation.group.perm(x)) for x in graph.labels)
-        args.dot.write_text(write_dot(graph, labels))
+        with _writing(args.dot):
+            args.dot.write_text(write_dot(graph, labels))
     checks = evaluation.report.checks
     failed = [name for name in sorted(checks) if not checks[name].passed]
     for name in failed:
@@ -100,14 +117,18 @@ def _print_survey(result: SurveyResult) -> None:
 
 
 def _run_survey(args: argparse.Namespace) -> int:
+    if args.out:  # after the bounds and before the survey, so that a bad path fails at once
+        _check_bounds(args.max_order, 6, args.jobs)
+        with _writing(args.out):
+            args.out.mkdir(parents=True, exist_ok=True)
     result = survey(args.max_order, jobs=args.jobs)
     _print_survey(result)
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        for report in result.reports:
-            safe = report.name.replace("/", "_")
-            (args.out / f"{safe}.json").write_text(write_report(report))
-        (args.out / "summary.json").write_text(summary_json(result))
+        with _writing(args.out):
+            for report in result.reports:
+                safe = report.name.replace("/", "_")
+                (args.out / f"{safe}.json").write_text(write_report(report))
+            (args.out / "summary.json").write_text(summary_json(result))
     return CHECK_FAILED if result.failed_checks else 0
 
 

@@ -17,14 +17,15 @@ depth_r[a^(g^-1)], one lookup.  L(G), the Engel graph and the
 randomly-Engel check read only representatives' maps.
 
 Those three read only whether a sequence reaches 1, and that is decided in
-G/Z(G): for a central z, [y,_k x] in Z(G) gives [y,_{k+1} x] = 1.  So when
-Z(G) != 1 they are read from the quotient Q = G/Z(G) (``_centre_quotient``),
-recursively, so Q reduces by Z(Q) in turn: L(G) is the preimage of L(Q),
-x and y are Engel-adjacent in G exactly when xZ and yZ are in Q, and the
-randomly-Engel check of x is that of xZ.  Z(G) lies in the Fitting
-subgroup (Baer, 1957), so nothing Engel is lost.  Exact depths do not
-transfer, since the depth in G is d or d + 1 for the depth d in Q, so
-``engel_depths`` and everything read from it stay on G.
+the Engel core C = G/Z*(G), the quotient by the hypercentre (``_engel_core``,
+built from G's table in one step): [Z_i, G] lies in Z_{i-1}, so a sequence
+reaches 1 in G exactly when its image does in C, whose centre is trivial.
+L(G) is the preimage of the classes of C that pass, x and y are
+Engel-adjacent in G exactly when their images are in C, and the
+randomly-Engel check of x is read in C.  Z*(G) lies in the Fitting subgroup
+(Baer, 1957), so nothing Engel is lost.  Exact depths do not transfer, since
+the depth in G exceeds the depth in C by up to the length of the upper
+central series, so ``engel_depths`` and everything read from it stay on G.
 """
 
 from __future__ import annotations
@@ -135,52 +136,56 @@ def is_left_k_engel(G: Group, x: int, k: int) -> bool:
     return all(0 <= d <= k for d in engel_depths(G, _transversal(G, x)[0]))
 
 
-def _centre_quotient(G: Group) -> tuple[Group, list[int]] | None:
-    """None when the centre Z of G is trivial; otherwise (Q, proj) with Q
-    the group G/Z and proj[x] the index of xZ in Q; cached on G.
+def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
+    """(C, proj): C = G/Z*(G) for the hypercentre Z*(G), and proj[x] the
+    index of xZ* in C; cached on G.  When Z(G) = 1, C is G and proj the
+    identity.
 
-    Z is the set of elements that commute with ``G.generators``.  Q's
-    elements are the cosets in order of least member, so the identity's
-    coset comes first, and its Cayley table is read from G's table over
-    those least members."""
-    if "centre_quotient" not in G._memo:
-        table, centre = G._table, range(G.order)
-        for g in G.generators:
-            row_g = table[g]
-            centre = [x for x in centre if table[x][g] == row_g[x]]
-        quotient = None
-        if len(centre) > 1:
-            proj, reps = [-1] * G.order, []
+    Z_{i+1} is the union of the cosets of Z_i whose least member x has xg
+    and gx in one coset of Z_i for each g in ``G.generators``, filtered one
+    generator at a time, until no new coset passes.  The last cosets, by
+    least member, are C's elements, and C's table is read from G's over
+    those members, so no intermediate quotient is built."""
+    if "engel_core" not in G._memo:
+        table, n = G._table, G.order
+        proj: Sequence[int] = range(n)
+        reps: Sequence[int] = proj  # the cosets of Z_0 = 1, by least member
+        while True:
+            central = reps
+            for g in G.generators:
+                row_g = table[g]
+                central = [x for x in central if proj[table[x][g]] == proj[row_g[x]]]
+            if len(central) == 1:  # only the identity's coset
+                break
+            upper = {proj[x] for x in central}
+            members = [x for x in range(n) if proj[x] in upper]
+            proj, reps = [-1] * n, []
             for x, row in enumerate(table):
                 if proj[x] < 0:
-                    for z in centre:
+                    for z in members:
                         proj[row[z]] = len(reps)
                     reps.append(x)
+        G._memo["engel_core"] = None  # C is G, which G's memo must not hold
+        if len(reps) < n:
             rows = [[proj[row[s]] for s in reps] for row in map(table.__getitem__, reps)]
-            Q = Group._from_table(rows, [proj[g] for g in G.generators], f"{G.name}/Z")
-            quotient = Q, proj
-        G._memo["centre_quotient"] = quotient
-    return G._memo["centre_quotient"]
+            C = Group._from_table(rows, [proj[g] for g in G.generators], f"{G.name}/Z*")
+            G._memo["engel_core"] = C, proj
+    core = G._memo["engel_core"]
+    return (G, range(G.order)) if core is None else core
 
 
 def left_engel_set(G: Group) -> tuple[int, ...]:
     """All left Engel elements of G, as sorted indices; cached on the group.
 
-    When Z(G) != 1 this is the preimage of L(G/Z(G)): x is left Engel
-    exactly when xZ is.  Otherwise each class is tested at its least member
-    only, since the map of any other member relabels that member's map, and
-    L(G) is the union of the classes that pass."""
+    x is left Engel exactly when its image in the Engel core C = G/Z*(G)
+    is, so L(G) is the preimage of the classes of C that pass.  Each class
+    is tested at its least member only, since the map of any other member
+    relabels that member's map."""
     cached = G._memo.get("left_engel_set")
     if cached is None:
-        quotient = _centre_quotient(G)
-        if quotient is None:
-            cached = tuple(sorted(
-                x for cls in conjugacy_classes(G) if is_left_engel(G, cls[0]) for x in cls
-            ))
-        else:
-            Q, proj = quotient
-            members = set(left_engel_set(Q))
-            cached = tuple(x for x, q in enumerate(proj) if q in members)
+        C, proj = _engel_core(G)
+        passing = {q for cls in conjugacy_classes(C) if is_left_engel(C, cls[0]) for q in cls}
+        cached = tuple(x for x, q in enumerate(proj) if q in passing)
         G._memo["left_engel_set"] = cached
     return cached
 
@@ -216,22 +221,31 @@ def is_randomly_engel_conjugates(G: Group, x: int) -> bool:
     """True iff for every g, at least one of the Engel sequences of
     (x^g, x) and (x, x^g) reaches the identity.
 
-    When Z(G) != 1 it is the answer for xZ in G/Z(G), since a sequence
-    reaches 1 in G exactly when its image does in the quotient.  Otherwise
-    the answer is the same for every member of x's class, so it is read
-    from the map of its least member r alone: for y = r^t in the class,
-    depth_y[r] = depth_r[r^(t^-1)]."""
-    quotient = _centre_quotient(G)
-    if quotient is not None:
-        Q, proj = quotient
-        return is_randomly_engel_conjugates(Q, proj[x])
-    r = _transversal(G, x)[0]
-    depth_r, table, inv = engel_depths(G, r), G._table, G._inv
-    for y in conjugacy_class(G, r):
-        t = _transversal(G, y)[1]
-        if depth_r[y] < 0 and depth_r[table[table[t][r]][inv[t]]] < 0:
-            return False
-    return True
+    Read in the Engel core C = G/Z*(G), since a sequence reaches 1 in G
+    exactly when its image does in C.  The answer is the same for every
+    member of a class, so it is read at the least member r of the class of
+    x's image, once per class, and cached on C: no conjugate of r may be
+    an Engel neighbour of r."""
+    C, proj = _engel_core(G)
+    r = _transversal(C, proj[x])[0]
+    answers = C._memo.setdefault("randomly_engel", {})
+    if r not in answers:
+        answers[r] = not _engel_neighbours(C, [r], conjugacy_class(C, r))[0]
+    return answers[r]
+
+
+def _engel_neighbours(G: Group, rs: Sequence[int], ys: Sequence[int]) -> list[list[int]]:
+    """For each r of ``rs``, the members y of ``ys`` for which neither
+    [y,_k r] nor [r,_k y] ever equals 1, read from class representatives'
+    depth maps alone: for y = s^h, depth_y[r] = depth_s[r^(h^-1)]."""
+    table, inv = G._table, G._inv
+    where = [_transversal(G, y) for y in ys]  # (s, h) with s^h = y
+    depth_of = {s: engel_depths(G, s) for s in {s for s, _ in where}.union(rs)}
+    return [
+        [y for y, (s, h) in zip(ys, where)
+         if depth_of[r][y] < 0 and depth_of[s][table[table[h][r]][inv[h]]] < 0]
+        for r in rs
+    ]
 
 
 def is_engel_set(G: Group, members: Iterable[int]) -> bool:

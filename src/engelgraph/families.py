@@ -14,7 +14,6 @@ off the normal-form multiplication of words x^i y^j.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -26,9 +25,10 @@ from .permutations import IDENTITY, Permutation
 @dataclass(frozen=True)
 class Family:
     """A family's spec code, its valid numbers ``least``, ``least + step``,
-    ..., the group order for a number, the first number the survey catalog
-    takes (None: the family enters the catalog only as a product factor),
-    and the generators for a number."""
+    ..., the group order for a number (exact up to 10^100, and past it
+    some number above 10^100, see ``_bounded_product``), the first number
+    the survey catalog takes (None: the family enters the catalog only as
+    a product factor), and the generators for a number."""
 
     code: str
     least: int
@@ -42,6 +42,18 @@ class Family:
         if n < self.least or (n - self.least) % self.step:
             valid = ", ".join(str(self.least + k * self.step) for k in range(3))
             raise InvalidParameter(f"{self.code}<n> needs n in {valid}, ..., got {n}")
+
+
+def _bounded_product(factors: Iterable[int]) -> int:
+    """The product of ``factors``, or the first partial product above
+    10^100 when there is one: an order past 10^100 is refused, and printed
+    as "more than 10^100", without being computed in full."""
+    product = 1
+    for f in factors:
+        product *= f
+        if product > 10**100:
+            break
+    return product
 
 
 def _regular_representation(m: int, c: int) -> list[Permutation]:
@@ -69,11 +81,11 @@ def _cycle(n: int) -> Permutation:
 
 FAMILIES = {
     "symmetric": Family(
-        "S", 1, 1, math.factorial, 3,
+        "S", 1, 1, lambda n: _bounded_product(range(2, n + 1)), 3,
         lambda n: [Permutation.from_cycles([[1, 2]]), _cycle(n)] if n > 1 else [IDENTITY],
     ),
     "alternating": Family(
-        "A", 2, 1, lambda n: math.factorial(n) // 2, 4,
+        "A", 2, 1, lambda n: _bounded_product(range(3, n + 1)), 4,
         lambda n: [Permutation.from_cycles([[1, 2, k]]) for k in range(3, n + 1)] or [IDENTITY],
     ),
     "cyclic": Family("C", 1, 1, lambda n: n, None, lambda n: [_cycle(n)]),

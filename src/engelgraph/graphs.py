@@ -27,7 +27,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import networkx as nx
 
-from .engel import _centre_quotient, engel_depths, left_engel_set
+from .engel import _engel_core, _engel_neighbours, left_engel_set
 from .errors import EmptyGraphError, EngelGroupError, SameVertex, UnknownVertex
 from .groups import Group, _transversal, conjugacy_classes
 
@@ -131,16 +131,14 @@ def build_engel_graph(G: Group) -> SimpleGraph:
     order); two vertices are joined when neither Engel sequence between
     them reaches the identity.
 
-    When Z = Z(G) != 1 the graph is that of G/Z with each vertex replaced
-    by its coset, whose members are pairwise non-adjacent (x and xz
-    commute): x and y are adjacent exactly when xZ and yZ are, because a
-    sequence reaches 1 in G exactly when its image does in G/Z.  Each
-    coset's row is the OR of the adjacent cosets' masks, shared by all its
-    members.  Otherwise, conjugation being an automorphism of the graph,
-    the neighbourhood is found only for the least member r of each class,
-    from the class representatives' depth maps (depth_y[r] =
-    depth_s[r^(h^-1)] for y = s^h), and carried to x = r^g as the bit row
-    of N(x) = N(r)^g.
+    Adjacency is read in the Engel core C = G/Z*(G): x and y are adjacent
+    exactly when their images are, because a sequence reaches 1 in G
+    exactly when its image does in C.  So all members of a coset share one
+    row, the preimage N of the neighbourhood of their image.  N is found
+    only for the least member r of each class of C, from the class
+    representatives' depth maps; conjugation being an automorphism of the
+    graph, the coset of q = r^t gets N^g, with g the least member of the
+    coset t.  When Z(G) = 1, C is G and each coset is one element.
 
     Raises EngelGroupError when every element is left Engel.
     """
@@ -149,37 +147,24 @@ def build_engel_graph(G: Group) -> SimpleGraph:
         raise EngelGroupError(f"{G.name!r} is an Engel group, so its Engel graph is undefined")
     verts = [x for x in range(G.order) if x not in L]
     n = len(verts)
-    quotient = _centre_quotient(G)
-    if quotient is not None:
-        Q, proj = quotient
-        E_Q = build_engel_graph(Q)
-        vertex_of = {q: w for w, q in enumerate(E_Q.labels)}
-        cosets: list[list[int]] = [[] for _ in E_Q.labels]
-        for v, x in enumerate(verts):
-            cosets[vertex_of[proj[x]]].append(v)
-        masks = [_row(coset, n) for coset in cosets]
-        rows = [0] * n
-        for q_row, coset in zip(E_Q.adjacency, cosets):
-            row = reduce(or_, map(masks.__getitem__, _bits(q_row)), 0)
-            for v in coset:
-                rows[v] = row
-        return SimpleGraph._from_rows(rows, labels=tuple(verts))
-    position = {x: v for v, x in enumerate(verts)}
+    position = [-1] * G.order
+    for v, x in enumerate(verts):
+        position[x] = v
+    C, proj = _engel_core(G)
+    cosets: list[list[int]] = [[] for _ in range(C.order)]
+    for x, q in enumerate(proj):
+        cosets[q].append(x)
+    outside = [q for q, coset in enumerate(cosets) if coset[0] not in L]
     table, inv = G._table, G._inv
-    where = [_transversal(G, y) for y in verts]  # (s, h) with s^h = y
-    reps = [cls for cls in conjugacy_classes(G) if cls[0] not in L]
-    depth_of = {cls[0]: engel_depths(G, cls[0]) for cls in reps}
     rows = [0] * n
-    for cls in reps:
-        r = cls[0]
-        depth_r = depth_of[r]
-        nbrs = [
-            y for y, (s, h) in zip(verts, where)
-            if depth_r[y] < 0 and depth_of[s][table[table[h][r]][inv[h]]] < 0
-        ]
-        for x in cls:  # y^g = (g^-1 (g^-1 y)^-1)^-1 reads one table row
-            row = table[inv[_transversal(G, x)[1]]]
-            rows[position[x]] = _row((position[inv[row[inv[row[y]]]]] for y in nbrs), n)
+    reps = [cls for cls in conjugacy_classes(C) if cosets[cls[0]][0] not in L]
+    for cls, core_nbrs in zip(reps, _engel_neighbours(C, [cls[0] for cls in reps], outside)):
+        nbrs = [y for q in core_nbrs for y in cosets[q]]
+        for q in cls:  # y^g = (g^-1 (g^-1 y)^-1)^-1 reads one table row
+            row = table[inv[cosets[_transversal(C, q)[1]][0]]]
+            bits = _row([position[inv[row[inv[row[y]]]]] for y in nbrs], n)
+            for x in cosets[q]:
+                rows[position[x]] = bits
     return SimpleGraph._from_rows(rows, labels=tuple(verts))
 
 

@@ -114,8 +114,8 @@ class Group:
         self._table: list[list[int]] = table  # type: ignore[assignment]
         self._inv = tuple(row.index(0) for row in self._table)
         # Conjugacy classes and their transversal, written by
-        # conjugacy_class; the centre quotient, Engel depth maps and L(G),
-        # written by engel.py
+        # conjugacy_class; the Engel core, Engel depth maps, L(G) and the
+        # randomly-Engel answer per class, written by engel.py
         self._memo: dict = {}
 
     @classmethod

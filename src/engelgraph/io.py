@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
 from .errors import InvalidParameter, LabelMismatch, ParseError
-from .families import FAMILIES, family_generators, family_group, product_group
+from .families import FAMILIES, _bounded_product, family_generators, family_group, product_group
 from .graphs import GraphMetrics, SimpleGraph
 from .groups import Group, closure
 from .permutations import Permutation
@@ -55,7 +55,7 @@ class ProductSpec:
     factors: tuple[FamilySpec, ...]
 
     def order(self) -> int:
-        return math.prod(f.order() for f in self.factors)
+        return _bounded_product(f.order() for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,14 @@ def _parse_term(term: str, position: int) -> FamilySpec:
         raise ParseError(
             f"expected a family code like S4, D12, Dic3, or T, got {term!r}", position
         )
-    kind, number = _KIND_OF_CODE[m.group(1)], int(m.group(2))
+    kind = _KIND_OF_CODE[m.group(1)]
+    try:
+        number = int(m.group(2))
+    except ValueError as err:  # more digits than int() converts
+        raise ParseError(
+            f"the number after {m.group(1)} has {len(m.group(2))} digits, too many to read",
+            position,
+        ) from err
     try:
         FAMILIES[kind].check(number)
     except InvalidParameter as err:

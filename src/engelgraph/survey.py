@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
@@ -238,7 +239,7 @@ def _catalog_pass(plans: list[GroupSpec], jobs: int = 1) -> tuple[_Record, ...]:
 
     Each evaluation is dropped as soon as its record is made, so only the
     records stay alive.  With ``jobs > 1`` the plans are evaluated in
-    ``jobs`` worker processes, or one per plan when there are fewer plans
+    ``jobs`` worker processes, but no more than there are plans or CPUs
     (one group per task, no shared state).  The records of the last
     catalog are kept: the same plans again return them without evaluating
     anything, whatever ``jobs`` is, and other plans replace them.
@@ -247,7 +248,8 @@ def _catalog_pass(plans: list[GroupSpec], jobs: int = 1) -> tuple[_Record, ...]:
     key = tuple(plans)
     if _last_catalog is None or _last_catalog[0] != key:
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(plans))) as pool:
+            workers = min(jobs, len(plans), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(_catalog_record, plans))
         else:
             records = list(map(_catalog_record, plans))

@@ -66,8 +66,8 @@ def catalog240():
 @pytest.fixture
 def group_inits(monkeypatch):
     """The names of the groups constructed during a test, one entry per
-    ``Group.__init__`` call and one per centre quotient built from a
-    Cayley table by ``Group._from_table``."""
+    ``Group.__init__`` call and one per Engel core built from a Cayley
+    table by ``Group._from_table``."""
     names = []
     init = Group.__init__
     from_table = Group._from_table.__func__

@@ -5,7 +5,9 @@ products instead of BFS, clique number by subset enumeration, distances by
 Floyd-Warshall or, on larger graphs, by a queue-based search over plain
 edge lists instead of the library's search over bit rows, L(G) and the
 Engel graph from G's own class representatives' depth maps instead of the
-library's reading of G/Z(G), planarity by
+library's reading of the Engel core G/Z*(G), the upper central series by
+commutators with every element instead of the library's filter over
+generators, planarity by
 exhaustive search for K5/K_{3,3} subdivisions (feasible up to ~12
 vertices), Engel reachability and depths by direct iteration of the
 commutator map, the randomly-Engel predicate element by element instead of
@@ -36,7 +38,6 @@ from engelgraph import (
     render_group_spec,
     subgroup_generated,
 )
-from engelgraph.engel import _centre_quotient
 from engelgraph.graphs import _row
 from engelgraph.groups import _transversal
 
@@ -122,6 +123,20 @@ def naive_lower_central_series(G, members):
     return series
 
 
+def naive_upper_central_series(G):
+    """The upper central series 1 = Z_0 < Z_1 < ... of G, listed until it
+    stabilizes: Z_{i+1} is every x whose commutator [x, g] with every
+    element g of G lies in Z_i."""
+    series = [(G.identity,)]
+    while True:
+        below = set(series[-1])
+        nxt = tuple(x for x in range(G.order)
+                    if all(G.commutator(x, g) in below for g in range(G.order)))
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
+
+
 def engel_reaches_by_iteration(G, a, x):
     """Does [a,_k x] hit the identity within |G| steps?  Plain loop over
     index arithmetic, no caching."""
@@ -160,7 +175,7 @@ def bounded_left_engel_set(G):
 
 def direct_left_engel_set(G):
     """L(G) from G's own depth maps, one per class representative, with no
-    centre quotient: the union of the classes whose least member's map
+    Engel core: the union of the classes whose least member's map
     reaches the identity from every element."""
     return tuple(sorted(
         x for cls in conjugacy_classes(G) if min(engel_depths(G, cls[0])) >= 0 for x in cls
@@ -168,7 +183,7 @@ def direct_left_engel_set(G):
 
 
 def direct_engel_graph(G):
-    """E_G from G's own depth maps, with no centre quotient: the
+    """E_G from G's own depth maps, with no Engel core: the
     neighbourhood of each class's least member r, read from the class
     representatives' maps, carried to every x = r^g as N(r)^g."""
     L = set(direct_left_engel_set(G))
@@ -418,31 +433,61 @@ def product_invariant_mismatches(reports):
 def sympy_invariant_mismatches(max_order):
     """Build every plan of ``catalog_plans(max_order)`` and compare its
     order, number of conjugacy classes, derived subgroup order, nilpotency
-    and centre order with sympy's ``PermutationGroup`` on the same
-    generators.  Ours is read from the library's centre quotient, sympy's
-    as its number of classes of one element: ``PermutationGroup.center``
-    searches for the centralizer, which on the regular representations of
-    D_n x C_2 takes up to 0.25 s a group and quadruples the run at 240.
+    and number of central elements with sympy's ``PermutationGroup`` on the
+    same generators, both sides counting their classes of one element:
+    ``PermutationGroup.center`` searches for the centralizer, which on the
+    regular representations of D_n x C_2 takes up to 0.25 s a group and
+    quadruples the run at 240.
     Returns the number of plans compared and one line per mismatch."""
-    # imported here so that the other oracles do not need sympy
-    from sympy.combinatorics import Permutation as SympyPermutation
-    from sympy.combinatorics import PermutationGroup
-
     plans = catalog_plans(max_order)
     mismatches = []
     for plan in plans:
         G = build_group(plan)
-        gens = [G.perm(g) for g in G.generators]
-        degree = max(p.degree for p in gens)
-        P = PermutationGroup(
-            [SympyPermutation([p(i) - 1 for i in range(1, degree + 1)]) for p in gens]
-        )
-        quotient = _centre_quotient(G)
-        ours = (G.order, len(conjugacy_classes(G)), len(derived_subgroup(G)),
-                is_nilpotent(G, range(G.order)), G.order // quotient[0].order if quotient else 1)
+        P = sympy_group(G)
+        ours_classes = conjugacy_classes(G)
+        ours = (G.order, len(ours_classes), len(derived_subgroup(G)),
+                is_nilpotent(G, range(G.order)), sum(len(c) == 1 for c in ours_classes))
         classes = P.conjugacy_classes()
         theirs = (P.order(), len(classes), P.derived_subgroup().order(),
                   P.is_nilpotent, sum(len(c) == 1 for c in classes))
         if ours != theirs:
             mismatches.append(f"{render_group_spec(plan)}: {ours} != {theirs}")
     return len(plans), mismatches
+
+
+def sympy_group(G):
+    """sympy's ``PermutationGroup`` on the generators of G."""
+    # imported here so that the other oracles do not need sympy
+    from sympy.combinatorics import Permutation as SympyPermutation
+    from sympy.combinatorics import PermutationGroup
+
+    gens = [G.perm(g) for g in G.generators]
+    degree = max([1] + [p.degree for p in gens])
+    return PermutationGroup(
+        [SympyPermutation([p(i) - 1 for i in range(1, degree + 1)]) for p in gens]
+    )
+
+
+def engel_core_mismatches(G, C, proj):
+    """How (C, proj) fails to be G/Z*(G) with its projection, one line per
+    failed check, read against ``naive_upper_central_series`` and sympy:
+    C is G with the identity projection exactly when Z(G) = 1; the kernel
+    of proj is the series' top term Z*, and |G| = |Z*| |C|; proj is a
+    homomorphism that maps inverses to inverses and G's generators onto
+    C's; C has a trivial centre, and C is trivial exactly when sympy finds
+    G nilpotent."""
+    series = naive_upper_central_series(G)
+    hypercentre = list(series[-1])
+    checks = {
+        "C is G exactly when Z(G) = 1": (C is G) == (len(series) == 1),
+        "identity projection": C is not G or list(proj) == list(range(G.order)),
+        "kernel": [x for x in range(G.order) if proj[x] == C.identity] == hypercentre,
+        "order": C.order * len(hypercentre) == G.order,
+        "homomorphism": all(proj[G.mul(x, y)] == C.mul(proj[x], proj[y])
+                            for x in range(G.order) for y in G.generators),
+        "inverses": all(proj[G.inv(x)] == C.inv(proj[x]) for x in range(G.order)),
+        "generators": {proj[g] for g in G.generators} == set(C.generators),
+        "trivial centre": len(naive_upper_central_series(C)) == 1,
+        "nilpotent": (C.order == 1) == sympy_group(G).is_nilpotent,
+    }
+    return [f"{G.name}: {name}" for name, passed in checks.items() if not passed]

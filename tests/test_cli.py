@@ -2,6 +2,7 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 
 from engelgraph.cli import main
 
@@ -42,6 +43,42 @@ def test_report_rejects_group_above_order_limit(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_report_rejects_huge_spec_numbers_at_once(capsys):
+    # S1000000000! is never computed, and a number too long for int() is
+    # a malformed spec, not an internal error
+    for spec in ("S1000000000", "S1000000xC2", "C" + "9" * 5000):
+        start = time.perf_counter()
+        assert main(["report", "--group", spec]) == 2, spec
+        assert time.perf_counter() - start < 2, spec
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_unwritable_output_paths_are_usage_errors(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for option in ("--json", "--dot"):
+        path = tmp_path / "missing" / "s3.out"
+        assert main(["report", "--group", "S3", option, str(path)]) == 2, option
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {path}: No such file or directory\n", err
+
+    # --out is made before any plan is evaluated
+    def no_survey(*args, **kwargs):
+        raise AssertionError("the survey ran before --out was made")
+
+    monkeypatch.setattr("engelgraph.cli.survey", no_survey)
+    for out in (blocker / "x", blocker):
+        assert main(["survey", "--max-order", "12", "--out", str(out)]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err
+    # and only once the bounds are known to be valid
+    unmade = tmp_path / "unmade"
+    assert main(["survey", "--max-order", "3", "--out", str(unmade)]) == 2
+    assert capsys.readouterr().err == "error: max_order must be at least 6, got 3\n"
+    assert not unmade.exists()
+
+
 def test_report_rejects_unreadable_generator_files(repo_root, monkeypatch, capsys):
     monkeypatch.chdir(repo_root)
     for spec in ("@nope.gens", "@fixtures"):
@@ -51,13 +88,15 @@ def test_report_rejects_unreadable_generator_files(repo_root, monkeypatch, capsy
 
 
 def test_internal_errors_are_not_usage_errors(monkeypatch, capsys):
-    def broken(spec):
-        raise ValueError("element set is not closed")
+    # only the output writes turn an OSError into a usage error
+    for error in (ValueError("element set is not closed"), OSError("cannot map table")):
+        def broken(spec):
+            raise error
 
-    monkeypatch.setattr("engelgraph.cli.evaluate_group", broken)
-    assert main(["report", "--group", "S3"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("Traceback") and "ValueError: element set is not closed" in err
+        monkeypatch.setattr("engelgraph.cli.evaluate_group", broken)
+        assert main(["report", "--group", "S3"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and f"{type(error).__name__}: {error}" in err
 
 
 def test_report_prints_failed_check_details(monkeypatch, capsys):

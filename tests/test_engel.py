@@ -37,9 +37,11 @@ from oracles import (
     bounded_left_engel_set,
     direct_engel_graph,
     direct_left_engel_set,
+    engel_core_mismatches,
     engel_reaches_by_iteration,
     naive_is_abelian,
     naive_subgroup_generated,
+    naive_upper_central_series,
     randomly_engel_conjugates_by_elements,
 )
 
@@ -356,17 +358,9 @@ def test_left_engel_set_of_a5xa5_builds_one_map_per_class(monkeypatch):
     assert len(built) == 25 == len(conjugacy_classes(G))
 
 
-def _quotient_chain(G):
-    """G, G/Z(G), and so on while the centre is non-trivial."""
-    chain = [G]
-    while (quotient := engel_module._centre_quotient(chain[-1])) is not None:
-        chain.append(quotient[0])
-    return chain
-
-
 def test_evaluation_keeps_at_most_one_depth_map_per_class():
-    # A5xC6 has 360 elements in 30 classes and centre C6, so its maps sit
-    # on the quotient A5, with 60 elements in 5 classes and a trivial
+    # A5xC6 has 360 elements in 30 classes and hypercentre C6, so its maps
+    # sit on the core A5, with 60 elements in 5 classes and a trivial
     # centre: at most 5 maps of 60 entries, where one map for every element
     # of A5xC6 would keep about 1 MiB allocated in engel.py
     tracemalloc.start()
@@ -377,46 +371,38 @@ def test_evaluation_keeps_at_most_one_depth_map_per_class():
         tracemalloc.stop()
     ours = snapshot.filter_traces([tracemalloc.Filter(True, engel_module.__file__)])
     held = sum(stat.size for stat in ours.statistics("filename"))
-    chain = _quotient_chain(G)
-    assert [H.order for H in chain] == [360, 60]
-    maps = [value for H in chain for key, value in H._memo.items() if isinstance(key, tuple)]
-    Q, proj = engel_module._centre_quotient(G)
-    classes = len(conjugacy_classes(Q))
+    C, proj = engel_module._engel_core(G)
+    assert (G.order, C.order) == (360, 60)
+    maps = [value for H in (G, C) for key, value in H._memo.items() if isinstance(key, tuple)]
+    classes = len(conjugacy_classes(C))
     assert 0 < len(maps) <= classes == 5
     assert all(len(m) == 60 for m in maps)
-    # the maps, the quotient's table and projection, and 16 KiB for the
-    # memos' keys, L(G) and L(Q)
-    table = sys.getsizeof(Q._table) + sum(map(sys.getsizeof, Q._table))
+    # the maps, the core's table and projection, and 16 KiB for the memos'
+    # keys and L(G)
+    table = sys.getsizeof(C._table) + sum(map(sys.getsizeof, C._table))
     assert held <= classes * sys.getsizeof(maps[0]) + table + sys.getsizeof(proj) + 16 * 1024
 
 
-def test_centre_quotient_is_g_mod_its_centre():
+def test_engel_core_is_g_mod_its_hypercentre():
+    # against the all-pairs upper central series and sympy; 75 plans, D24
+    # and Dic6 among them, have a hypercentre larger than their centre
+    deeper = 0
     for plan in catalog_plans(120):
         G = build_group(plan)
-        centre = [x for x in range(G.order) if all(
-            G.mul(x, g) == G.mul(g, x) for g in range(G.order))]
-        quotient = engel_module._centre_quotient(G)
-        if len(centre) == 1:
-            assert quotient is None, G.name
-            continue
-        Q, proj = quotient
-        assert Q.order * len(centre) == G.order, G.name
-        assert [x for x in range(G.order) if proj[x] == Q.identity] == centre, G.name
-        assert all(proj[G.mul(x, y)] == Q.mul(proj[x], proj[y])
-                   for x in range(G.order) for y in G.generators), G.name
-        assert all(proj[G.inv(x)] == Q.inv(proj[x]) for x in range(G.order)), G.name
-        assert {proj[g] for g in G.generators} == set(Q.generators), G.name
+        assert engel_core_mismatches(G, *engel_module._engel_core(G)) == []
+        deeper += len(naive_upper_central_series(G)) > 2
+    assert deeper == 75
 
 
 def test_quotient_path_matches_the_direct_path():
-    # L(G) and every bit row of E_G read from G/Z(G) are those read from
-    # G's own class representatives' depth maps
+    # L(G) and every bit row of E_G read from the Engel core G/Z*(G) are
+    # those read from G's own class representatives' depth maps
     centred = 0
     for plan in catalog_plans(120):
         G = build_group(plan)
         L = left_engel_set(G)
         assert L == direct_left_engel_set(G), G.name
-        centred += engel_module._centre_quotient(G) is not None
+        centred += engel_module._engel_core(G)[0] is not G
         if len(L) < G.order:
             got, want = build_engel_graph(G), direct_engel_graph(G)
             assert got.labels == want.labels, G.name

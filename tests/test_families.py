@@ -185,21 +185,21 @@ def test_every_spec_is_built_with_one_group(group_inits):
         group_inits.clear()
         G = build_group(spec)
         assert len(group_inits) == 1, spec
-        # L(G) adds one table-built group per step of the centre quotient
-        # chain G, G/Z, (G/Z)/Z(G/Z), ..., down to a trivial centre
+        # L(G) adds at most one table-built group, the Engel core G/Z*(G),
+        # and none when the centre is trivial
         left_engel_set(G)
-        assert group_inits == [G.name + "/Z" * i for i in range(len(group_inits))], spec
+        assert group_inits in ([G.name], [G.name, G.name + "/Z*"]), spec
         quotients += len(group_inits) - 1
-    assert quotients == 335
+    assert quotients == 215
 
 
 def test_survey_and_verify_build_one_group_per_plan(monkeypatch, group_inits):
     # the catalog pass plus D12 and Dic3 for the isomorphic-pair verdict,
-    # each with its centre quotient chain
+    # each with its Engel core when its centre is non-trivial
     monkeypatch.setattr(importlib.import_module("engelgraph.survey"), "_last_catalog", None)
     survey(120)
     verify_theorems(120)
     assert len(catalog_plans(120)) == 243
-    quotients = [name for name in group_inits if name.endswith("/Z")]
+    quotients = [name for name in group_inits if name.endswith("/Z*")]
     assert len(group_inits) - len(quotients) == 245
-    assert len(quotients) == 332
+    assert len(quotients) == 213

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 
@@ -180,7 +181,9 @@ def test_groups_above_the_order_limit_fail_fast(tmp_path, group_inits):
     orders = {
         "S7": 5040, "S9": 362880, "C100000": 100000, "S20000": "more than 10^100",
         "S5xS6": 86400, "C4096xC2": 8192, "A5xA5xC2": 7200, "S3xC2000": 12000,
-        "S3xS20000": "more than 10^100",
+        "S3xS20000": "more than 10^100", "S1000000": "more than 10^100",
+        "S1000000000": "more than 10^100", "S1000000xC2": "more than 10^100",
+        "A70xC2": "more than 10^100",
     }
     for spec in ("@s7.gens", *orders):
         group_inits.clear()
@@ -192,6 +195,30 @@ def test_groups_above_the_order_limit_fail_fast(tmp_path, group_inits):
             limit = f"{spec} has {orders[spec]} elements, above the limit of 4096"
             assert str(err.value) == limit
             assert group_inits == [], spec
+
+
+def test_numbers_too_long_to_read_are_parse_errors():
+    # int() refuses more than 4300 digits on interpreters that limit it;
+    # where it does not, the order check refuses the group instead
+    text = "C" + "9" * 5000
+    try:
+        spec = parse_group_spec(text)
+    except ParseError as err:
+        assert str(err) == "the number after C has 5000 digits, too many to read (at position 0)"
+    else:
+        with pytest.raises(ClosureTooLarge, match="more than 10\\^100"):
+            build_group(spec)
+
+
+def test_orders_past_a_googol_are_not_computed_in_full():
+    # the exact order up to 10^100; above it, the first partial product
+    # past 10^100, which is all the limit message needs
+    assert parse_group_spec("S69").order() == math.factorial(69) < 10**100
+    assert parse_group_spec("A70").order() == math.factorial(70) // 2 < 10**100
+    for spec in ("S70", "S1000000000", "A71", "A1000000000"):
+        assert 10**100 < parse_group_spec(spec).order() < 10**102, spec
+    for spec in ("S69xS69", "C3xS1000000000", "A70xC2"):
+        assert parse_group_spec(spec).order() > 10**100, spec
 
 
 # -- DOT output --

@@ -12,9 +12,10 @@ them by conjugation, so the equivariance check alone would compare the code
 with itself; the depth maps are also compared with direct iteration of the
 commutator map on randomly generated groups.
 
-L(G), the Engel graph and the randomly-Engel check are read from G/Z(G)
-when the centre is non-trivial; on random groups with a centre they are
-compared with G's own depth maps and with the element-by-element check.
+L(G), the Engel graph and the randomly-Engel check are read from the Engel
+core G/Z*(G); on random groups with a centre they are compared with G's own
+depth maps and with the element-by-element check, and the core with the
+all-pairs upper central series and sympy.
 
 Construction itself is checked on generators of mixed degree against the
 product fixpoint and direct composition.
@@ -47,6 +48,7 @@ from engelgraph.families import product_group  # noqa: E402
 from oracles import (  # noqa: E402
     direct_engel_graph,
     direct_left_engel_set,
+    engel_core_mismatches,
     engel_depths_by_iteration,
     naive_closure,
     randomly_engel_conjugates_by_elements,
@@ -126,7 +128,9 @@ def centred_groups(draw):
 @settings(deadline=None, max_examples=40)
 @given(centred_groups(), st.data())
 def test_centre_quotient_matches_the_direct_path(G, data):
-    assert engel_module._centre_quotient(G) is not None
+    C, proj = engel_module._engel_core(G)
+    assert C is not G
+    assert engel_core_mismatches(G, C, proj) == []
     L = left_engel_set(G)
     assert L == direct_left_engel_set(G)
     if len(L) < G.order:

@@ -286,8 +286,9 @@ def test_product_invariant_names_a_planted_mismatch():
     )
 
 
-def test_survey_asks_for_no_more_workers_than_plans(monkeypatch):
-    # a stand-in pool records max_workers and evaluates in this process
+def _record_pool_sizes(monkeypatch):
+    """Replace the process pool with a stand-in that records max_workers
+    and evaluates in this process; returns the recorded sizes."""
     asked = []
 
     class RecordingPool:
@@ -304,6 +305,12 @@ def test_survey_asks_for_no_more_workers_than_plans(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(survey_module, "ProcessPoolExecutor", RecordingPool)
+    return asked
+
+
+def test_survey_asks_for_no_more_workers_than_plans(monkeypatch):
+    asked = _record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(survey_module.os, "cpu_count", lambda: 64)  # above every count here
     plans = len(catalog_plans(12))
     forget_catalog()
     assert [r.name for r in survey(6, jobs=8).reports] == ["S3"]
@@ -314,6 +321,17 @@ def test_survey_asks_for_no_more_workers_than_plans(monkeypatch):
     forget_catalog()
     survey(12, jobs=2)
     assert asked == [1, plans, 2]
+
+
+def test_survey_asks_for_no_more_workers_than_cpus(monkeypatch):
+    # `--max-order 4096 --jobs 20000` would ask for one process per plan,
+    # 18,812 of them; no pool is started here
+    asked = _record_pool_sizes(monkeypatch)
+    for cpus, workers in ((3, 3), (None, 1)):
+        monkeypatch.setattr(survey_module.os, "cpu_count", lambda: cpus)
+        forget_catalog()
+        survey(12, jobs=20000)
+        assert asked.pop() == workers, cpus
 
 
 def test_survey_is_deterministic_and_parallel_safe():
