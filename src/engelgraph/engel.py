@@ -13,26 +13,27 @@ Conjugation is an automorphism of the relation: [a^g,_k x^g] = [a,_k x]^g,
 so depth_{x^g}[a^g] = depth_x[a].  A map is therefore built only for the
 least member r of each conjugacy class.  For x = r^g, with g read from the
 transversal that ``groups.conjugacy_class`` records, depth_x[a] is
-depth_r[a^(g^-1)], one lookup.  L(G), the Engel graph and the
-randomly-Engel check read only representatives' maps.
+depth_r[a^(g^-1)], one lookup.  Likewise ``_engel_rows`` finds Engel
+neighbours only at r and carries them to r^g by conjugating with g.
 
-Those three read only whether a sequence reaches 1, and that is decided in
-the Engel core C = G/Z*(G), the quotient by the hypercentre (``_engel_core``,
-built from G's table in one step): [Z_i, G] lies in Z_{i-1}, so a sequence
-reaches 1 in G exactly when its image does in C, whose centre is trivial.
-L(G) is the preimage of the classes of C that pass, x and y are
-Engel-adjacent in G exactly when their images are in C, and the
-randomly-Engel check of x is read in C.  Z*(G) lies in the Fitting subgroup
-(Baer, 1957), so nothing Engel is lost.  Exact depths do not transfer, since
-the depth in G exceeds the depth in C by up to the length of the upper
-central series, so ``engel_depths`` and everything read from it stay on G.
+L(G), the Engel graph and the randomly-Engel check read only whether a
+sequence reaches 1, and that is decided in the Engel core C = G/Z*(G), the
+quotient by the hypercentre (``_engel_core``, built from G's table in one
+step): [Z_i, G] lies in Z_{i-1}, so a sequence reaches 1 in G exactly when
+its image does in C, whose centre is trivial.  L(G) is the preimage of the
+classes of C that pass, E_G is E_C with each vertex replaced by the
+pairwise non-adjacent members of its coset, and the randomly-Engel check
+of x is read in C.  Z*(G) lies in the Fitting subgroup (Baer, 1957), so
+nothing Engel is lost.  Exact depths do not transfer, since the depth in G
+exceeds the depth in C by up to the length of the upper central series, so
+``engel_depths`` and everything read from it stay on G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BaerViolation, PreconditionFailed, SameVertex
 from .groups import (
@@ -221,31 +222,37 @@ def is_randomly_engel_conjugates(G: Group, x: int) -> bool:
     """True iff for every g, at least one of the Engel sequences of
     (x^g, x) and (x, x^g) reaches the identity.
 
-    Read in the Engel core C = G/Z*(G), since a sequence reaches 1 in G
-    exactly when its image does in C.  The answer is the same for every
-    member of a class, so it is read at the least member r of the class of
-    x's image, once per class, and cached on C: no conjugate of r may be
-    an Engel neighbour of r."""
+    Read in the Engel core C = G/Z*(G) at the least member r of the class
+    of x's image, once per class, and cached on C: no conjugate of r may
+    be an Engel neighbour of r."""
     C, proj = _engel_core(G)
     r = _transversal(C, proj[x])[0]
     answers = C._memo.setdefault("randomly_engel", {})
     if r not in answers:
-        answers[r] = not _engel_neighbours(C, [r], conjugacy_class(C, r))[0]
+        answers[r] = not next(_engel_rows(C, conjugacy_class(C, r)))
     return answers[r]
 
 
-def _engel_neighbours(G: Group, rs: Sequence[int], ys: Sequence[int]) -> list[list[int]]:
-    """For each r of ``rs``, the members y of ``ys`` for which neither
-    [y,_k r] nor [r,_k y] ever equals 1, read from class representatives'
-    depth maps alone: for y = s^h, depth_y[r] = depth_s[r^(h^-1)]."""
+def _engel_rows(G: Group, vertices: Sequence[int]) -> Iterator[list[int]]:
+    """For each x of ``vertices``, a union of conjugacy classes, in order,
+    the positions in ``vertices`` of its Engel neighbours, yielded one row
+    at a time.  They are found at the least member r of x's class, where
+    depth_y[r] = depth_s[r^(h^-1)] for y = s^h, and x = r^g gets them
+    conjugated by g: y^g = (g^-1 (g^-1 y)^-1)^-1 reads the row of g^-1."""
     table, inv = G._table, G._inv
-    where = [_transversal(G, y) for y in ys]  # (s, h) with s^h = y
-    depth_of = {s: engel_depths(G, s) for s in {s for s, _ in where}.union(rs)}
-    return [
-        [y for y, (s, h) in zip(ys, where)
-         if depth_of[r][y] < 0 and depth_of[s][table[table[h][r]][inv[h]]] < 0]
-        for r in rs
-    ]
+    where = [_transversal(G, y) for y in vertices]  # (s, h) with s^h = y
+    depth_of = {s: engel_depths(G, s) for s in {s for s, _ in where}}
+    at = [-1] * G.order  # at[y^-1] is the position of y
+    for i, y in enumerate(vertices):
+        at[inv[y]] = i
+    found: dict[int, list[int]] = {}
+    for r, g in where:
+        if r not in found:
+            depth_r = depth_of[r]
+            found[r] = [y for y, (s, h) in zip(vertices, where)
+                        if depth_r[y] < 0 and depth_of[s][table[table[h][r]][inv[h]]] < 0]
+        row = table[inv[g]]
+        yield [at[row[inv[row[y]]]] for y in found[r]]
 
 
 def is_engel_set(G: Group, members: Iterable[int]) -> bool:

@@ -27,9 +27,9 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import networkx as nx
 
-from .engel import _engel_core, _engel_neighbours, left_engel_set
+from .engel import _engel_core, _engel_rows, left_engel_set
 from .errors import EmptyGraphError, EngelGroupError, SameVertex, UnknownVertex
-from .groups import Group, _transversal, conjugacy_classes
+from .groups import Group
 
 
 class SimpleGraph:
@@ -133,12 +133,11 @@ def build_engel_graph(G: Group) -> SimpleGraph:
 
     Adjacency is read in the Engel core C = G/Z*(G): x and y are adjacent
     exactly when their images are, because a sequence reaches 1 in G
-    exactly when its image does in C.  So all members of a coset share one
-    row, the preimage N of the neighbourhood of their image.  N is found
-    only for the least member r of each class of C, from the class
-    representatives' depth maps; conjugation being an automorphism of the
-    graph, the coset of q = r^t gets N^g, with g the least member of the
-    coset t.  When Z(G) = 1, C is G and each coset is one element.
+    exactly when its image does in C, and x is never adjacent to xz.  So
+    E_G is E_C with each vertex replaced by the members of its coset, and
+    every member of a coset gets the preimage of its image's row.  Rows of
+    C come from ``engel._engel_rows``, which conjugates only in C; when
+    Z(G) = 1, C is G and each row is used as it comes.
 
     Raises EngelGroupError when every element is left Engel.
     """
@@ -147,24 +146,18 @@ def build_engel_graph(G: Group) -> SimpleGraph:
         raise EngelGroupError(f"{G.name!r} is an Engel group, so its Engel graph is undefined")
     verts = [x for x in range(G.order) if x not in L]
     n = len(verts)
-    position = [-1] * G.order
-    for v, x in enumerate(verts):
-        position[x] = v
     C, proj = _engel_core(G)
-    cosets: list[list[int]] = [[] for _ in range(C.order)]
-    for x, q in enumerate(proj):
-        cosets[q].append(x)
-    outside = [q for q, coset in enumerate(cosets) if coset[0] not in L]
-    table, inv = G._table, G._inv
-    rows = [0] * n
-    reps = [cls for cls in conjugacy_classes(C) if cosets[cls[0]][0] not in L]
-    for cls, core_nbrs in zip(reps, _engel_neighbours(C, [cls[0] for cls in reps], outside)):
-        nbrs = [y for q in core_nbrs for y in cosets[q]]
-        for q in cls:  # y^g = (g^-1 (g^-1 y)^-1)^-1 reads one table row
-            row = table[inv[cosets[_transversal(C, q)[1]][0]]]
-            bits = _row([position[inv[row[inv[row[y]]]]] for y in nbrs], n)
-            for x in cosets[q]:
-                rows[position[x]] = bits
+    if C is G:
+        rows = [_row(ys, n) for ys in _engel_rows(G, verts)]
+    else:
+        cosets: dict[int, list[int]] = {}  # positions in verts, by image in C
+        for v, x in enumerate(verts):
+            cosets.setdefault(proj[x], []).append(v)
+        masks, rows = [_row(vs, n) for vs in cosets.values()], [0] * n
+        for ys, vs in zip(_engel_rows(C, list(cosets)), cosets.values()):
+            bits = reduce(or_, map(masks.__getitem__, ys), 0)
+            for v in vs:
+                rows[v] = bits
     return SimpleGraph._from_rows(rows, labels=tuple(verts))
 
 

@@ -12,6 +12,14 @@ from operator import itemgetter
 from typing import Iterable
 
 
+def _strip(imgs: tuple[int, ...]) -> tuple[int, ...]:
+    """The images without their trailing fixed points, sliced once."""
+    end = len(imgs)
+    while end and imgs[end - 1] == end:
+        end -= 1
+    return imgs[:end]
+
+
 class Permutation:
     __slots__ = ("images",)
 
@@ -19,18 +27,14 @@ class Permutation:
         imgs = tuple(images)
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a bijection on 1..{len(imgs)}: {imgs!r}")
-        while imgs and imgs[-1] == len(imgs):
-            imgs = imgs[:-1]
-        self.images = imgs
+        self.images = _strip(imgs)
 
     @classmethod
     def _raw(cls, imgs: tuple[int, ...]) -> "Permutation":
         # Trusted path for internal products: normalizes, skips the
         # bijection check (composition/inversion preserve bijectivity).
-        while imgs and imgs[-1] == len(imgs):
-            imgs = imgs[:-1]
         p = object.__new__(cls)
-        p.images = imgs
+        p.images = _strip(imgs)
         return p
 
     @classmethod

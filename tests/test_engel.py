@@ -410,6 +410,29 @@ def test_quotient_path_matches_the_direct_path():
     assert centred == 211
 
 
+def test_engel_graph_is_the_coset_blow_up_of_the_core_graph():
+    # with (C, proj) the Engel core G/Z*(G), each row of E_G is the full
+    # preimage of the row of proj[x] in E_C, so E_G has |Z*| vertices for
+    # each vertex of E_C and |Z*|^2 edges for each of its edges
+    blown_up = 0
+    for plan in catalog_plans(120):
+        G = build_group(plan)
+        C, proj = engel_module._engel_core(G)
+        if C is G or len(left_engel_set(G)) == G.order:
+            continue
+        g, core = build_engel_graph(G), build_engel_graph(C)
+        slot = {q: i for i, q in enumerate(core.labels)}
+        for v, x in enumerate(g.labels):
+            row = {core.labels[j] for j in core.neighbors(slot[proj[x]])}
+            got = [g.labels[u] for u in g.neighbors(v)]
+            assert got == [y for y in g.labels if proj[y] in row], (G.name, x)
+        z = G.order // C.order
+        assert g.vertex_count == z * core.vertex_count, G.name
+        assert g.edge_count == z * z * core.edge_count, G.name
+        blown_up += 1
+    assert blown_up == 174  # the non-nilpotent plans with a centre
+
+
 def test_randomly_engel_by_class_matches_element_oracle():
     for plan in catalog_plans(60):
         G = build_group(plan)
