@@ -9,10 +9,11 @@ Subcommands::
 Exit codes: 0 on success; 1 when any theorem-style check failed (``report``
 prints one ``FAILED <check>: <detail>`` line per failed check on stderr);
 2 for a usage error, that is any ``EngelGraphError``: a malformed spec, an
-unreadable ``@file``, an out-of-range parameter, a group above the order
-limit of 4096 elements, or a ``--json``, ``--dot`` or ``--out`` path that
-cannot be written; 3 for an internal error, that is any other exception,
-whose traceback is printed on stderr.
+unreadable ``@file``, a point label above 16777216 = 4096**2, an
+out-of-range parameter, a group above the order limit of 4096 elements,
+or a ``--json``, ``--dot`` or ``--out`` path that cannot be written; 3 for
+an internal error, that is any other exception, whose traceback is printed
+on stderr.
 """
 
 from __future__ import annotations

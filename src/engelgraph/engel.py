@@ -10,11 +10,12 @@ question here, pointwise ones included, reads those depth maps; the test
 suite cross-checks them against direct iteration of the commutator map.
 
 Conjugation is an automorphism of the relation: [a^g,_k x^g] = [a,_k x]^g,
-so depth_{x^g}[a^g] = depth_x[a].  A map is therefore built only for the
-least member r of each conjugacy class.  For x = r^g, with g read from the
-transversal that ``groups.conjugacy_class`` records, depth_x[a] is
-depth_r[a^(g^-1)], one lookup.  Likewise ``_engel_rows`` finds Engel
-neighbours only at r and carries them to r^g by conjugating with g.
+so depth_{x^g}[a^g] = depth_x[a].  L(G), the Engel graph and the
+randomly-Engel check therefore ask for the maps of the least member r of
+each conjugacy class only, and ``_engel_rows`` finds Engel neighbours only
+at r and carries them to x = r^g by conjugating with g, read from the
+transversal that ``groups.conjugacy_class`` records.  A map asked for any
+other element is built by the same search.
 
 L(G), the Engel graph and the randomly-Engel check read only whether a
 sequence reaches 1, and that is decided in the Engel core C = G/Z*(G), the
@@ -35,16 +36,15 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BaerViolation, PreconditionFailed, SameVertex
+from .errors import BaerViolation, NotASubgroup, PreconditionFailed, SameVertex
 from .groups import (
     Group,
     _normal_span,
-    _subgroup_span,
     _transversal,
     conjugacy_class,
     conjugacy_classes,
     is_abelian,
-    is_nilpotent,
+    lower_central_series,
 )
 
 
@@ -85,22 +85,14 @@ def engel_depths(G: Group, x: int) -> tuple[int, ...]:
     """For every element a, the smallest k with [a,_k x] = 1, or -1 when the
     Engel sequence of (a, x) never reaches the identity.
 
-    For the least member r of its conjugacy class the map is computed for
-    all a at once, by reverse BFS from the identity in the functional graph
-    of y -> [y, x].  Any other x = r^g gets r's map relabelled,
-    depth_x[a] = depth_r[a^(g^-1)], with no commutators.  Each map is built
-    once per group and cached on it.
+    The map is computed for all a at once, by reverse BFS from the
+    identity in the functional graph of y -> [y, x], and cached on the
+    group, so each is built once per group.
     """
     key = ("engel_depths", x)
     cached = G._memo.get(key)
     if cached is None:
-        r, g = _transversal(G, x)
-        if r == x:
-            cached = _depth_map(G, x)
-        else:
-            depth_r, table, g_inv = engel_depths(G, r), G._table, G._inv[g]
-            cached = tuple(depth_r[table[b][g_inv]] for b in table[g])
-        G._memo[key] = cached
+        cached = G._memo[key] = _depth_map(G, x)
     return cached
 
 
@@ -180,8 +172,8 @@ def left_engel_set(G: Group) -> tuple[int, ...]:
 
     x is left Engel exactly when its image in the Engel core C = G/Z*(G)
     is, so L(G) is the preimage of the classes of C that pass.  Each class
-    is tested at its least member only, since the map of any other member
-    relabels that member's map."""
+    is tested at its least member only, since conjugation preserves the
+    Engel relation."""
     cached = G._memo.get("left_engel_set")
     if cached is None:
         C, proj = _engel_core(G)
@@ -202,18 +194,22 @@ def fitting_subgroup(G: Group) -> tuple[int, ...]:
     The verifications are assertions, not assumptions: for finite groups
     they are guaranteed, so a failure raises BaerViolation and means the
     implementation is wrong.  They run on every call; only L(G) itself
-    is cached.  Normality is checked on generators: the greedy generators
-    of L conjugated by ``G.generators``, which generate G.  A subgroup that
-    each generator of G maps into itself is normal.
+    is cached.  The lower central series of L, which spans L and refuses
+    a set that is not a subgroup, decides both the subgroup and the
+    nilpotent check.  Normality is checked on every member of L against
+    ``G.generators``, which generate G: a subgroup that each generator of
+    G maps into itself is normal.
     """
     L = left_engel_set(G)
-    span = _subgroup_span(G, L)
-    if span is None:
-        raise BaerViolation(f"left Engel set of {G.name!r} is not a subgroup")
+    try:
+        series = lower_central_series(G, L)
+    except NotASubgroup as err:
+        raise BaerViolation(f"left Engel set of {G.name!r} is not a subgroup") from err
+    members = set(L)
     for g in G.generators:
-        if any(G.conjugate(a, g) not in span.members for a in span.gens):
+        if any(G.conjugate(a, g) not in members for a in L):
             raise BaerViolation(f"left Engel set of {G.name!r} is not normal")
-    if not is_nilpotent(G, L):
+    if series[-1] != (G.identity,):
         raise BaerViolation(f"left Engel set of {G.name!r} is not nilpotent")
     return L
 

@@ -6,10 +6,11 @@ ORDER (``D12`` has 12 elements), dicyclic groups by a quarter of it
 
 A row holds its family's generating permutations, and every group made
 here is one generator list handed to one :class:`Group`, which enumerates
-the elements; a product shifts its factors' generators onto disjoint
-points, so no factor group is built.  The dihedral and dicyclic
-generators are x and y in the regular permutation representation, read
-off the normal-form multiplication of words x^i y^j.
+the elements; a family term is a product of one factor, and a product
+shifts its factors' generators onto disjoint points, so no factor group
+is built.  The dihedral and dicyclic generators are x and y in the
+regular permutation representation, read off the normal-form
+multiplication of words x^i y^j.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import ClosureTooLarge, InvalidParameter
-from .groups import MAX_ORDER, Group, closure
+from .groups import MAX_ORDER, Group
 from .permutations import IDENTITY, Permutation
 
 
@@ -111,9 +112,7 @@ def family_group(kind: str, n: int) -> Group:
     exceeds ``MAX_ORDER``."""
     row = FAMILIES[kind]
     row.check(n)
-    name = f"{row.code}{n}"
-    _check_order(name, row.order(n))
-    return closure(row.generators(n), name)
+    return product_group(map(row.generators, [n]), f"{row.code}{n}", row.order(n))
 
 
 def symmetric_group(n: int) -> Group:
@@ -142,19 +141,15 @@ def dicyclic_group(order: int) -> Group:
     return family_group("dicyclic", order // 4)
 
 
-def _check_order(name: str, order: int) -> None:
-    if order > MAX_ORDER:
-        # str() refuses an int of more than 4300 digits, such as 20000!
-        size = order if order < 10**100 else "more than 10^100"
-        raise ClosureTooLarge(f"{name} has {size} elements, above the limit of {MAX_ORDER}")
-
-
 def product_group(factors: Iterable[Sequence[Permutation]], name: str, order: int) -> Group:
     """The direct product, of ``order`` elements, of the groups generated by
     the lists ``factors``, each shifted past the points the earlier ones
     move.  Raises ClosureTooLarge, before any factor is read, when ``order``
     exceeds ``MAX_ORDER``."""
-    _check_order(name, order)
+    if order > MAX_ORDER:
+        # str() refuses an int of more than 4300 digits, such as 20000!
+        size = order if order < 10**100 else "more than 10^100"
+        raise ClosureTooLarge(f"{name} has {size} elements, above the limit of {MAX_ORDER}")
     gens: list[Permutation] = []
     for factor in factors:
         shift = max((g.degree for g in gens), default=0)

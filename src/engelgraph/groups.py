@@ -393,4 +393,7 @@ def conjugacy_classes(G: Group) -> list[tuple[int, ...]]:
 
 
 def centralizer(G: Group, x: int) -> tuple[int, ...]:
-    return tuple(g for g in range(G.order) if G.mul(g, x) == G.mul(x, g))
+    """The elements g with g x = x g, as sorted indices, read from the
+    Cayley rows of g and of x."""
+    row_x = G._table[x]
+    return tuple(g for g, row_g in enumerate(G._table) if row_g[x] == row_x[g])

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Union
 from .errors import InvalidParameter, LabelMismatch, ParseError
 from .families import FAMILIES, _bounded_product, family_generators, family_group, product_group
 from .graphs import GraphMetrics, SimpleGraph
-from .groups import Group, closure
+from .groups import MAX_ORDER, Group, closure
 from .permutations import Permutation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -125,8 +125,11 @@ def parse_cycles(line: str) -> Permutation:
     """Permutation from disjoint-cycle notation such as "(1,2,3)(4,5)".
 
     "()" is the identity; spaces are allowed around points and cycles.
-    Raises ParseError for malformed text, repeated points, or points < 1.
+    Raises ParseError for malformed text, repeated points, points < 1, or
+    points above MAX_ORDER**2, where one element's images would outgrow
+    the largest Cayley table the order limit allows.
     """
+    limit = MAX_ORDER**2
     s = line
     i = 0
     n = len(s)
@@ -155,7 +158,12 @@ def parse_cycles(line: str) -> Permutation:
                 i += 1
             if i == start:
                 raise ParseError("expected a point number", i)
-            point = int(s[start:i])
+            digits = s[start:i]
+            # the length first, as int() refuses more than 4300 digits
+            if len(digits) > len(str(limit)) or int(digits) > limit:
+                shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+                raise ParseError(f"point {shown} is above the limit of {limit}", start)
+            point = int(digits)
             if point < 1:
                 raise ParseError(f"points are 1-based, got {point}", start)
             if point in seen:

@@ -53,6 +53,7 @@ from .graphs import (
 from .groups import (
     MAX_ORDER,
     Group,
+    centralizer,
     conjugacy_class,
     derived_subgroup,
     is_abelian,
@@ -336,25 +337,16 @@ def summary_json(result: SurveyResult) -> str:
 
 # -- theorem verification -------------------------------------------------
 
-def _involution_count(G: Group) -> int:
-    return sum(1 for x in range(G.order) if x != G.identity and G.mul(x, x) == G.identity)
-
-
-def _is_s3_like(G: Group) -> bool:
-    # the only non-abelian group of order 6
-    return G.order == 6 and not is_abelian(G)
-
-
-def _is_d12_like(G: Group) -> bool:
-    # among the five groups of order 12, only the dihedral one has 7
-    # elements of order 2
-    return G.order == 12 and _involution_count(G) == 7
-
-
-def _is_dic3_like(G: Group) -> bool:
-    # order 12 with a unique involution: dicyclic, or the cyclic group
-    # (which is abelian)
-    return G.order == 12 and _involution_count(G) == 1 and not is_abelian(G)
+def _is_planar_type(G: Group) -> bool:
+    """Of the S3, D12 or Dic3 type: the only non-abelian group of order 6,
+    or non-abelian of order 12 with 7 involutions (among the five groups of
+    order 12 only the dihedral one) or a unique involution (dicyclic; the
+    cyclic group, the other one, is abelian)."""
+    if G.order not in (6, 12) or is_abelian(G):
+        return False
+    table, e = G._table, G.identity
+    involutions = sum(row[x] == e for x, row in enumerate(table)) - 1
+    return G.order == 6 or involutions in (1, 7)
 
 
 def _diameter_one_violation(G: Group, L: tuple[int, ...], graph: SimpleGraph) -> str | None:
@@ -391,7 +383,7 @@ def _diameter_one_violation(G: Group, L: tuple[int, ...], graph: SimpleGraph) ->
 def _universal_vertex_violation(G: Group, graph: SimpleGraph) -> str | None:
     """Any vertex adjacent to all others must be an involution that is its
     own centralizer.  Universal vertices are found by comparing bit rows,
-    and products are read from Cayley table rows."""
+    and squares are read from Cayley table rows."""
     n = graph.vertex_count
     if n < 2:
         return None
@@ -401,11 +393,10 @@ def _universal_vertex_violation(G: Group, graph: SimpleGraph) -> str | None:
         if row != full ^ (1 << v):
             continue
         x = graph.labels[v]
-        row_x = table[x]
-        if row_x[x] != e:
+        if table[x][x] != e:
             return f"universal vertex {_describe(G, x)} has x^2 != 1"
         # the centralizer of x, against <x> = {e, x} for an involution x
-        if {g for g, row_g in enumerate(table) if row_g[x] == row_x[g]} != {e, x}:
+        if set(centralizer(G, x)) != {e, x}:
             return f"centralizer of universal vertex {_describe(G, x)} exceeds <x>"
     return None
 
@@ -462,7 +453,7 @@ def _theorem_facts(evaluation: GroupEvaluation) -> _TheoremFacts:
         ),
     }
     return _TheoremFacts(
-        planar_type=_is_s3_like(G) or _is_d12_like(G) or _is_dic3_like(G),
+        planar_type=_is_planar_type(G),
         metabelian=metabelian,
         violations={name: v for name, v in violations.items() if v},
     )

@@ -96,7 +96,6 @@ def test_invalid_parameters(build, bad):
 
 def test_parser_and_constructors_accept_the_same_numbers(monkeypatch):
     # only the number's validity is compared, so no group is enumerated
-    monkeypatch.setattr(families_module, "closure", lambda gens, name: name)
     monkeypatch.setattr(families_module, "Group", lambda gens, name: name)
     constructors = {
         "symmetric": symmetric_group,

@@ -368,6 +368,15 @@ def test_centralizer(s3):
     assert centralizer(s3, s3.identity) == tuple(range(6))
 
 
+def test_centralizer_matches_its_definition_on_the_catalog():
+    # centralizer reads Cayley rows; the universal-vertex oracle calls it too
+    for plan in catalog_plans(60):
+        G = build_group(plan)
+        for x in range(G.order):
+            want = tuple(g for g in range(G.order) if G.mul(g, x) == G.mul(x, g))
+            assert centralizer(G, x) == want, (G.name, x)
+
+
 def test_power_and_order_of(d12):
     s = d12.generators[0]
     assert d12.order_of(s) == 6

@@ -112,7 +112,12 @@ def test_parse_cycles_examples():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "1,2", "(1,2", "(1 2)", "(1,,2)", "(1,2)(2,3)", "(0,1)", "(1,2))", "(a,b)"],
+    [
+        "", "1,2", "(1,2", "(1 2)", "(1,,2)", "(1,2)(2,3)", "(0,1)", "(1,2))", "(a,b)",
+        # labels above 4096**2, one of them too long for int()
+        "(3,1000000000)",
+        pytest.param("(1," + "9" * 5000 + ")", id="(1,<5000 digits>)"),
+    ],
 )
 def test_parse_cycles_rejects_malformed(bad):
     with pytest.raises(ParseError):

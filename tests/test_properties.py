@@ -7,10 +7,11 @@ Two facts about the Engel graph E_G hold in every group:
 - commuting elements are never adjacent, so E_G is a subgraph of the
   non-commuting graph.
 
-The library builds depth maps for class representatives only and relabels
-them by conjugation, so the equivariance check alone would compare the code
-with itself; the depth maps are also compared with direct iteration of the
-commutator map on randomly generated groups.
+The library reads Engel rows at class representatives only and carries
+them to the other members by conjugation, so the equivariance check alone
+would compare the code with itself; on randomly generated groups the depth
+maps are also compared with direct iteration of the commutator map, and
+checked to satisfy depth_{r^g}[a^g] = depth_r[a] along the transversal.
 
 L(G), the Engel graph and the randomly-Engel check are read from the Engel
 core G/Z*(G); on random groups with a centre they are compared with G's own
@@ -97,7 +98,7 @@ def generated_groups(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(generated_groups(), st.data())
-def test_relabelled_depth_maps_match_direct_iteration(G, data):
+def test_depth_maps_match_direct_iteration_and_conjugation(G, data):
     xs = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3), label="xs")
     for x in xs:
         assert engel_depths(G, x) == engel_depths_by_iteration(G, x), x
@@ -106,6 +107,9 @@ def test_relabelled_depth_maps_match_direct_iteration(G, data):
     assert sorted(transversal) == list(range(G.order))
     for x, (r, g) in transversal.items():
         assert G.conjugate(r, g) == x and r == least[x]
+        # _engel_rows carries the rows of r to x = r^g on this identity
+        depth_r, depth_x = engel_depths(G, r), engel_depths(G, x)
+        assert all(depth_x[G.conjugate(a, g)] == d for a, d in enumerate(depth_r)), (r, g)
 
 
 @st.composite
