@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BaerViolation, NotASubgroup, PreconditionFailed, SameVertex
@@ -160,7 +161,10 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
                     reps.append(x)
         G._memo["engel_core"] = None  # C is G, which G's memo must not hold
         if len(reps) < n:
-            rows = [[proj[row[s]] for s in reps] for row in map(table.__getitem__, reps)]
+            rows = [(0,)]  # itemgetter returns a bare item for one key
+            if len(reps) > 1:
+                at_reps = itemgetter(*reps)
+                rows = [itemgetter(*at_reps(table[r]))(proj) for r in reps]
             C = Group._from_table(rows, [proj[g] for g in G.generators], f"{G.name}/Z*")
             G._memo["engel_core"] = C, proj
     core = G._memo["engel_core"]

@@ -1,12 +1,14 @@
 """Finite permutation groups with canonical element indexing.
 
 A :class:`Group` is built from generating permutations in one breadth-first
-search over image tuples padded to one degree, which enumerates the elements
-and fills the Cayley table without multiplying any Permutation.  Elements
-are stored sorted by image tuple, so building the same group twice, from any
-generating set, yields identical indices, reports, and DOT output.  Elements
-are referred to by index everywhere; an "element set" is a sorted,
-duplicate-free tuple of indices.
+search over the images of the points they move, as ``bytes`` when fewer
+than 256 points move, which enumerates the elements without multiplying
+any Permutation; the Cayley table is then filled one row per ``itemgetter``
+call.  Elements are indexed in the order of their image tuples, so building
+the same group twice, from any generating set, yields identical indices,
+reports, and DOT output.  Elements are referred to by index everywhere; an
+"element set" is a sorted, duplicate-free tuple of indices, and the
+elements become Permutations only when asked for.
 
 Multiplication is a lookup in the full Cayley table, so orders are limited
 to ``MAX_ORDER`` (4096); larger groups raise ClosureTooLarge.
@@ -46,34 +48,54 @@ class Group:
 
     One breadth-first search over left products ``g * u`` from the
     identity enumerates the elements and, as a by-product, fills the
-    Cayley row of every generator.  The search runs on image tuples padded
-    to one degree d >= 2, and ``g * u`` is one call of an ``itemgetter``
-    made once per generator g, so no Permutation is multiplied.  Each
-    element becomes a Permutation once, after sorting; padded tuples sort
-    as stripped ones do, and the identity sorts first, at index 0.  Every
-    other row follows by associativity, in search order: an element first
-    reached as ``x = g * u`` has ``x * q = g * (u * q)``.  Raises
+    Cayley row of every generator.  The search runs on the m points the
+    generators move, relabelled 1..m in increasing order, which keeps the
+    order of image sequences.  For m < 256 an element is the ``bytes`` of
+    its images and ``g * u`` is one ``bytes.translate`` of g through u's
+    images; otherwise it is a tuple and ``g * u`` one ``itemgetter`` call
+    made once per generator.  Either way no Permutation is multiplied.
+    Elements are indexed in sorted order, so the identity comes first, at
+    index 0.  Every other row follows by associativity, in search order:
+    an element first reached as ``x = g * u`` has ``x * q = g * (u * q)``,
+    so its row is u's row read through g's by one ``itemgetter``.  The
+    elements become Permutations, on their original points, only when
+    ``elements``, ``perm`` or ``index`` is first used.  Raises
     ClosureTooLarge as soon as more than ``MAX_ORDER`` elements are found.
     """
 
     def __init__(self, generators: Sequence[Permutation], name: str):
         gens = list(dict.fromkeys(generators))
-        d = max([2] + [g.degree for g in gens])
-        # (g * u)(i) = u(g(i)): read u's padded images at g's, 0-based
-        steps = [
-            itemgetter(*(i - 1 for i in g.images), *range(g.degree, d)) for g in gens
-        ]
+        moves = [{p: q for p, q in enumerate(g.images, 1) if p != q} for g in gens]
+        points = sorted(set().union(*moves))
+        label = {p: k for k, p in enumerate(points, 1)}
+        relabelled = [[label[move.get(p, p)] for p in points] for move in moves]
+        m = len(points)
+        if m < 256:
+            pad = bytes(range(m + 1, 256))
+            gens_b = list(map(bytes, relabelled))
+
+            def left_products(u):
+                # (g * u)(i) = u(g(i)): g's images translated through u's
+                images = b"\0" + u + pad
+                return [g.translate(images) for g in gens_b]
+
+            identity = bytes(range(1, m + 1))
+        else:
+            steps = [itemgetter(*(i - 1 for i in r)) for r in relabelled]
+
+            def left_products(u):
+                return [step(u) for step in steps]
+
+            identity = tuple(range(1, m + 1))
         # Search-order indices: reached[x] is element x, first reached as
         # gens[j] * reached[u] with (j, u) = parent[x]; gen_rows[j][u] is
         # the index of gens[j] * reached[u].
-        identity = tuple(range(1, d + 1))
         found = {identity: 0}
         reached = [identity]
         parent = [(0, 0)]
         gen_rows: list[list[int]] = [[] for _ in gens]
         for u, p in enumerate(reached):  # also visits the elements appended below
-            for j, step in enumerate(steps):
-                v = step(p)
+            for j, v in enumerate(left_products(p)):
                 x = found.get(v)
                 if x is None:
                     if len(reached) >= MAX_ORDER:
@@ -91,27 +113,26 @@ class Group:
         rank = [0] * n
         for i, x in enumerate(ordered):
             rank[x] = i
-        self.elements: tuple[Permutation, ...] = tuple(
-            Permutation._raw(reached[x]) for x in ordered
-        )
-        self._index = {p: i for i, p in enumerate(self.elements)}
+        # the sorted images on the relabelled points, and the points
+        self._images = [reached[x] for x in ordered]
+        self._points = tuple(points)
+        self._elements: tuple[Permutation, ...] | None = None
+        self._index: dict[Permutation, int] | None = None
         self.identity: int = 0
         # gens[j] = gens[j] * identity was reached from search index 0
         self.generators: tuple[int, ...] = tuple(rank[row[0]] for row in gen_rows)
 
-        table: list[list[int] | None] = [None] * n
-        table[0] = list(range(n))
-        for gi, bfs_row in zip(self.generators, gen_rows):
-            row = [0] * n
-            for u, x in enumerate(bfs_row):
-                row[rank[u]] = rank[x]
-            table[gi] = row
-        for x in range(1, n):
-            if table[rank[x]] is None:
-                j, u = parent[x]
-                row_g = table[self.generators[j]]
-                table[rank[x]] = [row_g[k] for k in table[rank[u]]]
-        self._table: list[list[int]] = table  # type: ignore[assignment]
+        table: list[tuple[int, ...] | None] = [(0,)]
+        if n > 1:  # itemgetter returns a tuple only for two or more keys
+            table = [tuple(range(n))] + [None] * (n - 1)
+            in_sorted_order = itemgetter(*ordered)
+            for gi, bfs_row in zip(self.generators, gen_rows):
+                table[gi] = itemgetter(*in_sorted_order(bfs_row))(rank)
+            for x in range(1, n):
+                if table[rank[x]] is None:
+                    j, u = parent[x]
+                    table[rank[x]] = itemgetter(*table[rank[u]])(table[self.generators[j]])
+        self._table: list[tuple[int, ...]] = table  # type: ignore[assignment]
         self._inv = tuple(row.index(0) for row in self._table)
         # Conjugacy classes and their transversal, written by
         # conjugacy_class; the Engel core, Engel depth maps, L(G) and the
@@ -119,17 +140,35 @@ class Group:
         self._memo: dict = {}
 
     @classmethod
-    def _from_table(cls, table: list[list[int]], generators: Iterable[int], name: str) -> "Group":
+    def _from_table(
+        cls, table: list[tuple[int, ...]], generators: Iterable[int], name: str
+    ) -> "Group":
         """The group whose Cayley table is ``table``, with the identity at
         index 0, taken as given.  It has no permutations: ``elements`` is
         empty, so ``perm`` and ``index`` do not apply."""
         G = cls.__new__(cls)
         G.name, G.order, G.identity = name, len(table), 0
-        G.elements, G._index = (), {}
+        G._elements, G._index = (), {}
         G.generators = tuple(dict.fromkeys(generators))
         G._table, G._memo = table, {}
         G._inv = tuple(row.index(0) for row in table)
         return G
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        """The elements as Permutations of the original points, in index
+        order, made on first use."""
+        if self._elements is None:
+            points = self._points
+            top = points[-1] if points else 0
+            perms = []
+            for images in self._images:
+                full = list(range(1, top + 1))
+                for p, k in zip(points, images):
+                    full[p - 1] = points[k - 1]
+                perms.append(Permutation._raw(tuple(full)))
+            self._elements = tuple(perms)
+        return self._elements
 
     # -- element arithmetic (by index) --
 
@@ -170,6 +209,8 @@ class Group:
         return self.elements[i]
 
     def index(self, p: Permutation) -> int:
+        if self._index is None:
+            self._index = {q: i for i, q in enumerate(self.elements)}
         idx = self._index.get(p)
         if idx is None:
             raise KeyError(f"{p} is not an element of {self.name!r}")

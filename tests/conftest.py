@@ -85,6 +85,21 @@ def group_inits(monkeypatch):
     return names
 
 
+@pytest.fixture
+def raw_permutations(monkeypatch):
+    """The number of Permutations made by ``Permutation._raw``, the path
+    of products, inverses and ``Group.elements``, during a test."""
+    made = [0]
+    raw = Permutation._raw.__func__
+
+    def counted_raw(cls, imgs):
+        made[0] += 1
+        return raw(cls, imgs)
+
+    monkeypatch.setattr(Permutation, "_raw", classmethod(counted_raw))
+    return made
+
+
 def elem(G, *cycles):
     """Index of the element given by cycles, e.g. elem(s3, (1, 2))."""
     return G.index(Permutation.from_cycles(cycles))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -130,6 +131,22 @@ def test_construction_composes_no_permutations(monkeypatch, repo_root):
     for spec, order in specs.items():
         assert build_group(spec, base_dir=repo_root).order == order, spec
     assert products == 0
+
+
+def test_wide_point_labels_cost_only_the_moved_points():
+    # C2xC2 on the points 1, 2, 3 and 1,000,000: the search runs on the
+    # four moved points, so nothing of the largest label's size is made
+    gens = [T12, Permutation.from_cycles([(3, 1_000_000)])]
+    tracemalloc.start()
+    try:
+        G = Group(gens, "wide")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 4
+    assert peak < 1024 * 1024
+    assert G.elements == tuple(sorted(naive_closure(gens)))
+    assert G.generators == (G.index(gens[0]), G.index(gens[1]))
 
 
 def test_canonical_indexing_is_reproducible():

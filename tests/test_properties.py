@@ -28,7 +28,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, seed, settings, strategies as st  # noqa: E402
+from hypothesis import assume, event, given, seed, settings, strategies as st  # noqa: E402
 
 import engelgraph.engel as engel_module  # noqa: E402
 from conftest import REPO_ROOT  # noqa: E402
@@ -45,7 +45,7 @@ from engelgraph import (  # noqa: E402
     is_randomly_engel_conjugates,
     left_engel_set,
 )
-from engelgraph.families import product_group  # noqa: E402
+from engelgraph.families import dihedral_group, family_generators, product_group  # noqa: E402
 from oracles import (  # noqa: E402
     direct_engel_graph,
     direct_left_engel_set,
@@ -148,11 +148,34 @@ def test_centre_quotient_matches_the_direct_path(G, data):
 @st.composite
 def generator_lists(draw):
     """Up to three permutations of degree 0 to 7, shuffled with up to two
-    repeats of them or of the identity."""
+    repeats of them or of the identity.  On the wide side each acts, as
+    one permutation, on enough copies of 1..7, spaced ``gap`` points
+    apart, that the generators move at least 256 points."""
     perms = st.integers(0, 7).flatmap(lambda d: st.permutations(range(1, d + 1)))
     gens = draw(st.lists(perms.map(Permutation), max_size=3), label="drawn")
     extra = draw(st.lists(st.sampled_from(gens + [IDENTITY]), max_size=2), label="repeats")
-    return draw(st.permutations(gens + extra), label="generators")
+    gens = draw(st.permutations(gens + extra), label="generators")
+    moved = len({p for g in gens for p in range(1, g.degree + 1) if g(p) != p})
+    if moved and draw(st.booleans(), label="wide"):
+        width = 7 + draw(st.integers(0, 3), label="gap")
+        copies = range(0, -(-256 // moved) * width, width)
+        gens = [Permutation([c + g(i) for c in copies for i in range(1, width + 1)]) for g in gens]
+    return gens
+
+
+def assert_matches_closure_oracle(G, gens, oracle):
+    """Elements, generators, inverses and the Cayley table of G against the
+    sorted oracle elements and direct composition, with no index or
+    permutation read through G."""
+    elements = sorted(oracle)
+    index = {p: i for i, p in enumerate(elements)}
+    assert list(G.elements) == elements
+    assert G.generators == tuple(index[g] for g in dict.fromkeys(gens))
+    assert G._inv == tuple(index[p.inverse()] for p in elements)
+    assert G._table == [tuple(index[p * q] for q in elements) for p in elements]
+    # the search ran on bytes exactly when fewer than 256 points move
+    moved = {i for p in gens for i in range(1, p.degree + 1) if p(i) != i}
+    assert isinstance(G._images[0], bytes) == (len(moved) < 256)
 
 
 @seed(2026)
@@ -162,11 +185,16 @@ def test_construction_matches_product_fixpoint_oracle(gens):
     oracle = naive_closure(gens, limit=120)
     assume(oracle is not None)
     G = Group(gens, "random")
-    assert G.order == len(oracle)
-    assert list(G.elements) == sorted(oracle)
+    event("search on " + type(G._images[0]).__name__)
+    assert_matches_closure_oracle(G, gens, oracle)
     assert G.identity == 0 and G.perm(0) == IDENTITY
-    assert G.generators == tuple(G.index(g) for g in dict.fromkeys(gens))
-    for i, p in enumerate(G.elements):
-        assert G.perm(G.inv(i)) == p.inverse()
-        for j, q in enumerate(G.elements):
-            assert G.perm(G.mul(i, j)) == p * q
+    assert all(G.index(p) == i for i, p in enumerate(G.elements))
+
+
+def test_construction_on_256_or_more_moved_points_matches_the_oracle():
+    # D260 in the regular representation moves 260 points, so its search
+    # runs on tuples
+    gens = family_generators("dihedral", 260)
+    G = dihedral_group(260)
+    assert len(G._points) == 260 and isinstance(G._images[0], tuple)
+    assert_matches_closure_oracle(G, gens, naive_closure(gens))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib
 import math
+import pickle
 import random
 import weakref
 
@@ -80,6 +81,19 @@ def test_report_from_file_spec(repo_root):
     assert r.fitting_order == 7
     assert r.metrics.vertex_count == 14
     assert all(c.passed for c in r.checks.values())
+
+
+@pytest.mark.parametrize("spec", ["D120", "A5xC6"])
+def test_evaluation_makes_no_element_permutation(spec, raw_permutations):
+    evaluation = survey_module.evaluate_group(spec)
+    assert raw_permutations == [0]
+    G = evaluation.group
+    # a group pickled before its elements are made, as process pools and
+    # the benchmark's snapshots pickle groups, makes the same ones
+    H = pickle.loads(pickle.dumps(G))
+    assert all(G.index(G.perm(i)) == i for i in range(G.order))
+    assert raw_permutations == [G.order]
+    assert H.elements == G.elements
 
 
 def test_catalog_plans_families_and_ordering():
