@@ -3,7 +3,7 @@ the theorem checks over the same range.  (The catalog is the constructible
 families, not all isomorphism classes; the summary says exactly what was
 checked.)
 
-Equivalent CLI:  engel survey --max-order 60   /   engel verify --max-order 60
+Equivalent CLI:  engel survey --max-order 60 --verify
 
 Run from the repository root:  python demos/05_survey_and_verify.py
 """

@@ -3,8 +3,11 @@
 Subcommands::
 
     engel report --group <spec> [--json <path>] [--dot <path>]
-    engel survey --max-order <N> [--jobs <k>] [--out <dir>]
+    engel survey --max-order <N> [--jobs <k>] [--out <dir>] [--verify]
     engel verify --max-order <N> [--jobs <k>]
+
+``survey --verify`` also prints the theorem verdicts of ``verify``, read
+from the same catalog pass, so every plan is evaluated once.
 
 Exit codes: 0 on success; 1 when any theorem-style check failed (``report``
 prints one ``FAILED <check>: <detail>`` line per failed check on stderr);
@@ -59,6 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--max-order", type=int, required=True)
     p_survey.add_argument("--jobs", type=int, default=1, help="parallel group evaluations")
     p_survey.add_argument("--out", type=Path, help="directory for per-group JSON reports and summary.json")
+    p_survey.add_argument(
+        "--verify", action="store_true", help="also run the theorem checks, from the same evaluations"
+    )
 
     p_verify = sub.add_parser("verify", help="run the theorem checks over the catalog")
     p_verify.add_argument("--max-order", type=int, required=True)
@@ -117,20 +123,33 @@ def _print_survey(result: SurveyResult) -> None:
         print(f"FAILED {group} {check}: {detail}")
 
 
+def _print_verdicts(verdicts: list[TheoremVerdict]) -> None:
+    for v in verdicts:
+        status = "PASS" if v.passed else "FAIL"
+        suffix = f": {v.detail}" if v.detail else ""
+        print(f"{status} {v.name}{suffix}")
+
+
 def _run_survey(args: argparse.Namespace) -> int:
-    if args.out:  # after the bounds and before the survey, so that a bad path fails at once
-        _check_bounds(args.max_order, 6, args.jobs)
+    # the bounds before the survey, and a bad path after them, fail at once
+    _check_bounds(args.max_order, 12 if args.verify else 6, args.jobs)
+    if args.out:
         with _writing(args.out):
             args.out.mkdir(parents=True, exist_ok=True)
     result = survey(args.max_order, jobs=args.jobs)
     _print_survey(result)
+    code = CHECK_FAILED if result.failed_checks else 0
+    if args.verify:  # reads the records the survey's catalog pass kept
+        verdicts = verify_theorems(args.max_order, jobs=args.jobs)
+        _print_verdicts(verdicts)
+        code = max(code, exit_code_for_verdicts(verdicts))
     if args.out:
         with _writing(args.out):
             for report in result.reports:
                 safe = report.name.replace("/", "_")
                 (args.out / f"{safe}.json").write_text(write_report(report))
             (args.out / "summary.json").write_text(summary_json(result))
-    return CHECK_FAILED if result.failed_checks else 0
+    return code
 
 
 def exit_code_for_verdicts(verdicts: list[TheoremVerdict]) -> int:
@@ -139,10 +158,7 @@ def exit_code_for_verdicts(verdicts: list[TheoremVerdict]) -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     verdicts = verify_theorems(args.max_order, jobs=args.jobs)
-    for v in verdicts:
-        status = "PASS" if v.passed else "FAIL"
-        suffix = f": {v.detail}" if v.detail else ""
-        print(f"{status} {v.name}{suffix}")
+    _print_verdicts(verdicts)
     return exit_code_for_verdicts(verdicts)
 
 

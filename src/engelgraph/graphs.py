@@ -14,16 +14,22 @@ is not planar; sparser graphs go to networkx's linear-time test, which
 also extracts a Kuratowski subgraph on failure; every witness handed out
 is re-verified here as a subdivision of K5 or K_{3,3} that lies inside
 the host graph.
+
+The rows of an induced subgraph and of the twin quotient are selected
+from the binary digits of the host rows, by one ``itemgetter`` call per
+row (``_selector``); ``_row`` builds a row bit by bit only where the bits
+come as a list of indices (the Engel graph, a class's vertex mask).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, compress, count
-from operator import or_
-from typing import Hashable, Iterable, Iterator, Sequence
+from operator import itemgetter, or_
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import networkx as nx
 
@@ -77,13 +83,13 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(bin(row).count("1") for row in self.adjacency) // 2
+        return sum(map(int.bit_count, self.adjacency)) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return _bits(self.adjacency[v])
 
     def degree(self, v: int) -> int:
-        return bin(self.adjacency[v]).count("1")
+        return self.adjacency[v].bit_count()
 
     def adjacent(self, u: int, v: int) -> bool:
         return self.adjacency[u] >> v & 1 == 1
@@ -112,6 +118,22 @@ def _row(bits: Iterable[int], n: int) -> int:
     for b in bits:
         digits[b] = 49  # ord("1")
     return int(digits[::-1] or b"0", 2)
+
+
+def _selector(vs: Sequence[int], n: int) -> Callable[[int], int]:
+    """The map from a row on n vertices to its bits at the sorted positions
+    ``vs``, renumbered 0..len(vs)-1.
+
+    Bit v of a row is character n-1-v of its n binary digits, so the new
+    row's digits are those characters for ``vs`` in descending order, picked
+    by one ``itemgetter`` and read back with ``int``."""
+    if not vs:
+        return lambda row: 0
+    pick = itemgetter(*[n - 1 - v for v in reversed(vs)])
+    spec = f"0{n}b"
+    if len(vs) == 1:  # itemgetter of one key returns the character itself
+        return lambda row: int(pick(format(row, spec)), 2)
+    return lambda row: int("".join(pick(format(row, spec))), 2)
 
 
 @dataclass(frozen=True)
@@ -200,14 +222,14 @@ def _twin_quotient(g: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
     Twins are never adjacent (a vertex is not its own neighbour), so the
     quotient is a simple graph; the isolated vertices of g form its one
     isolated vertex, if any."""
-    class_of: dict[int, int] = {}
-    classes = [class_of.setdefault(row, len(class_of)) for row in g.adjacency]
-    k = len(class_of)
-    sizes = [0] * k
-    for c in classes:
-        sizes[c] += 1
-    rows = [_row(map(classes.__getitem__, _bits(row)), k) for row in class_of]
-    return SimpleGraph._from_rows(rows, tuple(range(k))), sizes
+    sizes = Counter(g.adjacency)  # by row, in order of least member
+    n = len(g.adjacency)
+    least = dict(zip(reversed(g.adjacency), range(n - 1, -1, -1)))
+    # a row meets a twin class in all of its members or in none, so its
+    # bit at the class's least member says which
+    select = _selector([least[row] for row in sizes], n)
+    rows = list(map(select, sizes))
+    return SimpleGraph._from_rows(rows, tuple(range(len(rows)))), list(sizes.values())
 
 
 def _components_and_diameter(q: SimpleGraph, sizes: list[int]) -> tuple[int, float]:
@@ -236,9 +258,8 @@ def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
     for v in vs:
         if not 0 <= v < g.vertex_count:
             raise UnknownVertex(f"vertex {v} is not in the graph")
-    mask = _row(vs, g.vertex_count)
-    renumber = {v: i for i, v in enumerate(vs)}
-    rows = [_row(map(renumber.__getitem__, _bits(g.adjacency[u] & mask)), len(vs)) for u in vs]
+    select, adjacency = _selector(vs, g.vertex_count), g.adjacency
+    rows = [select(adjacency[u]) for u in vs]
     return SimpleGraph._from_rows(rows, tuple(g.labels[v] for v in vs))
 
 

@@ -16,10 +16,13 @@ to ``MAX_ORDER`` (4096); larger groups raise ClosureTooLarge.
 Subgroup queries work on generators, never on all pairs of members
 (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 3-4).
 A member set is spanned from greedy generators, the members not yet in the
-subgroup the earlier ones generate, by Dimino's coset extension.  Normal
-closures conjugate the generators of the subgroup by ``G.generators``,
-which generate G; the lower central series of H conjugates by the
-generators of H.  The all-pairs versions are kept as test oracles.
+subgroup the earlier ones generate, by Dimino's coset extension over left
+cosets x K, each read from x's Cayley row by one ``itemgetter`` call.
+Normal closures conjugate the generators of the subgroup by
+``G.generators``, which generate G; the lower central series of H
+conjugates by the generators of H.  Conjugates and commutators are read
+from the Cayley table and the inverses directly.  The all-pairs versions
+are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -237,11 +240,14 @@ class _Span:
     """The subgroup generated by ``gens``, grown one generator at a time,
     starting from greedy generators of ``members``.
 
-    ``adjoin`` is Dimino's algorithm: the span is kept as a union of right
-    cosets of the subgroup K it had before the new generator came, so only
-    coset representatives are multiplied by the generators; every other
-    new element is a product ``k * x`` with k in K.  Adjoining s costs one
-    product per new element plus one per (new coset, generator) pair.
+    ``adjoin`` is Dimino's algorithm: the span is kept as a union of left
+    cosets x K of the subgroup K it had before the new generator came, so
+    only coset representatives are multiplied by the generators, as g x
+    read from the generators' Cayley rows; every other new element is a
+    product x k with k in K, and the whole coset x K is read from x's row
+    by one ``itemgetter`` over K, made once per ``adjoin``.  Adjoining s
+    reads one table entry per new element plus one per (new coset,
+    generator) pair.
     """
 
     __slots__ = ("G", "gens", "elements", "members")
@@ -256,21 +262,29 @@ class _Span:
     def adjoin(self, s: int, limit: set[int] | None = None) -> bool:
         """Grow the span to ``<gens, s>``.  Returns False, leaving the span
         partial, as soon as a new element falls outside ``limit``."""
-        G, members = self.G, self.members
-        old = list(self.elements)
+        table, members = self.G._table, self.members
+        if len(self.elements) > 1:
+            coset_of = itemgetter(*self.elements)  # x K, from x's row
+        else:  # K = {1}: itemgetter of one key returns a bare entry
+            identity = self.elements[0]
+
+            def coset_of(row):
+                return (row[identity],)
+
         self.gens.append(s)
+        gen_rows = [table[g] for g in self.gens]
         queue = deque([s])
         while queue:
             x = queue.popleft()
             if x in members:
                 continue
-            coset = [G.mul(k, x) for k in old]
+            coset = coset_of(table[x])
             if limit is not None and not limit.issuperset(coset):
                 return False
             members.update(coset)
             self.elements.extend(coset)
-            for g in self.gens:
-                y = G.mul(x, g)
+            for row in gen_rows:
+                y = row[x]  # g x
                 if y not in members:
                     queue.append(y)
         return True
@@ -290,7 +304,7 @@ def _subgroup_span(G: Group, members: Iterable[int]) -> _Span | None:
     not one: a set containing the identity is a subgroup iff the subgroup
     it generates does not leave it."""
     ms = set(members)
-    if G.identity not in ms or any(not 0 <= m < G.order for m in ms):
+    if G.identity not in ms or min(ms) < 0 or max(ms) >= G.order:
         return None
     span = _Span(G)
     return span if span.extend(ms, limit=ms) else None
@@ -302,10 +316,11 @@ def _normal_span(G: Group, members: Iterable[int], conjugators: Sequence[int]) -
     way included, is conjugated by every conjugator, and k^g is adjoined
     when it lies outside.  When the conjugators generate a group H, this is
     the normal closure in H of the members of H."""
+    table, inv = G._table, G._inv
     span = _Span(G, members)
     for k in span.gens:  # also visits the generators adjoined below
         for g in conjugators:
-            c = G.conjugate(k, g)
+            c = table[table[inv[g]][k]][g]  # k^g = g^-1 k g
             if c not in span.members:
                 span.adjoin(c)
     return span
@@ -367,10 +382,12 @@ def lower_central_series(G: Group, members: Iterable[int]) -> list[tuple[int, ..
     span = _subgroup_span(G, H)
     if span is None:
         raise NotASubgroup(f"member set of size {len(H)} is not a subgroup of {G.name!r}")
+    table, inv = G._table, G._inv
     hgens = span.gens
     series = [H]
     while True:
-        comms = {G.commutator(x, y) for x in span.gens for y in hgens}
+        # [x, y] = x^-1 y^-1 x y
+        comms = {table[table[table[inv[x]][inv[y]]][x]][y] for x in span.gens for y in hgens}
         span = _normal_span(G, comms, hgens)
         nxt = tuple(sorted(span.members))
         if nxt == series[-1]:

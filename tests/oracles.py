@@ -13,7 +13,9 @@ vertices), Engel reachability and depths by direct iteration of the
 commutator map, the randomly-Engel predicate element by element instead of
 class by class, and subgroup queries by all-pairs loops over the members
 (generation by a BFS that multiplies by every member) instead of work on
-greedy generators.  The theorem-fact checks are kept here in the form that
+greedy generators, and the rows of induced subgraphs and twin quotients
+by one adjacency test per pair instead of the library's selection of bits
+from binary digits.  The theorem-fact checks are kept here in the form that
 calls the group's methods once per product, the product invariant
 reads a catalog's reports of G x C_k against those of G, and catalog
 groups' invariants are compared with those of sympy's ``PermutationGroup``.
@@ -330,6 +332,36 @@ def random_graph(rng, n, p):
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return SimpleGraph(n, edges)
+
+
+def with_planted_twins(rng, g, count):
+    """g plus ``count`` new vertices, each a copy of the neighbourhood of a
+    random vertex (planted ones included), so twin classes grow."""
+    nbrs = [list(g.neighbors(v)) for v in range(g.vertex_count)]
+    for _ in range(count):
+        twin = list(nbrs[rng.randrange(len(nbrs))])
+        for v in twin:
+            nbrs[v].append(len(nbrs))
+        nbrs.append(twin)
+    return SimpleGraph(len(nbrs), [(u, v) for u, vs in enumerate(nbrs) for v in vs])
+
+
+def induced_rows_by_renumbering(g, vs):
+    """Rows of the subgraph induced on the sorted vertices ``vs``, vertex
+    vs[i] renumbered i, one adjacency test per pair."""
+    return tuple(sum(1 << j for j, w in enumerate(vs) if g.adjacent(v, w)) for v in vs)
+
+
+def twin_quotient_by_neighbourhoods(g):
+    """Rows and class sizes of the quotient of g by equal neighbour sets,
+    classes in order of least member, two classes adjacent when their
+    least members are."""
+    classes = {}
+    for v in range(g.vertex_count):
+        classes.setdefault(frozenset(g.neighbors(v)), []).append(v)
+    least = [members[0] for members in classes.values()]
+    rows = induced_rows_by_renumbering(g, least)
+    return rows, [len(members) for members in classes.values()]
 
 
 def _describe(G, x):

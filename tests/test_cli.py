@@ -147,6 +147,39 @@ def test_survey_reruns_are_byte_identical(tmp_path):
         assert path.read_bytes() == (second / path.name).read_bytes()
 
 
+def test_survey_verify_prints_both_from_one_catalog_pass(monkeypatch, capsys):
+    survey_module._last_catalog = None
+    assert main(["survey", "--max-order", "12"]) == 0
+    assert main(["verify", "--max-order", "12"]) == 0
+    separate = capsys.readouterr().out
+
+    survey_module._last_catalog = None
+    evaluated = []
+    evaluate = survey_module.evaluate_group
+
+    def counting(spec):
+        evaluated.append(spec)
+        return evaluate(spec)
+
+    monkeypatch.setattr(survey_module, "evaluate_group", counting)
+    assert main(["survey", "--max-order", "12", "--verify"]) == 0
+    assert capsys.readouterr().out == separate
+    assert evaluated == survey_module.catalog_plans(12)  # each plan once
+
+
+def test_survey_verify_exit_codes(monkeypatch, capsys):
+    for order in (6, 11):
+        assert main(["survey", "--max-order", str(order), "--verify"]) == 2, order
+        assert capsys.readouterr().err == f"error: max_order must be at least 12, got {order}\n"
+    assert main(["survey", "--max-order", "11"]) == 0  # without --verify, 6 is the least
+    capsys.readouterr()
+
+    failing = survey_module.TheoremVerdict("planar_classification", False, "planar=[]")
+    monkeypatch.setattr("engelgraph.cli.verify_theorems", lambda max_order, jobs: [failing])
+    assert main(["survey", "--max-order", "12", "--verify"]) == 1
+    assert capsys.readouterr().out.endswith("FAIL planar_classification: planar=[]\n")
+
+
 def test_verify_command(capsys):
     assert main(["verify", "--max-order", "12"]) == 0
     out = capsys.readouterr().out

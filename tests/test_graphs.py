@@ -39,6 +39,7 @@ from oracles import (
     find_k33_subdivision,
     planar_by_subdivision_search,
     random_graph,
+    with_planted_twins,
 )
 
 
@@ -452,18 +453,6 @@ def test_compute_metrics_converts_to_networkx_once(monkeypatch, a4):
         calls.clear()
         connected_components(g), diameter(g), clique_number(g)
         assert calls == []
-
-
-def with_planted_twins(rng, g, count):
-    """g plus ``count`` new vertices, each a copy of the neighbourhood of a
-    random vertex (planted ones included), so twin classes grow."""
-    nbrs = [list(g.neighbors(v)) for v in range(g.vertex_count)]
-    for _ in range(count):
-        twin = list(nbrs[rng.randrange(len(nbrs))])
-        for v in twin:
-            nbrs[v].append(len(nbrs))
-        nbrs.append(twin)
-    return SimpleGraph(len(nbrs), [(u, v) for u, vs in enumerate(nbrs) for v in vs])
 
 
 def test_metrics_on_planted_twins():

@@ -20,8 +20,13 @@ all-pairs upper central series and sympy.
 
 Construction itself is checked on generators of mixed degree against the
 product fixpoint and direct composition.
+
+Rows of induced subgraphs and twin quotients are selected from the binary
+digits of the host rows; on random graphs with planted false twins they
+are compared with renumbering by one adjacency test per pair.
 """
 
+import random
 from functools import cache
 
 import pytest
@@ -31,17 +36,20 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, event, given, seed, settings, strategies as st  # noqa: E402
 
 import engelgraph.engel as engel_module  # noqa: E402
+import engelgraph.graphs as graphs_module  # noqa: E402
 from conftest import REPO_ROOT  # noqa: E402
 from engelgraph import (  # noqa: E402
     IDENTITY,
     Group,
     Permutation,
+    SimpleGraph,
     build_engel_graph,
     build_group,
     centralizer,
     conjugacy_classes,
     engel_adjacent,
     engel_depths,
+    induced_subgraph,
     is_randomly_engel_conjugates,
     left_engel_set,
 )
@@ -51,8 +59,12 @@ from oracles import (  # noqa: E402
     direct_left_engel_set,
     engel_core_mismatches,
     engel_depths_by_iteration,
+    induced_rows_by_renumbering,
     naive_closure,
+    random_graph,
     randomly_engel_conjugates_by_elements,
+    twin_quotient_by_neighbourhoods,
+    with_planted_twins,
 )
 
 SPECS = ("S3", "A4", "D12", "Dic3", "S4", "S3xC2", "@fixtures/c7_c3.gens")
@@ -198,3 +210,48 @@ def test_construction_on_256_or_more_moved_points_matches_the_oracle():
     G = dihedral_group(260)
     assert len(G._points) == 260 and isinstance(G._images[0], tuple)
     assert_matches_closure_oracle(G, gens, naive_closure(gens))
+
+
+def shuffled_twinned_graph(rng, n, twins):
+    """A random graph on n vertices, ``twins`` of them planted false twins,
+    with the vertices shuffled, so that a class's least member may be a
+    planted one."""
+    g = with_planted_twins(rng, random_graph(rng, n - twins, rng.random()), twins)
+    order = rng.sample(range(n), n)
+    return SimpleGraph(n, [(order[u], order[v]) for u, v in g.edges()])
+
+
+def assert_selected_rows_match_renumbering(g, selections):
+    """Rows of the subgraph induced on each sorted selection, and of the
+    twin quotient, against renumbering by adjacency tests."""
+    for vs in selections:
+        sub = induced_subgraph(g, vs)
+        assert sub.adjacency == induced_rows_by_renumbering(g, vs), vs
+        assert sub.labels == tuple(g.labels[v] for v in vs)
+    q, sizes = graphs_module._twin_quotient(g)
+    assert (q.adjacency, sizes) == twin_quotient_by_neighbourhoods(g)
+
+
+@st.composite
+def twinned_graphs(draw):
+    """A graph on 0 to 12 vertices, up to half of them planted false twins."""
+    n = draw(st.integers(0, 12), label="vertices")
+    twins = draw(st.integers(0, n // 2), label="twins")
+    return shuffled_twinned_graph(draw(st.randoms(use_true_random=False)), n, twins)
+
+
+@settings(deadline=None, max_examples=200)
+@given(twinned_graphs(), st.data())
+def test_selected_rows_match_renumbering(g, data):
+    n = g.vertex_count
+    vs = sorted(data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()), label="vs"))
+    single = [data.draw(st.integers(0, n - 1), label="v")] if n else []
+    assert_selected_rows_match_renumbering(g, [vs, [], single])
+
+
+def test_selected_rows_match_renumbering_past_one_word():
+    rng = random.Random(71)
+    g = shuffled_twinned_graph(rng, 150, 40)
+    assert g.vertex_count > 64 and len(twin_quotient_by_neighbourhoods(g)[1]) < 150
+    vs = sorted(rng.sample(range(150), 90))
+    assert_selected_rows_match_renumbering(g, [vs, [], [149], [0], list(range(150))])
