@@ -5,17 +5,26 @@ The iterated commutator [a,_k x] is defined by [a,_0 x] = a and
 deterministic self-map of a finite group, so every question about the Engel
 sequence of (a, x) is a question about the functional graph of that map:
 ``engel_depths`` computes, in one reverse breadth-first search from the
-identity, the least k with [a,_k x] = 1 for every a at once.  Every Engel
-question here, pointwise ones included, reads those depth maps; the test
-suite cross-checks them against direct iteration of the commutator map.
+identity, the least k with [a,_k x] = 1 for every a at once.  Pointwise
+questions and the Engel rows read those depth maps; the test suite
+cross-checks them against direct iteration of the commutator map.
+
+Whether x is left Engel, or left k-Engel, asks only where the whole map
+leads, so it is read from the images S_k = {[a,_k x] : a in G} instead.
+S_1 = {(x^-1)^a x} = (x^-1)^G x comes from x's conjugacy class, and
+S_{k+1} = [S_k, x] lies in S_k, since S_2 = [S_1, x] lies in [G, x] = S_1.
+So the sets shrink until they stop: x is left k-Engel exactly when
+S_k = {1}, and left Engel exactly when the sets shrink to {1}.  That takes
+one table read per member of each S_k, where a depth map reads all of G.
 
 Conjugation is an automorphism of the relation: [a^g,_k x^g] = [a,_k x]^g,
-so depth_{x^g}[a^g] = depth_x[a].  L(G), the Engel graph and the
-randomly-Engel check therefore ask for the maps of the least member r of
-each conjugacy class only, and ``_engel_rows`` finds Engel neighbours only
-at r and carries them to x = r^g by conjugating with g, read from the
-transversal that ``groups.conjugacy_class`` records.  A map asked for any
-other element is built by the same search.
+so depth_{x^g}[a^g] = depth_x[a].  L(G) is therefore decided at the least
+member r of each conjugacy class only, and the Engel graph and the
+randomly-Engel check ask for the maps of those r outside L only:
+``_engel_rows`` finds Engel neighbours only at r and carries them to
+x = r^g by conjugating with g, read from the transversal that
+``groups.conjugacy_class`` records.  A map asked for any other element is
+built by the same search.
 
 L(G), the Engel graph and the randomly-Engel check read only whether a
 sequence reaches 1, and that is decided in the Engel core C = G/Z*(G), the
@@ -118,16 +127,36 @@ def _depth_map(G: Group, x: int) -> tuple[int, ...]:
     return tuple(depth)
 
 
+def _engel_degree(G: Group, x: int) -> int | None:
+    """The least k >= 1 with S_k = {[a,_k x] : a in G} = {1}, or None when
+    the sets stop shrinking first.
+
+    [a, x] = (x^a)^-1 x, so S_1 is read from the class of x, and each
+    S_{k+1} = [S_k, x] from the rows of S_k's members: [y, x] = y^-1 y^x
+    with y^x = (x^-1 y) x.  Every S_k holds the identity, [1,_k x]."""
+    table, inv = G._table, G._inv
+    row = table[inv[x]]
+    images = {table[inv[c]][x] for c in conjugacy_class(G, x)}
+    k = 1
+    while len(images) > 1:
+        shrunk = {table[inv[y]][table[row[y]][x]] for y in images}
+        if len(shrunk) == len(images):  # S_{k+1} = S_k, so S_j = S_k for all j > k
+            return None
+        images, k = shrunk, k + 1
+    return k
+
+
 def is_left_engel(G: Group, x: int) -> bool:
     """True iff every Engel sequence [a,_k x] reaches the identity."""
-    return all(d >= 0 for d in engel_depths(G, _transversal(G, x)[0]))
+    return _engel_degree(G, x) is not None
 
 
 def is_left_k_engel(G: Group, x: int, k: int) -> bool:
     """True iff [a,_k x] = 1 for every a, with the single exponent k."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return all(0 <= d <= k for d in engel_depths(G, _transversal(G, x)[0]))
+    degree = _engel_degree(G, x)
+    return degree is not None and degree <= k
 
 
 def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
@@ -177,7 +206,7 @@ def left_engel_set(G: Group) -> tuple[int, ...]:
     x is left Engel exactly when its image in the Engel core C = G/Z*(G)
     is, so L(G) is the preimage of the classes of C that pass.  Each class
     is tested at its least member only, since conjugation preserves the
-    Engel relation."""
+    Engel relation, and from its commutator images, with no depth map."""
     cached = G._memo.get("left_engel_set")
     if cached is None:
         C, proj = _engel_core(G)

@@ -193,14 +193,19 @@ def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
     return components
 
 
-def _layers(rows: Sequence[int], source: int, within: int = -1) -> Iterator[int]:
+def _layers(rows: Sequence[int], source: int, within: int | None = None) -> Iterator[int]:
     """Breadth-first layers from ``source`` in the subgraph induced on the
     vertex mask ``within`` (all vertices by default), as bit masks: each
     layer is the OR of the previous layer's rows, kept to ``within``, minus
-    every vertex already seen."""
+    every vertex already seen.  Once every vertex of ``within`` is seen,
+    the next layer is empty, so no row of the last layer is read."""
+    if within is None:
+        within = (1 << len(rows)) - 1
     seen = layer = 1 << source
     while layer:
         yield layer
+        if seen == within:
+            return
         layer = reduce(or_, map(rows.__getitem__, _bits(layer))) & within & ~seen
         seen |= layer
 
@@ -275,8 +280,21 @@ def clique_number(g: SimpleGraph) -> int:
 def _max_clique_size(g: SimpleGraph) -> int:
     """Branch and bound over the bit rows: candidates are greedily colored
     and a branch is cut when the current clique plus the color of the
-    pivot vertex cannot beat the incumbent."""
-    return _expand(g.adjacency, 0, (1 << g.vertex_count) - 1, 0)
+    pivot vertex cannot beat the incumbent.  The first incumbent is a
+    greedy clique, so when the root coloring uses no more colors than that
+    clique has vertices, the search ends at the root."""
+    return _expand(g.adjacency, 0, (1 << g.vertex_count) - 1, _greedy_clique_size(g.adjacency))
+
+
+def _greedy_clique_size(nbr: Sequence[int]) -> int:
+    """The size of a clique grown over the vertices by degree, highest
+    first: each joins when it is adjacent to every vertex before it."""
+    size, candidates = 0, (1 << len(nbr)) - 1
+    for v in sorted(range(len(nbr)), key=lambda v: -nbr[v].bit_count()):
+        if candidates >> v & 1:
+            size += 1
+            candidates &= nbr[v]
+    return size
 
 
 def _expand(nbr: Sequence[int], size: int, candidates: int, best: int) -> int:
@@ -298,6 +316,8 @@ def _expand(nbr: Sequence[int], size: int, candidates: int, best: int) -> int:
             available &= ~(bit | nbr[v])
             rest &= ~bit
             colored.append((v, color))
+    if size + color <= best:  # not even the last color class can beat it
+        return best
     prefixes = list(accumulate((1 << v for v, _ in colored), or_, initial=0))
     for i in range(len(colored) - 1, -1, -1):
         v, c = colored[i]

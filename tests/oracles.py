@@ -10,8 +10,10 @@ commutators with every element instead of the library's filter over
 generators, planarity by
 exhaustive search for K5/K_{3,3} subdivisions (feasible up to ~12
 vertices), Engel reachability and depths by direct iteration of the
-commutator map, the randomly-Engel predicate element by element instead of
-class by class, and subgroup queries by all-pairs loops over the members
+commutator map, the left Engel and left k-Engel verdicts from depth maps
+and from [a,_k x] for every a instead of the library's shrinking
+commutator images, the randomly-Engel predicate element by element
+instead of class by class, and subgroup queries by all-pairs loops over the members
 (generation by a BFS that multiplies by every member) instead of work on
 greedy generators, and the rows of induced subgraphs and twin quotients
 by one adjacency test per pair instead of the library's selection of bits
@@ -36,7 +38,10 @@ from engelgraph import (
     derived_subgroup,
     engel_depths,
     is_abelian,
+    is_left_engel,
+    is_left_k_engel,
     is_nilpotent,
+    iterated_commutator,
     render_group_spec,
     subgroup_generated,
 )
@@ -173,6 +178,32 @@ def bounded_left_engel_set(G):
     return tuple(
         x for x in range(G.order) if all(d >= 0 for d in engel_depths_by_iteration(G, x))
     )
+
+
+def left_engel_mismatches(G, xs):
+    """The (x, k) at which ``is_left_k_engel(G, x, k)`` disagrees with x's
+    depth map or with [a,_k x] for every a, and the (x, None) at which
+    ``is_left_engel(G, x)`` disagrees with the depth map.  Each k runs from
+    1 to one past the largest depth, or to 3 when x is not left Engel."""
+    e, mismatches = G.identity, []
+    for x in xs:
+        depths = engel_depths(G, x)
+        engel = min(depths) >= 0
+        if is_left_engel(G, x) != engel:
+            mismatches.append((x, None))
+        for k in range(1, (max(depths) if engel else 2) + 2):
+            by_depths = engel and max(depths) <= k
+            by_iteration = all(iterated_commutator(G, a, x, k) == e for a in range(G.order))
+            if not (is_left_k_engel(G, x, k) == by_depths == by_iteration):
+                mismatches.append((x, k))
+    return mismatches
+
+
+def engel_degree_from_first_images(G, x):
+    """A mutant of ``engel._engel_degree`` that reads S_1 = {[a, x]} alone:
+    x is left 1-Engel when S_1 = {1}, that is when x is central, and not
+    left Engel otherwise."""
+    return 1 if all(G.commutator(a, x) == G.identity for a in range(G.order)) else None
 
 
 def direct_left_engel_set(G):

@@ -38,7 +38,9 @@ from oracles import (
     direct_engel_graph,
     direct_left_engel_set,
     engel_core_mismatches,
+    engel_degree_from_first_images,
     engel_reaches_by_iteration,
+    left_engel_mismatches,
     naive_is_abelian,
     naive_subgroup_generated,
     naive_upper_central_series,
@@ -104,6 +106,22 @@ def test_is_left_k_engel(s3, c6):
     assert all(is_left_k_engel(c6, x, 1) for x in range(6))
     with pytest.raises(ValueError):
         is_left_k_engel(s3, t, 0)
+
+
+def test_left_engel_verdicts_match_depth_maps_and_iteration():
+    # every element of every plan up to order 120, so that classes are
+    # entered at members other than their least one too
+    for plan in catalog_plans(120):
+        G = build_group(plan)
+        assert left_engel_mismatches(G, range(G.order)) == [], G.name
+
+
+def test_a_verdict_from_the_first_images_alone_is_caught(monkeypatch, s3):
+    # S_1 = {1} only for central x; the rotations of S3 are left 2-Engel
+    # but not central, so the mutant calls them not left Engel
+    monkeypatch.setattr(engel_module, "_engel_degree", engel_degree_from_first_images)
+    rotations = {elem(s3, (1, 2, 3)), elem(s3, (1, 3, 2))}
+    assert {x for x, _ in left_engel_mismatches(s3, range(6))} == rotations
 
 
 def test_left_engel_sets(s3, a4, d12, c6):
@@ -350,12 +368,13 @@ def test_each_engel_depth_map_is_built_once(monkeypatch, repo_root):
         assert len(set(built)) == len(built) and {x for _, x in built} <= reps, spec
 
 
-def test_left_engel_set_of_a5xa5_builds_one_map_per_class(monkeypatch):
-    # 3,600 elements in 25 classes: L(A5xA5) is trivial and needs 25 maps
+def test_left_engel_set_of_a5xa5_builds_no_depth_map(monkeypatch):
+    # 3,600 elements in 25 classes: L(A5xA5) is trivial, and each class is
+    # decided from its commutator images, which never read a depth map
     built = _count_depth_maps(monkeypatch)
     G = build_group("A5xA5")
     assert left_engel_set(G) == (G.identity,)
-    assert len(built) == 25 == len(conjugacy_classes(G))
+    assert built == [] and len(conjugacy_classes(G)) == 25
 
 
 def test_evaluation_keeps_at_most_one_depth_map_per_class():

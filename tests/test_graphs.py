@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import tracemalloc
+from collections.abc import Sequence
 from itertools import combinations
 
 import networkx as nx
@@ -162,6 +163,54 @@ def test_diameter_one_means_complete():
             assert (expected == 1) == complete
 
 
+def test_searches_agree_with_networkx():
+    # components, diameters and the layers of a search kept to a vertex
+    # mask, on random graphs, sparse and disconnected ones and ones with
+    # planted twins among them
+    rng = random.Random(43)
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(1, 70), rng.choice([0.01, 0.03, 0.1, 0.3, 0.8]))
+        if rng.random() < 0.3:
+            g = with_planted_twins(rng, g, rng.randint(1, 5))
+        n = g.vertex_count
+        gx = nx.Graph(g.edges())
+        gx.add_nodes_from(range(n))
+        components = sorted(tuple(sorted(c)) for c in nx.connected_components(gx))
+        assert connected_components(g) == components
+        assert diameter(g) == (nx.diameter(gx) if len(components) == 1 else math.inf)
+        for vs in (range(n), sorted(rng.sample(range(n), rng.randint(1, n)))):
+            mask = sum(1 << v for v in vs)
+            want = [sum(1 << v for v in layer) for layer in nx.bfs_layers(gx.subgraph(vs), vs[0])]
+            assert list(graphs_module._layers(g.adjacency, vs[0], mask)) == want
+
+
+class CountingRows(Sequence):
+    """Bit rows that record the index of every row read."""
+
+    def __init__(self, rows):
+        self.rows, self.read = rows, []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, v):
+        self.read.append(v)
+        return self.rows[v]
+
+
+@pytest.mark.parametrize("n", [3, 64, 300])
+def test_layers_read_no_row_after_the_first_layer_on_complete_graphs(n):
+    # on K_n every vertex is seen once the source's row is read; so too
+    # within a vertex mask, which induces a complete graph again
+    rows = CountingRows(complete_rows(n))
+    assert list(graphs_module._layers(rows, 0)) == [1, (1 << n) - 2]
+    assert rows.read == [0]
+    rows.read.clear()
+    mask = (1 << n) - 2  # every vertex but 0
+    assert list(graphs_module._layers(rows, 1, mask)) == [2, mask ^ 2]
+    assert rows.read == [1]
+
+
 def test_rows_match_a_plain_edge_set_across_word_boundaries():
     # the oracle tests above stop at 12 vertices, inside one machine word;
     # here rows run to 200 bits, and the graphs range from empty to dense,
@@ -279,6 +328,34 @@ def test_clique_number_examples(s3, a4):
     assert clique_number(SimpleGraph(0, [])) == 0
     assert clique_number(SimpleGraph(4, [])) == 1
     assert clique_number(complete_graph(7)) == 7
+
+
+def complete_rows(n):
+    full = (1 << n) - 1
+    return [full ^ 1 << v for v in range(n)]
+
+
+@pytest.mark.parametrize("n", [993, 2048, 4096])
+def test_clique_number_of_large_complete_graphs(n):
+    # E_{D_2m} is K_m for odd m; the greedy clique meets the root colouring,
+    # so the search ends at the root however large the clique
+    assert clique_number(SimpleGraph._from_rows(complete_rows(n), tuple(range(n)))) == n
+
+
+def test_s5_clique_search_goes_below_the_root(monkeypatch):
+    # the twin quotient of E_S5 has 72 vertices and its root colouring 29
+    # colours, more than any clique, so the search branches below the root
+    calls = []
+    expand = graphs_module._expand
+
+    def counting(nbr, size, candidates, best):
+        calls.append((size, best))
+        return expand(nbr, size, candidates, best)
+
+    monkeypatch.setattr(graphs_module, "_expand", counting)
+    assert clique_number(build_engel_graph(build_group("S5"))) == 25
+    (root_size, incumbent), *below = calls
+    assert root_size == 0 and 1 <= incumbent <= 25 and below
 
 
 def test_clique_number_against_enumeration_oracle():

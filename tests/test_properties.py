@@ -12,6 +12,8 @@ them to the other members by conjugation, so the equivariance check alone
 would compare the code with itself; on randomly generated groups the depth
 maps are also compared with direct iteration of the commutator map, and
 checked to satisfy depth_{r^g}[a^g] = depth_r[a] along the transversal.
+The left Engel and left k-Engel verdicts, read from shrinking commutator
+images, are compared there with the depth maps and with [a,_k x].
 
 L(G), the Engel graph and the randomly-Engel check are read from the Engel
 core G/Z*(G); on random groups with a centre they are compared with G's own
@@ -60,6 +62,7 @@ from oracles import (  # noqa: E402
     engel_core_mismatches,
     engel_depths_by_iteration,
     induced_rows_by_renumbering,
+    left_engel_mismatches,
     naive_closure,
     random_graph,
     randomly_engel_conjugates_by_elements,
@@ -122,6 +125,13 @@ def test_depth_maps_match_direct_iteration_and_conjugation(G, data):
         # _engel_rows carries the rows of r to x = r^g on this identity
         depth_r, depth_x = engel_depths(G, r), engel_depths(G, x)
         assert all(depth_x[G.conjugate(a, g)] == d for a, d in enumerate(depth_r)), (r, g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(generated_groups(), st.data())
+def test_left_engel_verdicts_match_depth_maps_and_iteration(G, data):
+    xs = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3), label="xs")
+    assert left_engel_mismatches(G, xs) == []
 
 
 @st.composite

@@ -6,6 +6,7 @@ import pickle
 import random
 import weakref
 
+import networkx as nx
 import pytest
 
 from engelgraph import (
@@ -451,6 +452,23 @@ def test_class_search_matches_the_induced_subgraph_diameter():
             ), (G.name, cls)
             seen.add(d)
     assert seen == {1, 2}  # no class subgraph here is disconnected
+
+
+def test_class_search_agrees_with_networkx():
+    # on vertex sets that are all of the graph or a part of it, of graphs
+    # sparse enough to fall apart
+    rng = random.Random(47)
+    for _ in range(60):
+        n = rng.randint(1, 70)
+        g = random_graph(rng, n, rng.choice([0.01, 0.03, 0.1, 0.3, 0.8]))
+        gx = nx.Graph(g.edges())
+        gx.add_nodes_from(range(n))
+        for vs in (list(range(n)), rng.sample(range(n), rng.randint(1, n))):
+            sub = gx.subgraph(vs)
+            reached = nx.single_source_shortest_path_length(sub, min(vs))
+            assert survey_module._class_search(g, vs) == (
+                nx.is_connected(sub), max(reached.values())
+            ), vs
 
 
 def test_class_search_against_a_queue_search_on_random_vertex_sets():
