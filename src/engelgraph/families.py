@@ -164,5 +164,5 @@ def direct_product(a: Group, b: Group) -> Group:
     past the largest point a moves), generated by the embedded generators of
     a and then of b.  Raises ClosureTooLarge, before building any element, when
     the product order exceeds ``MAX_ORDER``."""
-    factors = ([G.perm(i) for i in G.generators] for G in (a, b))
+    factors = (G._gens for G in (a, b))
     return product_group(factors, f"{a.name}x{b.name}", a.order * b.order)

@@ -7,8 +7,9 @@ neighbourhoods (false twins) are never adjacent, so a clique meets each
 twin class at most once and distances between classes survive the
 quotient (Gallai's modules, in their simplest form).  A breadth-first
 search that ORs the rows of each frontier gives components and diameters,
-and branch and bound over the rows with a greedy-coloring bound gives the
-clique number.  Isomorphism is delegated to networkx's VF2++ and every
+and branch and bound over the rows with a greedy-coloring bound, run on
+one explicit stack of nodes rather than by recursion, gives the clique
+number.  Isomorphism is delegated to networkx's VF2++ and every
 mapping is replayed edge by edge here.  A graph denser than Euler's bound
 is not planar; sparser graphs go to networkx's linear-time test, which
 also extracts a Kuratowski subgraph on failure; every witness handed out
@@ -27,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, compress, count
+from itertools import compress, count
 from operator import itemgetter, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -278,12 +279,37 @@ def clique_number(g: SimpleGraph) -> int:
 
 
 def _max_clique_size(g: SimpleGraph) -> int:
-    """Branch and bound over the bit rows: candidates are greedily colored
-    and a branch is cut when the current clique plus the color of the
-    pivot vertex cannot beat the incumbent.  The first incumbent is a
-    greedy clique, so when the root coloring uses no more colors than that
-    clique has vertices, the search ends at the root."""
-    return _expand(g.adjacency, 0, (1 << g.vertex_count) - 1, _greedy_clique_size(g.adjacency))
+    """Branch and bound over the bit rows (MCQ, Tomita and Seki 2003) on one
+    explicit stack of nodes (size, candidates, bound): a clique of ``size``
+    vertices, the vertices adjacent to all of it, and an upper bound on the
+    cliques that extend it.  A node colours its candidates greedily; a
+    clique meets each colour class at most once, so the branch on the
+    candidate v, over the candidates coloured before v, is bounded by size
+    plus the colour of v.  Branches are pushed in colour order, so the
+    highest colour pops first, and a popped node whose bound no longer
+    beats the incumbent is dropped.  The first incumbent is a greedy
+    clique, so when the root colouring uses no more colours than that
+    clique has vertices, no node below the root is searched."""
+    nbr = g.adjacency
+    best = _greedy_clique_size(nbr)
+    stack = [(0, (1 << len(nbr)) - 1, len(nbr))]
+    while stack:
+        size, candidates, bound = stack.pop()
+        if bound <= best:
+            continue
+        best = max(best, size)
+        rest, color, colored = candidates, size, 0
+        while rest:
+            color += 1
+            available = rest
+            while available:
+                v = (available & -available).bit_length() - 1
+                bit = 1 << v
+                available &= ~(bit | nbr[v])
+                rest &= ~bit
+                stack.append((size + 1, colored & nbr[v], color))
+                colored |= bit
+    return best
 
 
 def _greedy_clique_size(nbr: Sequence[int]) -> int:
@@ -295,36 +321,6 @@ def _greedy_clique_size(nbr: Sequence[int]) -> int:
             size += 1
             candidates &= nbr[v]
     return size
-
-
-def _expand(nbr: Sequence[int], size: int, candidates: int, best: int) -> int:
-    """The larger of the incumbent ``best`` and the largest clique made of
-    a clique of ``size`` vertices and vertices of ``candidates``, all of
-    which are adjacent to that clique."""
-    best = max(best, size)
-    # greedy coloring: vertices in the same class are pairwise
-    # non-adjacent, so any clique meets each class at most once
-    colored: list[tuple[int, int]] = []  # (vertex, color)
-    rest = candidates
-    color = 0
-    while rest:
-        color += 1
-        available = rest
-        while available:
-            v = (available & -available).bit_length() - 1
-            bit = 1 << v
-            available &= ~(bit | nbr[v])
-            rest &= ~bit
-            colored.append((v, color))
-    if size + color <= best:  # not even the last color class can beat it
-        return best
-    prefixes = list(accumulate((1 << v for v, _ in colored), or_, initial=0))
-    for i in range(len(colored) - 1, -1, -1):
-        v, c = colored[i]
-        if size + c <= best:
-            break
-        best = _expand(nbr, size + 1, prefixes[i] & nbr[v], best)
-    return best
 
 
 def _to_networkx(g: SimpleGraph) -> nx.Graph:

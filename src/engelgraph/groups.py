@@ -8,7 +8,7 @@ call.  Elements are indexed in the order of their image tuples, so building
 the same group twice, from any generating set, yields identical indices,
 reports, and DOT output.  Elements are referred to by index everywhere; an
 "element set" is a sorted, duplicate-free tuple of indices, and the
-elements become Permutations only when asked for.
+elements become Permutations only when asked for, from the table.
 
 Multiplication is a lookup in the full Cayley table, so orders are limited
 to ``MAX_ORDER`` (4096); larger groups raise ClosureTooLarge.
@@ -60,10 +60,11 @@ class Group:
     Elements are indexed in sorted order, so the identity comes first, at
     index 0.  Every other row follows by associativity, in search order:
     an element first reached as ``x = g * u`` has ``x * q = g * (u * q)``,
-    so its row is u's row read through g's by one ``itemgetter``.  The
-    elements become Permutations, on their original points, only when
-    ``elements``, ``perm`` or ``index`` is first used.  Raises
-    ClosureTooLarge as soon as more than ``MAX_ORDER`` elements are found.
+    so its row is u's row read through g's by one ``itemgetter``.  Only the
+    table and the generators, ``_gens``, are kept; the elements become
+    Permutations, on their original points, only when ``elements``,
+    ``perm`` or ``index`` is first used.  Raises ClosureTooLarge as soon as
+    more than ``MAX_ORDER`` elements are found.
     """
 
     def __init__(self, generators: Sequence[Permutation], name: str):
@@ -113,12 +114,11 @@ class Group:
         self.name = name
         self.order = n = len(reached)
         ordered = sorted(range(n), key=reached.__getitem__)
+        del found, reached  # freed before the table, as large, is filled
         rank = [0] * n
         for i, x in enumerate(ordered):
             rank[x] = i
-        # the sorted images on the relabelled points, and the points
-        self._images = [reached[x] for x in ordered]
-        self._points = tuple(points)
+        self._gens: tuple[Permutation, ...] = tuple(gens)
         self._elements: tuple[Permutation, ...] | None = None
         self._index: dict[Permutation, int] | None = None
         self.identity: int = 0
@@ -151,7 +151,7 @@ class Group:
         empty, so ``perm`` and ``index`` do not apply."""
         G = cls.__new__(cls)
         G.name, G.order, G.identity = name, len(table), 0
-        G._elements, G._index = (), {}
+        G._elements, G._index, G._gens = (), {}, ()
         G.generators = tuple(dict.fromkeys(generators))
         G._table, G._memo = table, {}
         G._inv = tuple(row.index(0) for row in table)
@@ -160,16 +160,19 @@ class Group:
     @property
     def elements(self) -> tuple[Permutation, ...]:
         """The elements as Permutations of the original points, in index
-        order, made on first use."""
+        order, made on first use by one breadth-first search over the
+        generators' Cayley rows from the identity: an element first reached
+        as g u is made as perm(g) * perm(u)."""
         if self._elements is None:
-            points = self._points
-            top = points[-1] if points else 0
-            perms = []
-            for images in self._images:
-                full = list(range(1, top + 1))
-                for p, k in zip(points, images):
-                    full[p - 1] = points[k - 1]
-                perms.append(Permutation._raw(tuple(full)))
+            perms: list = [Permutation._raw(())] + [None] * (self.order - 1)
+            rows = [(self._table[g], p) for g, p in zip(self.generators, self._gens)]
+            queue = [0]
+            for u in queue:  # also visits the elements appended below
+                for row, g in rows:
+                    x = row[u]
+                    if perms[x] is None:
+                        perms[x] = g * perms[u]
+                        queue.append(x)
             self._elements = tuple(perms)
         return self._elements
 

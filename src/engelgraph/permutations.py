@@ -31,8 +31,8 @@ class Permutation:
 
     @classmethod
     def _raw(cls, imgs: tuple[int, ...]) -> "Permutation":
-        # Trusted path for internal products: normalizes, skips the
-        # bijection check (composition/inversion preserve bijectivity).
+        # Trusted path for products and parsed cycles: normalizes, skips the
+        # bijection check (both always give bijections).
         p = object.__new__(cls)
         p.images = _strip(imgs)
         return p
@@ -56,7 +56,7 @@ class Permutation:
         imgs = list(range(1, degree + 1))
         for a, b in pairs:
             imgs[a - 1] = b
-        return cls(imgs)
+        return cls._raw(tuple(imgs))
 
     @property
     def degree(self) -> int:

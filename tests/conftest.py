@@ -88,15 +88,25 @@ def group_inits(monkeypatch):
 @pytest.fixture
 def raw_permutations(monkeypatch):
     """The number of Permutations made by ``Permutation._raw``, the path
-    of products, inverses and ``Group.elements``, during a test."""
+    of products, inverses and ``Group.elements``, during a test.  A
+    generator parsed by ``Permutation.from_cycles``, which also ends in
+    ``_raw``, is not an element made, so it is not counted."""
     made = [0]
     raw = Permutation._raw.__func__
+    from_cycles = Permutation.from_cycles.__func__
 
     def counted_raw(cls, imgs):
         made[0] += 1
         return raw(cls, imgs)
 
+    def uncounted_from_cycles(cls, cycles):
+        before = made[0]
+        parsed = from_cycles(cls, cycles)
+        made[0] = before
+        return parsed
+
     monkeypatch.setattr(Permutation, "_raw", classmethod(counted_raw))
+    monkeypatch.setattr(Permutation, "from_cycles", classmethod(uncounted_from_cycles))
     return made
 
 

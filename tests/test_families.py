@@ -160,6 +160,14 @@ def test_product_of_three(s3):
     assert G.order == 24
 
 
+def test_direct_product_reads_the_factor_generators(raw_permutations):
+    # a product is generated by its factors' generators, so no element of
+    # either factor is made
+    G = direct_product(dihedral_group(120), cyclic_group(2))
+    assert raw_permutations == [0]
+    assert G.order == 240 and G._table == build_group("D120xC2")._table
+
+
 EXTRA_PRODUCTS = ["S3xC2xC2", "A4xC2xC3", "S1xS3", "S3xC1", "Dic2xD12"]
 
 

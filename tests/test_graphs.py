@@ -342,20 +342,52 @@ def test_clique_number_of_large_complete_graphs(n):
     assert clique_number(SimpleGraph._from_rows(complete_rows(n), tuple(range(n)))) == n
 
 
+def complete_beside_crown_rows(k, m):
+    """K_k on the vertices 0..k-1, beside the crown graph on a_i = k + i
+    and b_i = k + m + i for i < m, where a_i and b_j are adjacent iff
+    i != j."""
+    a, b = ((1 << m) - 1) << k, ((1 << m) - 1) << (k + m)
+    return (complete_rows(k) + [b ^ 1 << (k + m + i) for i in range(m)]
+            + [a ^ 1 << (k + i) for i in range(m)])
+
+
+def test_clique_number_of_a_complete_graph_beside_a_crown_graph():
+    # crown vertices have degree 1,001 and K_1000's 999, so the greedy
+    # clique, taken by degree, is one crown edge; the root colouring's
+    # 1,000 colours do not close the search, which goes 1,000 nodes deep
+    rows = complete_beside_crown_rows(1000, 1002)
+    assert clique_number(SimpleGraph._from_rows(rows, tuple(range(len(rows))))) == 1000
+
+
 def test_s5_clique_search_goes_below_the_root(monkeypatch):
     # the twin quotient of E_S5 has 72 vertices and its root colouring 29
-    # colours, more than any clique, so the search branches below the root
-    calls = []
-    expand = graphs_module._expand
+    # colours, more than any clique, so the search branches below the root.
+    # Each row read goes through the rows' __getitem__: the greedy clique
+    # reads every row for its degree and one more per member, and the root
+    # reads every row to colour it and once more for its branch, so any
+    # further read is made below the root
+    reads = 0
 
-    def counting(nbr, size, candidates, best):
-        calls.append((size, best))
-        return expand(nbr, size, candidates, best)
+    class CountingRows(tuple):
+        def __getitem__(self, key):
+            nonlocal reads
+            reads += 1
+            return tuple.__getitem__(self, key)
 
-    monkeypatch.setattr(graphs_module, "_expand", counting)
-    assert clique_number(build_engel_graph(build_group("S5"))) == 25
-    (root_size, incumbent), *below = calls
-    assert root_size == 0 and 1 <= incumbent <= 25 and below
+    twin_quotient = graphs_module._twin_quotient
+    greedy = []
+
+    def counting_quotient(g):
+        q, sizes = twin_quotient(g)
+        greedy.append(graphs_module._greedy_clique_size(q.adjacency))
+        q.adjacency = CountingRows(q.adjacency)
+        return q, sizes
+
+    g = build_engel_graph(build_group("S5"))
+    monkeypatch.setattr(graphs_module, "_twin_quotient", counting_quotient)
+    assert clique_number(g) == 25
+    (incumbent,) = greedy
+    assert 1 <= incumbent <= 25 and reads > 3 * 72 + incumbent
 
 
 def test_clique_number_against_enumeration_oracle():

@@ -14,6 +14,7 @@ from engelgraph import (
     conjugacy_class,
     conjugacy_classes,
     centralizer,
+    dihedral_group,
     left_engel_set,
     derived_subgroup,
     fitting_subgroup,
@@ -147,6 +148,20 @@ def test_wide_point_labels_cost_only_the_moved_points():
     assert peak < 1024 * 1024
     assert G.elements == tuple(sorted(naive_closure(gens)))
     assert G.generators == (G.index(gens[0]), G.index(gens[1]))
+
+
+def test_construction_keeps_the_cayley_table_and_no_image_copy():
+    # D520 moves 520 points, so each element's images would be a tuple as
+    # large as its Cayley row; a group that kept them held twice its table
+    order = 520
+    tracemalloc.start()
+    try:
+        G = dihedral_group(order)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    table = order * (56 + 8 * order)  # bytes of the rows, tuples of order ints
+    assert G.order == order and kept < 1.5 * table
 
 
 def test_canonical_indexing_is_reproducible():

@@ -1,8 +1,8 @@
 import random
+import time
+import tracemalloc
 
 import pytest
-
-import time
 
 from engelgraph import IDENTITY, Permutation, closure
 
@@ -53,6 +53,21 @@ def test_wide_point_label_strips_in_one_slice():
     assert G.order == 4 and wide.degree == d
     assert sorted(p.degree for p in G.elements) == [0, 2, d, d]
     assert Permutation(range(1, d + 1)) == IDENTITY
+
+
+def test_wide_point_label_parses_into_one_image_list():
+    # (3,d) is parsed into the images of 1..d: one list, one tuple and d
+    # ints, about 44 bytes per point; a second bijection check on those
+    # images made two more lists of d entries, about 92 bytes per point
+    d = 200_000
+    tracemalloc.start()
+    try:
+        wide = Permutation.from_cycles([(3, d)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wide.degree == d and wide(3) == d and wide(d) == 3 and wide(4) == 4
+    assert peak < 64 * d
 
 
 def test_rejects_non_bijections():

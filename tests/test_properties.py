@@ -28,6 +28,7 @@ digits of the host rows; on random graphs with planted false twins they
 are compared with renumbering by one adjacency test per pair.
 """
 
+import pickle
 import random
 from functools import cache
 
@@ -177,7 +178,7 @@ def generator_lists(draw):
     gens = draw(st.lists(perms.map(Permutation), max_size=3), label="drawn")
     extra = draw(st.lists(st.sampled_from(gens + [IDENTITY]), max_size=2), label="repeats")
     gens = draw(st.permutations(gens + extra), label="generators")
-    moved = len({p for g in gens for p in range(1, g.degree + 1) if g(p) != p})
+    moved = moved_point_count(gens)
     if moved and draw(st.booleans(), label="wide"):
         width = 7 + draw(st.integers(0, 3), label="gap")
         copies = range(0, -(-256 // moved) * width, width)
@@ -195,9 +196,19 @@ def assert_matches_closure_oracle(G, gens, oracle):
     assert G.generators == tuple(index[g] for g in dict.fromkeys(gens))
     assert G._inv == tuple(index[p.inverse()] for p in elements)
     assert G._table == [tuple(index[p * q] for q in elements) for p in elements]
-    # the search ran on bytes exactly when fewer than 256 points move
-    moved = {i for p in gens for i in range(1, p.degree + 1) if p(i) != i}
-    assert isinstance(G._images[0], bytes) == (len(moved) < 256)
+
+
+def assert_round_trips(G, oracle):
+    """``perm`` and ``index`` against the sorted oracle elements, on G and
+    on a copy pickled before its elements were made."""
+    copy = pickle.loads(pickle.dumps(G))
+    elements = sorted(oracle)
+    assert all(G.perm(i) == p and G.index(p) == i for i, p in enumerate(elements))
+    assert list(copy.elements) == elements and copy._table == G._table
+
+
+def moved_point_count(gens):
+    return len({i for p in gens for i in range(1, p.degree + 1) if p(i) != i})
 
 
 @seed(2026)
@@ -207,10 +218,11 @@ def test_construction_matches_product_fixpoint_oracle(gens):
     oracle = naive_closure(gens, limit=120)
     assume(oracle is not None)
     G = Group(gens, "random")
-    event("search on " + type(G._images[0]).__name__)
+    # the search runs on bytes exactly when fewer than 256 points move
+    event("search on " + ("bytes" if moved_point_count(gens) < 256 else "tuple"))
+    assert_round_trips(G, oracle)
     assert_matches_closure_oracle(G, gens, oracle)
     assert G.identity == 0 and G.perm(0) == IDENTITY
-    assert all(G.index(p) == i for i, p in enumerate(G.elements))
 
 
 def test_construction_on_256_or_more_moved_points_matches_the_oracle():
@@ -218,8 +230,10 @@ def test_construction_on_256_or_more_moved_points_matches_the_oracle():
     # runs on tuples
     gens = family_generators("dihedral", 260)
     G = dihedral_group(260)
-    assert len(G._points) == 260 and isinstance(G._images[0], tuple)
-    assert_matches_closure_oracle(G, gens, naive_closure(gens))
+    oracle = naive_closure(gens)
+    assert moved_point_count(gens) == 260
+    assert_round_trips(G, oracle)
+    assert_matches_closure_oracle(G, gens, oracle)
 
 
 def shuffled_twinned_graph(rng, n, twins):
