@@ -30,7 +30,7 @@ from typing import Iterator
 
 from .errors import EngelGraphError
 from .graphs import SimpleGraph
-from .io import parse_group_spec, write_dot, write_report
+from .io import _dot_chunks, parse_group_spec, write_report
 from .survey import (
     SurveyResult,
     TheoremVerdict,
@@ -99,8 +99,8 @@ def _run_report(args: argparse.Namespace) -> int:
         else:
             graph = evaluation.graph
             labels = tuple(str(evaluation.group.perm(x)) for x in graph.labels)
-        with _writing(args.dot):
-            args.dot.write_text(write_dot(graph, labels))
+        with _writing(args.dot), args.dot.open("w") as out:
+            out.writelines(_dot_chunks(graph, labels))
     checks = evaluation.report.checks
     failed = [name for name in sorted(checks) if not checks[name].passed]
     for name in failed:

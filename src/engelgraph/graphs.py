@@ -6,25 +6,29 @@ diameter are read from the twin quotient: vertices with equal
 neighbourhoods (false twins) are never adjacent, so a clique meets each
 twin class at most once and distances between classes survive the
 quotient (Gallai's modules, in their simplest form).  A breadth-first
-search that ORs the rows of each frontier gives components and diameters,
-and branch and bound over the rows with a greedy-coloring bound, run on
-one explicit stack of nodes rather than by recursion, gives the clique
-number.  Isomorphism is delegated to networkx's VF2++ and every
-mapping is replayed edge by edge here.  A graph denser than Euler's bound
-is not planar; sparser graphs go to networkx's linear-time test, which
-also extracts a Kuratowski subgraph on failure; every witness handed out
-is re-verified here as a subdivision of K5 or K_{3,3} that lies inside
-the host graph.
+search that ORs the rows of each frontier gives components and diameters.
+The clique number comes from MCQ (Tomita and Seki 2003): branch and bound
+over the rows renumbered by degree, with a greedy-colouring bound, on one
+explicit stack of lazily expanded frames rather than by recursion; it
+starts from a greedy clique and, on every Engel graph of the catalog up to
+order 480, ends at the root colouring.  Isomorphism is delegated to
+networkx's VF2++ and every mapping is replayed edge by edge here.  A graph
+denser than Euler's bound is not planar; sparser graphs go to networkx's
+linear-time test, which also extracts a Kuratowski subgraph on failure;
+every witness handed out is re-verified here as a subdivision of K5 or
+K_{3,3} that lies inside the host graph.
 
-The rows of an induced subgraph and of the twin quotient are selected
-from the binary digits of the host rows, by one ``itemgetter`` call per
-row (``_selector``); ``_row`` builds a row bit by bit only where the bits
-come as a list of indices (the Engel graph, a class's vertex mask).
+The rows of an induced subgraph, of the twin quotient and of the clique
+search's degree order are selected from the binary digits of the host
+rows, by one ``itemgetter`` call per row (``_selector``); ``_row`` builds a
+row bit by bit only where the bits come as a list of indices (the Engel
+graph, a class's vertex mask).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -122,11 +126,11 @@ def _row(bits: Iterable[int], n: int) -> int:
 
 
 def _selector(vs: Sequence[int], n: int) -> Callable[[int], int]:
-    """The map from a row on n vertices to its bits at the sorted positions
-    ``vs``, renumbered 0..len(vs)-1.
+    """The map from a row on n vertices to its bits at the positions ``vs``,
+    in any order, renumbered 0..len(vs)-1: bit vs[i] becomes bit i.
 
     Bit v of a row is character n-1-v of its n binary digits, so the new
-    row's digits are those characters for ``vs`` in descending order, picked
+    row's digits are those characters for ``vs`` from last to first, picked
     by one ``itemgetter`` and read back with ``int``."""
     if not vs:
         return lambda row: 0
@@ -279,48 +283,75 @@ def clique_number(g: SimpleGraph) -> int:
 
 
 def _max_clique_size(g: SimpleGraph) -> int:
-    """Branch and bound over the bit rows (MCQ, Tomita and Seki 2003) on one
-    explicit stack of nodes (size, candidates, bound): a clique of ``size``
-    vertices, the vertices adjacent to all of it, and an upper bound on the
-    cliques that extend it.  A node colours its candidates greedily; a
-    clique meets each colour class at most once, so the branch on the
-    candidate v, over the candidates coloured before v, is bounded by size
-    plus the colour of v.  Branches are pushed in colour order, so the
-    highest colour pops first, and a popped node whose bound no longer
-    beats the incumbent is dropped.  The first incumbent is a greedy
-    clique, so when the root colouring uses no more colours than that
-    clique has vertices, no node below the root is searched."""
-    nbr = g.adjacency
-    best = _greedy_clique_size(nbr)
-    stack = [(0, (1 << len(nbr)) - 1, len(nbr))]
+    """Branch and bound over the bit rows: MCQ (Tomita and Seki 2003).
+
+    The vertices are renumbered by degree, highest first, so the greedy
+    clique and every sequential colouring run in degree order; the highest
+    degree takes the highest bit, so ``bit_length`` finds the next vertex.
+    The search keeps one explicit stack of lazily expanded frames [size,
+    candidates, verts, colours]: a clique of ``size`` vertices, the vertices
+    adjacent to all of it, and those candidates coloured greedily and
+    listed in colour order (``_colour_classes``).  A clique meets each
+    colour class at most once, so a candidate of colour c extends the
+    clique to at most size + c vertices, and only the candidates whose
+    colour can beat the incumbent are listed.  The top frame branches on
+    its last vertex v, of the highest colour: v leaves the candidates and
+    the frame of ``candidates & nbr[v]`` is pushed.  A frame whose highest
+    colour no longer beats the incumbent is dropped.  No bitset is kept per
+    pending branch, so memory grows with the depth times the candidates,
+    not as the cube of the depth.  The first incumbent is a greedy clique,
+    so when the root colouring uses no more colours than that clique has
+    vertices, no node below the root is searched; a complete graph is
+    answered before its rows are renumbered."""
+    n = len(g.adjacency)
+    degrees = [row.bit_count() for row in g.adjacency]
+    if sum(degrees) == n * (n - 1):  # complete, as E_G is for D_2m with m odd
+        return n
+    order = sorted(range(n), key=lambda v: -degrees[v])[::-1]
+    select = _selector(order, n)
+    nbr = [select(g.adjacency[v]) for v in order]
+    best, full = 0, (1 << n) - 1
+    candidates = full
+    while candidates:  # the greedy clique: each vertex adjacent to all before it
+        best += 1
+        candidates &= nbr[candidates.bit_length() - 1]
+    apart = [~(1 << v | row) for v, row in enumerate(nbr)]  # may share v's colour
+    stack = [[0, full, *_colour_classes(apart, full, best)]]
     while stack:
-        size, candidates, bound = stack.pop()
-        if bound <= best:
+        top = stack[-1]
+        size, candidates, verts, colours = top
+        if not colours or size + colours[-1] <= best:
+            stack.pop()
             continue
-        best = max(best, size)
-        rest, color, colored = candidates, size, 0
-        while rest:
-            color += 1
-            available = rest
-            while available:
-                v = (available & -available).bit_length() - 1
-                bit = 1 << v
-                available &= ~(bit | nbr[v])
-                rest &= ~bit
-                stack.append((size + 1, colored & nbr[v], color))
-                colored |= bit
+        v = verts.pop()
+        colours.pop()
+        top[1] = candidates ^ 1 << v
+        child = candidates & nbr[v]
+        if child:
+            stack.append([size + 1, child, *_colour_classes(apart, child, best - size - 1)])
+        elif size + 1 > best:
+            best = size + 1
     return best
 
 
-def _greedy_clique_size(nbr: Sequence[int]) -> int:
-    """The size of a clique grown over the vertices by degree, highest
-    first: each joins when it is adjacent to every vertex before it."""
-    size, candidates = 0, (1 << len(nbr)) - 1
-    for v in sorted(range(len(nbr)), key=lambda v: -nbr[v].bit_count()):
-        if candidates >> v & 1:
-            size += 1
-            candidates &= nbr[v]
-    return size
+def _colour_classes(apart: list[int], candidates: int, least: int) -> tuple[array, array]:
+    """The candidates coloured greedily, highest vertex first, as two int
+    arrays in colour order: the vertices whose colour is above ``least``,
+    and their colours.  ``apart[v]`` is the mask of the vertices that may
+    share v's colour: neither v nor its neighbours."""
+    verts, colours = array("i"), array("i")
+    rest, colour = candidates, 0
+    while rest:
+        colour += 1
+        available = rest
+        while available:
+            v = available.bit_length() - 1
+            available &= apart[v]
+            rest ^= 1 << v
+            if colour > least:
+                verts.append(v)
+                colours.append(colour)
+    return verts, colours
 
 
 def _to_networkx(g: SimpleGraph) -> nx.Graph:

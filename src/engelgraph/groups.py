@@ -60,8 +60,9 @@ class Group:
     Elements are indexed in sorted order, so the identity comes first, at
     index 0.  Every other row follows by associativity, in search order:
     an element first reached as ``x = g * u`` has ``x * q = g * (u * q)``,
-    so its row is u's row read through g's by one ``itemgetter``.  Only the
-    table and the generators, ``_gens``, are kept; the elements become
+    so its row is u's row read through g's by one ``itemgetter``, and its
+    inverse is u^-1 * g^-1, one table read.  Only the table, the inverses
+    and the generators, ``_gens``, are kept; the elements become
     Permutations, on their original points, only when ``elements``,
     ``perm`` or ``index`` is first used.  Raises ClosureTooLarge as soon as
     more than ``MAX_ORDER`` elements are found.
@@ -136,7 +137,14 @@ class Group:
                     j, u = parent[x]
                     table[rank[x]] = itemgetter(*table[rank[u]])(table[self.generators[j]])
         self._table: list[tuple[int, ...]] = table  # type: ignore[assignment]
-        self._inv = tuple(row.index(0) for row in self._table)
+        # x = g * u, first reached in search order after u, has the inverse
+        # u^-1 * g^-1: one table read per element, one index(0) per generator
+        gen_inv = [table[g].index(0) for g in self.generators]
+        inv = [0] * n
+        for x in range(1, n):
+            j, u = parent[x]
+            inv[rank[x]] = table[inv[rank[u]]][gen_inv[j]]
+        self._inv = tuple(inv)
         # Conjugacy classes and their transversal, written by
         # conjugacy_class; the Engel core, Engel depth maps, L(G) and the
         # randomly-Engel answer per class, written by engel.py

@@ -22,8 +22,10 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .errors import InvalidParameter, LabelMismatch, ParseError
 from .families import FAMILIES, _bounded_product, family_generators, family_group, product_group
@@ -231,17 +233,23 @@ def _dot_escape(label: str) -> str:
 
 def write_dot(g: SimpleGraph, labels: list[str] | tuple[str, ...]) -> str:
     """Deterministic DOT text: vertices in canonical order, each edge once."""
+    return "".join(_dot_chunks(g, labels))
+
+
+def _dot_chunks(g: SimpleGraph, labels: list[str] | tuple[str, ...]) -> Iterator[str]:
+    """The text of ``write_dot`` in chunks, to be written as they come: one
+    per line up to the last vertex, one per vertex for the edges to its
+    higher neighbours, and the closing line."""
     if len(labels) != g.vertex_count:
         raise LabelMismatch(
             f"{len(labels)} labels for {g.vertex_count} vertices"
         )
-    lines = ["graph {"]
+    yield "graph {\n"
     for i, label in enumerate(labels):
-        lines.append(f'  v{i} [label="{_dot_escape(str(label))}"];')
-    for u, v in g.edges():
-        lines.append(f"  v{u} -- v{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  v{i} [label="{_dot_escape(str(label))}"];\n'
+    for u, edges in groupby(g.edges(), key=itemgetter(0)):
+        yield "".join(f"  v{u} -- v{v};\n" for _, v in edges)
+    yield "}\n"
 
 
 # what a report shows for an Engel group, whose graph is empty (and planar)

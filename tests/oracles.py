@@ -378,8 +378,8 @@ def with_planted_twins(rng, g, count):
 
 
 def induced_rows_by_renumbering(g, vs):
-    """Rows of the subgraph induced on the sorted vertices ``vs``, vertex
-    vs[i] renumbered i, one adjacency test per pair."""
+    """Rows of the subgraph induced on the vertices ``vs``, in any order,
+    vertex vs[i] renumbered i, one adjacency test per pair."""
     return tuple(sum(1 << j for j, w in enumerate(vs) if g.adjacent(v, w)) for v in vs)
 
 

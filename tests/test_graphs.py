@@ -354,40 +354,51 @@ def complete_beside_crown_rows(k, m):
 def test_clique_number_of_a_complete_graph_beside_a_crown_graph():
     # crown vertices have degree 1,001 and K_1000's 999, so the greedy
     # clique, taken by degree, is one crown edge; the root colouring's
-    # 1,000 colours do not close the search, which goes 1,000 nodes deep
+    # 1,002 colours do not close the search, which goes 1,000 nodes deep
     rows = complete_beside_crown_rows(1000, 1002)
     assert clique_number(SimpleGraph._from_rows(rows, tuple(range(len(rows))))) == 1000
 
 
-def test_s5_clique_search_goes_below_the_root(monkeypatch):
-    # the twin quotient of E_S5 has 72 vertices and its root colouring 29
-    # colours, more than any clique, so the search branches below the root.
-    # Each row read goes through the rows' __getitem__: the greedy clique
-    # reads every row for its degree and one more per member, and the root
-    # reads every row to colour it and once more for its branch, so any
-    # further read is made below the root
-    reads = 0
+def test_clique_stack_memory_grows_with_depth_times_candidates():
+    # K_300 beside the crown graph on 2 x 302 vertices: the search goes 300
+    # frames deep.  A frame keeps one candidate bitset and its coloured
+    # candidates as two int arrays, a 0.8 MiB traced peak (Python 3.11);
+    # one bitset per pending branch took 5.2 MiB, and 91 MiB on K_1000
+    rows = complete_beside_crown_rows(300, 302)
+    q = SimpleGraph._from_rows(rows, tuple(range(len(rows))))
+    tracemalloc.start()
+    try:
+        omega = graphs_module._max_clique_size(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert omega == 300 and peak < 2 * 2**20
 
-    class CountingRows(tuple):
-        def __getitem__(self, key):
-            nonlocal reads
-            reads += 1
-            return tuple.__getitem__(self, key)
 
-    twin_quotient = graphs_module._twin_quotient
-    greedy = []
+def test_s5_and_a6_clique_searches_close_at_the_root(monkeypatch):
+    # every node of the search colours its candidates once, the root
+    # included.  In degree order the root colourings of the twin quotients
+    # of E_S5 (72 vertices) and E_A6 (202) use as many colours as the
+    # greedy clique has vertices, so no node below the root is searched;
+    # in index order the S5 root colouring used 29 colours against 25
+    colourings = []
+    colour_classes = graphs_module._colour_classes
 
-    def counting_quotient(g):
-        q, sizes = twin_quotient(g)
-        greedy.append(graphs_module._greedy_clique_size(q.adjacency))
-        q.adjacency = CountingRows(q.adjacency)
-        return q, sizes
+    def counting(*args):
+        colourings.append(args)
+        return colour_classes(*args)
 
-    g = build_engel_graph(build_group("S5"))
-    monkeypatch.setattr(graphs_module, "_twin_quotient", counting_quotient)
-    assert clique_number(g) == 25
-    (incumbent,) = greedy
-    assert 1 <= incumbent <= 25 and reads > 3 * 72 + incumbent
+    monkeypatch.setattr(graphs_module, "_colour_classes", counting)
+    for spec, omega in (("S5", 25), ("A6", 81)):
+        colourings.clear()
+        assert clique_number(build_engel_graph(build_group(spec))) == omega
+        assert len(colourings) == 1, spec
+    # the count sees a search that branches: the greedy clique of K_10
+    # beside a crown graph on 2 x 12 vertices is one crown edge
+    colourings.clear()
+    rows = complete_beside_crown_rows(10, 12)
+    assert clique_number(SimpleGraph._from_rows(rows, tuple(range(len(rows))))) == 10
+    assert len(colourings) > 1
 
 
 def test_clique_number_against_enumeration_oracle():

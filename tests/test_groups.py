@@ -115,6 +115,14 @@ def test_generators_generate_the_group():
         assert subgroup_generated(G, G.generators) == tuple(range(G.order)), G.name
 
 
+def test_inverses_from_search_parents_match_the_index_scan():
+    # the inverses are read from the search's parent pairs, one table read
+    # per element; every catalog group up to 240 against row.index(0)
+    for plan in catalog_plans(240):
+        G = build_group(plan)
+        assert G._inv == tuple(row.index(0) for row in G._table), G.name
+
+
 def test_construction_composes_no_permutations(monkeypatch, repo_root):
     # every construction route: closure (S, A, C), the regular
     # representation (D, Dic), direct products and generator files

@@ -23,9 +23,13 @@ all-pairs upper central series and sympy.
 Construction itself is checked on generators of mixed degree against the
 product fixpoint and direct composition.
 
-Rows of induced subgraphs and twin quotients are selected from the binary
-digits of the host rows; on random graphs with planted false twins they
-are compared with renumbering by one adjacency test per pair.
+Rows of induced subgraphs, twin quotients and the degree-ordered rows of
+the clique search are selected from the binary digits of the host rows;
+on random graphs with planted false twins they are compared with
+renumbering by one adjacency test per pair, for positions in any order.
+On the same graphs the clique number is compared with subset enumeration
+and checked not to move under a random relabelling of the vertices, since
+the search breaks ties between equal degrees by vertex number.
 """
 
 import pickle
@@ -49,6 +53,7 @@ from engelgraph import (  # noqa: E402
     build_engel_graph,
     build_group,
     centralizer,
+    clique_number,
     conjugacy_classes,
     engel_adjacent,
     engel_depths,
@@ -58,6 +63,7 @@ from engelgraph import (  # noqa: E402
 )
 from engelgraph.families import dihedral_group, family_generators, product_group  # noqa: E402
 from oracles import (  # noqa: E402
+    brute_clique_number,
     direct_engel_graph,
     direct_left_engel_set,
     engel_core_mismatches,
@@ -195,6 +201,7 @@ def assert_matches_closure_oracle(G, gens, oracle):
     assert list(G.elements) == elements
     assert G.generators == tuple(index[g] for g in dict.fromkeys(gens))
     assert G._inv == tuple(index[p.inverse()] for p in elements)
+    assert G._inv == tuple(row.index(0) for row in G._table)
     assert G._table == [tuple(index[p * q] for q in elements) for p in elements]
 
 
@@ -279,3 +286,26 @@ def test_selected_rows_match_renumbering_past_one_word():
     assert g.vertex_count > 64 and len(twin_quotient_by_neighbourhoods(g)[1]) < 150
     vs = sorted(rng.sample(range(150), 90))
     assert_selected_rows_match_renumbering(g, [vs, [], [149], [0], list(range(150))])
+
+
+@settings(deadline=None, max_examples=200)
+@given(twinned_graphs(), st.data())
+def test_selector_renumbers_positions_in_any_order(g, data):
+    # the clique search renumbers every vertex by degree, which is no
+    # sorted order of the positions
+    n = g.vertex_count
+    vs = data.draw(st.permutations(range(n)), label="order")
+    vs = vs[: data.draw(st.integers(0, n), label="kept")]
+    select = graphs_module._selector(vs, n)
+    assert tuple(select(g.adjacency[v]) for v in vs) == induced_rows_by_renumbering(g, vs)
+
+
+@settings(deadline=None, max_examples=200)
+@given(twinned_graphs(), st.randoms(use_true_random=False))
+def test_clique_number_matches_enumeration_under_relabelling(g, rng):
+    n = g.vertex_count
+    omega = brute_clique_number(g)
+    assert clique_number(g) == omega
+    relabel = rng.sample(range(n), n)
+    h = SimpleGraph(n, [(relabel[u], relabel[v]) for u, v in g.edges()])
+    assert clique_number(h) == omega
