@@ -43,18 +43,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BaerViolation, NotASubgroup, PreconditionFailed, SameVertex
 from .groups import (
     Group,
+    _getter,
     _normal_span,
     _transversal,
     conjugacy_class,
     conjugacy_classes,
     is_abelian,
     lower_central_series,
+    normal_closure,
 )
 
 
@@ -190,10 +191,8 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
                     reps.append(x)
         G._memo["engel_core"] = None  # C is G, which G's memo must not hold
         if len(reps) < n:
-            rows = [(0,)]  # itemgetter returns a bare item for one key
-            if len(reps) > 1:
-                at_reps = itemgetter(*reps)
-                rows = [itemgetter(*at_reps(table[r]))(proj) for r in reps]
+            at_reps = _getter(reps)
+            rows = [_getter(at_reps(table[r]))(proj) for r in reps]
             C = Group._from_table(rows, [proj[g] for g in G.generators], f"{G.name}/Z*")
             G._memo["engel_core"] = C, proj
     core = G._memo["engel_core"]
@@ -229,19 +228,17 @@ def fitting_subgroup(G: Group) -> tuple[int, ...]:
     implementation is wrong.  They run on every call; only L(G) itself
     is cached.  The lower central series of L, which spans L and refuses
     a set that is not a subgroup, decides both the subgroup and the
-    nilpotent check.  Normality is checked on every member of L against
-    ``G.generators``, which generate G: a subgroup that each generator of
-    G maps into itself is normal.
+    nilpotent check.  A subgroup is normal exactly when it is its own
+    normal closure, which conjugates only its span's generators by
+    ``G.generators``.
     """
     L = left_engel_set(G)
     try:
         series = lower_central_series(G, L)
     except NotASubgroup as err:
         raise BaerViolation(f"left Engel set of {G.name!r} is not a subgroup") from err
-    members = set(L)
-    for g in G.generators:
-        if any(G.conjugate(a, g) not in members for a in L):
-            raise BaerViolation(f"left Engel set of {G.name!r} is not normal")
+    if normal_closure(G, L) != L:
+        raise BaerViolation(f"left Engel set of {G.name!r} is not normal")
     if series[-1] != (G.identity,):
         raise BaerViolation(f"left Engel set of {G.name!r} is not nilpotent")
     return L

@@ -7,22 +7,21 @@ neighbourhoods (false twins) are never adjacent, so a clique meets each
 twin class at most once and distances between classes survive the
 quotient (Gallai's modules, in their simplest form).  A breadth-first
 search that ORs the rows of each frontier gives components and diameters.
-The clique number comes from MCQ (Tomita and Seki 2003): branch and bound
-over the rows renumbered by degree, with a greedy-colouring bound, on one
-explicit stack of lazily expanded frames rather than by recursion; it
-starts from a greedy clique and, on every Engel graph of the catalog up to
-order 480, ends at the root colouring.  Isomorphism is delegated to
-networkx's VF2++ and every mapping is replayed edge by edge here.  A graph
+The clique number comes from MCQ (Tomita and Seki 2003) on the quotient
+as it is numbered, by degree: branch and bound with a greedy-colouring
+bound, on one explicit stack of lazily expanded frames rather than by
+recursion; it starts from a greedy clique and, on every Engel graph of the
+catalog up to order 480, ends at the root colouring.  Isomorphism is
+delegated to networkx's VF2++ and every mapping is replayed edge by edge here.  A graph
 denser than Euler's bound is not planar; sparser graphs go to networkx's
 linear-time test, which also extracts a Kuratowski subgraph on failure;
 every witness handed out is re-verified here as a subdivision of K5 or
 K_{3,3} that lies inside the host graph.
 
-The rows of an induced subgraph, of the twin quotient and of the clique
-search's degree order are selected from the binary digits of the host
-rows, by one ``itemgetter`` call per row (``_selector``); ``_row`` builds a
-row bit by bit only where the bits come as a list of indices (the Engel
-graph, a class's vertex mask).
+The rows of an induced subgraph and of the twin quotient are selected
+from the binary digits of the host rows, by one ``itemgetter`` call per
+row (``_selector``); ``_row`` builds a row bit by bit only where the bits
+come as a list of indices (the Engel graph, vertex masks).
 """
 
 from __future__ import annotations
@@ -33,14 +32,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count
-from operator import itemgetter, or_
+from operator import or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import networkx as nx
 
 from .engel import _engel_core, _engel_rows, left_engel_set
 from .errors import EmptyGraphError, EngelGroupError, SameVertex, UnknownVertex
-from .groups import Group
+from .groups import Group, _getter
 
 
 class SimpleGraph:
@@ -127,18 +126,17 @@ def _row(bits: Iterable[int], n: int) -> int:
 
 def _selector(vs: Sequence[int], n: int) -> Callable[[int], int]:
     """The map from a row on n vertices to its bits at the positions ``vs``,
-    in any order, renumbered 0..len(vs)-1: bit vs[i] becomes bit i.
+    in any order, renumbered 0..len(vs)-1: bit vs[i] becomes bit i.  When
+    ``vs`` is 0..n-1, each row is returned as it is.
 
     Bit v of a row is character n-1-v of its n binary digits, so the new
     row's digits are those characters for ``vs`` from last to first, picked
     by one ``itemgetter`` and read back with ``int``."""
-    if not vs:
-        return lambda row: 0
-    pick = itemgetter(*[n - 1 - v for v in reversed(vs)])
+    if len(vs) == n and all(map(int.__eq__, vs, range(n))):
+        return lambda row: row
+    pick = _getter([n - 1 - v for v in reversed(vs)])
     spec = f"0{n}b"
-    if len(vs) == 1:  # itemgetter of one key returns the character itself
-        return lambda row: int(pick(format(row, spec)), 2)
-    return lambda row: int("".join(pick(format(row, spec))), 2)
+    return lambda row: int("".join(pick(format(row, spec))) or "0", 2)
 
 
 @dataclass(frozen=True)
@@ -226,8 +224,9 @@ def diameter(g: SimpleGraph) -> float:
 
 
 def _twin_quotient(g: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
-    """The quotient of g by its false twins, one vertex per neighbourhood in
-    order of least member, and the size of each class.
+    """The quotient of g by its false twins and the size of each class, the
+    classes in the clique search's order: by ascending quotient degree,
+    ties by least member.
 
     Twins are never adjacent (a vertex is not its own neighbour), so the
     quotient is a simple graph; the isolated vertices of g form its one
@@ -237,9 +236,10 @@ def _twin_quotient(g: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
     least = dict(zip(reversed(g.adjacency), range(n - 1, -1, -1)))
     # a row meets a twin class in all of its members or in none, so its
     # bit at the class's least member says which
-    select = _selector([least[row] for row in sizes], n)
-    rows = list(map(select, sizes))
-    return SimpleGraph._from_rows(rows, tuple(range(len(rows)))), list(sizes.values())
+    leaders = _row(least.values(), n)
+    classes = sorted(sizes, key=lambda row: (row & leaders).bit_count())  # stable sort
+    rows = list(map(_selector([least[row] for row in classes], n), classes))
+    return SimpleGraph._from_rows(rows, tuple(range(len(rows)))), [sizes[row] for row in classes]
 
 
 def _components_and_diameter(q: SimpleGraph, sizes: list[int]) -> tuple[int, float]:
@@ -285,32 +285,26 @@ def clique_number(g: SimpleGraph) -> int:
 def _max_clique_size(g: SimpleGraph) -> int:
     """Branch and bound over the bit rows: MCQ (Tomita and Seki 2003).
 
-    The vertices are renumbered by degree, highest first, so the greedy
-    clique and every sequential colouring run in degree order; the highest
-    degree takes the highest bit, so ``bit_length`` finds the next vertex.
-    The search keeps one explicit stack of lazily expanded frames [size,
-    candidates, verts, colours]: a clique of ``size`` vertices, the vertices
-    adjacent to all of it, and those candidates coloured greedily and
-    listed in colour order (``_colour_classes``).  A clique meets each
-    colour class at most once, so a candidate of colour c extends the
-    clique to at most size + c vertices, and only the candidates whose
-    colour can beat the incumbent are listed.  The top frame branches on
-    its last vertex v, of the highest colour: v leaves the candidates and
+    The input order is the search order: the greedy clique and every
+    sequential colouring take the highest bit first, found by
+    ``bit_length``.  ``_twin_quotient`` puts the highest degree there, as
+    MCQ does; any order gives the exact clique number, perhaps with more
+    nodes searched.  The search keeps one explicit stack of lazily expanded
+    frames [size, candidates, verts, colours]: a clique of ``size``
+    vertices, the vertices adjacent to all of it, and those candidates
+    coloured greedily and listed in colour order (``_colour_classes``).  A
+    clique meets each colour class at most once, so a candidate of colour c
+    extends the clique to at most size + c vertices, and only the candidates
+    whose colour can beat the incumbent are listed.  The top frame branches
+    on its last vertex v, of the highest colour: v leaves the candidates and
     the frame of ``candidates & nbr[v]`` is pushed.  A frame whose highest
     colour no longer beats the incumbent is dropped.  No bitset is kept per
-    pending branch, so memory grows with the depth times the candidates,
-    not as the cube of the depth.  The first incumbent is a greedy clique,
-    so when the root colouring uses no more colours than that clique has
-    vertices, no node below the root is searched; a complete graph is
-    answered before its rows are renumbered."""
-    n = len(g.adjacency)
-    degrees = [row.bit_count() for row in g.adjacency]
-    if sum(degrees) == n * (n - 1):  # complete, as E_G is for D_2m with m odd
-        return n
-    order = sorted(range(n), key=lambda v: -degrees[v])[::-1]
-    select = _selector(order, n)
-    nbr = [select(g.adjacency[v]) for v in order]
-    best, full = 0, (1 << n) - 1
+    pending branch, so memory grows with the depth times the candidates, not
+    as the cube of the depth.  The first incumbent is a greedy clique, so
+    when the root colouring uses no more colours than that clique has
+    vertices, no node below the root is searched."""
+    nbr = g.adjacency
+    best, full = 0, (1 << len(nbr)) - 1
     candidates = full
     while candidates:  # the greedy clique: each vertex adjacent to all before it
         best += 1

@@ -29,12 +29,26 @@ from __future__ import annotations
 
 from collections import deque
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ClosureTooLarge, NotASubgroup
 from .permutations import Permutation
 
 MAX_ORDER = 4096
+
+
+def _getter(keys: Iterable[int]) -> Callable[[Sequence], tuple]:
+    """The map from a sequence to the tuple of its items at ``keys``, for
+    any number of keys.  ``itemgetter`` returns a bare item for one key and
+    fails for none, so those two cases read a snapshot of the keys taken
+    now: a caller may grow its key list afterwards."""
+    keys = tuple(keys)
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if not keys:
+        return lambda seq: ()
+    (key,) = keys
+    return lambda seq: (seq[key],)
 
 
 class Group:
@@ -126,16 +140,14 @@ class Group:
         # gens[j] = gens[j] * identity was reached from search index 0
         self.generators: tuple[int, ...] = tuple(rank[row[0]] for row in gen_rows)
 
-        table: list[tuple[int, ...] | None] = [(0,)]
-        if n > 1:  # itemgetter returns a tuple only for two or more keys
-            table = [tuple(range(n))] + [None] * (n - 1)
-            in_sorted_order = itemgetter(*ordered)
-            for gi, bfs_row in zip(self.generators, gen_rows):
-                table[gi] = itemgetter(*in_sorted_order(bfs_row))(rank)
-            for x in range(1, n):
-                if table[rank[x]] is None:
-                    j, u = parent[x]
-                    table[rank[x]] = itemgetter(*table[rank[u]])(table[self.generators[j]])
+        table: list[tuple[int, ...] | None] = [tuple(range(n))] + [None] * (n - 1)
+        in_sorted_order = _getter(ordered)
+        for gi, bfs_row in zip(self.generators, gen_rows):
+            table[gi] = _getter(in_sorted_order(bfs_row))(rank)
+        for x in range(1, n):
+            if table[rank[x]] is None:
+                j, u = parent[x]
+                table[rank[x]] = itemgetter(*table[rank[u]])(table[self.generators[j]])
         self._table: list[tuple[int, ...]] = table  # type: ignore[assignment]
         # x = g * u, first reached in search order after u, has the inverse
         # u^-1 * g^-1: one table read per element, one index(0) per generator
@@ -274,14 +286,7 @@ class _Span:
         """Grow the span to ``<gens, s>``.  Returns False, leaving the span
         partial, as soon as a new element falls outside ``limit``."""
         table, members = self.G._table, self.members
-        if len(self.elements) > 1:
-            coset_of = itemgetter(*self.elements)  # x K, from x's row
-        else:  # K = {1}: itemgetter of one key returns a bare entry
-            identity = self.elements[0]
-
-            def coset_of(row):
-                return (row[identity],)
-
+        coset_of = _getter(self.elements)  # x K, from x's row
         self.gens.append(s)
         gen_rows = [table[g] for g in self.gens]
         queue = deque([s])

@@ -385,14 +385,17 @@ def induced_rows_by_renumbering(g, vs):
 
 def twin_quotient_by_neighbourhoods(g):
     """Rows and class sizes of the quotient of g by equal neighbour sets,
-    classes in order of least member, two classes adjacent when their
-    least members are."""
+    classes in order of (quotient degree, least member), two classes
+    adjacent when their least members are."""
     classes = {}
     for v in range(g.vertex_count):
         classes.setdefault(frozenset(g.neighbors(v)), []).append(v)
     least = [members[0] for members in classes.values()]
-    rows = induced_rows_by_renumbering(g, least)
-    return rows, [len(members) for members in classes.values()]
+    degree = {v: sum(g.adjacent(v, w) for w in least) for v in least}
+    order = sorted(range(len(least)), key=lambda c: (degree[least[c]], least[c]))
+    rows = induced_rows_by_renumbering(g, [least[c] for c in order])
+    sizes = [len(members) for members in classes.values()]
+    return rows, [sizes[c] for c in order]
 
 
 def _describe(G, x):

@@ -29,6 +29,7 @@ from engelgraph import (
     isolated_vertices,
     kuratowski_witness,
     left_engel_set,
+    survey,
     verify_kuratowski_witness,
 )
 from conftest import elem
@@ -342,6 +343,17 @@ def test_clique_number_of_large_complete_graphs(n):
     assert clique_number(SimpleGraph._from_rows(complete_rows(n), tuple(range(n)))) == n
 
 
+def test_twin_quotient_of_a_twin_free_regular_graph_keeps_its_rows():
+    # K_300 and the cycle on 100 vertices have no twins and one degree, so
+    # their classes are already in degree order and no row is renumbered
+    cycle = [1 << (v - 1) % 100 | 1 << (v + 1) % 100 for v in range(100)]
+    for rows in (complete_rows(300), cycle):
+        g = SimpleGraph._from_rows(rows, tuple(range(len(rows))))
+        q, sizes = graphs_module._twin_quotient(g)
+        assert sizes == [1] * len(rows)
+        assert all(a is b for a, b in zip(q.adjacency, g.adjacency))
+
+
 def complete_beside_crown_rows(k, m):
     """K_k on the vertices 0..k-1, beside the crown graph on a_i = k + i
     and b_i = k + m + i for i < m, where a_i and b_j are adjacent iff
@@ -399,6 +411,27 @@ def test_s5_and_a6_clique_searches_close_at_the_root(monkeypatch):
     rows = complete_beside_crown_rows(10, 12)
     assert clique_number(SimpleGraph._from_rows(rows, tuple(range(len(rows))))) == 10
     assert len(colourings) > 1
+
+
+def test_catalog_clique_searches_up_to_order_240_close_at_the_root(monkeypatch):
+    # the twin quotient's order (ascending degree, ties by least member) is
+    # the search's: one colouring per search means each ends at the root
+    searches, colourings = [], []
+    search, colour_classes = graphs_module._max_clique_size, graphs_module._colour_classes
+
+    def counted_search(q):
+        searches.append(q.vertex_count)
+        return search(q)
+
+    def counted_colouring(*args):
+        colourings.append(args)
+        return colour_classes(*args)
+
+    monkeypatch.setattr(graphs_module, "_max_clique_size", counted_search)
+    monkeypatch.setattr(graphs_module, "_colour_classes", counted_colouring)
+    reports = survey(240).reports
+    assert len(searches) == len(reports) == 523
+    assert len(colourings) == len(searches)
 
 
 def test_clique_number_against_enumeration_oracle():

@@ -26,6 +26,7 @@ from engelgraph import (
     subgroup_generated,
     symmetric_group,
 )
+from engelgraph.groups import _getter
 from conftest import elem
 from oracles import (
     naive_closure,
@@ -177,6 +178,20 @@ def test_canonical_indexing_is_reproducible():
     again = closure([C123, T12])  # different generator order
     assert once.elements == again.elements
     assert once.identity == again.identity == 0
+
+
+def test_getter_returns_a_tuple_for_any_number_of_keys():
+    seq = "abcd"
+    assert _getter([])(seq) == ()
+    assert _getter([2])(seq) == ("c",)
+    assert _getter([3, 0])(seq) == ("d", "a")
+    # a key list that grows after the call, as the span's elements do
+    # while a generator is adjoined, does not change the getter
+    for keys in ([], [1], [1, 2]):
+        pick = _getter(keys)
+        expected = tuple(seq[k] for k in keys)
+        keys.append(0)
+        assert pick(seq) == expected
 
 
 def test_subgroup_generated(s3):

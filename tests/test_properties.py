@@ -291,7 +291,7 @@ def test_selected_rows_match_renumbering_past_one_word():
 @settings(deadline=None, max_examples=200)
 @given(twinned_graphs(), st.data())
 def test_selector_renumbers_positions_in_any_order(g, data):
-    # the clique search renumbers every vertex by degree, which is no
+    # the twin quotient renumbers its classes by degree, which is no
     # sorted order of the positions
     n = g.vertex_count
     vs = data.draw(st.permutations(range(n)), label="order")
