@@ -11,12 +11,18 @@ The clique number comes from MCQ (Tomita and Seki 2003) on the quotient
 as it is numbered, by degree: branch and bound with a greedy-colouring
 bound, on one explicit stack of lazily expanded frames rather than by
 recursion; it starts from a greedy clique and, on every Engel graph of the
-catalog up to order 480, ends at the root colouring.  Isomorphism is
-delegated to networkx's VF2++ and every mapping is replayed edge by edge here.  A graph
-denser than Euler's bound is not planar; sparser graphs go to networkx's
-linear-time test, which also extracts a Kuratowski subgraph on failure;
-every witness handed out is re-verified here as a subdivision of K5 or
-K_{3,3} that lies inside the host graph.
+catalog up to order 480, ends at the root colouring.  A graph denser than
+Euler's bound is not planar.  On at most six vertices, planarity and
+isomorphism are decided here: a sparser graph is searched for K5, K5 with
+one edge subdivided once, and K_{3,3} (Kuratowski's list on six vertices),
+and isomorphism tries the bijections that respect degrees.  Past six
+vertices networkx is used, imported only then: its linear-time planarity
+test, which also extracts a Kuratowski subgraph on failure, and VF2++.
+Every mapping is replayed edge by edge here, and every witness handed out
+is re-verified here as a subdivision of K5 or K_{3,3} that lies inside the
+host graph.  No catalog Engel graph up to order 480 needs networkx: the
+only sparse ones are those of S3, D12, Dic3 and S3xC2, on three and six
+vertices.
 
 The rows of an induced subgraph and of the twin quotient are selected
 from the binary digits of the host rows, by one ``itemgetter`` call per
@@ -31,15 +37,16 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, count
+from itertools import chain, combinations, compress, count, groupby, permutations, product
 from operator import or_
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .engel import _engel_core, _engel_rows, left_engel_set
 from .errors import EmptyGraphError, EngelGroupError, SameVertex, UnknownVertex
 from .groups import Group, _getter
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class SimpleGraph:
@@ -349,28 +356,80 @@ def _colour_classes(apart: list[int], candidates: int, least: int) -> tuple[arra
 
 
 def _to_networkx(g: SimpleGraph) -> nx.Graph:
+    import networkx as nx
+
     gx = nx.Graph()
     gx.add_nodes_from(range(g.vertex_count))
     gx.add_edges_from(g.edges())
     return gx
 
 
+# K_{3,3}, the larger of Kuratowski's two graphs, has six vertices; on at
+# most six, a subdivision of K5 or K_{3,3} is K_{3,3} itself, K5, or K5 with
+# one edge subdivided once, so ``_small_kuratowski_edges`` decides planarity
+_SMALL = 6
+
+
+def _small_kuratowski_edges(g: SimpleGraph) -> list[tuple[int, int]] | None:
+    """The edges of a subdivision of K5 or K_{3,3} in g, which has at most
+    ``_SMALL`` vertices, or None when g is planar.
+
+    Each 5-subset is tried as the branch vertices of a K5 missing at most
+    one edge (a, b), which the sixth vertex must then join to both a and b;
+    each of the ten 3+3 splits of six vertices is tried as a K_{3,3}."""
+    rows, n = g.adjacency, g.vertex_count
+    for five in combinations(range(n), 5):
+        pairs = list(combinations(five, 2))
+        edges = [(a, b) for a, b in pairs if rows[a] >> b & 1]
+        missing = [p for p in pairs if p not in edges]
+        if not missing:
+            return edges
+        if len(missing) == 1 and n == 6:
+            (a, b), (w,) = missing[0], set(range(6)).difference(five)
+            if rows[w] >> a & 1 and rows[w] >> b & 1:
+                return edges + [(a, w), (w, b)]
+    if n == 6:
+        for pair in combinations(range(1, 6), 2):
+            side = (0, *pair)
+            other = [v for v in range(6) if v not in side]
+            edges = [(u, v) for u in side for v in other if rows[u] >> v & 1]
+            if len(edges) == 9:
+                return edges
+    return None
+
+
 def is_planar(g: SimpleGraph) -> bool:
     """Planarity.  A simple planar graph on V >= 3 vertices has at most
-    3V - 6 edges (Euler), so a denser graph is answered without networkx."""
+    3V - 6 edges (Euler), so a denser graph is answered at once; a sparser
+    one on at most six vertices by ``_small_kuratowski_edges``, and a
+    larger one by networkx's linear-time test."""
     v = g.vertex_count
     if v >= 3 and g.edge_count > 3 * v - 6:
         return False
+    if v <= _SMALL:
+        return _small_kuratowski_edges(g) is None
+    import networkx as nx
+
     return nx.is_planar(_to_networkx(g))
 
 
 def kuratowski_witness(g: SimpleGraph) -> SimpleGraph | None:
     """For a non-planar graph, a verified witness subgraph that is a
-    subdivision of K5 or K_{3,3}; None when g is planar."""
-    planar, certificate = nx.check_planarity(_to_networkx(g), counterexample=True)
-    if planar:
-        return None
-    witness = SimpleGraph(g.vertex_count, certificate.edges(), g.labels)
+    subdivision of K5 or K_{3,3}; None when g is planar.  On at most six
+    vertices the witness comes from ``_small_kuratowski_edges``, on more
+    from networkx's planarity test."""
+    if g.vertex_count <= _SMALL:
+        edges = _small_kuratowski_edges(g)
+        if edges is None:
+            return None
+    else:
+        import networkx as nx
+
+        planar, certificate = nx.check_planarity(_to_networkx(g), counterexample=True)
+        if planar:
+            return None
+        edges = certificate.edges()
+    witness = SimpleGraph(g.vertex_count, edges, g.labels)
     verify_kuratowski_witness(witness, g)
     return witness
 
@@ -414,21 +473,45 @@ def verify_kuratowski_witness(witness: SimpleGraph, host: SimpleGraph) -> str:
 def find_isomorphism(g1: SimpleGraph, g2: SimpleGraph) -> dict[int, int] | None:
     """An edge-preserving vertex bijection from g1 to g2, or None.
 
-    Found by networkx's VF2++; the bijection is replayed edge by edge
-    before being returned.
+    On at most six vertices, the first of the bijections that map each
+    vertex to one of equal degree to pass the edge replay; on more, found
+    by networkx's VF2++ and replayed edge by edge before being returned.
     """
     if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
         return None
-    if g1.vertex_count == 0:
-        return {}
+    if g1.vertex_count <= _SMALL:
+        for mapping in _degree_respecting_bijections(g1, g2):
+            if _preserves_edges(g1, g2, mapping):
+                return mapping
+        return None
+    import networkx as nx
+
     mapping = nx.vf2pp_isomorphism(_to_networkx(g1), _to_networkx(g2))
     if mapping is None:
         return None
-    # replay: same edge count plus edges-to-edges makes it an isomorphism
-    for u, v in g1.edges():
-        if not g2.adjacent(mapping[u], mapping[v]):
-            raise AssertionError("VF2++ produced a non-isomorphism")
+    if not _preserves_edges(g1, g2, mapping):
+        raise AssertionError("VF2++ produced a non-isomorphism")
     return dict(mapping)
+
+
+def _degree_respecting_bijections(g1: SimpleGraph, g2: SimpleGraph) -> Iterator[dict[int, int]]:
+    """Every bijection from the vertices of g1 to those of g2 that maps each
+    vertex to one of the same degree; none when the degree counts differ."""
+    degree1 = [row.bit_count() for row in g1.adjacency]
+    degree2 = [row.bit_count() for row in g2.adjacency]
+    if sorted(degree1) != sorted(degree2):
+        return
+    sources = sorted(range(len(degree1)), key=degree1.__getitem__)
+    targets = sorted(range(len(degree2)), key=degree2.__getitem__)
+    blocks = [permutations(block) for _, block in groupby(targets, degree2.__getitem__)]
+    for images in product(*blocks):
+        yield dict(zip(sources, chain.from_iterable(images)))
+
+
+def _preserves_edges(g1: SimpleGraph, g2: SimpleGraph, mapping: dict[int, int]) -> bool:
+    """Whether ``mapping`` sends every edge of g1 to an edge of g2: with equal
+    edge counts, whether the bijection is an isomorphism."""
+    return all(g2.adjacent(mapping[u], mapping[v]) for u, v in g1.edges())
 
 
 def graphs_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:

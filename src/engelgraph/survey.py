@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
@@ -249,6 +248,8 @@ def _catalog_pass(plans: list[GroupSpec], jobs: int = 1) -> tuple[_Record, ...]:
     key = tuple(plans)
     if _last_catalog is None or _last_catalog[0] != key:
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(jobs, len(plans), os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(_catalog_record, plans))

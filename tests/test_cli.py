@@ -1,8 +1,10 @@
 import importlib
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from engelgraph.cli import main
 
@@ -220,3 +222,31 @@ def test_console_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["name"] == "S3"
+
+
+def test_catalog_and_report_runs_never_import_networkx_or_the_process_pool():
+    # networkx is imported only for the planarity of sparse graphs and for
+    # isomorphism on more than six vertices, and the process pool only for
+    # jobs > 1; neither comes up in a catalog run or a report of S4, so
+    # neither is loaded.  A fresh interpreter, since this suite imports
+    # networkx itself
+    code = """
+import sys
+import engelgraph
+from engelgraph import cli, survey, verify_theorems
+result = survey(120)
+assert result.planar_groups == ["S3", "D12", "Dic3", "S3xC2"], result.planar_groups
+assert all(v.passed for v in verify_theorems(120))
+assert cli.main(["report", "--group", "S4"]) == 0
+loaded = [m for m in ("networkx", "concurrent.futures.process") if m in sys.modules]
+assert not loaded, loaded
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr

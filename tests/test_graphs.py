@@ -589,17 +589,91 @@ def test_isomorphism_under_random_relabeling():
         assert graphs_isomorphic(h, g)  # symmetric
 
 
+def _is_isomorphism(mapping, g, h):
+    """Oracle: ``mapping`` is a bijection from the vertices of g onto those
+    of h that sends edges to edges and non-edges to non-edges."""
+    n = g.vertex_count
+    return (
+        h.vertex_count == n
+        and sorted(mapping) == sorted(mapping.values()) == list(range(n))
+        and all(g.adjacent(u, v) == h.adjacent(mapping[u], mapping[v])
+                for u, v in combinations(range(n), 2))
+    )
+
+
+def _relabelled(rng, gx):
+    """The networkx graph ``gx`` as a SimpleGraph, and as one under a random
+    relabelling."""
+    n = gx.number_of_nodes()
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    edges = list(gx.edges())
+    return SimpleGraph(n, edges), SimpleGraph(n, [(relabel[u], relabel[v]) for u, v in edges])
+
+
+def test_six_vertex_planarity_and_isomorphism_match_the_atlas():
+    # every graph on 1-6 vertices, up to isomorphism, decided without
+    # networkx and checked against it; the atlas graphs are pairwise
+    # non-isomorphic, so each pair of equal vertex and edge counts has no
+    # isomorphism
+    rng = random.Random(26)
+    atlas = [gx for gx in nx.graph_atlas_g() if 1 <= gx.number_of_nodes() <= 6]
+    assert len(atlas) == 208
+    graphs = []
+    for gx in atlas:
+        g, h = _relabelled(rng, gx)
+        planar = nx.is_planar(gx)
+        assert is_planar(h) == planar, sorted(h.edges())
+        witness = kuratowski_witness(h)
+        assert (witness is None) == planar
+        if witness is not None:
+            assert verify_kuratowski_witness(witness, h) in ("K5", "K33")
+        mapping = find_isomorphism(g, h)
+        assert mapping is not None and _is_isomorphism(mapping, g, h), sorted(g.edges())
+        graphs.append(g)
+    pairs = [(g, h) for g, h in combinations(graphs, 2)
+             if (g.vertex_count, g.edge_count) == (h.vertex_count, h.edge_count)]
+    assert len(pairs) == 1340
+    for g, h in pairs:
+        assert find_isomorphism(g, h) is None, (sorted(g.edges()), sorted(h.edges()))
+
+
+def test_seven_vertex_graphs_go_to_networkx(monkeypatch):
+    # past six vertices planarity and isomorphism are networkx's, and the
+    # six-vertex search is never called
+    rng = random.Random(27)
+    calls = []
+    convert = graphs_module._to_networkx
+    monkeypatch.setattr(graphs_module, "_to_networkx", lambda g: calls.append(g) or convert(g))
+    monkeypatch.setattr(graphs_module, "_small_kuratowski_edges", None)
+    atlas = [gx for gx in nx.graph_atlas_g() if gx.number_of_nodes() == 7]
+    for gx in rng.sample(atlas, 120):
+        g, h = _relabelled(rng, gx)
+        sparse = g.edge_count <= 3 * 7 - 6
+        calls.clear()
+        assert is_planar(h) == nx.is_planar(gx)
+        assert len(calls) == sparse
+        witness = kuratowski_witness(h)
+        assert (witness is None) == nx.is_planar(gx)
+        calls.clear()
+        mapping = find_isomorphism(g, h)
+        assert mapping is not None and _is_isomorphism(mapping, g, h)
+        assert len(calls) == 2
+
+
 def test_compute_metrics_converts_to_networkx_once(monkeypatch, a4):
     # components, diameter and the clique number read the bit rows, so the
     # twin quotient is never converted; the full graph is converted once,
-    # and only when it is sparse enough (E <= 3V - 6) for planarity to
-    # need networkx
+    # and only when planarity needs networkx: when it is sparse enough
+    # (E <= 3V - 6) and has more than six vertices
     calls = []
     convert = graphs_module._to_networkx
     monkeypatch.setattr(graphs_module, "_to_networkx", lambda g: calls.append(g) or convert(g))
     e_a4 = build_engel_graph(a4)  # 8 vertices, 24 edges: K4 with every vertex doubled
     sparse, single = SimpleGraph(3, [(0, 1)]), SimpleGraph(1, [])
-    for g, full in ((e_a4, []), (sparse, [sparse]), (single, [single])):
+    octahedron = SimpleGraph(6, [(u, v) for u, v in combinations(range(6), 2) if v - u != 3])
+    c7 = SimpleGraph(7, [(v, (v + 1) % 7) for v in range(7)])
+    for g, full in ((e_a4, []), (sparse, []), (single, []), (octahedron, []), (c7, [c7])):
         calls.clear()
         compute_metrics(g)
         assert calls == full

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import importlib
@@ -303,7 +304,9 @@ def test_product_invariant_names_a_planted_mismatch():
 
 def _record_pool_sizes(monkeypatch):
     """Replace the process pool with a stand-in that records max_workers
-    and evaluates in this process; returns the recorded sizes."""
+    and evaluates in this process; returns the recorded sizes.  The pool
+    is imported from ``concurrent.futures`` only when ``jobs > 1``, so the
+    stand-in goes there."""
     asked = []
 
     class RecordingPool:
@@ -319,7 +322,7 @@ def _record_pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(survey_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return asked
 
 
