@@ -225,12 +225,14 @@ def fitting_subgroup(G: Group) -> tuple[int, ...]:
 
     The verifications are assertions, not assumptions: for finite groups
     they are guaranteed, so a failure raises BaerViolation and means the
-    implementation is wrong.  They run on every call; only L(G) itself
-    is cached.  The lower central series of L, which spans L and refuses
-    a set that is not a subgroup, decides both the subgroup and the
-    nilpotent check.  A subgroup is normal exactly when it is its own
-    normal closure, which conjugates only its span's generators by
-    ``G.generators``.
+    implementation is wrong.  The lower central series of L, which spans L
+    and refuses a set that is not a subgroup, decides both the subgroup
+    and the nilpotent check.  A subgroup is normal exactly when it is its
+    own normal closure, which conjugates only its span's generators by
+    ``G.generators``.  L(G) is cached, and G remembers L once the series
+    has spanned it, so the subgroup check is made once per group and the
+    normal closure starts from L's generators; normality and nilpotency
+    are checked on every call.
     """
     L = left_engel_set(G)
     try:

@@ -23,6 +23,15 @@ Normal closures conjugate the generators of the subgroup by
 conjugates by the generators of H.  Conjugates and commutators are read
 from the Cayley table and the inverses directly.  The all-pairs versions
 are kept as test oracles.
+
+A group remembers each subgroup it has spanned, in ``G._memo["spans"]``:
+the sorted member tuple returned by ``subgroup_generated``,
+``normal_closure`` (so ``derived_subgroup``) and each term of
+``lower_central_series``, and each member set proved a subgroup, mapped to
+generators that span it.  A later query on that tuple starts from those
+generators, so ``is_nilpotent(G, normal_closure(G, S))`` spans the closure
+once.  An entry is written only once its span is complete, so a set that
+is not a subgroup is never remembered as one.
 """
 
 from __future__ import annotations
@@ -158,8 +167,9 @@ class Group:
             inv[rank[x]] = table[inv[rank[u]]][gen_inv[j]]
         self._inv = tuple(inv)
         # Conjugacy classes and their transversal, written by
-        # conjugacy_class; the Engel core, Engel depth maps, L(G) and the
-        # randomly-Engel answer per class, written by engel.py
+        # conjugacy_class; the subgroups spanned so far with their
+        # generators, under "spans"; the Engel core, Engel depth maps, L(G)
+        # and the randomly-Engel answer per class, written by engel.py
         self._memo: dict = {}
 
     @classmethod
@@ -261,7 +271,9 @@ def closure(generators: Sequence[Permutation], name: str | None = None) -> Group
 
 class _Span:
     """The subgroup generated by ``gens``, grown one generator at a time,
-    starting from greedy generators of ``members``.
+    starting from greedy generators of ``members``, or from the generators
+    that ``G`` remembers for ``members`` when it remembers them as a
+    subgroup, with no Dimino pass.
 
     ``adjoin`` is Dimino's algorithm: the span is kept as a union of left
     cosets x K of the subgroup K it had before the new generator came, so
@@ -280,7 +292,18 @@ class _Span:
         self.gens: list[int] = []
         self.elements: list[int] = [G.identity]
         self.members: set[int] = {G.identity}
-        self.extend(members)
+        key = tuple(sorted(set(members)))
+        if not self.recall(key):
+            self.extend(key)
+
+    def recall(self, key: tuple[int, ...]) -> bool:
+        """Become the subgroup ``key``, a sorted member tuple, from the
+        generators G remembers for it; False when G remembers none."""
+        gens = _spans(self.G).get(key)
+        if gens is None:
+            return False
+        self.gens, self.elements, self.members = list(gens), list(key), set(key)
+        return True
 
     def adjoin(self, s: int, limit: set[int] | None = None) -> bool:
         """Grow the span to ``<gens, s>``.  Returns False, leaving the span
@@ -305,25 +328,45 @@ class _Span:
                     queue.append(y)
         return True
 
-    def extend(self, members: Iterable[int], limit: set[int] | None = None) -> bool:
-        """Adjoin greedy generators of ``members``: the members in sorted
-        order, each one that is not yet in the span.  False as soon as the
-        span leaves ``limit``."""
-        for s in sorted(set(members)):
+    def extend(self, members: Sequence[int], limit: set[int] | None = None) -> bool:
+        """Adjoin greedy generators of ``members``, sorted and duplicate-free:
+        each member, in order, that is not yet in the span.  False as soon
+        as the span leaves ``limit``."""
+        for s in members:
             if s not in self.members and not self.adjoin(s, limit):
                 return False
         return True
 
+    def remember(self) -> tuple[int, ...]:
+        """The members as a sorted tuple, which G remembers from now on as a
+        subgroup spanned by ``gens``: the tuple returned is the key itself,
+        unless G already held an equal one."""
+        key = tuple(sorted(self.members))
+        _spans(self.G).setdefault(key, tuple(self.gens))
+        return key
 
-def _subgroup_span(G: Group, members: Iterable[int]) -> _Span | None:
-    """The span of a member set that is a subgroup of G, or None when it is
-    not one: a set containing the identity is a subgroup iff the subgroup
-    it generates does not leave it."""
-    ms = set(members)
-    if G.identity not in ms or min(ms) < 0 or max(ms) >= G.order:
-        return None
+
+def _spans(G: Group) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The subgroups G has spanned, each sorted member tuple mapped to
+    generators that span it."""
+    return G._memo.setdefault("spans", {})
+
+
+def _subgroup_span(G: Group, H: tuple[int, ...]) -> _Span | None:
+    """The span of H, a sorted member tuple, when H is a subgroup of G, or
+    None when it is not one: a set containing the identity is a subgroup
+    iff the subgroup it generates does not leave it.  A subgroup G
+    remembers is recalled; one proved here is remembered, only once its
+    span is complete."""
     span = _Span(G)
-    return span if span.extend(ms, limit=ms) else None
+    if span.recall(H):
+        return span
+    if G.identity not in H or H[0] < 0 or H[-1] >= G.order:
+        return None
+    if not span.extend(H, limit=set(H)):
+        return None
+    _spans(G)[H] = tuple(span.gens)
+    return span
 
 
 def _normal_span(G: Group, members: Iterable[int], conjugators: Sequence[int]) -> _Span:
@@ -345,7 +388,7 @@ def _normal_span(G: Group, members: Iterable[int], conjugators: Sequence[int]) -
 def subgroup_generated(G: Group, members: Iterable[int]) -> tuple[int, ...]:
     """Smallest subgroup of G containing ``members``, as sorted indices,
     spanned from greedy generators of the members."""
-    return tuple(sorted(_Span(G, members).members))
+    return _Span(G, members).remember()
 
 
 def normal_closure(G: Group, members: Iterable[int]) -> tuple[int, ...]:
@@ -354,7 +397,7 @@ def normal_closure(G: Group, members: Iterable[int]) -> tuple[int, ...]:
     Starts from the subgroup the members generate and conjugates its
     generators by ``G.generators`` only, which generate G, never by all of
     G."""
-    return tuple(sorted(_normal_span(G, members, G.generators).members))
+    return _normal_span(G, members, G.generators).remember()
 
 
 def derived_subgroup(G: Group) -> tuple[int, ...]:
@@ -369,7 +412,7 @@ def is_subgroup(G: Group, members: Iterable[int]) -> bool:
 
     Tested on generators: the subgroup generated by greedy generators of
     the set is grown only while it stays inside the set."""
-    return _subgroup_span(G, members) is not None
+    return _subgroup_span(G, tuple(sorted(set(members)))) is not None
 
 
 def is_abelian(G: Group, members: Iterable[int] | None = None) -> bool:
@@ -405,7 +448,7 @@ def lower_central_series(G: Group, members: Iterable[int]) -> list[tuple[int, ..
         # [x, y] = x^-1 y^-1 x y
         comms = {table[table[table[inv[x]][inv[y]]][x]][y] for x in span.gens for y in hgens}
         span = _normal_span(G, comms, hgens)
-        nxt = tuple(sorted(span.members))
+        nxt = span.remember()
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -462,8 +505,14 @@ def _transversal(G: Group, x: int) -> tuple[int, int]:
 
 def conjugacy_classes(G: Group) -> list[tuple[int, ...]]:
     """All conjugacy classes, ordered by least member, as a new list on each
-    call."""
-    return [cls for x in range(G.order) if (cls := conjugacy_class(G, x))[0] == x]
+    call: one ``conjugacy_class`` call per class not yet in ``G._memo``,
+    made at its least member, then the remembered classes in order."""
+    transversal = G._memo.setdefault("transversal", {})
+    for x in range(G.order):
+        if x not in transversal:
+            conjugacy_class(G, x)
+    classes = G._memo["classes"]
+    return [classes[r] for r in sorted(classes)]
 
 
 def centralizer(G: Group, x: int) -> tuple[int, ...]:

@@ -15,9 +15,10 @@ and from [a,_k x] for every a instead of the library's shrinking
 commutator images, the randomly-Engel predicate element by element
 instead of class by class, and subgroup queries by all-pairs loops over the members
 (generation by a BFS that multiplies by every member) instead of work on
-greedy generators, and the rows of induced subgraphs and twin quotients
-by one adjacency test per pair instead of the library's selection of bits
-from binary digits.  The theorem-fact checks are kept here in the form that
+greedy generators, the subgroups a group remembers by the all-pairs
+closure of their remembered generators, and the rows of induced subgraphs
+and twin quotients by one adjacency test per pair instead of the
+library's selection of bits from binary digits.  The theorem-fact checks are kept here in the form that
 calls the group's methods once per product, the product invariant
 reads a catalog's reports of G x C_k against those of G, and catalog
 groups' invariants are compared with those of sympy's ``PermutationGroup``.
@@ -128,6 +129,23 @@ def naive_lower_central_series(G, members):
         series.append(nxt)
         current = nxt
     return series
+
+
+def span_memo_violations(G):
+    """Each subgroup G remembers (``G._memo["spans"]``, a sorted member
+    tuple mapped to generators) whose generators' closure under all
+    pairwise products is not that tuple."""
+    violations = []
+    for key, gens in G._memo.get("spans", {}).items():
+        elems = {G.identity, *gens}
+        while new := {G.mul(a, b) for a in elems for b in elems} - elems:
+            elems |= new
+        if tuple(sorted(elems)) != key:
+            violations.append(
+                f"{G.name}: generators {list(gens)} span {len(elems)} elements, "
+                f"remembered as a subgroup of {len(key)}"
+            )
+    return violations
 
 
 def naive_upper_central_series(G):

@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 
@@ -36,6 +37,7 @@ from oracles import (
     naive_lower_central_series,
     naive_normal_closure,
     naive_subgroup_generated,
+    span_memo_violations,
 )
 
 T12 = Permutation.from_cycles([(1, 2)])
@@ -355,6 +357,7 @@ def test_subgroup_queries_match_all_pairs_oracles():
             else:
                 if len(ours) != len(theirs):
                     mismatches.append(f"{where}: {len(ours)} terms != {len(theirs)}")
+        mismatches.extend(span_memo_violations(G))
     assert cases > 3000
     assert mismatches == []
 
@@ -379,6 +382,9 @@ def test_subgroup_queries_work_on_generators(monkeypatch):
     # entries; working on generators stays far below.  Each entry is read
     # through its row's __getitem__, which itemgetter also calls on a
     # tuple subclass; every member but the identity is read at least once
+    # by a query on a cold copy of G, which remembers no subgroup.  On G
+    # itself, which remembers H from its normal closure, is_nilpotent
+    # starts from H's generators and reads fewer entries
     reads = 0
 
     class CountingRow(tuple):
@@ -389,24 +395,81 @@ def test_subgroup_queries_work_on_generators(monkeypatch):
 
     def work(query, G, *args):
         nonlocal reads
-        reads = 0
-        return query(G, *args), reads
+        with monkeypatch.context() as m:
+            m.setattr(G, "_table", [CountingRow(row) for row in G._table])
+            reads = 0
+            return query(G, *args), reads
 
     for spec in ("S5", "D12xC5", "A5xC4"):
         G = build_group(spec)
+        cold = pickle.dumps(G)
         L = set(fitting_subgroup(G))
         reps = [cls[0] for cls in conjugacy_classes(G) if cls[0] not in L]
-        with monkeypatch.context() as m:
-            m.setattr(G, "_table", [CountingRow(row) for row in G._table])
-            D, n = work(derived_subgroup, G)
-            assert len(D) - 1 <= n <= G.order ** 2 // 8, (spec, "derived_subgroup", n)
-            _, n = work(is_nilpotent, G, range(G.order))
-            assert G.order - 1 <= n <= G.order ** 2 // 8, (spec, "is_nilpotent", n)
-            for rep in reps:
-                H, n = work(normal_closure, G, L | {rep})
-                assert len(H) - 1 <= n <= len(H) ** 2 // 8, (spec, "normal_closure", rep, n)
-                _, n = work(is_nilpotent, G, H)
-                assert len(H) - 1 <= n <= len(H) ** 2 // 8, (spec, "is_nilpotent", rep, n)
+        D, n = work(derived_subgroup, pickle.loads(cold))
+        assert len(D) - 1 <= n <= G.order ** 2 // 8, (spec, "derived_subgroup", n)
+        _, n = work(is_nilpotent, pickle.loads(cold), range(G.order))
+        assert G.order - 1 <= n <= G.order ** 2 // 8, (spec, "is_nilpotent", n)
+        for rep in reps:
+            H, n = work(normal_closure, pickle.loads(cold), L | {rep})
+            assert len(H) - 1 <= n <= len(H) ** 2 // 8, (spec, "normal_closure", rep, n)
+            cold_answer, n = work(is_nilpotent, pickle.loads(cold), H)
+            assert len(H) - 1 <= n <= len(H) ** 2 // 8, (spec, "is_nilpotent", rep, n)
+            assert normal_closure(G, L | {rep}) == H
+            warm_answer, warm_n = work(is_nilpotent, G, H)
+            assert not cold_answer and warm_answer == cold_answer
+            assert warm_n < n, (spec, "is_nilpotent on a remembered subgroup", rep, warm_n, n)
+
+
+def _remembering_group(spec):
+    """The group, after the queries of the subgroups workload: L(G), its
+    classes and derived subgroup, and the normal closure of L and each
+    representative outside it, with its nilpotency."""
+    G = build_group(spec)
+    L = set(fitting_subgroup(G))
+    derived_subgroup(G)
+    for cls in conjugacy_classes(G):
+        if cls[0] not in L:
+            is_nilpotent(G, normal_closure(G, L | {cls[0]}))
+    return G
+
+
+def test_span_memo_oracle_catches_a_dropped_generator_and_a_swapped_member():
+    G = _remembering_group("S4")
+    spans = G._memo["spans"]
+    assert len(spans) >= 4
+    assert span_memo_violations(G) == []
+    # greedy generators each lie outside the span of the earlier ones, so
+    # dropping the last one leaves a smaller subgroup
+    for key, gens in list(spans.items()):
+        if len(key) > 1:
+            spans[key] = gens[:-1]
+            assert len(span_memo_violations(G)) == 1, key
+            spans[key] = gens
+    for key in [key for key in spans if 1 < len(key) < G.order]:
+        outside = next(x for x in range(G.order) if x not in key)
+        swapped = tuple(sorted(set(key[:-1]) | {outside}))
+        spans[swapped] = spans.pop(key)
+        assert len(span_memo_violations(G)) == 1, key
+        spans[key] = spans.pop(swapped)
+    assert span_memo_violations(G) == []
+
+
+@pytest.mark.parametrize("spec", ["S4", "D12xC5"])
+def test_sets_one_element_off_a_remembered_subgroup_are_not_subgroups(spec):
+    # a subgroup H of order at least 3 is never one element off another
+    # subgroup, which would have |H| - 1, |H| or |H| + 1 elements and meet
+    # H in a subgroup of order |H| - 1 or contain it
+    G = _remembering_group(spec)
+    remembered = [key for key in G._memo["spans"] if 3 <= len(key) < G.order]
+    assert len(remembered) >= 2
+    for key in remembered:
+        outside = next(x for x in range(G.order) if x not in key)
+        for members in (key[:-1], (*key, outside), (*key[:-1], outside)):
+            assert not naive_is_subgroup(G, members)
+            assert not is_subgroup(G, members), (key, members)
+            with pytest.raises(NotASubgroup):
+                is_nilpotent(G, members)
+    assert span_memo_violations(G) == []
 
 
 def test_conjugacy_classes(s4):

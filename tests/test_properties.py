@@ -20,6 +20,11 @@ core G/Z*(G); on random groups with a centre they are compared with G's own
 depth maps and with the element-by-element check, and the core with the
 all-pairs upper central series and sympy.
 
+A group remembers the subgroups it has spanned and starts later queries
+on them from the remembered generators; on catalog groups of order at most
+60 every subgroup query gives the same answer on a warmed group as on a
+copy pickled before any query.
+
 Construction itself is checked on generators of mixed degree against the
 product fixpoint and direct composition.
 
@@ -48,18 +53,26 @@ from conftest import REPO_ROOT  # noqa: E402
 from engelgraph import (  # noqa: E402
     IDENTITY,
     Group,
+    NotASubgroup,
     Permutation,
     SimpleGraph,
     build_engel_graph,
     build_group,
+    catalog_plans,
     centralizer,
     clique_number,
     conjugacy_classes,
     engel_adjacent,
     engel_depths,
     induced_subgraph,
+    is_abelian,
+    is_nilpotent,
     is_randomly_engel_conjugates,
+    is_subgroup,
     left_engel_set,
+    lower_central_series,
+    normal_closure,
+    subgroup_generated,
 )
 from engelgraph.families import dihedral_group, family_generators, product_group  # noqa: E402
 from oracles import (  # noqa: E402
@@ -172,6 +185,48 @@ def test_centre_quotient_matches_the_direct_path(G, data):
         assert got.adjacency == want.adjacency
     x = data.draw(st.integers(0, G.order - 1), label="x")
     assert is_randomly_engel_conjugates(G, x) == randomly_engel_conjugates_by_elements(G, x)
+
+
+@cache
+def warmed_catalog_group(plan):
+    """A catalog group, shared by every draw of it so that its memo grows
+    from draw to draw, and its pickle, taken before any query."""
+    G = build_group(plan)
+    return G, pickle.dumps(G)
+
+
+def subgroup_answers(group, S):
+    """Every subgroup query's answer on the member set S, each asked of the
+    group that ``group()`` returns, NotASubgroup standing for the error
+    where a query raises it."""
+    def answer(query):
+        try:
+            return query(group(), S)
+        except NotASubgroup:
+            return NotASubgroup
+
+    return [answer(query) for query in (
+        subgroup_generated, normal_closure, lower_central_series, is_nilpotent,
+        is_abelian, is_subgroup,
+    )]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(catalog_plans(60)).map(warmed_catalog_group), st.data())
+def test_subgroup_queries_on_a_warmed_group_match_a_cold_copy(warmed, data):
+    # the warmed group remembers the subgroups of earlier draws and of its
+    # own first pass; each cold copy, unpickled afresh for every query,
+    # remembers none
+    G, cold = warmed
+    elements = st.integers(0, G.order - 1)
+    S = data.draw(st.sets(elements, max_size=4), label="S")
+    H = subgroup_generated(pickle.loads(cold), S)
+    x = data.draw(elements, label="x")
+    sets = [S, S | {G.identity}, H, set(H) ^ {x}, normal_closure(pickle.loads(cold), S)]
+    for members in sets:
+        want = subgroup_answers(lambda: pickle.loads(cold), members)
+        assert subgroup_answers(lambda: G, members) == want, (G.name, sorted(members))
+        assert subgroup_answers(lambda: G, members) == want, (G.name, sorted(members))
 
 
 @st.composite
