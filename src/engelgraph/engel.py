@@ -254,7 +254,7 @@ def is_randomly_engel_conjugates(G: Group, x: int) -> bool:
     of x's image, once per class, and cached on C: no conjugate of r may
     be an Engel neighbour of r."""
     C, proj = _engel_core(G)
-    r = _transversal(C, proj[x])[0]
+    r = conjugacy_class(C, proj[x])[0]
     answers = C._memo.setdefault("randomly_engel", {})
     if r not in answers:
         answers[r] = not next(_engel_rows(C, conjugacy_class(C, r)))

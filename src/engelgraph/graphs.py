@@ -88,6 +88,10 @@ class SimpleGraph:
         g.labels, g.adjacency = labels, tuple(rows)
         return g
 
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, SimpleGraph)
+        return same and (self.labels, self.adjacency) == (other.labels, other.adjacency)
+
     @property
     def vertex_count(self) -> int:
         return len(self.adjacency)

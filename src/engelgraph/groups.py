@@ -470,9 +470,9 @@ def conjugacy_class(G: Group, x: int) -> tuple[int, ...]:
     (r, g) with r^g = v for every member v.  A later call for any member
     reads the class from there."""
     transversal = G._memo.setdefault("transversal", {})
-    classes = G._memo.setdefault("classes", {})
     if x in transversal:
-        return classes[transversal[x][0]]
+        return G._memo["classes"][transversal[x][0]]
+    classes = G._memo.setdefault("classes", {})
     table, inv = G._table, G._inv
     path = {x: G.identity}  # v -> t with x^t = v
     queue = deque([x])
@@ -496,11 +496,8 @@ def conjugacy_class(G: Group, x: int) -> tuple[int, ...]:
 def _transversal(G: Group, x: int) -> tuple[int, int]:
     """(r, g) with r the least member of the conjugacy class of x and
     r^g = x, as ``conjugacy_class`` recorded it."""
-    entry = G._memo.get("transversal", {}).get(x)
-    if entry is None:
-        conjugacy_class(G, x)
-        entry = G._memo["transversal"][x]
-    return entry
+    conjugacy_class(G, x)
+    return G._memo["transversal"][x]
 
 
 def conjugacy_classes(G: Group) -> list[tuple[int, ...]]:

@@ -11,12 +11,12 @@ plan list that was checked.
 ``survey`` and ``verify_theorems`` read one catalog pass
 (``_catalog_pass``), which evaluates each plan once and reduces the
 evaluation at once, in the process that made it, to one record: the
-``GroupReport`` and the ``_TheoremFacts`` (flags and counterexample strings)
-the verdicts need.  So about one group is in memory at a time.  The records
-of the most recent catalog are kept, keyed by its plans, and a different
-catalog replaces them: ``survey`` folds them into its ``SurveyResult`` and
-``verify_theorems`` into its verdicts, and whichever runs second reads them
-without evaluating any plan again.
+``GroupReport`` and the ``_TheoremFacts`` (flags, counterexample strings,
+planar-type graphs) the verdicts need, so about one group is in memory at a
+time and the verdicts build none.  The records of the last catalog are kept,
+keyed by its plans, until another catalog replaces them; ``survey`` and
+``verify_theorems`` fold them into their results, and whichever runs second
+evaluates no plan again.  Vertex checks test one member per conjugacy class.
 
 A disconnected Engel graph would answer an open question, so it is flagged
 prominently in the summary instead of being treated as a tool failure.
@@ -30,7 +30,7 @@ import os
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .engel import (
     fitting_subgroup,
@@ -117,9 +117,9 @@ class SurveyResult:
 @dataclass(frozen=True)
 class _TheoremFacts:
     """What the verdicts need from one non-nilpotent group beyond its
-    report; it holds no reference to the group or its graph."""
+    report: no group, and E_G only for the planar types (<= 6 vertices)."""
 
-    planar_type: bool  # of the S3, D12 or Dic3 type
+    planar_graph: SimpleGraph | None  # E_G when of the S3, D12 or Dic3 type
     metabelian: bool
     violations: dict[str, str]  # verdict name -> counterexample, failures only
 
@@ -350,11 +350,19 @@ def _is_planar_type(G: Group) -> bool:
     return G.order == 6 or involutions in (1, 7)
 
 
+def _class_leaders(G: Group, labels: Iterable[int]) -> Iterator[int]:
+    """The members of ``labels`` least in their conjugacy class.  Conjugation
+    is an automorphism of E_G fixing L(G), so each fact checked of a vertex
+    holds on its whole class or none, and in increasing order fails first at
+    a least member."""
+    return (x for x in labels if conjugacy_class(G, x)[0] == x)
+
+
 def _diameter_one_violation(G: Group, L: tuple[int, ...], graph: SimpleGraph) -> str | None:
     """Structure forced on a group whose Engel graph is complete: the Engel
     set ``L`` is a normal abelian subgroup of odd order and index 2, and
-    every vertex is an involution inverting it.  Products are read from
-    Cayley table rows."""
+    every vertex is an involution inverting it.  Each class of vertices is
+    tested at its least member, reading products from Cayley table rows."""
     members = set(L)
     if not is_abelian(G, L):
         return "Engel set is not abelian"
@@ -366,7 +374,7 @@ def _diameter_one_violation(G: Group, L: tuple[int, ...], graph: SimpleGraph) ->
     if G.order != 2 * len(L):
         return f"Engel set has index {G.order // len(L)}, not 2"
     everything = set(range(G.order))
-    for x in graph.labels:
+    for x in _class_leaders(G, graph.labels):
         row_x = table[x]
         if row_x[x] != e:
             return f"vertex {_describe(G, x)} is not an involution"
@@ -384,16 +392,14 @@ def _diameter_one_violation(G: Group, L: tuple[int, ...], graph: SimpleGraph) ->
 def _universal_vertex_violation(G: Group, graph: SimpleGraph) -> str | None:
     """Any vertex adjacent to all others must be an involution that is its
     own centralizer.  Universal vertices are found by comparing bit rows,
-    and squares are read from Cayley table rows."""
+    and each class of them is tested at its least member."""
     n = graph.vertex_count
     if n < 2:
         return None
     full = (1 << n) - 1
     table, e = G._table, G.identity
-    for v, row in enumerate(graph.adjacency):
-        if row != full ^ (1 << v):
-            continue
-        x = graph.labels[v]
+    universal = (x for v, x in enumerate(graph.labels) if graph.adjacency[v] == full ^ (1 << v))
+    for x in _class_leaders(G, universal):
         if table[x][x] != e:
             return f"universal vertex {_describe(G, x)} has x^2 != 1"
         # the centralizer of x, against <x> = {e, x} for an involution x
@@ -424,12 +430,8 @@ def _metabelian_violation(G: Group, graph: SimpleGraph, whole: float) -> str | N
     if whole > 6:
         return f"graph diameter is {whole}"
     position = {x: v for v, x in enumerate(graph.labels)}
-    done: set[int] = set()
-    for x in graph.labels:
-        if x in done:
-            continue
+    for x in _class_leaders(G, graph.labels):
         cls = conjugacy_class(G, x)
-        done.update(cls)
         connected, eccentricity = _class_search(graph, [position[y] for y in cls])
         if not connected:
             return f"class of {_describe(G, x)} induces a disconnected subgraph"
@@ -442,19 +444,18 @@ def _theorem_facts(evaluation: GroupEvaluation) -> _TheoremFacts:
     G, graph, report = evaluation.group, evaluation.graph, evaluation.report
     m = report.metrics
     metabelian = is_abelian(G, derived_subgroup(G))
-    isolated = report.checks["no_isolated_vertices"]
     violations = {
         "diameter_one_structure": (
             _diameter_one_violation(G, evaluation.engel_set, graph) if m.diameter == 1 else None
         ),
         "universal_vertex_structure": _universal_vertex_violation(G, graph),
-        "no_isolated_vertices": isolated.detail if not isolated.passed else None,
+        "no_isolated_vertices": report.checks["no_isolated_vertices"].detail,
         "metabelian_class_subgraphs": (
             _metabelian_violation(G, graph, m.diameter) if metabelian else None
         ),
     }
     return _TheoremFacts(
-        planar_type=_is_planar_type(G),
+        planar_graph=graph if _is_planar_type(G) else None,
         metabelian=metabelian,
         violations={name: v for name, v in violations.items() if v},
     )
@@ -470,7 +471,7 @@ def verify_theorems(max_order: int, *, jobs: int = 1) -> list[TheoremVerdict]:
     records = _catalog_pass(catalog_plans(max_order), jobs)
     verdicts: list[TheoremVerdict] = []
 
-    expected_planar = {r.name for r, f in records if f.planar_type}
+    expected_planar = {r.name for r, f in records if f.planar_graph is not None}
     actual_planar = {r.name for r, _ in records if r.metrics.planar}
     detail = f"planar={sorted(actual_planar)}"
     if expected_planar != actual_planar:
@@ -479,24 +480,21 @@ def verify_theorems(max_order: int, *, jobs: int = 1) -> list[TheoremVerdict]:
         TheoremVerdict("planar_classification", expected_planar == actual_planar, detail)
     )
 
-    d12 = build_group("D12")
-    dic3 = build_group("Dic3")
-    graph_d12 = build_engel_graph(d12)
-    graph_dic3 = build_engel_graph(dic3)
-    iso = find_isomorphism(graph_d12, graph_dic3) is not None
-    l_d12 = len(left_engel_set(d12))
-    l_dic3 = len(left_engel_set(dic3))
-    complement = d12.order - l_d12
-    divisible = complement % l_dic3 == 0
-    same_complement = complement == dic3.order - l_dic3
-    verdicts.append(
-        TheoremVerdict(
-            "isomorphic_pair_divisibility",
-            iso and divisible and same_complement,
-            f"E_D12 ~ E_Dic3: {iso}; |L(Dic3)|={l_dic3} divides "
-            f"|D12|-|L(D12)|={complement}: {divisible}; complements equal: {same_complement}",
+    pair = {r.name: (r, f.planar_graph) for r, f in records if r.name in ("D12", "Dic3")}
+    if len(pair) == 2:
+        (d12, graph_d12), (dic3, graph_dic3) = pair["D12"], pair["Dic3"]
+        iso = find_isomorphism(graph_d12, graph_dic3) is not None
+        complement = d12.order - d12.fitting_order
+        divisible = complement % dic3.fitting_order == 0
+        same_complement = complement == dic3.order - dic3.fitting_order
+        passed = iso and divisible and same_complement
+        detail = (
+            f"E_D12 ~ E_Dic3: {iso}; |L(Dic3)|={dic3.fitting_order} divides "
+            f"|D12|-|L(D12)|={complement}: {divisible}; complements equal: {same_complement}"
         )
-    )
+    else:
+        passed, detail = False, f"not in the catalog: {sorted({'D12', 'Dic3'} - set(pair))}"
+    verdicts.append(TheoremVerdict("isomorphic_pair_divisibility", passed, detail))
 
     # each remaining verdict lists the groups' counterexamples when it fails,
     # else it carries this detail

@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import random
 import tracemalloc
 from collections.abc import Sequence
@@ -71,6 +72,15 @@ def test_simple_graph_validation():
     assert g.edge_count == 1
     assert [g.neighbors(v) for v in range(3)] == [(1,), (0,), ()]
     assert [g.degree(v) for v in range(3)] == [1, 1, 0]
+
+
+def test_graphs_are_equal_when_their_labels_and_rows_are(a4):
+    g = build_engel_graph(a4)
+    assert pickle.loads(pickle.dumps(g)) == g == build_engel_graph(a4)
+    edges = list(g.edges())
+    assert SimpleGraph(g.vertex_count, edges[1:], g.labels) != g
+    assert SimpleGraph(g.vertex_count, edges) != g  # other labels
+    assert g != (g.labels, g.adjacency)
 
 
 def test_adjacency_is_symmetric_and_irreflexive(a4):

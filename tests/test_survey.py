@@ -16,6 +16,7 @@ from engelgraph import (
     build_engel_graph,
     build_group,
     catalog_plans,
+    conjugacy_class,
     conjugacy_classes,
     diameter,
     induced_subgraph,
@@ -177,8 +178,12 @@ def test_survey_and_verify_reject_bounds_above_the_order_limit(monkeypatch):
     forget_catalog()
     assert survey(MAX_ORDER).reports == []
     forget_catalog()
-    assert len(verify_theorems(MAX_ORDER)) == 6
+    verdicts = {v.name: v for v in verify_theorems(MAX_ORDER)}
+    assert len(verdicts) == 6
     assert planned == [MAX_ORDER, MAX_ORDER]
+    # the isomorphic pair is read from the records, and there are none
+    pair = verdicts["isomorphic_pair_divisibility"]
+    assert (pair.passed, pair.detail) == (False, "not in the catalog: ['D12', 'Dic3']")
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -398,6 +403,20 @@ def test_verify_theorems_at_24():
     assert "planar=['D12', 'Dic3', 'S3', 'S3xC2']" in planar.detail
 
 
+def test_verify_after_survey_builds_no_group(group_inits):
+    # the isomorphic pair is read from the catalog's records of D12 and
+    # Dic3, not built again
+    forget_catalog()
+    survey(120)
+    group_inits.clear()
+    verdicts = {v.name: v for v in verify_theorems(120)}
+    assert group_inits == []
+    assert verdicts["isomorphic_pair_divisibility"].detail == (
+        "E_D12 ~ E_Dic3: True; |L(Dic3)|=6 divides |D12|-|L(D12)|=6: True; "
+        "complements equal: True"
+    )
+
+
 def test_verify_holds_about_one_group_at_a_time(monkeypatch):
     evaluate = survey_module.evaluate_group
     groups = []
@@ -528,6 +547,43 @@ def test_theorem_facts_match_the_group_call_versions_on_the_catalog():
         ) == universal_vertex_violation_by_degree(G, graph), G.name
         universal += any(graph.degree(v) == graph.vertex_count - 1 for v in range(graph.vertex_count))
     assert diameter_one == universal == 28
+
+
+def test_universal_vertex_check_reads_one_centralizer_per_class(monkeypatch):
+    # E_D30 is K15 on the one class of its 15 reflections
+    G = build_group("D30")
+    graph = build_engel_graph(G)
+    assert graph.edge_count == 15 * 14 // 2
+    assert len({conjugacy_class(G, x) for x in graph.labels}) == 1
+    centralizer = survey_module.centralizer
+    calls = []
+
+    def counting(G, x):
+        calls.append(x)
+        return centralizer(G, x)
+
+    monkeypatch.setattr(survey_module, "centralizer", counting)
+    assert survey_module._universal_vertex_violation(G, graph) is None
+    assert calls == [graph.labels[0]]
+
+
+def test_a_counterexample_on_a_later_class_is_named():
+    # D14 with L its rotations: the seven reflections, one class, pass
+    # every vertex check, and a rotation after them fails
+    d14 = build_group("D14")
+    L = left_engel_set(d14)
+    reflections = tuple(x for x in range(d14.order) if x not in L)
+    rotation = L[1]
+    assert conjugacy_class(d14, rotation)[0] == rotation
+    x_text = f"element {rotation} = {d14.perm(rotation)}"
+    graph = SimpleGraph(8, [], reflections + (rotation,))
+    found = survey_module._diameter_one_violation(d14, L, graph)
+    assert found == diameter_one_violation_by_group_calls(d14, L, graph)
+    assert found == f"vertex {x_text} is not an involution"
+    graph = _complete(graph)
+    found = survey_module._universal_vertex_violation(d14, graph)
+    assert found == universal_vertex_violation_by_degree(d14, graph)
+    assert found == f"universal vertex {x_text} has x^2 != 1"
 
 
 def _complete(graph):
