@@ -30,8 +30,14 @@ the sorted member tuple returned by ``subgroup_generated``,
 ``lower_central_series``, and each member set proved a subgroup, mapped to
 generators that span it.  A later query on that tuple starts from those
 generators, so ``is_nilpotent(G, normal_closure(G, S))`` spans the closure
-once.  An entry is written only once its span is complete, so a set that
-is not a subgroup is never remembered as one.
+once.  It also remembers, in ``G._memo["series"]``, the lower central
+series of each subgroup it has computed one for: the sorted member tuple
+mapped to the tuple of terms, where each term first spanned by the series
+is the very tuple kept as its key in ``spans``.  A later
+``lower_central_series`` or ``is_nilpotent`` on that subgroup reads the
+terms from there, with no span and no Cayley-table read.  An entry of
+either memo is written only once its span or series is complete, so a set
+that is not a subgroup is never remembered as one.
 """
 
 from __future__ import annotations
@@ -58,6 +64,15 @@ def _getter(keys: Iterable[int]) -> Callable[[Sequence], tuple]:
         return lambda seq: ()
     (key,) = keys
     return lambda seq: (seq[key],)
+
+
+def _new_memo() -> dict:
+    """A new group's memo, holding the class entries that the loops over
+    elements read, so that a hit is a plain dict read.  The "spans" and
+    "series" entries are made by the first subgroup query, which spans a
+    subgroup anyway: a group that is never queried carries no more dicts,
+    each of which the garbage collector would track."""
+    return {"transversal": {}, "classes": {}}
 
 
 class Group:
@@ -168,9 +183,10 @@ class Group:
         self._inv = tuple(inv)
         # Conjugacy classes and their transversal, written by
         # conjugacy_class; the subgroups spanned so far with their
-        # generators, under "spans"; the Engel core, Engel depth maps, L(G)
-        # and the randomly-Engel answer per class, written by engel.py
-        self._memo: dict = {}
+        # generators, under "spans", and their lower central series, under
+        # "series"; the Engel core, Engel depth maps, L(G) and the
+        # randomly-Engel answer per class, written by engel.py
+        self._memo: dict = _new_memo()
 
     @classmethod
     def _from_table(
@@ -183,7 +199,7 @@ class Group:
         G.name, G.order, G.identity = name, len(table), 0
         G._elements, G._index, G._gens = (), {}, ()
         G.generators = tuple(dict.fromkeys(generators))
-        G._table, G._memo = table, {}
+        G._table, G._memo = table, _new_memo()
         G._inv = tuple(row.index(0) for row in table)
         return G
 
@@ -429,15 +445,19 @@ def is_abelian(G: Group, members: Iterable[int] | None = None) -> bool:
 
 def lower_central_series(G: Group, members: Iterable[int]) -> list[tuple[int, ...]]:
     """Lower central series of the subgroup H on the given indices, computed
-    inside G, listed until it stabilizes.
+    inside G, listed until it stabilizes, as a new list on each call.
 
     Each term is γ_{i+1} = [γ_i, H], the normal closure in H (conjugating by
     greedy generators of H) of the commutators [x, y] with x over the
-    generators of γ_i and y over those of H.
+    generators of γ_i and y over those of H.  G remembers the series once
+    it has stabilized, so a later call on H reads it with no span.
 
     Raises NotASubgroup if the member set is not a subgroup of G.
     """
     H = tuple(sorted(set(members)))
+    memo = G._memo.setdefault("series", {})
+    if H in memo:
+        return list(memo[H])
     span = _subgroup_span(G, H)
     if span is None:
         raise NotASubgroup(f"member set of size {len(H)} is not a subgroup of {G.name!r}")
@@ -452,11 +472,13 @@ def lower_central_series(G: Group, members: Iterable[int]) -> list[tuple[int, ..
         if nxt == series[-1]:
             break
         series.append(nxt)
+    memo[H] = tuple(series)
     return series
 
 
 def is_nilpotent(G: Group, members: Iterable[int]) -> bool:
-    """True iff the lower central series of the subgroup reaches {identity}."""
+    """True iff the lower central series of the subgroup reaches {identity}:
+    on a subgroup whose series G remembers, one memo read and no span."""
     series = lower_central_series(G, members)
     return series[-1] == (G.identity,)
 
@@ -469,10 +491,10 @@ def conjugacy_class(G: Group, x: int) -> tuple[int, ...]:
     least member r, these form the class's transversal, kept in ``G._memo``:
     (r, g) with r^g = v for every member v.  A later call for any member
     reads the class from there."""
-    transversal = G._memo.setdefault("transversal", {})
+    transversal = G._memo["transversal"]
     if x in transversal:
         return G._memo["classes"][transversal[x][0]]
-    classes = G._memo.setdefault("classes", {})
+    classes = G._memo["classes"]
     table, inv = G._table, G._inv
     path = {x: G.identity}  # v -> t with x^t = v
     queue = deque([x])
@@ -496,15 +518,17 @@ def conjugacy_class(G: Group, x: int) -> tuple[int, ...]:
 def _transversal(G: Group, x: int) -> tuple[int, int]:
     """(r, g) with r the least member of the conjugacy class of x and
     r^g = x, as ``conjugacy_class`` recorded it."""
-    conjugacy_class(G, x)
-    return G._memo["transversal"][x]
+    transversal = G._memo["transversal"]
+    if x not in transversal:
+        conjugacy_class(G, x)
+    return transversal[x]
 
 
 def conjugacy_classes(G: Group) -> list[tuple[int, ...]]:
     """All conjugacy classes, ordered by least member, as a new list on each
     call: one ``conjugacy_class`` call per class not yet in ``G._memo``,
     made at its least member, then the remembered classes in order."""
-    transversal = G._memo.setdefault("transversal", {})
+    transversal = G._memo["transversal"]
     for x in range(G.order):
         if x not in transversal:
             conjugacy_class(G, x)

@@ -16,7 +16,8 @@ commutator images, the randomly-Engel predicate element by element
 instead of class by class, and subgroup queries by all-pairs loops over the members
 (generation by a BFS that multiplies by every member) instead of work on
 greedy generators, the subgroups a group remembers by the all-pairs
-closure of their remembered generators, and the rows of induced subgraphs
+closure of their remembered generators, the lower central series it
+remembers by the all-pairs series, and the rows of induced subgraphs
 and twin quotients by one adjacency test per pair instead of the
 library's selection of bits from binary digits.  The theorem-fact checks are kept here in the form that
 calls the group's methods once per product, the product invariant
@@ -144,6 +145,22 @@ def span_memo_violations(G):
             violations.append(
                 f"{G.name}: generators {list(gens)} span {len(elems)} elements, "
                 f"remembered as a subgroup of {len(key)}"
+            )
+    return violations
+
+
+def series_memo_violations(G):
+    """Each lower central series G remembers (``G._memo["series"]``, a
+    sorted member tuple mapped to its terms) that differs from the all-pairs
+    series of that subgroup."""
+    violations = []
+    for key, terms in G._memo.get("series", {}).items():
+        want = naive_lower_central_series(G, key)
+        if list(terms) != want:
+            violations.append(
+                f"{G.name}: the remembered series of a subgroup of {len(key)}, with "
+                f"term orders {[len(t) for t in terms]}, is not the all-pairs series, "
+                f"with {[len(t) for t in want]}"
             )
     return violations
 

@@ -37,6 +37,7 @@ from oracles import (
     naive_lower_central_series,
     naive_normal_closure,
     naive_subgroup_generated,
+    series_memo_violations,
     span_memo_violations,
 )
 
@@ -358,6 +359,7 @@ def test_subgroup_queries_match_all_pairs_oracles():
                 if len(ours) != len(theirs):
                     mismatches.append(f"{where}: {len(ours)} terms != {len(theirs)}")
         mismatches.extend(span_memo_violations(G))
+        mismatches.extend(series_memo_violations(G))
     assert cases > 3000
     assert mismatches == []
 
@@ -384,7 +386,8 @@ def test_subgroup_queries_work_on_generators(monkeypatch):
     # tuple subclass; every member but the identity is read at least once
     # by a query on a cold copy of G, which remembers no subgroup.  On G
     # itself, which remembers H from its normal closure, is_nilpotent
-    # starts from H's generators and reads fewer entries
+    # starts from H's generators and reads fewer entries.  Once G remembers
+    # H's lower central series, is_nilpotent reads none
     reads = 0
 
     class CountingRow(tuple):
@@ -418,6 +421,10 @@ def test_subgroup_queries_work_on_generators(monkeypatch):
             warm_answer, warm_n = work(is_nilpotent, G, H)
             assert not cold_answer and warm_answer == cold_answer
             assert warm_n < n, (spec, "is_nilpotent on a remembered subgroup", rep, warm_n, n)
+            again, n = work(is_nilpotent, G, H)
+            assert again == warm_answer and n == 0, (spec, "is_nilpotent again", rep, n)
+            series, n = work(lower_central_series, G, H)
+            assert series[0] == H and n == 0, (spec, "lower_central_series again", rep, n)
 
 
 def _remembering_group(spec):
@@ -454,14 +461,48 @@ def test_span_memo_oracle_catches_a_dropped_generator_and_a_swapped_member():
     assert span_memo_violations(G) == []
 
 
+def test_series_memo_oracle_catches_a_dropped_term_and_a_swapped_term():
+    G = _remembering_group("S4")
+    series = G._memo["series"]
+    assert len(series) >= 3
+    assert series_memo_violations(G) == []
+    for key, terms in list(series.items()):
+        series[key] = terms[:-1]
+        assert len(series_memo_violations(G)) == 1, key
+        series[key] = terms
+    # each term replaced by a remembered subgroup of another order, so
+    # never by itself
+    remembered = list(G._memo["spans"])
+    for key, terms in list(series.items()):
+        for i, term in enumerate(terms):
+            other = next(H for H in remembered if len(H) != len(term))
+            series[key] = (*terms[:i], other, *terms[i + 1:])
+            assert len(series_memo_violations(G)) == 1, (key, i)
+        series[key] = terms
+    assert series_memo_violations(G) == []
+
+
+def test_lower_central_series_returns_a_new_list():
+    G = build_group("S4")
+    series = lower_central_series(G, range(G.order))
+    expected = list(series)
+    series.append((G.identity,))
+    series[0] = ()
+    assert lower_central_series(G, range(G.order)) == expected
+    assert not is_nilpotent(G, range(G.order))
+
+
 @pytest.mark.parametrize("spec", ["S4", "D12xC5"])
 def test_sets_one_element_off_a_remembered_subgroup_are_not_subgroups(spec):
     # a subgroup H of order at least 3 is never one element off another
     # subgroup, which would have |H| - 1, |H| or |H| + 1 elements and meet
-    # H in a subgroup of order |H| - 1 or contain it
+    # H in a subgroup of order |H| - 1 or contain it.  A series refused
+    # for such a set leaves no memo entry
     G = _remembering_group(spec)
+    series = dict(G._memo["series"])
     remembered = [key for key in G._memo["spans"] if 3 <= len(key) < G.order]
     assert len(remembered) >= 2
+    assert any(key in series for key in remembered)
     for key in remembered:
         outside = next(x for x in range(G.order) if x not in key)
         for members in (key[:-1], (*key, outside), (*key[:-1], outside)):
@@ -469,7 +510,11 @@ def test_sets_one_element_off_a_remembered_subgroup_are_not_subgroups(spec):
             assert not is_subgroup(G, members), (key, members)
             with pytest.raises(NotASubgroup):
                 is_nilpotent(G, members)
+            with pytest.raises(NotASubgroup):
+                lower_central_series(G, members)
+    assert G._memo["series"] == series
     assert span_memo_violations(G) == []
+    assert series_memo_violations(G) == []
 
 
 def test_conjugacy_classes(s4):

@@ -21,9 +21,11 @@ depth maps and with the element-by-element check, and the core with the
 all-pairs upper central series and sympy.
 
 A group remembers the subgroups it has spanned and starts later queries
-on them from the remembered generators; on catalog groups of order at most
-60 every subgroup query gives the same answer on a warmed group as on a
-copy pickled before any query.
+on them from the remembered generators, and remembers the lower central
+series it has computed; on catalog groups of order at most 60 every
+subgroup query gives the same answer on a warmed group as on a copy
+pickled before any query, and so does each series the warmed group
+remembers.
 
 Construction itself is checked on generators of mixed degree against the
 product fixpoint and direct composition.
@@ -64,6 +66,7 @@ from engelgraph import (  # noqa: E402
     conjugacy_classes,
     engel_adjacent,
     engel_depths,
+    fitting_subgroup,
     induced_subgraph,
     is_abelian,
     is_nilpotent,
@@ -216,17 +219,24 @@ def subgroup_answers(group, S):
 def test_subgroup_queries_on_a_warmed_group_match_a_cold_copy(warmed, data):
     # the warmed group remembers the subgroups of earlier draws and of its
     # own first pass; each cold copy, unpickled afresh for every query,
-    # remembers none
+    # remembers none.  The second round of answers, and the normal closure
+    # of L(G) and x, read the series the warmed group remembers
     G, cold = warmed
     elements = st.integers(0, G.order - 1)
     S = data.draw(st.sets(elements, max_size=4), label="S")
     H = subgroup_generated(pickle.loads(cold), S)
     x = data.draw(elements, label="x")
-    sets = [S, S | {G.identity}, H, set(H) ^ {x}, normal_closure(pickle.loads(cold), S)]
+    L = set(fitting_subgroup(pickle.loads(cold)))
+    sets = [
+        S, S | {G.identity}, H, set(H) ^ {x}, normal_closure(pickle.loads(cold), S),
+        normal_closure(pickle.loads(cold), L | {x}),
+    ]
     for members in sets:
         want = subgroup_answers(lambda: pickle.loads(cold), members)
         assert subgroup_answers(lambda: G, members) == want, (G.name, sorted(members))
         assert subgroup_answers(lambda: G, members) == want, (G.name, sorted(members))
+    for key, terms in G._memo["series"].items():
+        assert list(terms) == lower_central_series(pickle.loads(cold), key), (G.name, key)
 
 
 @st.composite
