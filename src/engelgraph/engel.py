@@ -48,6 +48,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BaerViolation, NotASubgroup, PreconditionFailed, SameVertex
 from .groups import (
     Group,
+    _check_element,
     _getter,
     _normal_span,
     _transversal,
@@ -98,11 +99,13 @@ def engel_depths(G: Group, x: int) -> tuple[int, ...]:
 
     The map is computed for all a at once, by reverse BFS from the
     identity in the functional graph of y -> [y, x], and cached on the
-    group, so each is built once per group.
+    group, so each is built once per group.  Raises InvalidParameter for
+    an x outside 0..order-1.
     """
     key = ("engel_depths", x)
     cached = G._memo.get(key)
     if cached is None:
+        _check_element(G, x)
         cached = G._memo[key] = _depth_map(G, x)
     return cached
 
@@ -228,11 +231,11 @@ def fitting_subgroup(G: Group) -> tuple[int, ...]:
     implementation is wrong.  The lower central series of L, which spans L
     and refuses a set that is not a subgroup, decides both the subgroup
     and the nilpotent check.  A subgroup is normal exactly when it is its
-    own normal closure, which conjugates only its span's generators by
-    ``G.generators``.  L(G) is cached, and G remembers L once the series
-    has spanned it, so the subgroup check is made once per group and the
-    normal closure starts from L's generators; normality and nilpotency
-    are checked on every call.
+    own normal closure, which spans L from greedy generators and conjugates
+    only the generators of that span by ``G.generators``.  L(G) is cached, and
+    G remembers L's lower central series, so the subgroup and nilpotent
+    checks span L once per group; normality is checked, with a span of L,
+    on every call.
     """
     L = left_engel_set(G)
     try:

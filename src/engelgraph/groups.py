@@ -24,20 +24,13 @@ conjugates by the generators of H.  Conjugates and commutators are read
 from the Cayley table and the inverses directly.  The all-pairs versions
 are kept as test oracles.
 
-A group remembers each subgroup it has spanned, in ``G._memo["spans"]``:
-the sorted member tuple returned by ``subgroup_generated``,
-``normal_closure`` (so ``derived_subgroup``) and each term of
-``lower_central_series``, and each member set proved a subgroup, mapped to
-generators that span it.  A later query on that tuple starts from those
-generators, so ``is_nilpotent(G, normal_closure(G, S))`` spans the closure
-once.  It also remembers, in ``G._memo["series"]``, the lower central
-series of each subgroup it has computed one for: the sorted member tuple
-mapped to the tuple of terms, where each term first spanned by the series
-is the very tuple kept as its key in ``spans``.  A later
-``lower_central_series`` or ``is_nilpotent`` on that subgroup reads the
-terms from there, with no span and no Cayley-table read.  An entry of
-either memo is written only once its span or series is complete, so a set
-that is not a subgroup is never remembered as one.
+A group remembers, in ``G._memo["series"]``, the lower central series of
+each subgroup it has computed one for: the sorted member tuple mapped to
+the tuple of terms.  A later ``lower_central_series`` or ``is_nilpotent``
+on that subgroup reads the terms from there, with no span and no
+Cayley-table read.  An entry is written only once its series has
+stabilized, so a set that is not a subgroup is never remembered as one.
+Every other subgroup query spans its subgroup afresh.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ from collections import deque
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .errors import ClosureTooLarge, NotASubgroup
+from .errors import ClosureTooLarge, InvalidParameter, NotASubgroup
 from .permutations import Permutation
 
 MAX_ORDER = 4096
@@ -68,10 +61,10 @@ def _getter(keys: Iterable[int]) -> Callable[[Sequence], tuple]:
 
 def _new_memo() -> dict:
     """A new group's memo, holding the class entries that the loops over
-    elements read, so that a hit is a plain dict read.  The "spans" and
-    "series" entries are made by the first subgroup query, which spans a
-    subgroup anyway: a group that is never queried carries no more dicts,
-    each of which the garbage collector would track."""
+    elements read, so that a hit is a plain dict read.  The "series" entry
+    is made by the first lower central series, which spans a subgroup
+    anyway: a group that is never queried carries no more dicts, each of
+    which the garbage collector would track."""
     return {"transversal": {}, "classes": {}}
 
 
@@ -182,8 +175,7 @@ class Group:
             inv[rank[x]] = table[inv[rank[u]]][gen_inv[j]]
         self._inv = tuple(inv)
         # Conjugacy classes and their transversal, written by
-        # conjugacy_class; the subgroups spanned so far with their
-        # generators, under "spans", and their lower central series, under
+        # conjugacy_class; the lower central series of subgroups, under
         # "series"; the Engel core, Engel depth maps, L(G) and the
         # randomly-Engel answer per class, written by engel.py
         self._memo: dict = _new_memo()
@@ -286,10 +278,9 @@ def closure(generators: Sequence[Permutation], name: str | None = None) -> Group
 
 
 class _Span:
-    """The subgroup generated by ``gens``, grown one generator at a time,
-    starting from greedy generators of ``members``, or from the generators
-    that ``G`` remembers for ``members`` when it remembers them as a
-    subgroup, with no Dimino pass.
+    """The subgroup generated by greedy generators of ``members``: each
+    member, in increasing order, that is not yet in the span of the earlier
+    ones.  Raises InvalidParameter for a member outside 0..order-1.
 
     ``adjoin`` is Dimino's algorithm: the span is kept as a union of left
     cosets x K of the subgroup K it had before the new generator came, so
@@ -308,22 +299,16 @@ class _Span:
         self.gens: list[int] = []
         self.elements: list[int] = [G.identity]
         self.members: set[int] = {G.identity}
-        key = tuple(sorted(set(members)))
-        if not self.recall(key):
-            self.extend(key)
+        members = sorted(set(members))
+        if members:
+            _check_element(G, members[0])
+            _check_element(G, members[-1])
+        for s in members:
+            if s not in self.members:
+                self.adjoin(s)
 
-    def recall(self, key: tuple[int, ...]) -> bool:
-        """Become the subgroup ``key``, a sorted member tuple, from the
-        generators G remembers for it; False when G remembers none."""
-        gens = _spans(self.G).get(key)
-        if gens is None:
-            return False
-        self.gens, self.elements, self.members = list(gens), list(key), set(key)
-        return True
-
-    def adjoin(self, s: int, limit: set[int] | None = None) -> bool:
-        """Grow the span to ``<gens, s>``.  Returns False, leaving the span
-        partial, as soon as a new element falls outside ``limit``."""
+    def adjoin(self, s: int) -> None:
+        """Grow the span to ``<gens, s>``."""
         table, members = self.G._table, self.members
         coset_of = _getter(self.elements)  # x K, from x's row
         self.gens.append(s)
@@ -334,55 +319,34 @@ class _Span:
             if x in members:
                 continue
             coset = coset_of(table[x])
-            if limit is not None and not limit.issuperset(coset):
-                return False
             members.update(coset)
             self.elements.extend(coset)
             for row in gen_rows:
                 y = row[x]  # g x
                 if y not in members:
                     queue.append(y)
-        return True
 
-    def extend(self, members: Sequence[int], limit: set[int] | None = None) -> bool:
-        """Adjoin greedy generators of ``members``, sorted and duplicate-free:
-        each member, in order, that is not yet in the span.  False as soon
-        as the span leaves ``limit``."""
-        for s in members:
-            if s not in self.members and not self.adjoin(s, limit):
-                return False
-        return True
-
-    def remember(self) -> tuple[int, ...]:
-        """The members as a sorted tuple, which G remembers from now on as a
-        subgroup spanned by ``gens``: the tuple returned is the key itself,
-        unless G already held an equal one."""
-        key = tuple(sorted(self.members))
-        _spans(self.G).setdefault(key, tuple(self.gens))
-        return key
+    def key(self) -> tuple[int, ...]:
+        """The members as a sorted tuple."""
+        return tuple(sorted(self.members))
 
 
-def _spans(G: Group) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The subgroups G has spanned, each sorted member tuple mapped to
-    generators that span it."""
-    return G._memo.setdefault("spans", {})
+def _check_element(G: Group, x: int) -> None:
+    """Raise InvalidParameter unless x indexes an element of G."""
+    if not 0 <= x < G.order:
+        raise InvalidParameter(
+            f"element index {x} is outside 0..{G.order - 1} of {G.name!r}"
+        )
 
 
 def _subgroup_span(G: Group, H: tuple[int, ...]) -> _Span | None:
     """The span of H, a sorted member tuple, when H is a subgroup of G, or
-    None when it is not one: a set containing the identity is a subgroup
-    iff the subgroup it generates does not leave it.  A subgroup G
-    remembers is recalled; one proved here is remembered, only once its
-    span is complete."""
-    span = _Span(G)
-    if span.recall(H):
-        return span
+    None when it is not one: the span contains H and the identity, so H is
+    a subgroup exactly when its span has ``len(H)`` elements."""
     if G.identity not in H or H[0] < 0 or H[-1] >= G.order:
         return None
-    if not span.extend(H, limit=set(H)):
-        return None
-    _spans(G)[H] = tuple(span.gens)
-    return span
+    span = _Span(G, H)
+    return span if len(span.elements) == len(H) else None
 
 
 def _normal_span(G: Group, members: Iterable[int], conjugators: Sequence[int]) -> _Span:
@@ -403,8 +367,10 @@ def _normal_span(G: Group, members: Iterable[int], conjugators: Sequence[int]) -
 
 def subgroup_generated(G: Group, members: Iterable[int]) -> tuple[int, ...]:
     """Smallest subgroup of G containing ``members``, as sorted indices,
-    spanned from greedy generators of the members."""
-    return _Span(G, members).remember()
+    spanned from greedy generators of the members.  Raises InvalidParameter
+    for a member outside 0..order-1, as do ``normal_closure`` and
+    ``is_abelian``."""
+    return _Span(G, members).key()
 
 
 def normal_closure(G: Group, members: Iterable[int]) -> tuple[int, ...]:
@@ -413,7 +379,7 @@ def normal_closure(G: Group, members: Iterable[int]) -> tuple[int, ...]:
     Starts from the subgroup the members generate and conjugates its
     generators by ``G.generators`` only, which generate G, never by all of
     G."""
-    return _normal_span(G, members, G.generators).remember()
+    return _normal_span(G, members, G.generators).key()
 
 
 def derived_subgroup(G: Group) -> tuple[int, ...]:
@@ -427,7 +393,9 @@ def is_subgroup(G: Group, members: Iterable[int]) -> bool:
     """True iff the set contains the identity and is closed under products.
 
     Tested on generators: the subgroup generated by greedy generators of
-    the set is grown only while it stays inside the set."""
+    the set contains the set and the identity, so the set is a subgroup
+    exactly when that span has as many elements.  False for a set with an
+    index outside 0..order-1."""
     return _subgroup_span(G, tuple(sorted(set(members)))) is not None
 
 
@@ -468,7 +436,7 @@ def lower_central_series(G: Group, members: Iterable[int]) -> list[tuple[int, ..
         # [x, y] = x^-1 y^-1 x y
         comms = {table[table[table[inv[x]][inv[y]]][x]][y] for x in span.gens for y in hgens}
         span = _normal_span(G, comms, hgens)
-        nxt = span.remember()
+        nxt = span.key()
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -490,10 +458,12 @@ def conjugacy_class(G: Group, x: int) -> tuple[int, ...]:
     by-product, an element t with x^t = v for each member v.  Re-rooted at the
     least member r, these form the class's transversal, kept in ``G._memo``:
     (r, g) with r^g = v for every member v.  A later call for any member
-    reads the class from there."""
+    reads the class from there.  Raises InvalidParameter for an x outside
+    0..order-1."""
     transversal = G._memo["transversal"]
     if x in transversal:
         return G._memo["classes"][transversal[x][0]]
+    _check_element(G, x)
     classes = G._memo["classes"]
     table, inv = G._table, G._inv
     path = {x: G.identity}  # v -> t with x^t = v
@@ -538,6 +508,8 @@ def conjugacy_classes(G: Group) -> list[tuple[int, ...]]:
 
 def centralizer(G: Group, x: int) -> tuple[int, ...]:
     """The elements g with g x = x g, as sorted indices, read from the
-    Cayley rows of g and of x."""
+    Cayley rows of g and of x.  Raises InvalidParameter for an x outside
+    0..order-1."""
+    _check_element(G, x)
     row_x = G._table[x]
     return tuple(g for g, row_g in enumerate(G._table) if row_g[x] == row_x[g])

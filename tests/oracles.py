@@ -15,9 +15,8 @@ and from [a,_k x] for every a instead of the library's shrinking
 commutator images, the randomly-Engel predicate element by element
 instead of class by class, and subgroup queries by all-pairs loops over the members
 (generation by a BFS that multiplies by every member) instead of work on
-greedy generators, the subgroups a group remembers by the all-pairs
-closure of their remembered generators, the lower central series it
-remembers by the all-pairs series, and the rows of induced subgraphs
+greedy generators, the lower central series a group remembers by the
+all-pairs series, and the rows of induced subgraphs
 and twin quotients by one adjacency test per pair instead of the
 library's selection of bits from binary digits.  The theorem-fact checks are kept here in the form that
 calls the group's methods once per product, the product invariant
@@ -130,23 +129,6 @@ def naive_lower_central_series(G, members):
         series.append(nxt)
         current = nxt
     return series
-
-
-def span_memo_violations(G):
-    """Each subgroup G remembers (``G._memo["spans"]``, a sorted member
-    tuple mapped to generators) whose generators' closure under all
-    pairwise products is not that tuple."""
-    violations = []
-    for key, gens in G._memo.get("spans", {}).items():
-        elems = {G.identity, *gens}
-        while new := {G.mul(a, b) for a in elems for b in elems} - elems:
-            elems |= new
-        if tuple(sorted(elems)) != key:
-            violations.append(
-                f"{G.name}: generators {list(gens)} span {len(elems)} elements, "
-                f"remembered as a subgroup of {len(key)}"
-            )
-    return violations
 
 
 def series_memo_violations(G):

@@ -8,6 +8,7 @@ import pytest
 import engelgraph.engel as engel_module
 from engelgraph import (
     BaerViolation,
+    InvalidParameter,
     PreconditionFailed,
     SameVertex,
     build_engel_graph,
@@ -353,6 +354,15 @@ def _count_depth_maps(monkeypatch):
 
     monkeypatch.setattr(engel_module, "_depth_map", counting)
     return built
+
+
+@pytest.mark.parametrize("x", [-1, 6])
+def test_engel_depths_refuses_an_index_outside_the_group(x):
+    # a negative index would otherwise cache element 5's map under its key
+    G = build_group("S3")
+    with pytest.raises(InvalidParameter, match=rf"index {x} .*'S3'"):
+        engel_depths(G, x)
+    assert ("engel_depths", x) not in G._memo
 
 
 def test_each_engel_depth_map_is_built_once(monkeypatch, repo_root):

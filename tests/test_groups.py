@@ -7,6 +7,7 @@ import pytest
 from engelgraph import (
     ClosureTooLarge,
     Group,
+    InvalidParameter,
     NotASubgroup,
     Permutation,
     build_group,
@@ -38,7 +39,6 @@ from oracles import (
     naive_normal_closure,
     naive_subgroup_generated,
     series_memo_violations,
-    span_memo_violations,
 )
 
 T12 = Permutation.from_cycles([(1, 2)])
@@ -358,7 +358,6 @@ def test_subgroup_queries_match_all_pairs_oracles():
             else:
                 if len(ours) != len(theirs):
                     mismatches.append(f"{where}: {len(ours)} terms != {len(theirs)}")
-        mismatches.extend(span_memo_violations(G))
         mismatches.extend(series_memo_violations(G))
     assert cases > 3000
     assert mismatches == []
@@ -384,10 +383,8 @@ def test_subgroup_queries_work_on_generators(monkeypatch):
     # entries; working on generators stays far below.  Each entry is read
     # through its row's __getitem__, which itemgetter also calls on a
     # tuple subclass; every member but the identity is read at least once
-    # by a query on a cold copy of G, which remembers no subgroup.  On G
-    # itself, which remembers H from its normal closure, is_nilpotent
-    # starts from H's generators and reads fewer entries.  Once G remembers
-    # H's lower central series, is_nilpotent reads none
+    # by a query on a cold copy of G, which remembers no series.  Once G
+    # remembers H's lower central series, is_nilpotent reads none
     reads = 0
 
     class CountingRow(tuple):
@@ -418,9 +415,8 @@ def test_subgroup_queries_work_on_generators(monkeypatch):
             cold_answer, n = work(is_nilpotent, pickle.loads(cold), H)
             assert len(H) - 1 <= n <= len(H) ** 2 // 8, (spec, "is_nilpotent", rep, n)
             assert normal_closure(G, L | {rep}) == H
-            warm_answer, warm_n = work(is_nilpotent, G, H)
+            warm_answer, _ = work(is_nilpotent, G, H)
             assert not cold_answer and warm_answer == cold_answer
-            assert warm_n < n, (spec, "is_nilpotent on a remembered subgroup", rep, warm_n, n)
             again, n = work(is_nilpotent, G, H)
             assert again == warm_answer and n == 0, (spec, "is_nilpotent again", rep, n)
             series, n = work(lower_central_series, G, H)
@@ -440,25 +436,10 @@ def _remembering_group(spec):
     return G
 
 
-def test_span_memo_oracle_catches_a_dropped_generator_and_a_swapped_member():
-    G = _remembering_group("S4")
-    spans = G._memo["spans"]
-    assert len(spans) >= 4
-    assert span_memo_violations(G) == []
-    # greedy generators each lie outside the span of the earlier ones, so
-    # dropping the last one leaves a smaller subgroup
-    for key, gens in list(spans.items()):
-        if len(key) > 1:
-            spans[key] = gens[:-1]
-            assert len(span_memo_violations(G)) == 1, key
-            spans[key] = gens
-    for key in [key for key in spans if 1 < len(key) < G.order]:
-        outside = next(x for x in range(G.order) if x not in key)
-        swapped = tuple(sorted(set(key[:-1]) | {outside}))
-        spans[swapped] = spans.pop(key)
-        assert len(span_memo_violations(G)) == 1, key
-        spans[key] = spans.pop(swapped)
-    assert span_memo_violations(G) == []
+def _remembered_subgroups(G):
+    """The subgroups in G's series memo, each once, in order of first
+    appearance: the terms of each series, whose first term is its key."""
+    return list(dict.fromkeys(H for terms in G._memo["series"].values() for H in terms))
 
 
 def test_series_memo_oracle_catches_a_dropped_term_and_a_swapped_term():
@@ -472,7 +453,7 @@ def test_series_memo_oracle_catches_a_dropped_term_and_a_swapped_term():
         series[key] = terms
     # each term replaced by a remembered subgroup of another order, so
     # never by itself
-    remembered = list(G._memo["spans"])
+    remembered = _remembered_subgroups(G)
     for key, terms in list(series.items()):
         for i, term in enumerate(terms):
             other = next(H for H in remembered if len(H) != len(term))
@@ -500,7 +481,7 @@ def test_sets_one_element_off_a_remembered_subgroup_are_not_subgroups(spec):
     # for such a set leaves no memo entry
     G = _remembering_group(spec)
     series = dict(G._memo["series"])
-    remembered = [key for key in G._memo["spans"] if 3 <= len(key) < G.order]
+    remembered = [key for key in _remembered_subgroups(G) if 3 <= len(key) < G.order]
     assert len(remembered) >= 2
     assert any(key in series for key in remembered)
     for key in remembered:
@@ -513,7 +494,6 @@ def test_sets_one_element_off_a_remembered_subgroup_are_not_subgroups(spec):
             with pytest.raises(NotASubgroup):
                 lower_central_series(G, members)
     assert G._memo["series"] == series
-    assert span_memo_violations(G) == []
     assert series_memo_violations(G) == []
 
 
@@ -543,6 +523,45 @@ def test_centralizer(s3):
     t = elem(s3, (1, 2))
     assert set(centralizer(s3, t)) == {s3.identity, t}
     assert centralizer(s3, s3.identity) == tuple(range(6))
+
+
+@pytest.mark.parametrize("x", [-1, 6])
+def test_conjugacy_class_refuses_an_index_outside_the_group(x):
+    # a group of its own, so that a memo write would not leak into other
+    # tests; a negative index would otherwise alias element 5 and enter the
+    # class memo as a member
+    G = build_group("S3")
+    conjugacy_class(G, 1)
+    memo = {key: dict(entry) for key, entry in G._memo.items()}
+    with pytest.raises(InvalidParameter, match=rf"index {x} .*'S3'"):
+        conjugacy_class(G, x)
+    assert G._memo == memo
+    classes = conjugacy_classes(G)
+    assert sorted(y for cls in classes for y in cls) == list(range(G.order))
+
+
+@pytest.mark.parametrize("x", [-1, 6])
+def test_centralizer_refuses_an_index_outside_the_group(s3, x):
+    with pytest.raises(InvalidParameter, match=rf"index {x} .*'S3'"):
+        centralizer(s3, x)
+
+
+@pytest.mark.parametrize("query", [subgroup_generated, normal_closure, is_abelian])
+@pytest.mark.parametrize("x", [-1, 6])
+def test_spans_refuse_an_index_outside_the_group(s3, query, x):
+    with pytest.raises(InvalidParameter, match=rf"index {x} .*'S3'"):
+        query(s3, [0, 3, x])
+
+
+@pytest.mark.parametrize("x", [-1, 6])
+def test_sets_with_an_index_outside_the_group_are_not_subgroups(x):
+    G = build_group("S3")
+    assert not is_subgroup(G, [0, x])
+    with pytest.raises(NotASubgroup):
+        lower_central_series(G, [0, x])
+    with pytest.raises(NotASubgroup):
+        is_nilpotent(G, [0, x])
+    assert G._memo["series"] == {}
 
 
 def test_centralizer_matches_its_definition_on_the_catalog():

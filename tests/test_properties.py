@@ -20,12 +20,10 @@ core G/Z*(G); on random groups with a centre they are compared with G's own
 depth maps and with the element-by-element check, and the core with the
 all-pairs upper central series and sympy.
 
-A group remembers the subgroups it has spanned and starts later queries
-on them from the remembered generators, and remembers the lower central
-series it has computed; on catalog groups of order at most 60 every
-subgroup query gives the same answer on a warmed group as on a copy
-pickled before any query, and so does each series the warmed group
-remembers.
+A group remembers the lower central series it has computed; on catalog
+groups of order at most 60 every subgroup query gives the same answer on
+a warmed group as on a copy pickled before any query, and so does each
+series the warmed group remembers.
 
 Construction itself is checked on generators of mixed degree against the
 product fixpoint and direct composition.
@@ -217,10 +215,10 @@ def subgroup_answers(group, S):
 @settings(deadline=None, max_examples=80)
 @given(st.sampled_from(catalog_plans(60)).map(warmed_catalog_group), st.data())
 def test_subgroup_queries_on_a_warmed_group_match_a_cold_copy(warmed, data):
-    # the warmed group remembers the subgroups of earlier draws and of its
-    # own first pass; each cold copy, unpickled afresh for every query,
-    # remembers none.  The second round of answers, and the normal closure
-    # of L(G) and x, read the series the warmed group remembers
+    # the warmed group remembers the lower central series of earlier draws
+    # and of its own first pass; each cold copy, unpickled afresh for every
+    # query, remembers none.  The second round of answers, and the normal
+    # closure of L(G) and x, read the series the warmed group remembers
     G, cold = warmed
     elements = st.integers(0, G.order - 1)
     S = data.draw(st.sets(elements, max_size=4), label="S")
