@@ -11,12 +11,13 @@ from the same catalog pass, so every plan is evaluated once.
 
 Exit codes: 0 on success; 1 when any theorem-style check failed (``report``
 prints one ``FAILED <check>: <detail>`` line per failed check on stderr);
-2 for a usage error, that is any ``EngelGraphError``: a malformed spec, an
-unreadable ``@file``, a point label above 16777216 = 4096**2, an
-out-of-range parameter, a group above the order limit of 4096 elements,
-or a ``--json``, ``--dot`` or ``--out`` path that cannot be written; 3 for
-an internal error, that is any other exception, whose traceback is printed
-on stderr.
+2 for a usage error, that is a ``ParseError`` (a malformed spec, an
+unreadable ``@file``, a point label above 16777216 = 4096**2), an
+``InvalidParameter`` (an out-of-range parameter, or a ``--json``, ``--dot``
+or ``--out`` path that cannot be written) or a ``ClosureTooLarge`` (a group
+above the order limit of 4096 elements); 3 for an internal error, that is
+any other exception, other ``EngelGraphError``s such as ``NotASubgroup``
+included, whose traceback is printed on stderr.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
-from .errors import EngelGraphError
+from .errors import ClosureTooLarge, InvalidParameter, ParseError
 from .graphs import SimpleGraph
-from .io import _dot_chunks, parse_group_spec, write_report
+from .io import _dot_chunks, write_report
 from .survey import (
     SurveyResult,
     TheoremVerdict,
@@ -80,12 +81,11 @@ def _writing(path: Path) -> Iterator[None]:
         yield
     except OSError as err:
         name = err.filename or path
-        raise EngelGraphError(f"cannot write {name}: {err.strerror or err}") from err
+        raise InvalidParameter(f"cannot write {name}: {err.strerror or err}") from err
 
 
 def _run_report(args: argparse.Namespace) -> int:
-    spec = parse_group_spec(args.group)
-    evaluation = evaluate_group(spec)
+    evaluation = evaluate_group(args.group)
     text = write_report(evaluation.report)
     sys.stdout.write(text)
     if args.json:
@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "survey":
             return _run_survey(args)
         return _run_verify(args)
-    except EngelGraphError as err:
+    except (ParseError, InvalidParameter, ClosureTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except Exception:

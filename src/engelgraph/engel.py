@@ -77,9 +77,12 @@ class EngelOutcome:
 
 
 def iterated_commutator(G: Group, a: int, x: int, k: int) -> int:
-    """[a,_k x]; k = 0 returns a itself."""
+    """[a,_k x]; k = 0 returns a itself.  Raises InvalidParameter for an a
+    or x outside 0..order-1."""
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
+    _check_element(G, a)
+    _check_element(G, x)
     y = a
     for _ in range(k):
         y = G.commutator(y, x)
@@ -88,7 +91,9 @@ def iterated_commutator(G: Group, a: int, x: int, k: int) -> int:
 
 def engel_reaches_identity(G: Group, a: int, x: int) -> EngelOutcome:
     """Smallest k with [a,_k x] = 1, or reached=False when the sequence
-    never reaches the identity; read from the Engel depth map of x."""
+    never reaches the identity; read from the Engel depth map of x.
+    Raises InvalidParameter for an a or x outside 0..order-1."""
+    _check_element(G, a)
     depth = engel_depths(G, x)[a]
     return EngelOutcome(True, depth) if depth >= 0 else EngelOutcome(False)
 
@@ -137,7 +142,9 @@ def _engel_degree(G: Group, x: int) -> int | None:
 
     [a, x] = (x^a)^-1 x, so S_1 is read from the class of x, and each
     S_{k+1} = [S_k, x] from the rows of S_k's members: [y, x] = y^-1 y^x
-    with y^x = (x^-1 y) x.  Every S_k holds the identity, [1,_k x]."""
+    with y^x = (x^-1 y) x.  Every S_k holds the identity, [1,_k x].
+    Raises InvalidParameter for an x outside 0..order-1."""
+    _check_element(G, x)
     table, inv = G._table, G._inv
     row = table[inv[x]]
     images = {table[inv[c]][x] for c in conjugacy_class(G, x)}
@@ -255,7 +262,9 @@ def is_randomly_engel_conjugates(G: Group, x: int) -> bool:
 
     Read in the Engel core C = G/Z*(G) at the least member r of the class
     of x's image, once per class, and cached on C: no conjugate of r may
-    be an Engel neighbour of r."""
+    be an Engel neighbour of r.  Raises InvalidParameter for an x outside
+    0..order-1."""
+    _check_element(G, x)
     C, proj = _engel_core(G)
     r = conjugacy_class(C, proj[x])[0]
     answers = C._memo.setdefault("randomly_engel", {})
@@ -305,7 +314,10 @@ def is_randomly_engel_set(G: Group, members: Iterable[int]) -> bool:
 
 
 def engel_adjacent(G: Group, x: int, y: int) -> bool:
-    """Engel-graph adjacency: neither [x,_k y] nor [y,_k x] ever equals 1."""
+    """Engel-graph adjacency: neither [x,_k y] nor [y,_k x] ever equals 1.
+    Raises InvalidParameter for an x or y outside 0..order-1."""
+    _check_element(G, x)
+    _check_element(G, y)
     if x == y:
         raise SameVertex(f"adjacency needs two distinct elements, got index {x} twice")
     return engel_depths(G, y)[x] < 0 and engel_depths(G, x)[y] < 0
@@ -319,11 +331,13 @@ def lcm_power_engel_check(G: Group, a: int, g: int, ts: Sequence[int]) -> bool:
     Both hypotheses are verified here rather than trusted (the implication
     is vacuous otherwise); PreconditionFailed identifies the one that does
     not hold.  A correct implementation returns True whenever the
-    hypotheses pass.
+    hypotheses pass.  Raises InvalidParameter for an a or g outside
+    0..order-1.
     """
     ts = list(ts)
     if not ts or any(t < 1 for t in ts):
         raise ValueError(f"ts must be a non-empty list of positive integers, got {ts}")
+    _check_element(G, g)
     # The normal closure of <a> in <a, g>: conjugation by a maps every
     # subgroup containing a into itself, so conjugating by g alone suffices.
     ncl = _normal_span(G, [a], [g])

@@ -9,8 +9,8 @@ here is one generator list handed to one :class:`Group`, which enumerates
 the elements; a family term is a product of one factor, and a product
 shifts its factors' generators onto disjoint points, so no factor group
 is built.  The dihedral and dicyclic generators are x and y in the
-regular permutation representation, read off the normal-form
-multiplication of words x^i y^j.
+regular permutation representation, on the words x^i y^j, each written
+down from a closed formula for its images.
 """
 
 from __future__ import annotations
@@ -58,22 +58,13 @@ def _bounded_product(factors: Iterable[int]) -> int:
 
 
 def _regular_representation(m: int, c: int) -> list[Permutation]:
-    """x and y of <x, y | x^m = 1, y^2 = x^c, x^y = x^-1> as permutations
-    of its words x^i y^j."""
-    forms = [(i, j) for j in (0, 1) for i in range(m)]
-    pos = {w: k for k, w in enumerate(forms)}
-
-    def mul(a, b):
-        i1, j1 = a
-        i2, j2 = b
-        i = i1 + (-i2 if j1 else i2) + (c if j1 and j2 else 0)
-        return pos[i % m, (j1 + j2) % 2]
-
-    # Right-regular action: each generating word w becomes the permutation
-    # of word positions sending u to u*w.  With left-to-right composition
-    # this is a faithful homomorphism.
-    x, y = (1, 0), (0, 1)
-    return [Permutation(mul(u, w) + 1 for u in forms) for w in (x, y)]
+    """x and y of <x, y | x^m = 1, y^2 = x^c, x^y = x^-1>, 0 <= c < m, acting
+    by right multiplication on its words, x^i y^j at point j*m + i + 1: x
+    sends x^i to x^(i+1) and x^i y to x^(i-1) y, y sends x^i to x^i y and
+    x^i y to x^(i+c)."""
+    x = [*range(2, m + 1), 1, 2 * m, *range(m + 1, 2 * m)]
+    y = [*range(m + 1, 2 * m + 1), *range(c + 1, m + 1), *range(1, c + 1)]
+    return [Permutation(x), Permutation(y)]
 
 
 def _cycle(n: int) -> Permutation:

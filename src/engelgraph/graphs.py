@@ -15,7 +15,7 @@ catalog up to order 480, ends at the root colouring.  A graph denser than
 Euler's bound is not planar.  On at most six vertices, planarity and
 isomorphism are decided here: a sparser graph is searched for K5, K5 with
 one edge subdivided once, and K_{3,3} (Kuratowski's list on six vertices),
-and isomorphism tries the bijections that respect degrees.  Past six
+and isomorphism compares degree lists, then tries every bijection.  Past six
 vertices networkx is used, imported only then: its linear-time planarity
 test, which also extracts a Kuratowski subgraph on failure, and VF2++.
 Every mapping is replayed edge by edge here, and every witness handed out
@@ -37,7 +37,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, compress, count, groupby, permutations, product
+from itertools import combinations, compress, count, permutations
 from operator import or_
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -477,17 +477,17 @@ def verify_kuratowski_witness(witness: SimpleGraph, host: SimpleGraph) -> str:
 def find_isomorphism(g1: SimpleGraph, g2: SimpleGraph) -> dict[int, int] | None:
     """An edge-preserving vertex bijection from g1 to g2, or None.
 
-    On at most six vertices, the first of the bijections that map each
-    vertex to one of equal degree to pass the edge replay; on more, found
+    On at most six vertices, None unless the sorted degrees agree, else the
+    first permutation of the vertices to pass the edge replay; on more, found
     by networkx's VF2++ and replayed edge by edge before being returned.
     """
     if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
         return None
     if g1.vertex_count <= _SMALL:
-        for mapping in _degree_respecting_bijections(g1, g2):
-            if _preserves_edges(g1, g2, mapping):
-                return mapping
-        return None
+        if sorted(map(int.bit_count, g1.adjacency)) != sorted(map(int.bit_count, g2.adjacency)):
+            return None
+        maps = (dict(enumerate(images)) for images in permutations(range(g1.vertex_count)))
+        return next((m for m in maps if _preserves_edges(g1, g2, m)), None)
     import networkx as nx
 
     mapping = nx.vf2pp_isomorphism(_to_networkx(g1), _to_networkx(g2))
@@ -496,20 +496,6 @@ def find_isomorphism(g1: SimpleGraph, g2: SimpleGraph) -> dict[int, int] | None:
     if not _preserves_edges(g1, g2, mapping):
         raise AssertionError("VF2++ produced a non-isomorphism")
     return dict(mapping)
-
-
-def _degree_respecting_bijections(g1: SimpleGraph, g2: SimpleGraph) -> Iterator[dict[int, int]]:
-    """Every bijection from the vertices of g1 to those of g2 that maps each
-    vertex to one of the same degree; none when the degree counts differ."""
-    degree1 = [row.bit_count() for row in g1.adjacency]
-    degree2 = [row.bit_count() for row in g2.adjacency]
-    if sorted(degree1) != sorted(degree2):
-        return
-    sources = sorted(range(len(degree1)), key=degree1.__getitem__)
-    targets = sorted(range(len(degree2)), key=degree2.__getitem__)
-    blocks = [permutations(block) for _, block in groupby(targets, degree2.__getitem__)]
-    for images in product(*blocks):
-        yield dict(zip(sources, chain.from_iterable(images)))
 
 
 def _preserves_edges(g1: SimpleGraph, g2: SimpleGraph, mapping: dict[int, int]) -> bool:

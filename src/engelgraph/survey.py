@@ -62,7 +62,6 @@ from .io import (
     GroupSpec,
     ProductSpec,
     build_group,
-    parse_group_spec,
     render_group_spec,
 )
 
@@ -135,8 +134,6 @@ def _describe(G: Group, x: int) -> str:
 def evaluate_group(spec: GroupSpec | str, *, base_dir: str = ".") -> GroupEvaluation:
     """Build the group, classify its Engel elements, build the graph when
     non-Engel, and run every per-group check."""
-    if isinstance(spec, str):
-        spec = parse_group_spec(spec)
     G = build_group(spec, base_dir=base_dir)
     L = left_engel_set(G)
     is_engel = len(L) == G.order

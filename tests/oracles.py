@@ -22,6 +22,8 @@ library's selection of bits from binary digits.  The theorem-fact checks are kep
 calls the group's methods once per product, the product invariant
 reads a catalog's reports of G x C_k against those of G, and catalog
 groups' invariants are compared with those of sympy's ``PermutationGroup``.
+The dihedral and dicyclic generators come from the normal-form
+multiplication of words instead of the library's closed image formulas.
 """
 
 import math
@@ -31,6 +33,7 @@ from itertools import combinations
 from engelgraph import (
     IDENTITY,
     NotASubgroup,
+    Permutation,
     SimpleGraph,
     build_group,
     catalog_plans,
@@ -60,6 +63,20 @@ def naive_closure(perms, limit=None):
             return elems
         elems |= new
     return None
+
+
+def regular_representation_by_words(m, c):
+    """x and y of <x, y | x^m = 1, y^2 = x^c, x^y = x^-1> acting by right
+    multiplication on its words x^i y^j (at point j*m + i + 1), read off
+    the normal-form product of two words."""
+    forms = [(i, j) for j in (0, 1) for i in range(m)]
+
+    def mul(a, b):
+        (i1, j1), (i2, j2) = a, b
+        i = i1 + (-i2 if j1 else i2) + (c if j1 and j2 else 0)
+        return (j1 + j2) % 2 * m + i % m + 1
+
+    return [Permutation(mul(u, w) for u in forms) for w in ((1, 0), (0, 1))]
 
 
 def naive_subgroup_generated(G, members):

@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+from engelgraph import BaerViolation, NotASubgroup
 from engelgraph.cli import main
 
 # the package re-exports the function `survey` under the module's name
@@ -90,8 +91,15 @@ def test_report_rejects_unreadable_generator_files(repo_root, monkeypatch, capsy
 
 
 def test_internal_errors_are_not_usage_errors(monkeypatch, capsys):
-    # only the output writes turn an OSError into a usage error
-    for error in (ValueError("element set is not closed"), OSError("cannot map table")):
+    # only the output writes turn an OSError into a usage error, and only a
+    # ParseError, InvalidParameter or ClosureTooLarge is one among the
+    # package's own errors
+    for error in (
+        ValueError("element set is not closed"),
+        OSError("cannot map table"),
+        NotASubgroup("the normal closure is not closed"),
+        BaerViolation("L(G) is not normal"),
+    ):
         def broken(spec):
             raise error
 

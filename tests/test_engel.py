@@ -365,6 +365,30 @@ def test_engel_depths_refuses_an_index_outside_the_group(x):
     assert ("engel_depths", x) not in G._memo
 
 
+_ELEMENT_QUERIES = {
+    "is_randomly_engel_conjugates x": lambda G, b: is_randomly_engel_conjugates(G, b),
+    "is_left_engel x": lambda G, b: is_left_engel(G, b),
+    "is_left_k_engel x": lambda G, b: is_left_k_engel(G, b, 2),
+    "engel_reaches_identity a": lambda G, b: engel_reaches_identity(G, b, 1),
+    "engel_adjacent x": lambda G, b: engel_adjacent(G, b, 0),
+    "engel_adjacent y": lambda G, b: engel_adjacent(G, 0, b),
+    "iterated_commutator a": lambda G, b: iterated_commutator(G, b, 3, 2),
+    "iterated_commutator x": lambda G, b: iterated_commutator(G, 3, b, 2),
+    "lcm_power_engel_check g": lambda G, b: lcm_power_engel_check(G, 1, b, [1]),
+}
+
+
+@pytest.mark.parametrize("query", _ELEMENT_QUERIES.values(), ids=_ELEMENT_QUERIES)
+@pytest.mark.parametrize("x", [-1, 24])
+def test_element_queries_refuse_an_index_outside_the_group(query, x):
+    # a negative index would otherwise answer for element 23, and 24 raise
+    # a bare IndexError; the check comes before any memo is written
+    G = build_group("S4")
+    with pytest.raises(InvalidParameter, match=rf"index {x} .*'S4'"):
+        query(G, x)
+    assert G._memo == {"transversal": {}, "classes": {}}
+
+
 def test_each_engel_depth_map_is_built_once(monkeypatch, repo_root):
     # L(G), the graph and the randomly-Engel check read only the maps of
     # class representatives, so a full evaluation builds at most one map

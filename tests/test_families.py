@@ -25,8 +25,9 @@ from engelgraph import (
     symmetric_group,
     verify_theorems,
 )
-from engelgraph.families import FAMILIES
+from engelgraph.families import FAMILIES, family_generators
 from engelgraph.groups import MAX_ORDER
+from oracles import regular_representation_by_words
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -54,6 +55,16 @@ def test_dihedral_orders(order):
 @pytest.mark.parametrize("order", [8, 12, 20])
 def test_dicyclic_orders(order):
     assert dicyclic_group(order).order == order
+
+
+def test_dihedral_and_dicyclic_generators_match_the_word_multiplication():
+    # every term up to the order limit: D<2m> is m = 3..2048 with c = 0,
+    # Dic<n> is m = 2n up to 2048 with c = n
+    for kind, n, m, c in [
+        *(("dihedral", 2 * m, m, 0) for m in range(3, MAX_ORDER // 2 + 1)),
+        *(("dicyclic", n, 2 * n, n) for n in range(2, MAX_ORDER // 4 + 1)),
+    ]:
+        assert family_generators(kind, n) == regular_representation_by_words(m, c), (kind, n)
 
 
 def test_dihedral_relations(d12):

@@ -586,6 +586,26 @@ def test_isomorphism_counterexamples():
     assert not graphs_isomorphic(c6_cycle, triangles)
 
 
+def test_small_graphs_of_different_degrees_are_refused_without_an_edge_replay(monkeypatch):
+    # equal vertex and edge counts, different degree multisets: the path
+    # and the star on four vertices, the star and the 5-cycle with an
+    # isolated vertex on six
+    calls = []
+    replay = graphs_module._preserves_edges
+    monkeypatch.setattr(
+        graphs_module, "_preserves_edges", lambda *args: calls.append(args) or replay(*args)
+    )
+    pairs = [
+        (SimpleGraph(4, [(0, 1), (1, 2), (2, 3)]), SimpleGraph(4, [(0, 1), (0, 2), (0, 3)])),
+        (SimpleGraph(6, [(0, v) for v in range(1, 6)]),
+         SimpleGraph(6, [(v, (v + 1) % 5) for v in range(5)])),
+    ]
+    for g, h in pairs:
+        assert g.edge_count == h.edge_count
+        assert find_isomorphism(g, h) is None and find_isomorphism(h, g) is None
+    assert calls == []
+
+
 def test_isomorphism_under_random_relabeling():
     rng = random.Random(23)
     for _ in range(25):
