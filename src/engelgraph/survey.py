@@ -9,10 +9,12 @@ small-groups database is out of scope -- so every result carries the exact
 plan list that was checked.
 
 ``survey`` and ``verify_theorems`` read one catalog pass
-(``_catalog_pass``), which evaluates each plan once and reduces the
-evaluation at once, in the process that made it, to one record: the
-``GroupReport`` and the ``_TheoremFacts`` (flags, counterexample strings,
-planar-type graphs) the verdicts need, so about one group is in memory at a
+(``_catalog_pass``), which makes one record per plan: the ``GroupReport``
+and the ``_TheoremFacts`` (flags, counterexample strings, planar-type
+graphs) the verdicts need.  It evaluates every plan once, except the
+products H x C_k above the order of the randomly-Engel check, whose records
+it lifts from the record of H; an evaluation is reduced at once, in the
+process that made it, to its record, so about one group is in memory at a
 time and the verdicts build none.  The records of the last catalog are kept,
 keyed by its plans, until another catalog replaces them; ``survey`` and
 ``verify_theorems`` fold them into their results, and whichever runs second
@@ -226,33 +228,119 @@ def _catalog_record(spec: GroupSpec) -> _Record | None:
     return evaluation.report, _theorem_facts(evaluation)
 
 
+def _lifts(plan: GroupSpec) -> bool:
+    """Whether the catalog pass lifts the record of ``plan`` from its base's:
+    a catalog product, H x C_k, above the order of the randomly-Engel
+    check."""
+    return isinstance(plan, ProductSpec) and plan.order() > RANDOMLY_ENGEL_CHECK_MAX_ORDER
+
+
+def _lifted_record(plan: ProductSpec, base: _Record | None) -> _Record | None:
+    """The record of ``plan`` = H x C_k, k >= 2, read from ``base``, the
+    record of H (None when H is nilpotent), as ``_catalog_pass`` proves;
+    ``_catalog_record(plan)`` when the base's record leaves it open."""
+    if base is None:
+        return None
+    report, facts = base
+    m, k = report.metrics, plan.factors[1].order()
+    vertices, edges = k * m.vertex_count, k * k * m.edge_count
+    if (
+        facts.violations
+        or not all(c.passed for c in report.checks.values())
+        or m.component_count != 1
+        or m.isolated_count
+        or edges <= 3 * vertices - 6
+    ):
+        return _catalog_record(plan)
+    lifted = GroupReport(
+        name=render_group_spec(plan),
+        order=k * report.order,
+        is_engel=False,
+        fitting_order=k * report.fitting_order,
+        metrics=GraphMetrics(
+            vertices, edges, 1, max(m.diameter, 2), m.clique_number, False, 0
+        ),
+        checks={
+            name: c
+            for name, c in report.checks.items()
+            if name != "fitting_matches_randomly_engel"
+        },
+    )
+    return lifted, _TheoremFacts(None, facts.metabelian, {})
+
+
 # the plans of the most recent catalog pass and its records
 _last_catalog: tuple[tuple[GroupSpec, ...], tuple[_Record, ...]] | None = None
 
 
 def _catalog_pass(plans: list[GroupSpec], jobs: int = 1) -> tuple[_Record, ...]:
     """The report and theorem facts of every non-nilpotent plan, in plan
-    order, from one evaluation per plan.
+    order, from one evaluation per plan that is not lifted.
 
-    Each evaluation is dropped as soon as its record is made, so only the
-    records stay alive.  With ``jobs > 1`` the plans are evaluated in
-    ``jobs`` worker processes, but no more than there are plans or CPUs
-    (one group per task, no shared state).  The records of the last
-    catalog are kept: the same plans again return them without evaluating
-    anything, whatever ``jobs`` is, and other plans replace them.
+    The pass has two phases.  First every plan that ``_lifts`` does not
+    take is evaluated by ``_catalog_record``; each evaluation is dropped as
+    soon as its record is made, so only the records stay alive.  With
+    ``jobs > 1`` these plans are evaluated in ``jobs`` worker processes, but
+    no more than there are such plans or CPUs (one group per task, no
+    shared state).  Then each product G = H x C_k of order above
+    ``RANDOMLY_ENGEL_CHECK_MAX_ORDER``, in plan order, takes its record
+    from that of its base H, which is a plan of the first phase
+    (``_lifted_record``).  Here E_H has |V| vertices, |E| edges and
+    diameter d:
+
+    - Commutators in H x C_k are taken factor by factor, so
+      [(h, n),_j (h', n')] = ([h,_j h'], [n,_j n']), and the second factor
+      is 1 for j >= 1 since C_k is abelian (for any nilpotent factor it
+      reaches 1).  So such a sequence reaches 1 exactly when the one of h
+      and h' does: L(H x C_k) = L(H) x C_k, of order k|L(H)|, and it is a
+      subgroup, normal and nilpotent exactly when L(H) is.  G is nilpotent
+      exactly when H is, and then has no record.
+    - (h, n) and (h', n') are adjacent in E_G exactly when h and h' are in
+      E_H, so E_G is E_H with each vertex replaced by k pairwise
+      non-adjacent twins: k|V| vertices and k^2|E| edges.  A clique meets
+      each twin set at most once, so the clique number is H's.
+    - When E_H is connected without isolated vertices, every vertex has a
+      neighbour, which its twins share: twins are at distance 2, other
+      distances are H's, so E_G is connected, has diameter max(d, 2) and
+      no isolated vertex.  For k >= 2 no vertex is adjacent to its twin,
+      so none is universal, and the diameter is never 1.
+    - k^2|E| > 3k|V| - 6 breaks Euler's bound for simple planar graphs, so
+      E_G is not planar.
+    - The conjugacy class of (h, c) is C x {c}, with C the class of h, and
+      by the adjacency above it induces a copy of E_H[C]: it is connected
+      with eccentricity at most 2 exactly when E_H[C] is.
+    - G' = H' x 1 is abelian exactly when H' is, so G is metabelian exactly
+      when H is, and then its diameter max(d, 2) is at most 6 exactly when
+      d is.
+
+    So G's report carries the base's checks, which all passed, except the
+    randomly-Engel check, run only up to ``RANDOMLY_ENGEL_CHECK_MAX_ORDER``;
+    its facts have no planar-type graph (|G| is neither 6 nor 12) and no
+    violation.  The plan is evaluated instead, in this process, when the
+    base has a failed check or a violation (so every counterexample names
+    an element of G, as on the direct path), when E_H is disconnected or
+    has isolated vertices, or when Euler's bound leaves planarity open.
+
+    The records of the last catalog are kept: the same plans again return
+    them without evaluating anything, whatever ``jobs`` is, and other plans
+    replace them.
     """
     global _last_catalog
     key = tuple(plans)
     if _last_catalog is None or _last_catalog[0] != key:
+        direct = [p for p in plans if not _lifts(p)]
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            workers = min(jobs, len(plans), os.cpu_count() or 1)
+            workers = min(jobs, len(direct), os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_catalog_record, plans))
+                records = dict(zip(direct, pool.map(_catalog_record, direct)))
         else:
-            records = list(map(_catalog_record, plans))
-        _last_catalog = key, tuple(r for r in records if r is not None)
+            records = dict(zip(direct, map(_catalog_record, direct)))
+        for p in plans:
+            if p not in records:
+                records[p] = _lifted_record(p, records[p.factors[0]])
+        _last_catalog = key, tuple(records[p] for p in plans if records[p] is not None)
     return _last_catalog[1]
 
 

@@ -489,10 +489,12 @@ def product_invariant_mismatches(reports):
     [(a,b),_n (c,d)] = ([a,_n c], 1) for n >= 1, so E_{G x C_k} is E_G with
     each vertex replaced by k pairwise non-adjacent copies: k|V| vertices,
     k^2|E| edges, L of order k|L(G)|, k times as many isolated vertices,
-    the same components and clique number, and diameter max(diam E_G, 2).
-    Planarity does not carry over (E_S3 is a triangle, E_S3xC2 the
-    octahedron), so it is not compared.  Returns the number of pairs read
-    and one line per mismatch.
+    the same clique number, and diameter max(diam E_G, 2).  Each of the C
+    components of E_G with an edge stays one component, and each of its I
+    isolated vertices becomes k of them, so there are C + (k - 1) I
+    components.  Planarity does not carry over (E_S3 is a triangle,
+    E_S3xC2 the octahedron), so it is not compared.  Returns the number of
+    pairs read and one line per mismatch.
     """
     by_name = {r.name: r for r in reports}
     pairs, mismatches = 0, []
@@ -508,7 +510,7 @@ def product_invariant_mismatches(reports):
             "edge_count": k * k * b.edge_count,
             "fitting_order": k * base.fitting_order,
             "isolated_count": k * b.isolated_count,
-            "component_count": b.component_count,
+            "component_count": b.component_count + (k - 1) * b.isolated_count,
             "clique_number": b.clique_number,
             "diameter": max(b.diameter, 2),
         }

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import math
 import pickle
 import random
@@ -18,6 +19,7 @@ from engelgraph import (
     UnknownVertex,
     build_engel_graph,
     build_group,
+    catalog_plans,
     clique_number,
     compute_metrics,
     conjugacy_class,
@@ -30,7 +32,6 @@ from engelgraph import (
     isolated_vertices,
     kuratowski_witness,
     left_engel_set,
-    survey,
     verify_kuratowski_witness,
 )
 from conftest import elem
@@ -44,6 +45,9 @@ from oracles import (
     random_graph,
     with_planted_twins,
 )
+
+# the package re-exports the function `survey` under the module's name
+survey_module = importlib.import_module("engelgraph.survey")
 
 
 def complete_graph(n):
@@ -425,7 +429,9 @@ def test_s5_and_a6_clique_searches_close_at_the_root(monkeypatch):
 
 def test_catalog_clique_searches_up_to_order_240_close_at_the_root(monkeypatch):
     # the twin quotient's order (ascending degree, ties by least member) is
-    # the search's: one colouring per search means each ends at the root
+    # the search's: one colouring per search means each ends at the root.
+    # Every plan is evaluated, as the survey does not for the products it
+    # lifts from their base
     searches, colourings = [], []
     search, colour_classes = graphs_module._max_clique_size, graphs_module._colour_classes
 
@@ -439,7 +445,8 @@ def test_catalog_clique_searches_up_to_order_240_close_at_the_root(monkeypatch):
 
     monkeypatch.setattr(graphs_module, "_max_clique_size", counted_search)
     monkeypatch.setattr(graphs_module, "_colour_classes", counted_colouring)
-    reports = survey(240).reports
+    records = [survey_module._catalog_record(plan) for plan in catalog_plans(240)]
+    reports = [r for r in records if r is not None]
     assert len(searches) == len(reports) == 523
     assert len(colourings) == len(searches)
 

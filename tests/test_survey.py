@@ -11,7 +11,10 @@ import networkx as nx
 import pytest
 
 from engelgraph import (
+    GraphMetrics,
+    GroupReport,
     InvalidParameter,
+    ProductSpec,
     SimpleGraph,
     build_engel_graph,
     build_group,
@@ -21,6 +24,7 @@ from engelgraph import (
     diameter,
     induced_subgraph,
     left_engel_set,
+    parse_group_spec,
     render_group_spec,
     report,
     summary_json,
@@ -30,7 +34,7 @@ from engelgraph import (
 )
 from engelgraph.cli import exit_code_for_verdicts
 from engelgraph.groups import MAX_ORDER
-from engelgraph.survey import TheoremVerdict
+from engelgraph.survey import CheckResult, TheoremVerdict
 from oracles import (
     bfs_distances,
     diameter_one_violation_by_group_calls,
@@ -223,21 +227,23 @@ def outputs(result, verdicts):
 
 
 def test_survey_and_verify_share_one_catalog_pass(monkeypatch):
-    # whichever of the two runs first evaluates each plan once and the
-    # other reads its records; each output read from the records equals
-    # the one from the call that evaluated
+    # whichever of the two runs first evaluates each plan it does not lift
+    # once and the other reads its records; each output read from the
+    # records equals the one from the call that evaluated
     calls = counting_evaluations(monkeypatch)
     plans = catalog_plans(120)
     assert len(plans) == 243
+    direct = [p for p in plans if not survey_module._lifts(p)]
+    assert len(direct) == 137
     forget_catalog()
     surveyed = survey(120)
     from_records = verify_theorems(120)
-    assert calls == plans
+    assert calls == direct
     forget_catalog()
     calls.clear()
     verified = verify_theorems(120)
     surveyed_from_records = survey(120)
-    assert calls == plans
+    assert calls == direct
     assert outputs(surveyed, from_records) == outputs(surveyed_from_records, verified)
 
 
@@ -259,12 +265,14 @@ def test_catalog_pass_keeps_the_last_catalog_only(monkeypatch):
 
 
 def test_parallel_records_equal_serial_records():
-    plans = catalog_plans(24)
-    forget_catalog()
-    serial = survey_module._catalog_pass(plans, 1)
-    forget_catalog()
-    parallel = survey_module._catalog_pass(plans, 2)
-    assert parallel == serial
+    # at 120, 106 of the plans are lifted from the records the workers made
+    for max_order in (24, 120):
+        plans = catalog_plans(max_order)
+        forget_catalog()
+        serial = survey_module._catalog_pass(plans, 1)
+        forget_catalog()
+        parallel = survey_module._catalog_pass(plans, 2)
+        assert parallel == serial, max_order
 
 
 def test_verdicts_do_not_depend_on_jobs():
@@ -282,10 +290,76 @@ def test_reports_are_frozen():
         r.name = "changed"
 
 
+def direct_records(max_order):
+    """Each catalog plan's record from its own evaluation, lifted or not."""
+    return {p: survey_module._catalog_record(p) for p in catalog_plans(max_order)}
+
+
 def test_products_with_cyclic_groups_follow_from_their_base():
-    pairs, mismatches = product_invariant_mismatches(survey(120).reports)
+    # the survey lifts these products from their base, so the reports are
+    # read from each plan's own evaluation
+    reports = [r[0] for r in direct_records(120).values() if r is not None]
+    pairs, mismatches = product_invariant_mismatches(reports)
     assert mismatches == []
     assert pairs == 124
+
+
+def test_lifted_records_equal_direct_records_up_to_240():
+    records = direct_records(240)
+    lifted = [p for p in records if survey_module._lifts(p)]
+    assert len(lifted) == 378
+    assert all(isinstance(p, ProductSpec) and 60 < p.order() <= 240 for p in lifted)
+    for plan in lifted:
+        # the report and every field of the theorem facts; None for the
+        # nilpotent products
+        record, direct = survey_module._lifted_record(plan, records[plan.factors[0]]), records[plan]
+        assert record == direct, plan
+        if record is not None:
+            assert write_report(record[0]) == write_report(direct[0]), plan
+
+
+def _failed_check(report, facts):
+    failed = {**report.checks, "no_isolated_vertices": CheckResult(False, "isolated: 1")}
+    return dataclasses.replace(report, checks=failed), facts
+
+
+def _violation(report, facts):
+    return report, dataclasses.replace(facts, violations={"metabelian_class_subgraphs": "cut"})
+
+
+def _with_metrics(**changes):
+    def spoil(report, facts):
+        metrics = dataclasses.replace(report.metrics, **changes)
+        return dataclasses.replace(report, metrics=metrics), facts
+
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _failed_check,
+        _violation,
+        _with_metrics(isolated_count=1),
+        _with_metrics(component_count=2, diameter=math.inf),
+        # 3^2 * 10 = 90 <= 3 * (3 * 20) - 6 = 174 leaves planarity open
+        _with_metrics(edge_count=10),
+    ],
+    ids=["failed-check", "violation", "isolated", "disconnected", "sparse"],
+)
+def test_lift_falls_back_to_evaluating_the_product(monkeypatch, spoil):
+    base = survey_module._catalog_record(parse_group_spec("S4"))
+    assert base[0].metrics.vertex_count == 20
+    product = parse_group_spec("S4xC3")
+    calls = []
+    monkeypatch.setattr(
+        survey_module, "_catalog_record", lambda plan: calls.append(plan) or "evaluated"
+    )
+    lifted, _ = survey_module._lifted_record(product, base)
+    assert lifted.metrics.edge_count == 9 * base[0].metrics.edge_count
+    assert calls == []
+    assert survey_module._lifted_record(product, spoil(*base)) == "evaluated"
+    assert calls == [product]
 
 
 def test_product_invariant_names_a_planted_mismatch():
@@ -304,6 +378,25 @@ def test_product_invariant_names_a_planted_mismatch():
             "S3xC2: fitting_order is 5, S3 gives 6",
             "S3xC2: diameter is 1, S3 gives 2",
         ],
+    )
+
+
+def test_product_invariant_counts_each_isolated_vertex_k_times():
+    # a base with 3 components, 2 of them isolated vertices: times C_4 the
+    # 8 isolated copies and the one component with edges make 9
+    base = GroupReport(
+        "H", 20, False, 10, GraphMetrics(10, 12, 3, math.inf, 3, False, 2), {}
+    )
+    product = GroupReport(
+        "HxC4", 80, False, 40, GraphMetrics(40, 192, 9, math.inf, 3, False, 8), {}
+    )
+    assert product_invariant_mismatches([base, product]) == (1, [])
+    merged = dataclasses.replace(
+        product, metrics=dataclasses.replace(product.metrics, component_count=3)
+    )
+    assert product_invariant_mismatches([base, merged]) == (
+        1,
+        ["HxC4: component_count is 3, H gives 9"],
     )
 
 
