@@ -81,8 +81,7 @@ def iterated_commutator(G: Group, a: int, x: int, k: int) -> int:
     or x outside 0..order-1."""
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    _check_element(G, a)
-    _check_element(G, x)
+    _check_element(G, a, x)
     y = a
     for _ in range(k):
         y = G.commutator(y, x)
@@ -316,8 +315,7 @@ def is_randomly_engel_set(G: Group, members: Iterable[int]) -> bool:
 def engel_adjacent(G: Group, x: int, y: int) -> bool:
     """Engel-graph adjacency: neither [x,_k y] nor [y,_k x] ever equals 1.
     Raises InvalidParameter for an x or y outside 0..order-1."""
-    _check_element(G, x)
-    _check_element(G, y)
+    _check_element(G, x, y)
     if x == y:
         raise SameVertex(f"adjacency needs two distinct elements, got index {x} twice")
     return engel_depths(G, y)[x] < 0 and engel_depths(G, x)[y] < 0

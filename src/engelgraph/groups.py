@@ -214,42 +214,51 @@ class Group:
             self._elements = tuple(perms)
         return self._elements
 
-    # -- element arithmetic (by index) --
+    # -- element arithmetic (by index); InvalidParameter for an index
+    # outside 0..order-1, which the tables would read from their end --
 
     def mul(self, i: int, j: int) -> int:
+        _check_element(self, i, j)
         return self._table[i][j]
 
     def inv(self, i: int) -> int:
+        _check_element(self, i)
         return self._inv[i]
 
     def conjugate(self, x: int, y: int) -> int:
         """y^-1 x y."""
-        return self.mul(self.mul(self._inv[y], x), y)
+        _check_element(self, x, y)
+        table = self._table
+        return table[table[self._inv[y]][x]][y]
 
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x^-1 y^-1 x y."""
-        return self.mul(self.mul(self.mul(self._inv[x], self._inv[y]), x), y)
+        _check_element(self, x, y)
+        table, inv = self._table, self._inv
+        return table[table[table[inv[x]][inv[y]]][x]][y]
 
     def power(self, x: int, k: int) -> int:
+        _check_element(self, x)
         if k < 0:
-            return self.power(self._inv[x], -k)
-        result = self.identity
-        base = x
+            x, k = self._inv[x], -k
+        table, result = self._table, self.identity
         while k:
             if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = table[result][x]
+            x = table[x][x]
             k >>= 1
         return result
 
     def order_of(self, x: int) -> int:
-        k, y = 1, x
+        _check_element(self, x)
+        table, k, y = self._table, 1, x
         while y != self.identity:
-            y = self.mul(y, x)
+            y = table[y][x]
             k += 1
         return k
 
     def perm(self, i: int) -> Permutation:
+        _check_element(self, i)
         return self.elements[i]
 
     def index(self, p: Permutation) -> int:
@@ -301,8 +310,7 @@ class _Span:
         self.members: set[int] = {G.identity}
         members = sorted(set(members))
         if members:
-            _check_element(G, members[0])
-            _check_element(G, members[-1])
+            _check_element(G, members[0], members[-1])
         for s in members:
             if s not in self.members:
                 self.adjoin(s)
@@ -331,12 +339,13 @@ class _Span:
         return tuple(sorted(self.members))
 
 
-def _check_element(G: Group, x: int) -> None:
-    """Raise InvalidParameter unless x indexes an element of G."""
-    if not 0 <= x < G.order:
-        raise InvalidParameter(
-            f"element index {x} is outside 0..{G.order - 1} of {G.name!r}"
-        )
+def _check_element(G: Group, *xs: int) -> None:
+    """Raise InvalidParameter unless each x indexes an element of G."""
+    for x in xs:
+        if not 0 <= x < G.order:
+            raise InvalidParameter(
+                f"element index {x} is outside 0..{G.order - 1} of {G.name!r}"
+            )
 
 
 def _subgroup_span(G: Group, H: tuple[int, ...]) -> _Span | None:

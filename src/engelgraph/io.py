@@ -11,8 +11,9 @@ direct product of family terms, and ``@<path>`` a generator file.  A ``@``
 spec consumes the rest of the text (file groups cannot appear inside
 products; list extra generators in the file instead).
 
-Generator files hold one permutation per line in disjoint-cycle notation;
-``#`` starts a comment and blank lines are ignored.
+Generator files hold one permutation per line in disjoint-cycle notation,
+read as tokens after any white space: "(", ",", ")" and points, which are
+runs of decimal digits.  ``#`` starts a comment and blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -37,7 +38,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from .survey import GroupReport
 
 _KIND_OF_CODE = {family.code: kind for kind, family in FAMILIES.items()}
-_TERM_RE = re.compile(f"({'|'.join(_KIND_OF_CODE)})(\\d+)$")
+_TERM_RE = re.compile(f"({'|'.join(_KIND_OF_CODE)})(\\d+)")
+# one token of cycle notation after any white space: a point, or any other
+# single character
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(\S))")
+# what may follow each token, with "0" for a point, and the error when
+# something else does
+_NEXT = {"(": "0)", "0": ",)", ",": "0", ")": "("}
+_EXPECTED = {"0)": "expected a point number", "0": "expected a point number",
+             ",)": "expected ',' or ')'"}
 
 
 @dataclass(frozen=True)
@@ -71,7 +80,7 @@ GroupSpec = Union[FamilySpec, ProductSpec, FileSpec]
 def _parse_term(term: str, position: int) -> FamilySpec:
     if term == "T":
         return FamilySpec("dicyclic", 3)
-    m = _TERM_RE.match(term)
+    m = _TERM_RE.fullmatch(term)
     if m is None:
         raise ParseError(
             f"expected a family code like S4, D12, Dic3, or T, got {term!r}", position
@@ -126,41 +135,28 @@ def render_group_spec(spec: GroupSpec) -> str:
 def parse_cycles(line: str) -> Permutation:
     """Permutation from disjoint-cycle notation such as "(1,2,3)(4,5)".
 
-    "()" is the identity; spaces are allowed around points and cycles.
-    Raises ParseError for malformed text, repeated points, points < 1, or
+    The line is read as tokens, each after any white space: a point is a
+    run of decimal digits, and any other character is a token of its own,
+    of which "(", "," and ")" are the valid ones.  "()" is the identity.
+    Raises ParseError for any other token, repeated points, points < 1, or
     points above MAX_ORDER**2, where one element's images would outgrow
     the largest Cayley table the order limit allows.
     """
     limit = MAX_ORDER**2
-    s = line
-    i = 0
-    n = len(s)
     seen: dict[int, int] = {}  # point -> position it first appeared at
     cycles: list[list[int]] = []
-    saw_any = False
-
-    def skip_ws(j: int) -> int:
-        while j < n and s[j].isspace():
-            j += 1
-        return j
-
-    i = skip_ws(i)
-    while i < n:
-        if s[i] != "(":
-            raise ParseError(f"expected '(' , got {s[i]!r}", i)
-        saw_any = True
-        i = skip_ws(i + 1)
-        points: list[int] = []
-        if i < n and s[i] == ")":
-            i = skip_ws(i + 1)
-            continue  # "()" is the identity cycle
-        while True:
-            start = i
-            while i < n and s[i].isdigit():
-                i += 1
-            if i == start:
-                raise ParseError("expected a point number", i)
-            digits = s[start:i]
+    expect = "("
+    for token in _TOKEN_RE.finditer(line):
+        digits, char = token.groups()
+        start = token.start(token.lastindex)
+        kind = "0" if digits else char
+        if kind not in expect:
+            if expect == "(":
+                raise ParseError(f"expected '(' , got {line[start]!r}", start)
+            raise ParseError(_EXPECTED[expect], start)
+        if kind == "(":
+            cycles.append([])  # "()" leaves its empty cycle
+        elif digits:
             # the length first, as int() refuses more than 4300 digits
             if len(digits) > len(str(limit)) or int(digits) > limit:
                 shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
@@ -171,18 +167,12 @@ def parse_cycles(line: str) -> Permutation:
             if point in seen:
                 raise ParseError(f"point {point} repeated (first at position {seen[point]})", start)
             seen[point] = start
-            points.append(point)
-            i = skip_ws(i)
-            if i < n and s[i] == ",":
-                i = skip_ws(i + 1)
-                continue
-            if i < n and s[i] == ")":
-                i = skip_ws(i + 1)
-                break
-            raise ParseError("expected ',' or ')'", i)
-        cycles.append(points)
-    if not saw_any:
+            cycles[-1].append(point)
+        expect = _NEXT[kind]
+    if not cycles:
         raise ParseError("expected a permutation in cycle notation", 0)
+    if expect != "(":
+        raise ParseError(_EXPECTED[expect], len(line))
     return Permutation.from_cycles(cycles)
 
 

@@ -238,7 +238,8 @@ def _lifts(plan: GroupSpec) -> bool:
 def _lifted_record(plan: ProductSpec, base: _Record | None) -> _Record | None:
     """The record of ``plan`` = H x C_k, k >= 2, read from ``base``, the
     record of H (None when H is nilpotent), as ``_catalog_pass`` proves;
-    ``_catalog_record(plan)`` when the base's record leaves it open."""
+    ``_catalog_record(plan)`` when the base's record leaves it open, as it
+    does for isolated vertices by a failed ``no_isolated_vertices`` check."""
     if base is None:
         return None
     report, facts = base
@@ -248,7 +249,6 @@ def _lifted_record(plan: ProductSpec, base: _Record | None) -> _Record | None:
         facts.violations
         or not all(c.passed for c in report.checks.values())
         or m.component_count != 1
-        or m.isolated_count
         or edges <= 3 * vertices - 6
     ):
         return _catalog_record(plan)
@@ -363,15 +363,14 @@ def survey(max_order: int, *, jobs: int = 1) -> SurveyResult:
     """Reports for every non-nilpotent catalog group of order <= max_order.
 
     Evaluation may run in parallel (one group per task, no shared state);
-    the result is merged by sorting and is byte-identical for any ``jobs``.
+    the result is byte-identical for any ``jobs``.  Reports come in plan
+    order, which is (order, name) order, as a report is named by its plan.
     Raises InvalidParameter, before any plan is made, for ``max_order``
     outside 6..MAX_ORDER or ``jobs`` below 1.
     """
     _check_bounds(max_order, 6, jobs)
     plans = catalog_plans(max_order)
-    reports = sorted(
-        (r for r, _ in _catalog_pass(plans, jobs)), key=lambda r: (r.order, r.name)
-    )
+    reports = [r for r, _ in _catalog_pass(plans, jobs)]
 
     histogram: dict[str, int] = {}
     planar_groups = []
@@ -447,7 +446,9 @@ def _diameter_one_violation(G: Group, L: tuple[int, ...], graph: SimpleGraph) ->
     """Structure forced on a group whose Engel graph is complete: the Engel
     set ``L`` is a normal abelian subgroup of odd order and index 2, and
     every vertex is an involution inverting it.  Each class of vertices is
-    tested at its least member, reading products from Cayley table rows."""
+    tested at its least member, reading products from Cayley table rows.
+    That <x> = {e, x} meets L only in e needs no test: every vertex x lies
+    outside L, and e lies in L."""
     members = set(L)
     if not is_abelian(G, L):
         return "Engel set is not abelian"
@@ -463,8 +464,6 @@ def _diameter_one_violation(G: Group, L: tuple[int, ...], graph: SimpleGraph) ->
         row_x = table[x]
         if row_x[x] != e:
             return f"vertex {_describe(G, x)} is not an involution"
-        if members & {e, x} != {e}:  # {e, x} = <x> for an involution x
-            return f"<x> meets the Engel set beyond the identity for {_describe(G, x)}"
         ax = [table[a][x] for a in L]
         if set(ax) | members != everything:
             return f"G != L<x> for {_describe(G, x)}"

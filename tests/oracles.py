@@ -23,7 +23,9 @@ calls the group's methods once per product, the product invariant
 reads a catalog's reports of G x C_k against those of G, and catalog
 groups' invariants are compared with those of sympy's ``PermutationGroup``.
 The dihedral and dicyclic generators come from the normal-form
-multiplication of words instead of the library's closed image formulas.
+multiplication of words instead of the library's closed image formulas,
+and cycle notation is read by a character scanner instead of the
+library's token pattern.
 """
 
 import math
@@ -33,6 +35,7 @@ from itertools import combinations
 from engelgraph import (
     IDENTITY,
     NotASubgroup,
+    ParseError,
     Permutation,
     SimpleGraph,
     build_group,
@@ -50,7 +53,7 @@ from engelgraph import (
     subgroup_generated,
 )
 from engelgraph.graphs import _row
-from engelgraph.groups import _transversal
+from engelgraph.groups import MAX_ORDER, _transversal
 
 
 def naive_closure(perms, limit=None):
@@ -77,6 +80,66 @@ def regular_representation_by_words(m, c):
         return (j1 + j2) % 2 * m + i % m + 1
 
     return [Permutation(mul(u, w) for u in forms) for w in ((1, 0), (0, 1))]
+
+
+def parse_cycles_by_scanning(line):
+    """``io.parse_cycles`` as a character scanner that skips white space by
+    ``str.isspace`` and reads a point as a run of ``str.isdigit``
+    characters, with the same errors and positions.  ``isdigit`` also takes
+    digits that are not decimal, such as "²", which ``int()`` then refuses
+    with a ValueError: the reference for lines without them."""
+    limit = MAX_ORDER**2
+    s = line
+    i = 0
+    n = len(s)
+    seen = {}  # point -> position it first appeared at
+    cycles = []
+    saw_any = False
+
+    def skip_ws(j):
+        while j < n and s[j].isspace():
+            j += 1
+        return j
+
+    i = skip_ws(i)
+    while i < n:
+        if s[i] != "(":
+            raise ParseError(f"expected '(' , got {s[i]!r}", i)
+        saw_any = True
+        i = skip_ws(i + 1)
+        points = []
+        if i < n and s[i] == ")":
+            i = skip_ws(i + 1)
+            continue  # "()" is the identity cycle
+        while True:
+            start = i
+            while i < n and s[i].isdigit():
+                i += 1
+            if i == start:
+                raise ParseError("expected a point number", i)
+            digits = s[start:i]
+            if len(digits) > len(str(limit)) or int(digits) > limit:
+                shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+                raise ParseError(f"point {shown} is above the limit of {limit}", start)
+            point = int(digits)
+            if point < 1:
+                raise ParseError(f"points are 1-based, got {point}", start)
+            if point in seen:
+                raise ParseError(f"point {point} repeated (first at position {seen[point]})", start)
+            seen[point] = start
+            points.append(point)
+            i = skip_ws(i)
+            if i < n and s[i] == ",":
+                i = skip_ws(i + 1)
+                continue
+            if i < n and s[i] == ")":
+                i = skip_ws(i + 1)
+                break
+            raise ParseError("expected ',' or ')'", i)
+        cycles.append(points)
+    if not saw_any:
+        raise ParseError("expected a permutation in cycle notation", 0)
+    return Permutation.from_cycles(cycles)
 
 
 def naive_subgroup_generated(G, members):
@@ -440,7 +503,9 @@ def diameter_one_violation_by_group_calls(G, L, graph):
     """The structure forced on a group whose Engel graph is complete, with
     one ``G.mul``, ``G.conjugate`` or subgroup call per (vertex, member)
     pair; the same checks, in the same order and with the same
-    counterexamples, as ``survey._diameter_one_violation``."""
+    counterexamples, as ``survey._diameter_one_violation``, and one more,
+    that <x> meets L only in the identity, which the library leaves out as
+    it holds for every vertex x outside an L that holds the identity."""
     members = set(L)
     if not is_abelian(G, L):
         return "Engel set is not abelian"

@@ -90,6 +90,16 @@ def test_report_rejects_unreadable_generator_files(repo_root, monkeypatch, capsy
         assert err.startswith("error: cannot read"), err
 
 
+def test_report_rejects_a_non_decimal_point(tmp_path, capsys):
+    # "²" is a digit to str.isdigit but not to int(): a usage error, not
+    # an internal one
+    path = tmp_path / "square.gens"
+    path.write_text("(1,2)\n(3,²)\n")
+    assert main(["report", "--group", f"@{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:2: expected a point number (at position 3)\n", err
+
+
 def test_internal_errors_are_not_usage_errors(monkeypatch, capsys):
     # only the output writes turn an OSError into a usage error, and only a
     # ParseError, InvalidParameter or ClosureTooLarge is one among the

@@ -579,3 +579,46 @@ def test_power_and_order_of(d12):
     assert d12.power(s, 6) == d12.identity
     assert d12.power(s, -1) == d12.inv(s)
     assert d12.power(s, 0) == d12.identity
+
+
+ELEMENT_METHODS = {
+    "mul": lambda G, x: G.mul(x, 1),
+    "mul (second)": lambda G, x: G.mul(1, x),
+    "inv": lambda G, x: G.inv(x),
+    "conjugate": lambda G, x: G.conjugate(x, 1),
+    "conjugate (second)": lambda G, x: G.conjugate(1, x),
+    "commutator": lambda G, x: G.commutator(x, 1),
+    "commutator (second)": lambda G, x: G.commutator(1, x),
+    "power": lambda G, x: G.power(x, 2),
+    "power (negative)": lambda G, x: G.power(x, -2),
+    "order_of": lambda G, x: G.order_of(x),
+    "perm": lambda G, x: G.perm(x),
+}
+
+
+@pytest.mark.parametrize("method", ELEMENT_METHODS)
+@pytest.mark.parametrize("x", [-1, 24])
+def test_element_methods_refuse_an_index_outside_the_group(method, x):
+    # -1 would read the last element's row and 24 raise a bare IndexError;
+    # a group of its own, so that nothing is made on it
+    G = build_group("S4")
+    memo = {key: dict(entry) for key, entry in G._memo.items()}
+    with pytest.raises(InvalidParameter, match=rf"index {x} .*'S4'"):
+        ELEMENT_METHODS[method](G, x)
+    assert G._memo == memo
+    assert G._elements is None
+
+
+def test_element_methods_agree_with_permutations(s4):
+    for x in range(s4.order):
+        p = s4.perm(x)
+        for y in range(s4.order):
+            q = s4.perm(y)
+            assert s4.perm(s4.mul(x, y)) == p * q
+            assert s4.perm(s4.conjugate(x, y)) == q.inverse() * p * q
+            assert s4.perm(s4.commutator(x, y)) == p.inverse() * q.inverse() * p * q
+        assert s4.perm(s4.inv(x)) == p.inverse()
+        k = s4.order_of(x)
+        assert p ** k == Permutation() and all(p ** j != Permutation() for j in range(1, k))
+        for j in range(-5, 6):
+            assert s4.perm(s4.power(x, j)) == p ** j

@@ -67,6 +67,7 @@ def test_parse_products_and_files():
         ("xC2", 0),
         ("S3xQ7", 3),
         ("@", 1),
+        ("S3\nxC2", 0),  # a term ends where its digits do, not at a newline
     ],
 )
 def test_parse_errors_carry_positions(bad, position):
@@ -114,6 +115,8 @@ def test_parse_cycles_examples():
     "bad",
     [
         "", "1,2", "(1,2", "(1 2)", "(1,,2)", "(1,2)(2,3)", "(0,1)", "(1,2))", "(a,b)",
+        # digits that are not decimal, which int() refuses
+        "(3,²)", "(²,1)",
         # labels above 4096**2, one of them too long for int()
         "(3,1000000000)",
         pytest.param("(1," + "9" * 5000 + ")", id="(1,<5000 digits>)"),

@@ -25,6 +25,10 @@ groups of order at most 60 every subgroup query gives the same answer on
 a warmed group as on a copy pickled before any query, and so does each
 series the warmed group remembers.
 
+Cycle notation is read by one token pattern; on lines drawn from tokens,
+white space and digits of several kinds, it is compared with a character
+scanner, which agrees wherever it does not hand int() a non-decimal digit.
+
 Construction itself is checked on generators of mixed degree against the
 product fixpoint and direct composition.
 
@@ -54,6 +58,7 @@ from engelgraph import (  # noqa: E402
     IDENTITY,
     Group,
     NotASubgroup,
+    ParseError,
     Permutation,
     SimpleGraph,
     build_engel_graph,
@@ -73,6 +78,7 @@ from engelgraph import (  # noqa: E402
     left_engel_set,
     lower_central_series,
     normal_closure,
+    parse_cycles,
     subgroup_generated,
 )
 from engelgraph.families import dihedral_group, family_generators, product_group  # noqa: E402
@@ -85,6 +91,7 @@ from oracles import (  # noqa: E402
     induced_rows_by_renumbering,
     left_engel_mismatches,
     naive_closure,
+    parse_cycles_by_scanning,
     random_graph,
     randomly_engel_conjugates_by_elements,
     twin_quotient_by_neighbourhoods,
@@ -372,3 +379,43 @@ def test_clique_number_matches_enumeration_under_relabelling(g, rng):
     relabel = rng.sample(range(n), n)
     h = SimpleGraph(n, [(relabel[u], relabel[v]) for u, v in g.edges()])
     assert clique_number(h) == omega
+
+
+# tokens of cycle notation and the characters around them: "²" is a digit
+# to str.isdigit but not a decimal, "٣" an Arabic-Indic decimal 3, and
+# "\xa0" and "\x1c" are white space to str.isspace
+CYCLE_POINTS = ("0", "1", "2", "3", "7", "10", "99999999999", "9" * 5000, "²", "٣")
+CYCLE_SPACES = ("", " ", "\t", "\xa0", "\x1c")
+CYCLE_PIECES = ("(", ")", ",", "a", *CYCLE_SPACES[1:], *CYCLE_POINTS)
+
+
+@st.composite
+def cycle_lines(draw):
+    """A line of pieces in any order, or cycles of points with white space
+    around every token, most of which parse."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(CYCLE_PIECES), max_size=16)))
+    spaces = st.sampled_from(CYCLE_SPACES)
+    point = st.tuples(spaces, st.sampled_from(CYCLE_POINTS), spaces).map("".join)
+    cycle = st.lists(point, max_size=4).map(lambda ps: "(" + ",".join(ps) + ")")
+    return draw(spaces).join(draw(st.lists(cycle, max_size=3)))
+
+
+def _parsed(parse, line):
+    try:
+        return parse(line)
+    except ParseError as err:
+        return str(err), err.position
+
+
+@settings(deadline=None, max_examples=500)
+@given(cycle_lines())
+def test_parse_cycles_matches_the_character_scanner(line):
+    if any(c.isdigit() and not c.isdecimal() for c in line):
+        # the scanner hands such digits to int(), which refuses them
+        with pytest.raises(ParseError):
+            parse_cycles(line)
+    else:
+        parsed = _parsed(parse_cycles, line)
+        event("parsed" if isinstance(parsed, Permutation) else "refused")
+        assert parsed == _parsed(parse_cycles_by_scanning, line)

@@ -318,9 +318,44 @@ def test_lifted_records_equal_direct_records_up_to_240():
             assert write_report(record[0]) == write_report(direct[0]), plan
 
 
+def test_lift_matches_products_the_catalog_evaluates(monkeypatch):
+    # every catalog base of order at most 60 times C_k, k = 2..6, which the
+    # catalog evaluates directly up to order 60 and lifts above it
+    bases = [p for p in catalog_plans(60) if not isinstance(p, ProductSpec)]
+    assert len(bases) == 43
+    direct = {b: survey_module._catalog_record(b) for b in bases}
+    evaluate = survey_module._catalog_record
+    fallbacks = []
+    monkeypatch.setattr(
+        survey_module, "_catalog_record", lambda plan: fallbacks.append(plan) or evaluate(plan)
+    )
+    for base in bases:
+        for k in range(2, 7):
+            plan = parse_group_spec(f"{render_group_spec(base)}xC{k}")
+            count = len(fallbacks)
+            record, want = survey_module._lifted_record(plan, direct[base]), evaluate(plan)
+            if want is not None and len(fallbacks) == count:
+                # the randomly-Engel check is left to the direct path
+                checks = {
+                    n: c for n, c in want[0].checks.items() if n != "fitting_matches_randomly_engel"
+                }
+                want = dataclasses.replace(want[0], checks=checks), want[1]
+            assert record == want, plan
+            if record is not None:
+                assert write_report(record[0]) == write_report(want[0]), plan
+    # k^2 |E| = 12 = 3k|V| - 6 for S3 x C2 leaves planarity open
+    assert fallbacks == [parse_group_spec("S3xC2")]
+
+
 def _failed_check(report, facts):
     failed = {**report.checks, "no_isolated_vertices": CheckResult(False, "isolated: 1")}
     return dataclasses.replace(report, checks=failed), facts
+
+
+def _isolated(report, facts):
+    # an isolated vertex shows in the metrics and fails its check together
+    report, facts = _failed_check(report, facts)
+    return _with_metrics(isolated_count=1)(report, facts)
 
 
 def _violation(report, facts):
@@ -340,7 +375,7 @@ def _with_metrics(**changes):
     [
         _failed_check,
         _violation,
-        _with_metrics(isolated_count=1),
+        _isolated,
         _with_metrics(component_count=2, diameter=math.inf),
         # 3^2 * 10 = 90 <= 3 * (3 * 20) - 6 = 174 leaves planarity open
         _with_metrics(edge_count=10),
@@ -704,7 +739,6 @@ def test_theorem_facts_name_planted_counterexamples():
     e = c6.identity
     x = next(g for g in range(c6.order) if g != e and c6.mul(g, g) == e)
     c3 = tuple(g for g in range(c6.order) if c6.power(g, 3) == e)
-    other = next(g for g in range(c6.order) if g not in c3 and g != x)
     cubes = tuple(g for g in range(12) if a4.power(g, 3) == a4.identity)[:3]
     l_d14 = left_engel_set(d14)
     x_text = "element 3 = (1,4)(2,5)(3,6)"
@@ -719,7 +753,6 @@ def test_theorem_facts_name_planted_counterexamples():
             (l_d14[1],),
             "vertex element 1 = (1,2,3,4,5,6,7)(8,14,13,12,11,10,9) is not an involution",
         ),
-        (c6, (other,) + c3[1:], (x,), f"<x> meets the Engel set beyond the identity for {x_text}"),
         (c6, c3, (e,), "G != L<x> for element 0 = ()"),
         (c6, c3, (x,), f"{x_text} does not invert element 2 = (1,3,5)(2,4,6)"),
     ]:
