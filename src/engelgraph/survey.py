@@ -11,14 +11,17 @@ plan list that was checked.
 ``survey`` and ``verify_theorems`` read one catalog pass
 (``_catalog_pass``), which makes one record per plan: the ``GroupReport``
 and the ``_TheoremFacts`` (flags, counterexample strings, planar-type
-graphs) the verdicts need.  It evaluates every plan once, except the
-products H x C_k above the order of the randomly-Engel check, whose records
-it lifts from the record of H; an evaluation is reduced at once, in the
-process that made it, to its record, so about one group is in memory at a
-time and the verdicts build none.  The records of the last catalog are kept,
-keyed by its plans, until another catalog replaces them; ``survey`` and
-``verify_theorems`` fold them into their results, and whichever runs second
-evaluates no plan again.  Vertex checks test one member per conjugacy class.
+graphs) the verdicts need.  It evaluates every plan once, except those
+above the order of the randomly-Engel check that it derives in a second
+phase from one of two sources: the products H x C_k lift their records from
+the record of H, and the dihedral and dicyclic groups, whose Engel graphs
+are complete b-partite, write theirs down from a closed form in the order.
+An evaluation is reduced at once, in the process that made it, to its
+record, so about one group is in memory at a time and the verdicts build
+none.  The records of the last catalog are kept, keyed by its plans, until
+another catalog replaces them; ``survey`` and ``verify_theorems`` fold them
+into their results, and whichever runs second evaluates no plan again.
+Vertex checks test one member per conjugacy class.
 
 A disconnected Engel graph would answer an open question, so it is flagged
 prominently in the summary instead of being treated as a tool failure.
@@ -229,10 +232,46 @@ def _catalog_record(spec: GroupSpec) -> _Record | None:
 
 
 def _lifts(plan: GroupSpec) -> bool:
-    """Whether the catalog pass lifts the record of ``plan`` from its base's:
-    a catalog product, H x C_k, above the order of the randomly-Engel
-    check."""
-    return isinstance(plan, ProductSpec) and plan.order() > RANDOMLY_ENGEL_CHECK_MAX_ORDER
+    """Whether the catalog pass derives the record of ``plan`` in its second
+    phase (``_derived_record``) instead of evaluating it: a catalog product
+    H x C_k, or a dihedral or dicyclic group, above the order of the
+    randomly-Engel check."""
+    return plan.order() > RANDOMLY_ENGEL_CHECK_MAX_ORDER and (
+        isinstance(plan, ProductSpec) or plan.kind in ("dihedral", "dicyclic")
+    )
+
+
+def _derived_record(plan: GroupSpec, records: dict[GroupSpec, _Record | None]) -> _Record | None:
+    """The second phase's record of a plan that ``_lifts`` takes: a
+    product's lifted from its base's record in ``records``, a dihedral or
+    dicyclic group's from its closed form."""
+    if isinstance(plan, ProductSpec):
+        return _lifted_record(plan, records[plan.factors[0]])
+    return _closed_form_record(plan)
+
+
+def _closed_form_record(plan: FamilySpec) -> _Record | None:
+    """The record of a dihedral or dicyclic ``plan`` of order 2M above
+    ``RANDOMLY_ENGEL_CHECK_MAX_ORDER``, read from M = t*b, t a power of 2
+    and b odd, as ``_catalog_pass`` proves; None when b = 1 (G is a
+    2-group, so nilpotent)."""
+    m = plan.order() // 2
+    t = m & -m
+    b = m // t
+    if b == 1:
+        return None
+    report = GroupReport(
+        name=render_group_spec(plan),
+        order=2 * m,
+        is_engel=False,
+        fitting_order=m,
+        metrics=GraphMetrics(m, t * t * b * (b - 1) // 2, 1, 1 if t == 1 else 2, b, False, 0),
+        checks=dict.fromkeys(
+            ("engel_set_is_fitting_subgroup", "clique_number_at_least_3", "no_isolated_vertices"),
+            CheckResult(True),
+        ),
+    )
+    return report, _TheoremFacts(None, True, {})
 
 
 def _lifted_record(plan: ProductSpec, base: _Record | None) -> _Record | None:
@@ -282,11 +321,14 @@ def _catalog_pass(plans: list[GroupSpec], jobs: int = 1) -> tuple[_Record, ...]:
     soon as its record is made, so only the records stay alive.  With
     ``jobs > 1`` these plans are evaluated in ``jobs`` worker processes, but
     no more than there are such plans or CPUs (one group per task, no
-    shared state).  Then each product G = H x C_k of order above
-    ``RANDOMLY_ENGEL_CHECK_MAX_ORDER``, in plan order, takes its record
-    from that of its base H, which is a plan of the first phase
-    (``_lifted_record``).  Here E_H has |V| vertices, |E| edges and
-    diameter d:
+    shared state).  Then, in plan order, each remaining plan takes its
+    record from one of two sources (``_derived_record``), which need no
+    group.
+
+    Lifted from the base.  Each product G = H x C_k of order above
+    ``RANDOMLY_ENGEL_CHECK_MAX_ORDER`` takes its record from that of its
+    base H (``_lifted_record``), which comes earlier in plan order, as it
+    is smaller.  Here E_H has |V| vertices, |E| edges and diameter d:
 
     - Commutators in H x C_k are taken factor by factor, so
       [(h, n),_j (h', n')] = ([h,_j h'], [n,_j n']), and the second factor
@@ -321,6 +363,42 @@ def _catalog_pass(plans: list[GroupSpec], jobs: int = 1) -> tuple[_Record, ...]:
     an element of G, as on the direct path), when E_H is disconnected or
     has isolated vertices, or when Euler's bound leaves planarity open.
 
+    Closed form.  Each dihedral or dicyclic group G of order above
+    ``RANDOMLY_ENGEL_CHECK_MAX_ORDER`` is <x, y | x^M = 1, y^2 = x^c,
+    x^y = x^-1> of order 2M (``families._regular_representation``); write
+    M = t*b with t a power of 2 and b odd.  Its record is read from t and b
+    alone (``_closed_form_record``):
+
+    - For u = x^i y and v = x^j y, [u, v] = x^(2(i-j)) and
+      [x^e, v] = x^(-2e), so [u,_k v] = x^(2(i-j)(-2)^(k-1)), which reaches
+      1 exactly when b divides i - j; and [x^j y,_k x^e] = 1 from k = 2 on.
+      So L(G) = <x>, of order M, abelian and normal, and G' = <x^2>: G is
+      metabelian, and it is nilpotent (a 2-group, with no record) exactly
+      when b = 1.  From here on b >= 3.
+    - E_G has the M vertices x^i y and is complete b-partite, with x^i y
+      in part i mod b, each part of t vertices: t^2 b(b-1)/2 edges, one
+      component, no isolated vertex, clique number b >= 3, and diameter 1
+      when t = 1, else 2 (a vertex misses the others of its part, which
+      share its neighbours).
+    - The class of x^i y is {x^(+-i+2e) y}, which meets every residue
+      mod b, as 2 is a unit mod b: each class induces a complete
+      multipartite graph with b >= 3 parts, connected with diameter at
+      most 2, and the whole graph has diameter at most 2.
+    - t = 1 happens only for D_n with M odd (for Dic_n, M is even), and
+      then every vertex is universal.  Each is an involution, as y^2 = 1,
+      that inverts L, of odd order M and index 2, and its centralizer is
+      {1, u}: x^e commutes with u only when x^(2e) = 1, that is e = 0, and
+      x^j y only when x^(2(i-j)) = 1, that is i = j.
+    - Above order 60, |E| > 3|V| - 6, so E_G is not planar by Euler's
+      bound: t = 1 forces b >= 31 and t = 2 forces b >= 17, where
+      (b-3)(b-4) > 0 and (b-1)(b-3) > 0 give the bound; t >= 4 gives
+      |E|/|V| = t(b-1)/2 >= 4.  So no plan needs a fallback.
+
+    So G's report has fitting order M and the three checks, all passed,
+    without the randomly-Engel one, and its facts are metabelian, with no
+    planar-type graph and no violation.  ``evaluate_group`` and ``report``
+    still build these groups.
+
     The records of the last catalog are kept: the same plans again return
     them without evaluating anything, whatever ``jobs`` is, and other plans
     replace them.
@@ -339,7 +417,7 @@ def _catalog_pass(plans: list[GroupSpec], jobs: int = 1) -> tuple[_Record, ...]:
             records = dict(zip(direct, map(_catalog_record, direct)))
         for p in plans:
             if p not in records:
-                records[p] = _lifted_record(p, records[p.factors[0]])
+                records[p] = _derived_record(p, records)
         _last_catalog = key, tuple(records[p] for p in plans if records[p] is not None)
     return _last_catalog[1]
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import math
 import pickle
 import random
@@ -33,10 +34,12 @@ from engelgraph import (
     write_report,
 )
 from engelgraph.cli import exit_code_for_verdicts
+from engelgraph.graphs import _row
 from engelgraph.groups import MAX_ORDER
 from engelgraph.survey import CheckResult, TheoremVerdict
 from oracles import (
     bfs_distances,
+    direct_engel_graph,
     diameter_one_violation_by_group_calls,
     product_invariant_mismatches,
     random_graph,
@@ -234,7 +237,7 @@ def test_survey_and_verify_share_one_catalog_pass(monkeypatch):
     plans = catalog_plans(120)
     assert len(plans) == 243
     direct = [p for p in plans if not survey_module._lifts(p)]
-    assert len(direct) == 137
+    assert len(direct) == 92
     forget_catalog()
     surveyed = survey(120)
     from_records = verify_theorems(120)
@@ -266,6 +269,7 @@ def test_catalog_pass_keeps_the_last_catalog_only(monkeypatch):
 
 def test_parallel_records_equal_serial_records():
     # at 120, 106 of the plans are lifted from the records the workers made
+    # and 45 written down from their closed form
     for max_order in (24, 120):
         plans = catalog_plans(max_order)
         forget_catalog()
@@ -305,14 +309,20 @@ def test_products_with_cyclic_groups_follow_from_their_base():
 
 
 def test_lifted_records_equal_direct_records_up_to_240():
+    # the products from their base and the dihedral and dicyclic groups
+    # from their closed form, each through the catalog pass's own dispatch
     records = direct_records(240)
     lifted = [p for p in records if survey_module._lifts(p)]
-    assert len(lifted) == 378
-    assert all(isinstance(p, ProductSpec) and 60 < p.order() <= 240 for p in lifted)
+    assert len(lifted) == 513
+    assert sum(isinstance(p, ProductSpec) for p in lifted) == 378
+    assert all(
+        60 < p.order() <= 240 and (isinstance(p, ProductSpec) or p.kind in ("dihedral", "dicyclic"))
+        for p in lifted
+    )
     for plan in lifted:
         # the report and every field of the theorem facts; None for the
-        # nilpotent products
-        record, direct = survey_module._lifted_record(plan, records[plan.factors[0]]), records[plan]
+        # nilpotent plans
+        record, direct = survey_module._derived_record(plan, records), records[plan]
         assert record == direct, plan
         if record is not None:
             assert write_report(record[0]) == write_report(direct[0]), plan
@@ -395,6 +405,113 @@ def test_lift_falls_back_to_evaluating_the_product(monkeypatch, spoil):
     assert calls == []
     assert survey_module._lifted_record(product, spoil(*base)) == "evaluated"
     assert calls == [product]
+
+
+def dihedral_and_dicyclic_plans(least, most):
+    return [
+        p
+        for p in catalog_plans(most)
+        if not isinstance(p, ProductSpec)
+        and p.kind in ("dihedral", "dicyclic")
+        and least <= p.order()
+    ]
+
+
+# what the closed form shares with the direct record at every order: the
+# planarity and the randomly-Engel check stay direct up to order 60, where
+# E_D12 and E_Dic3 are planar
+def _closed_form_fields(record):
+    if record is None:
+        return None
+    report, _ = record
+    m = report.metrics
+    return (
+        report.fitting_order,
+        m.vertex_count,
+        m.edge_count,
+        m.component_count,
+        m.isolated_count,
+        m.clique_number,
+        m.diameter,
+    )
+
+
+def closed_form_mismatches(closed_form, small, large):
+    """The plans whose closed-form record differs from ``_catalog_record``:
+    the whole record and its report text for the ``large`` ones, which the
+    catalog takes from the closed form, and ``_closed_form_fields`` for the
+    ``small`` ones, which it evaluates."""
+    mismatches = []
+    for plan, direct in large.items():
+        record = closed_form(plan)
+        if record != direct or (
+            record is not None and write_report(record[0]) != write_report(direct[0])
+        ):
+            mismatches.append(plan)
+    for plan, direct in small.items():
+        if _closed_form_fields(closed_form(plan)) != _closed_form_fields(direct):
+            mismatches.append(plan)
+    return mismatches
+
+
+@pytest.fixture(scope="module")
+def dihedral_and_dicyclic_records():
+    small = {p: survey_module._catalog_record(p) for p in dihedral_and_dicyclic_plans(0, 60)}
+    large = {p: survey_module._catalog_record(p) for p in dihedral_and_dicyclic_plans(61, 240)}
+    assert (len(large), len(small)) == (135, 39)
+    assert sum(r is None for r in large.values()) == 4
+    return small, large
+
+
+def test_closed_form_records_equal_direct_records(dihedral_and_dicyclic_records):
+    small, large = dihedral_and_dicyclic_records
+    assert closed_form_mismatches(survey_module._closed_form_record, small, large) == []
+
+
+def _mutated(old, new):
+    # _closed_form_record with one expression of its source replaced
+    source = inspect.getsource(survey_module._closed_form_record)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(survey_module))
+    exec(source.replace(old, new), namespace)
+    return namespace["_closed_form_record"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("t * t * b * (b - 1) // 2", "b * (b - 1) // 2"),
+        ("1 if t == 1 else 2, b,", "1 if t == 1 else 2, m,"),
+        ("1 if t == 1 else 2", "2"),
+        ("b = m // t", "b = m // 2"),
+    ],
+    ids=["edges-without-t-squared", "clique-number-m", "diameter-2-when-t-is-1", "b-is-m-halved"],
+)
+def test_closed_form_mutants_are_caught(dihedral_and_dicyclic_records, old, new):
+    small, large = dihedral_and_dicyclic_records
+    assert closed_form_mismatches(_mutated(old, new), small, large) != []
+
+
+def test_dihedral_and_dicyclic_engel_graphs_are_complete_multipartite():
+    # with M = t b, t a power of 2 and b odd: L(G) = <x>, and E_G is
+    # complete b-partite with x^i y in part i mod b.  The element x^i y^j
+    # sends point 1, the word 1, to the word x^i y^j at point j M + i + 1
+    checked = 0
+    for plan in dihedral_and_dicyclic_plans(0, 120):
+        G = build_group(plan)
+        m = G.order // 2
+        b = m // (m & -m)
+        if b == 1:
+            continue
+        assert set(left_engel_set(G)) == {g for g in range(G.order) if G.perm(g)(1) <= m}, plan
+        graph = direct_engel_graph(G)
+        points = [G.perm(g)(1) for g in graph.labels]
+        assert sorted(points) == list(range(m + 1, 2 * m + 1)), plan
+        part = [(p - m - 1) % b for p in points]
+        for u in range(m):
+            assert graph.adjacency[u] == _row((v for v in range(m) if part[v] != part[u]), m), plan
+        checked += 1
+    assert checked == 77
 
 
 def test_product_invariant_names_a_planted_mismatch():
