@@ -19,9 +19,9 @@ one table read per member of each S_k, where a depth map reads all of G.
 
 Conjugation is an automorphism of the relation: [a^g,_k x^g] = [a,_k x]^g,
 so depth_{x^g}[a^g] = depth_x[a].  L(G) is therefore decided at the least
-member r of each conjugacy class only, and the Engel graph and the
-randomly-Engel check ask for the maps of those r outside L only:
-``_engel_rows`` finds Engel neighbours only at r and carries them to
+member r of each conjugacy class only, the Engel graph asks for the maps
+of those r outside L only, and the randomly-Engel check for the map of
+each r: ``_engel_rows`` finds Engel neighbours only at r and carries them to
 x = r^g by conjugating with g, read from the transversal that
 ``groups.conjugacy_class`` records.  A map asked for any other element is
 built by the same search.
@@ -259,17 +259,22 @@ def is_randomly_engel_conjugates(G: Group, x: int) -> bool:
     """True iff for every g, at least one of the Engel sequences of
     (x^g, x) and (x, x^g) reaches the identity.
 
-    Read in the Engel core C = G/Z*(G) at the least member r of the class
-    of x's image, once per class, and cached on C: no conjugate of r may
-    be an Engel neighbour of r.  Raises InvalidParameter for an x outside
-    0..order-1."""
+    Read in the Engel core C = G/Z*(G) at the least member r of each class
+    of C: no conjugate of r may be an Engel neighbour of r.  The first call
+    answers every element of G at once, one ``_engel_rows`` call per class
+    of C, and caches the answers on G as one tuple.  Raises
+    InvalidParameter for an x outside 0..order-1."""
     _check_element(G, x)
-    C, proj = _engel_core(G)
-    r = conjugacy_class(C, proj[x])[0]
-    answers = C._memo.setdefault("randomly_engel", {})
-    if r not in answers:
-        answers[r] = not next(_engel_rows(C, conjugacy_class(C, r)))
-    return answers[r]
+    answers = G._memo.get("randomly_engel")
+    if answers is None:
+        C, proj = _engel_core(G)
+        passes = [False] * C.order
+        for cls in conjugacy_classes(C):
+            if not next(_engel_rows(C, cls)):
+                for y in cls:
+                    passes[y] = True
+        answers = G._memo["randomly_engel"] = tuple(map(passes.__getitem__, proj))
+    return answers[x]
 
 
 def _engel_rows(G: Group, vertices: Sequence[int]) -> Iterator[list[int]]:

@@ -1,12 +1,19 @@
 """The Engel graph and exact graph metrics.
 
 A graph keeps one bit row per vertex: an int of n bits on n vertices.
-All metrics are exact.  The clique number, the component count and the
-diameter are read from the twin quotient: vertices with equal
-neighbourhoods (false twins) are never adjacent, so a clique meets each
-twin class at most once and distances between classes survive the
-quotient (Gallai's modules, in their simplest form).  A breadth-first
-search that ORs the rows of each frontier gives components and diameters.
+All metrics are exact.  Vertices with equal neighbourhoods (false twins)
+are never adjacent, so a clique meets each twin class at most once, and
+the distance between two classes is the one between any member of each
+(Gallai's modules, in their simplest form).  So the clique search runs on
+the twin quotient, and ``diameter`` searches the graph in place, once from
+the least member of each class and inside the mask of those least
+members, which induces a copy of the quotient.  A breadth-first search
+builds each layer in the cheaper direction (Beamer, Asanovic and
+Patterson, SC 2012): top-down, as the OR of the frontier's rows, while
+the frontier is no larger than the unseen set, and bottom-up, as the
+unseen vertices whose rows meet the frontier, once it is larger.  On a
+dense Engel graph the first layer already holds most vertices, so the
+steps after it read only the few unseen rows.
 The clique number comes from MCQ (Tomita and Seki 2003) on the quotient
 as it is numbered, by degree: branch and bound with a greedy-colouring
 bound, on one explicit stack of lazily expanded frames rather than by
@@ -209,29 +216,54 @@ def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
 
 def _layers(rows: Sequence[int], source: int, within: int | None = None) -> Iterator[int]:
     """Breadth-first layers from ``source`` in the subgraph induced on the
-    vertex mask ``within`` (all vertices by default), as bit masks: each
-    layer is the OR of the previous layer's rows, kept to ``within``, minus
-    every vertex already seen.  Once every vertex of ``within`` is seen,
-    the next layer is empty, so no row of the last layer is read."""
+    vertex mask ``within`` (all vertices by default), as bit masks.
+
+    The first layer after the source is its row, read without scanning the
+    bits of a one-vertex frontier.  Each later one is built in
+    the cheaper direction (Beamer, Asanovic and Patterson, "Direction-
+    optimizing breadth-first search", SC 2012): while the frontier has no
+    more vertices than the unseen part of ``within``, top-down, as the OR
+    of the frontier's rows minus every vertex already seen; once it has
+    more, bottom-up, as the unseen vertices whose rows meet the frontier,
+    so that only unseen rows are read.  Rows are symmetric, so both give
+    the same layer.  Once every vertex of ``within`` is seen, the next
+    layer is empty, so no row of the last layer is read."""
     if within is None:
         within = (1 << len(rows)) - 1
-    seen = layer = 1 << source
+    layer = 1 << source
+    unseen = within & ~layer
+    yield layer
+    layer = rows[source] & unseen if unseen else 0
     while layer:
         yield layer
-        if seen == within:
+        unseen ^= layer
+        if not unseen:
             return
-        layer = reduce(or_, map(rows.__getitem__, _bits(layer))) & within & ~seen
-        seen |= layer
+        if layer.bit_count() > unseen.bit_count():
+            vs = _bits(unseen)
+            met = compress(vs, map(layer.__and__, map(rows.__getitem__, vs)))
+            layer = reduce(or_, map((1).__lshift__, met), 0)
+        else:
+            layer = reduce(or_, map(rows.__getitem__, _bits(layer))) & unseen
 
 
 def diameter(g: SimpleGraph) -> float:
     """Largest shortest-path distance; math.inf when disconnected, 0 for a
     single vertex.  Raises EmptyGraphError for zero vertices.
 
-    Read from the twin quotient: two twins of a connected graph with an
-    edge are at distance 2, and every other distance is one of the
-    quotient's."""
-    return _components_and_diameter(*_twin_quotient(g))[1]
+    Searched in g itself, once from the least member of each twin class and
+    inside the mask of those least members, which have the quotient's
+    distances (``_components_and_diameter``), so no quotient is built and
+    nothing is sorted."""
+    rows = g.adjacency
+    leaders = _row(_least_members(rows).values(), len(rows))
+    return _components_and_diameter(g, rows, leaders)[1]
+
+
+def _least_members(rows: Sequence[int]) -> dict[int, int]:
+    """Each distinct row, in order of least member, mapped to the least
+    vertex that has it: one entry per false-twin class."""
+    return dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))
 
 
 def _twin_quotient(g: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
@@ -244,7 +276,7 @@ def _twin_quotient(g: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
     isolated vertex, if any."""
     sizes = Counter(g.adjacency)  # by row, in order of least member
     n = len(g.adjacency)
-    least = dict(zip(reversed(g.adjacency), range(n - 1, -1, -1)))
+    least = _least_members(g.adjacency)
     # a row meets a twin class in all of its members or in none, so its
     # bit at the class's least member says which
     leaders = _row(least.values(), n)
@@ -253,19 +285,37 @@ def _twin_quotient(g: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
     return SimpleGraph._from_rows(rows, tuple(range(len(rows)))), [sizes[row] for row in classes]
 
 
-def _components_and_diameter(q: SimpleGraph, sizes: list[int]) -> tuple[int, float]:
-    """Component count and diameter of a graph from its twin quotient q and
-    class sizes.  Raises EmptyGraphError for zero vertices."""
-    if q.vertex_count == 0:
+def _components_and_diameter(
+    g: SimpleGraph, rows: Sequence[int], leaders: int
+) -> tuple[int, float]:
+    """Component count and diameter of g, searched in the bit rows ``rows``
+    inside ``leaders``, a mask of one vertex per false-twin class of g: the
+    rows of g's twin quotient and all its vertices, or g's own rows and the
+    least member of each class.  Raises EmptyGraphError for zero vertices.
+
+    Twins share rows, so a walk may swap each of its vertices for its
+    class's member in ``leaders``: the distance between two vertices of
+    different classes is that between their classes' members inside
+    ``leaders``, which induce a copy of the twin quotient.  Two twins of a
+    connected graph with an edge are at distance 2, through any common
+    neighbour, so the diameter is at least 2 when some class has two
+    members.  The isolated vertices form one class, and each of them is a
+    component."""
+    if not leaders:
         raise EmptyGraphError("the diameter of the empty graph is undefined")
-    isolated = sum(sizes[c] for c in isolated_vertices(q))
-    components = len(connected_components(q)) + max(isolated - 1, 0)
+    components, unseen = max(g.adjacency.count(0) - 1, 0), leaders
+    while unseen:
+        layers = list(_layers(rows, (unseen & -unseen).bit_length() - 1, leaders))
+        unseen &= ~reduce(or_, layers)
+        components += 1
     if components > 1:
         return components, math.inf
-    if q.vertex_count == 1:  # a single vertex
+    rest = _bits(leaders)[1:]  # layers holds the search from the first leader
+    if not rest:  # a single vertex
         return components, 0
-    layers = max(sum(1 for _ in _layers(q.adjacency, v)) for v in range(q.vertex_count))
-    return components, max(layers - 1, 2 if max(sizes) > 1 else 1)
+    depth = max(len(layers), *(sum(1 for _ in _layers(rows, v, leaders)) for v in rest))
+    twins = leaders.bit_count() < g.vertex_count
+    return components, max(depth - 1, 2 if twins else 1)
 
 
 def isolated_vertices(g: SimpleGraph) -> tuple[int, ...]:
@@ -512,8 +562,8 @@ def compute_metrics(g: SimpleGraph) -> GraphMetrics:
     """All exact metrics for a graph with at least one vertex.  The
     component count, the diameter and the clique number are read from one
     twin quotient; planarity from ``is_planar``."""
-    q, sizes = _twin_quotient(g)
-    components, diam = _components_and_diameter(q, sizes)
+    q = _twin_quotient(g)[0]
+    components, diam = _components_and_diameter(g, q.adjacency, (1 << q.vertex_count) - 1)
     return GraphMetrics(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,

@@ -487,12 +487,42 @@ def test_engel_graph_is_the_coset_blow_up_of_the_core_graph():
 
 
 def test_randomly_engel_by_class_matches_element_oracle():
+    # every answer, read from the tuple cached on G, against the oracle
+    # over every conjugate, on the catalog groups up to order 60
     for plan in catalog_plans(60):
         G = build_group(plan)
         for x in range(G.order):
             assert is_randomly_engel_conjugates(G, x) == randomly_engel_conjugates_by_elements(
                 G, x
             ), (G.name, x)
+        assert G._memo["randomly_engel"] == tuple(
+            map(randomly_engel_conjugates_by_elements, [G] * G.order, range(G.order))
+        ), G.name
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5xC6", "S4xC3"])
+@pytest.mark.parametrize("asked", ["one", "all"])
+def test_randomly_engel_reads_each_class_of_the_core_once(monkeypatch, spec, asked):
+    # the first question answers every element of G: one Engel row per
+    # class of the core C = G/Z*(G), whether one element is asked or all,
+    # and nothing is kept on C
+    calls = []
+    engel_rows = engel_module._engel_rows
+
+    def counting(H, vertices):
+        calls.append((H, tuple(vertices)))
+        return engel_rows(H, vertices)
+
+    monkeypatch.setattr(engel_module, "_engel_rows", counting)
+    G = build_group(spec)
+    C, _ = engel_module._engel_core(G)
+    xs = [G.order - 1] if asked == "one" else [*range(G.order), *range(G.order)]
+    for x in xs:
+        is_randomly_engel_conjugates(G, x)
+    assert sorted(vs for _, vs in calls) == sorted(conjugacy_classes(C))
+    assert {H for H, _ in calls} == {C}
+    assert len(G._memo["randomly_engel"]) == G.order
+    assert C is G or "randomly_engel" not in C._memo
 
 
 def test_engel_outcome_consistency():

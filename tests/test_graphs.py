@@ -180,11 +180,20 @@ def test_diameter_one_means_complete():
 
 def test_searches_agree_with_networkx():
     # components, diameters and the layers of a search kept to a vertex
-    # mask, on random graphs, sparse and disconnected ones and ones with
-    # planted twins among them
-    rng = random.Random(43)
-    for _ in range(80):
-        g = random_graph(rng, rng.randint(1, 70), rng.choice([0.01, 0.03, 0.1, 0.3, 0.8]))
+    # mask, which reads only rows inside the mask, on random graphs, sparse
+    # and disconnected ones and ones with planted twins among them
+    searches_agree_with_networkx(random.Random(43), 80, (1, 70), (0.01, 0.03, 0.1, 0.3, 0.8))
+
+
+def test_searches_agree_with_networkx_past_one_word():
+    # the same on 65-200 vertices, mostly dense (p = 0.8), where searches
+    # turn bottom-up after the first layer
+    searches_agree_with_networkx(random.Random(47), 20, (65, 200), (0.05, 0.8, 0.8))
+
+
+def searches_agree_with_networkx(rng, count, sizes, densities):
+    for _ in range(count):
+        g = random_graph(rng, rng.randint(*sizes), rng.choice(densities))
         if rng.random() < 0.3:
             g = with_planted_twins(rng, g, rng.randint(1, 5))
         n = g.vertex_count
@@ -196,7 +205,9 @@ def test_searches_agree_with_networkx():
         for vs in (range(n), sorted(rng.sample(range(n), rng.randint(1, n)))):
             mask = sum(1 << v for v in vs)
             want = [sum(1 << v for v in layer) for layer in nx.bfs_layers(gx.subgraph(vs), vs[0])]
-            assert list(graphs_module._layers(g.adjacency, vs[0], mask)) == want
+            rows = CountingRows(g.adjacency)
+            assert list(graphs_module._layers(rows, vs[0], mask)) == want
+            assert all(mask >> v & 1 for v in rows.read)
 
 
 class CountingRows(Sequence):
@@ -211,6 +222,60 @@ class CountingRows(Sequence):
     def __getitem__(self, v):
         self.read.append(v)
         return self.rows[v]
+
+
+def test_bottom_up_steps_read_only_unseen_rows():
+    # vertex 0 is joined to 1..n-3, and n-2 and n-1 to some of those: after
+    # the first layer the frontier has n-3 vertices and two are unseen, so
+    # the next layer is found from the two unseen rows alone.  On a path the
+    # frontier is one vertex against many unseen, so every step is top-down
+    # and reads the frontier's row.  Inside a vertex mask, only rows of
+    # vertices in the mask are read
+    n = 90
+    edges = [(0, v) for v in range(1, n - 2)] + [(v, n - 2) for v in (5, 40)]
+    edges += [(v, n - 1) for v in range(60, n - 2)]
+    rows = CountingRows(list(SimpleGraph(n, edges).adjacency))
+    first = (1 << n - 2) - 2
+    assert list(graphs_module._layers(rows, 0)) == [1, first, 3 << n - 2]
+    assert rows.read == [0, n - 2, n - 1]
+    rows.read.clear()
+    within = (1 << 70) - 1 | 1 << n - 1  # drops n-2 and the neighbours 70..n-3 of n-1
+    assert list(graphs_module._layers(rows, 0, within)) == [1, (1 << 70) - 2, 1 << n - 1]
+    assert rows.read == [0, n - 1]
+    path = CountingRows(list(SimpleGraph(n, [(v, v + 1) for v in range(n - 1)]).adjacency))
+    assert list(graphs_module._layers(path, 0)) == [1 << v for v in range(n)]
+    assert path.read == list(range(n - 1))
+
+
+def test_diameter_searches_from_the_least_member_of_each_twin_class(monkeypatch):
+    # one search per twin class, from its least member and inside the mask
+    # of those least members; no twin quotient is built
+    calls = []
+    layers = graphs_module._layers
+
+    def recording(rows, source, within=None):
+        calls.append((source, within))
+        return layers(rows, source, within)
+
+    def no_quotient(g):
+        raise AssertionError("diameter built a twin quotient")
+
+    monkeypatch.setattr(graphs_module, "_layers", recording)
+    monkeypatch.setattr(graphs_module, "_twin_quotient", no_quotient)
+    rng = random.Random(61)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(2, 40), 0.7)
+        g = with_planted_twins(rng, g, rng.randint(1, 6))
+        n = g.vertex_count
+        least = sorted({row: min(v for v in range(n) if g.adjacency[v] == row)
+                        for row in g.adjacency}.values())
+        calls.clear()
+        d = diameter(g)
+        if d == math.inf:
+            continue
+        mask = sum(1 << v for v in least)
+        assert sorted(source for source, _ in calls) == least
+        assert {within for _, within in calls} == {mask}
 
 
 @pytest.mark.parametrize("n", [3, 64, 300])
@@ -268,8 +333,8 @@ def test_rows_match_a_plain_edge_set_across_word_boundaries():
             continue
         expected = max(max(row) for row in dist)
         assert diameter(g) == expected
-        quotient = graphs_module._twin_quotient(g)
-        assert graphs_module._components_and_diameter(*quotient) == (len(components), expected)
+        m = compute_metrics(g)  # searched on the twin quotient
+        assert (m.component_count, m.diameter) == (len(components), expected)
 
 
 def test_isolated_vertices(s3):
@@ -721,7 +786,8 @@ def test_compute_metrics_converts_to_networkx_once(monkeypatch, a4):
 
 def test_metrics_on_planted_twins():
     # the quotient formulas against the Floyd-Warshall, subset-enumeration
-    # and subdivision-search oracles
+    # and subdivision-search oracles; compute_metrics searches the twin
+    # quotient and diameter searches g in place, and the two agree
     with pytest.raises(EmptyGraphError):
         compute_metrics(SimpleGraph(0, []))
     rng = random.Random(31)
@@ -741,7 +807,7 @@ def test_metrics_on_planted_twins():
         assert (m.component_count, m.diameter) == (len(components), expected)
         assert m.clique_number == brute_clique_number(g) == clique_number(g)
         assert m.planar == planar_by_subdivision_search(g)
-        assert diameter(g) == expected
+        assert diameter(g) == m.diameter == expected
 
 
 def test_twin_quotient_at_scale():
