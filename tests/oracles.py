@@ -18,7 +18,9 @@ instead of class by class, and subgroup queries by all-pairs loops over the memb
 greedy generators, the lower central series a group remembers by the
 all-pairs series, and the rows of induced subgraphs
 and twin quotients by one adjacency test per pair instead of the
-library's selection of bits from binary digits.  The theorem-fact checks are kept here in the form that
+library's selection of bits from binary digits.  Conjugacy classes are
+checked against the orbits {r^g : g in G}, conjugating by every element
+instead of walking the generators' conjugation maps.  The theorem-fact checks are kept here in the form that
 calls the group's methods once per product, the product invariant
 reads a catalog's reports of G x C_k against those of G, and catalog
 groups' invariants are compared with those of sympy's ``PermutationGroup``.
@@ -29,6 +31,7 @@ library's token pattern.
 """
 
 import math
+import pickle
 from collections import deque
 from itertools import combinations
 
@@ -41,6 +44,7 @@ from engelgraph import (
     build_group,
     catalog_plans,
     centralizer,
+    conjugacy_class,
     conjugacy_classes,
     derived_subgroup,
     engel_depths,
@@ -239,6 +243,44 @@ def naive_upper_central_series(G):
         if nxt == series[-1]:
             return series
         series.append(nxt)
+
+
+def class_mismatches(G):
+    """How the conjugacy classes and transversals of G fail the orbit
+    oracle, one line per failed check, on two copies of G with nothing
+    cached (G is pickled first).  On the first, ``conjugacy_classes`` must
+    partition G, each class must be the orbit {r^g : g in G} of its least
+    member r, found by conjugating r with every element, and ``_transversal``
+    must give each x that r and an element g with r^g = x.  The second is
+    first asked for the class of the greatest member of the largest class,
+    which is walked from there and re-rooted, and must then give the same
+    classes and transversals that hold."""
+    cold = pickle.dumps(G)
+    first = pickle.loads(cold)
+    classes = conjugacy_classes(first)
+    least = {x: cls[0] for cls in classes for x in cls}
+    problems = []
+    if sorted(least) != list(range(G.order)) or len(least) != sum(map(len, classes)):
+        problems.append(f"{G.name}: the classes do not partition the group")
+    for cls in classes:
+        orbit = tuple(sorted({G.conjugate(cls[0], g) for g in range(G.order)}))
+        if orbit != cls:
+            problems.append(f"{G.name}: class of {cls[0]} is not its orbit")
+    copies = [first]
+    largest = max(classes, key=len)
+    if len(largest) > 1:
+        second = pickle.loads(cold)
+        if conjugacy_class(second, largest[-1]) != largest:
+            problems.append(f"{G.name}: class of {largest[-1]} walked from it")
+        if conjugacy_classes(second) != classes:
+            problems.append(f"{G.name}: classes after a walk from {largest[-1]}")
+        copies.append(second)
+    for H in copies:
+        for x in range(G.order):
+            r, g = _transversal(H, x)
+            if r != least[x] or H.conjugate(r, g) != x:
+                problems.append(f"{G.name}: transversal ({r}, {g}) of {x}")
+    return problems
 
 
 def engel_reaches_by_iteration(G, a, x):

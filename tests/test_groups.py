@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 import tracemalloc
@@ -28,9 +29,11 @@ from engelgraph import (
     subgroup_generated,
     symmetric_group,
 )
+from engelgraph.engel import _engel_core
 from engelgraph.groups import _getter
 from conftest import elem
 from oracles import (
+    class_mismatches,
     naive_closure,
     naive_derived_subgroup,
     naive_is_abelian,
@@ -509,6 +512,19 @@ def test_conjugacy_classes(s4):
                 assert s4.conjugate(x, g) in members
 
 
+def test_classes_and_transversals_match_the_orbit_oracle(repo_root):
+    # every catalog group up to order 120, the fixture generator files, and
+    # an Engel core, which Group._from_table makes with no permutations
+    groups = [build_group(plan) for plan in catalog_plans(120)]
+    groups += [build_group(f"@fixtures/{path.name}", base_dir=repo_root)
+               for path in sorted((repo_root / "fixtures").glob("*.gens"))]
+    core, _ = _engel_core(build_group("S4xC3"))
+    assert (core.order, core.elements) == (24, ())
+    groups.append(core)
+    assert len(groups) == 246
+    assert [problem for G in groups for problem in class_mismatches(G)] == []
+
+
 def test_conjugacy_classes_returns_a_new_list():
     # a group of its own, so a shared result cannot leak into other tests
     G = build_group("S4")
@@ -532,7 +548,7 @@ def test_conjugacy_class_refuses_an_index_outside_the_group(x):
     # class memo as a member
     G = build_group("S3")
     conjugacy_class(G, 1)
-    memo = {key: dict(entry) for key, entry in G._memo.items()}
+    memo = copy.deepcopy(G._memo)
     with pytest.raises(InvalidParameter, match=rf"index {x} .*'S3'"):
         conjugacy_class(G, x)
     assert G._memo == memo
@@ -602,7 +618,7 @@ def test_element_methods_refuse_an_index_outside_the_group(method, x):
     # -1 would read the last element's row and 24 raise a bare IndexError;
     # a group of its own, so that nothing is made on it
     G = build_group("S4")
-    memo = {key: dict(entry) for key, entry in G._memo.items()}
+    memo = copy.deepcopy(G._memo)
     with pytest.raises(InvalidParameter, match=rf"index {x} .*'S4'"):
         ELEMENT_METHODS[method](G, x)
     assert G._memo == memo

@@ -14,6 +14,9 @@ maps are also compared with direct iteration of the commutator map, and
 checked to satisfy depth_{r^g}[a^g] = depth_r[a] along the transversal.
 The left Engel and left k-Engel verdicts, read from shrinking commutator
 images, are compared there with the depth maps and with [a,_k x].
+The conjugacy classes of groups generated by two random permutations of
+degree at most 6 are compared with sympy's class count and with the
+orbits found by conjugating with every element.
 
 L(G), the Engel graph and the randomly-Engel check are read from the Engel
 core G/Z*(G); on random groups with a centre they are compared with G's own
@@ -82,8 +85,10 @@ from engelgraph import (  # noqa: E402
     subgroup_generated,
 )
 from engelgraph.families import dihedral_group, family_generators, product_group  # noqa: E402
+from engelgraph.groups import _transversal  # noqa: E402
 from oracles import (  # noqa: E402
     brute_clique_number,
+    class_mismatches,
     direct_engel_graph,
     direct_left_engel_set,
     engel_core_mismatches,
@@ -94,6 +99,7 @@ from oracles import (  # noqa: E402
     parse_cycles_by_scanning,
     random_graph,
     randomly_engel_conjugates_by_elements,
+    sympy_group,
     twin_quotient_by_neighbourhoods,
     with_planted_twins,
 )
@@ -146,13 +152,30 @@ def test_depth_maps_match_direct_iteration_and_conjugation(G, data):
     for x in xs:
         assert engel_depths(G, x) == engel_depths_by_iteration(G, x), x
     least = {y: cls[0] for cls in conjugacy_classes(G) for y in cls}
-    transversal = G._memo["transversal"]
-    assert sorted(transversal) == list(range(G.order))
-    for x, (r, g) in transversal.items():
+    for x in range(G.order):
+        r, g = _transversal(G, x)
         assert G.conjugate(r, g) == x and r == least[x]
         # _engel_rows carries the rows of r to x = r^g on this identity
         depth_r, depth_x = engel_depths(G, r), engel_depths(G, x)
         assert all(depth_x[G.conjugate(a, g)] == d for a, d in enumerate(depth_r)), (r, g)
+
+
+@st.composite
+def generating_pairs(draw):
+    """The group generated by two random permutations of degree at most 6
+    (order at most 720)."""
+    degree = draw(st.integers(2, 6), label="degree")
+    images = st.permutations(range(1, degree + 1)).map(Permutation)
+    return Group([draw(images, label="a"), draw(images, label="b")], "pair")
+
+
+@settings(deadline=None, max_examples=40)
+@given(generating_pairs())
+def test_classes_match_sympy_and_the_orbit_oracle(G):
+    pytest.importorskip("sympy.combinatorics")
+    # the oracle pickles G before any class is cached on it
+    assert class_mismatches(G) == []
+    assert len(conjugacy_classes(G)) == len(sympy_group(G).conjugacy_classes())
 
 
 @settings(deadline=None, max_examples=60)
