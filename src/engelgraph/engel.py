@@ -22,9 +22,9 @@ so depth_{x^g}[a^g] = depth_x[a].  L(G) is therefore decided at the least
 member r of each conjugacy class only, the Engel graph asks for the maps
 of those r outside L only, and the randomly-Engel check for the map of
 each r: ``_engel_rows`` finds Engel neighbours only at r and carries them to
-x = r^g by conjugating with g, read from the ``via`` list that
-``groups.conjugacy_class`` records beside each element's least class
-member.  A map asked for any other element is built by the same search.
+x = r^g by conjugating with g; ``groups._transversal`` reads r and g from
+the one pass that finds all of G's classes at its first class query.  A
+map asked for any other element is built by the same search.
 
 L(G), the Engel graph and the randomly-Engel check read only whether a
 sequence reaches 1, and that is decided in the Engel core C = G/Z*(G), the

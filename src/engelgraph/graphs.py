@@ -363,14 +363,19 @@ def _max_clique_size(g: SimpleGraph) -> int:
     pending branch, so memory grows with the depth times the candidates, not
     as the cube of the depth.  The first incumbent is a greedy clique, so
     when the root colouring uses no more colours than that clique has
-    vertices, no node below the root is searched."""
+    vertices, no node below the root is searched.  Raises ValueError for a
+    row that holds its own vertex, which no greedy clique would leave."""
     nbr = g.adjacency
+    apart = []  # apart[v] may share v's colour
+    for v, row in enumerate(nbr):
+        if row >> v & 1:
+            raise ValueError(f"vertex {v} of the clique search is its own neighbour")
+        apart.append(~(1 << v | row))
     best, full = 0, (1 << len(nbr)) - 1
     candidates = full
     while candidates:  # the greedy clique: each vertex adjacent to all before it
         best += 1
         candidates &= nbr[candidates.bit_length() - 1]
-    apart = [~(1 << v | row) for v, row in enumerate(nbr)]  # may share v's colour
     stack = [[0, full, *_colour_classes(apart, full, best)]]
     while stack:
         top = stack[-1]

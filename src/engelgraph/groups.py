@@ -27,11 +27,11 @@ are kept as test oracles.
 Conjugacy classes are orbits under conjugation by ``G.generators``
 (Holt, Eick and O'Brien, §4.1), walked over one conjugation map per
 generator, v -> g^-1 v g, each made by one ``itemgetter`` over the row of
-g^-1 read through the column of g.  ``conjugacy_classes`` visits the
-elements in increasing order, so every class is walked once, from its
-least member.  The walk records, for each element x, the least member r of
-its class and an element g with r^g = x, in two flat lists; a class walked
-from another member is re-rooted at r.
+g^-1 read through the column of g.  The first class query of any kind
+finds every class in one pass that visits the elements in increasing
+order, so every class is walked once, from its least member r.  The pass
+records, for each element x, r and an element g with r^g = x, in two flat
+lists; the conjugation maps are not kept.
 
 A group remembers, in ``G._memo["series"]``, the lower central series of
 each subgroup it has computed one for: the sorted member tuple mapped to
@@ -66,16 +66,6 @@ def _getter(keys: Iterable[int]) -> Callable[[Sequence], tuple]:
         return lambda seq: ()
     (key,) = keys
     return lambda seq: (seq[key],)
-
-
-def _new_memo() -> dict:
-    """A new group's memo, holding only the dict of its conjugacy classes,
-    by least member.  The class lists and conjugation maps are made by the
-    first class query (``_class_lists``) and the "series" entry by the first
-    lower central series, which spans a subgroup anyway: a group that is
-    never queried carries no more containers, each of which the garbage
-    collector would track."""
-    return {"classes": {}}
 
 
 class Group:
@@ -184,11 +174,12 @@ class Group:
             j, u = parent[x]
             inv[rank[x]] = table[inv[rank[u]]][gen_inv[j]]
         self._inv = tuple(inv)
-        # Conjugacy classes, with their leader and via lists and the
-        # conjugation maps, written by conjugacy_class; the lower central
-        # series of subgroups, under "series"; the Engel core, Engel depth
-        # maps, L(G) and the randomly-Engel answers, written by engel.py
-        self._memo: dict = _new_memo()
+        # Empty until queried: the conjugacy classes with their leader and
+        # via lists, under "classes", written by the first class query; the
+        # lower central series of subgroups, under "series"; the Engel core,
+        # Engel depth maps, L(G) and the randomly-Engel answers, written by
+        # engel.py
+        self._memo: dict = {}
 
     @classmethod
     def _from_table(
@@ -201,7 +192,7 @@ class Group:
         G.name, G.order, G.identity = name, len(table), 0
         G._elements, G._index, G._gens = (), {}, ()
         G.generators = tuple(dict.fromkeys(generators))
-        G._table, G._memo = table, _new_memo()
+        G._table, G._memo = table, {}
         G._inv = tuple(row.index(0) for row in table)
         return G
 
@@ -470,91 +461,62 @@ def is_nilpotent(G: Group, members: Iterable[int]) -> bool:
     return series[-1] == (G.identity,)
 
 
-def _class_lists(G: Group) -> tuple[list[int], list[int], list[tuple[int, tuple[int, ...]]]]:
-    """G's ``leader`` and ``via`` lists and its conjugation maps, made on
-    the first class query.  ``leader[x]`` is the least member of the class
-    of x, or -1 while that class is unknown, and ``via[x]`` an element t
-    with leader^t = x.  Each generator g comes paired with its map v ->
-    g^-1 v g: the column of g, w -> w g, read at the row of g^-1 by one
-    ``itemgetter``."""
-    lists = G._memo.get("class_lists")
-    if lists is None:
-        table, inv = G._table, G._inv
+def _classes(G: Group) -> tuple[list[int], list[int], dict[int, tuple[int, ...]]]:
+    """G's ``leader`` and ``via`` lists and its classes, made on the first
+    class query of any kind by one pass, then read from ``G._memo``.
+
+    The pass visits x in increasing order, so each x not yet reached is the
+    least member of its class, and the class is walked once, from x, over
+    one conjugation map per generator g, v -> g^-1 v g: the column of g,
+    w -> w g, read at the row of g^-1 by one ``itemgetter``.  Each member v
+    gets x as ``leader[v]`` and an element t with x^t = v as ``via[v]``, the
+    product of the generators on its way from x; ``classes[x]`` is the
+    sorted class.  The maps are dropped after the pass."""
+    memo = G._memo.get("classes")
+    if memo is None:
+        table, inv, n = G._table, G._inv, G.order
         conjugation = [
             (g, _getter(table[inv[g]])(tuple(map(itemgetter(g), table))))
             for g in G.generators
         ]
-        lists = G._memo["class_lists"] = [-1] * G.order, [G.identity] * G.order, conjugation
-    return lists
-
-
-def _walk_class(G: Group, x: int, lists: tuple) -> list[int]:
-    """The conjugacy class of x, sorted, found by one walk from x over the
-    conjugation maps of ``lists``, G's ``_class_lists``.  Each member v gets
-    x as ``leader[v]`` and an element t with x^t = v as ``via[v]``, the
-    product of the generators on its way from x."""
-    leader, via, conjugation = lists
-    table = G._table
-    leader[x], via[x] = x, G.identity
-    orbit = [x]
-    for u in orbit:  # also visits the members appended below
-        row = table[via[u]]
-        for g, conj in conjugation:
-            v = conj[u]  # u^g
-            if leader[v] < 0:
-                leader[v] = x
-                via[v] = row[g]  # x^(t g) = u^g
-                orbit.append(v)
-    orbit.sort()
-    return orbit
+        leader, via, classes = [-1] * n, [G.identity] * n, {}
+        for x in range(n):
+            if leader[x] >= 0:
+                continue
+            leader[x], orbit = x, [x]
+            for u in orbit:  # also visits the members appended below
+                row = table[via[u]]
+                for g, conj in conjugation:
+                    v = conj[u]  # u^g
+                    if leader[v] < 0:
+                        leader[v] = x
+                        via[v] = row[g]  # x^(t g) = u^g
+                        orbit.append(v)
+            classes[x] = tuple(sorted(orbit))
+        memo = G._memo["classes"] = leader, via, classes
+    return memo
 
 
 def conjugacy_class(G: Group, x: int) -> tuple[int, ...]:
-    """Orbit of x under conjugation, as sorted indices.
-
-    Read from ``G._memo`` once the class of x is known; otherwise walked
-    from x (``_walk_class``) and re-rooted at its least member r, so that
-    the memo keeps r as the leader of every member v, an element g with
-    r^g = v as its ``via`` (see ``_class_lists``), and the class under
-    ``classes[r]``.  Raises InvalidParameter for an x outside
-    0..order-1."""
-    lists = G._memo.get("class_lists")
-    # a known class is read with no call; a negative x must not alias one
-    if lists is None or not 0 <= x < G.order or lists[0][x] < 0:
-        _check_element(G, x)
-        lists = _class_lists(G)
-        leader, via, _ = lists
-        orbit = _walk_class(G, x, lists)
-        r = orbit[0]
-        if r != x:
-            back = G._table[G._inv[via[r]]]  # r^(t_r^-1 t) = x^t
-            for v in orbit:
-                leader[v], via[v] = r, back[via[v]]
-        G._memo["classes"][r] = tuple(orbit)
-    return G._memo["classes"][lists[0][x]]
+    """Orbit of x under conjugation, as sorted indices, from ``_classes``.
+    Raises InvalidParameter for an x outside 0..order-1."""
+    _check_element(G, x)
+    leader, _, classes = _classes(G)
+    return classes[leader[x]]
 
 
 def _transversal(G: Group, x: int) -> tuple[int, int]:
     """(r, g) with r the least member of the conjugacy class of x and
-    r^g = x, as ``conjugacy_class`` recorded it."""
-    lists = G._memo.get("class_lists")
-    if lists is None or not 0 <= x < G.order or lists[0][x] < 0:
-        conjugacy_class(G, x)
-        lists = G._memo["class_lists"]
-    return lists[0][x], lists[1][x]
+    r^g = x, from ``_classes``."""
+    _check_element(G, x)
+    leader, via, _ = _classes(G)
+    return leader[x], via[x]
 
 
 def conjugacy_classes(G: Group) -> list[tuple[int, ...]]:
     """All conjugacy classes, ordered by least member, as a new list on each
-    call.  The elements are visited in increasing order, so each one whose
-    class is not yet known is its least member, and its class is walked
-    from it once, with no re-rooting."""
-    lists = _class_lists(G)
-    leader, classes = lists[0], G._memo["classes"]
-    for x in range(G.order):
-        if leader[x] < 0:
-            classes[x] = tuple(_walk_class(G, x, lists))
-    return [classes[r] for r in sorted(classes)]
+    call, from ``_classes``."""
+    return list(_classes(G)[2].values())
 
 
 def centralizer(G: Group, x: int) -> tuple[int, ...]:

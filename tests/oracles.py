@@ -252,9 +252,9 @@ def class_mismatches(G):
     partition G, each class must be the orbit {r^g : g in G} of its least
     member r, found by conjugating r with every element, and ``_transversal``
     must give each x that r and an element g with r^g = x.  The second is
-    first asked for the class of the greatest member of the largest class,
-    which is walked from there and re-rooted, and must then give the same
-    classes and transversals that hold."""
+    first asked for the class of the greatest member of the largest class;
+    right after that query its memo must already hold every class, and it
+    must then give the same classes and transversals that hold."""
     cold = pickle.dumps(G)
     first = pickle.loads(cold)
     classes = conjugacy_classes(first)
@@ -271,9 +271,11 @@ def class_mismatches(G):
     if len(largest) > 1:
         second = pickle.loads(cold)
         if conjugacy_class(second, largest[-1]) != largest:
-            problems.append(f"{G.name}: class of {largest[-1]} walked from it")
+            problems.append(f"{G.name}: class of {largest[-1]} asked first")
+        if list(second._memo["classes"][2].values()) != classes:
+            problems.append(f"{G.name}: classes not all found by the first query")
         if conjugacy_classes(second) != classes:
-            problems.append(f"{G.name}: classes after a walk from {largest[-1]}")
+            problems.append(f"{G.name}: classes after a first query of {largest[-1]}")
         copies.append(second)
     for H in copies:
         for x in range(G.order):

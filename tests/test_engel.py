@@ -386,7 +386,7 @@ def test_element_queries_refuse_an_index_outside_the_group(query, x):
     G = build_group("S4")
     with pytest.raises(InvalidParameter, match=rf"index {x} .*'S4'"):
         query(G, x)
-    assert G._memo == {"classes": {}}
+    assert G._memo == {}
 
 
 def test_each_engel_depth_map_is_built_once(monkeypatch, repo_root):

@@ -536,6 +536,14 @@ def test_clique_search_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def test_clique_search_refuses_a_row_that_holds_its_own_vertex():
+    # the greedy clique would intersect with that row forever; the rows
+    # come unchecked from _from_rows, so a broken producer must fail loudly
+    g = SimpleGraph._from_rows([0b11, 0b01], (0, 1))
+    with pytest.raises(ValueError, match="is its own neighbour"):
+        compute_metrics(g)
+
+
 def test_planarity_examples(s3, a4):
     assert is_planar(build_engel_graph(s3))
     assert not is_planar(build_engel_graph(a4))

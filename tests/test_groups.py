@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import engelgraph.groups as groups_module
 from engelgraph import (
     ClosureTooLarge,
     Group,
@@ -510,6 +511,24 @@ def test_conjugacy_classes(s4):
             assert conjugacy_class(s4, x) == cls
             for g in range(s4.order):
                 assert s4.conjugate(x, g) in members
+
+
+def test_first_class_query_finds_every_class_in_one_pass(monkeypatch):
+    # asked first about a member that is not the least of its class, the
+    # group still walks every class once, from its least member, and keeps
+    # only the classes and their two lists, not the conjugation maps
+    expected = conjugacy_classes(build_group("S4"))
+    largest = max(expected, key=len)
+    G = build_group("S4")
+    cls = conjugacy_class(G, largest[-1])
+    assert cls == largest and list(G._memo) == ["classes"]
+    classes = G._memo["classes"][2]
+    assert list(classes.values()) == expected and classes[largest[0]] is cls
+    made = []
+    monkeypatch.setattr(groups_module, "_getter", lambda keys: made.append(keys))
+    again = conjugacy_classes(G)
+    assert made == [] and all(a is b for a, b in zip(again, classes.values()))
+    assert len(again) == len(expected)
 
 
 def test_classes_and_transversals_match_the_orbit_oracle(repo_root):
