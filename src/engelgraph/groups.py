@@ -3,12 +3,15 @@
 A :class:`Group` is built from generating permutations in one breadth-first
 search over the images of the points they move, as ``bytes`` when fewer
 than 256 points move, which enumerates the elements without multiplying
-any Permutation; the Cayley table is then filled one row per ``itemgetter``
-call.  Elements are indexed in the order of their image tuples, so building
-the same group twice, from any generating set, yields identical indices,
-reports, and DOT output.  Elements are referred to by index everywhere; an
-"element set" is a sorted, duplicate-free tuple of indices, and the
-elements become Permutations only when asked for, from the table.
+any Permutation; the Cayley table is then filled one row per call.  A
+group of order at most 256 has ``bytes`` rows, each one ``bytes.translate``
+of an earlier row; a larger group has tuple rows, each one ``itemgetter``
+call.  Every reader indexes a row, so both read alike.  Elements are
+indexed in the order of their image tuples, so building the same group
+twice, from any generating set, yields identical indices, reports, and DOT
+output.  Elements are referred to by index everywhere; an "element set" is
+a sorted, duplicate-free tuple of indices, and the elements become
+Permutations only when asked for, from the table.
 
 Multiplication is a lookup in the full Cayley table, so orders are limited
 to ``MAX_ORDER`` (4096); larger groups raise ClosureTooLarge.
@@ -91,12 +94,15 @@ class Group:
     Elements are indexed in sorted order, so the identity comes first, at
     index 0.  Every other row follows by associativity, in search order:
     an element first reached as ``x = g * u`` has ``x * q = g * (u * q)``,
-    so its row is u's row read through g's by one ``itemgetter``, and its
-    inverse is u^-1 * g^-1, one table read.  Only the table, the inverses
-    and the generators, ``_gens``, are kept; the elements become
-    Permutations, on their original points, only when ``elements``,
-    ``perm`` or ``index`` is first used.  Raises ClosureTooLarge as soon as
-    more than ``MAX_ORDER`` elements are found.
+    so its row is u's row read through g's, and its inverse is
+    u^-1 * g^-1, one table read.  Up to order 256 a byte holds every
+    index, so rows are ``bytes`` and x's row is one ``bytes.translate`` of
+    u's through g's row, padded once to 256 bytes; above it rows are
+    tuples and x's row is one ``itemgetter`` over u's row applied to g's.
+    Only the table, the inverses and the generators, ``_gens``, are kept;
+    the elements become Permutations, on their original points, only when
+    ``elements``, ``perm`` or ``index`` is first used.  Raises
+    ClosureTooLarge as soon as more than ``MAX_ORDER`` elements are found.
     """
 
     def __init__(self, generators: Sequence[Permutation], name: str):
@@ -157,15 +163,26 @@ class Group:
         # gens[j] = gens[j] * identity was reached from search index 0
         self.generators: tuple[int, ...] = tuple(rank[row[0]] for row in gen_rows)
 
-        table: list[tuple[int, ...] | None] = [tuple(range(n))] + [None] * (n - 1)
+        row_type = bytes if n <= 256 else tuple  # a byte holds every index below 256
         in_sorted_order = _getter(ordered)
-        for gi, bfs_row in zip(self.generators, gen_rows):
-            table[gi] = _getter(in_sorted_order(bfs_row))(rank)
+        gen_table = [row_type(_getter(in_sorted_order(r))(rank)) for r in gen_rows]
+        if row_type is bytes:
+            through = [row + bytes(256 - n) for row in gen_table]  # translate reads 256
+
+            def compose(row_u, j):
+                return row_u.translate(through[j])
+        else:
+
+            def compose(row_u, j):
+                return itemgetter(*row_u)(gen_table[j])
+        table = [row_type(range(n))] + [None] * (n - 1)
+        for gi, row in zip(self.generators, gen_table):
+            table[gi] = row
         for x in range(1, n):
             if table[rank[x]] is None:
                 j, u = parent[x]
-                table[rank[x]] = itemgetter(*table[rank[u]])(table[self.generators[j]])
-        self._table: list[tuple[int, ...]] = table  # type: ignore[assignment]
+                table[rank[x]] = compose(table[rank[u]], j)
+        self._table: list[bytes] | list[tuple[int, ...]] = table  # type: ignore[assignment]
         # x = g * u, first reached in search order after u, has the inverse
         # u^-1 * g^-1: one table read per element, one index(0) per generator
         gen_inv = [table[g].index(0) for g in self.generators]

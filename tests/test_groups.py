@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -28,7 +29,6 @@ from engelgraph import (
     lower_central_series,
     normal_closure,
     subgroup_generated,
-    symmetric_group,
 )
 from engelgraph.engel import _engel_core
 from engelgraph.groups import _getter
@@ -109,12 +109,15 @@ def test_mul_table_agrees_with_direct_composition(repo_root):
         for i in range(G.order):
             for j in range(G.order):
                 assert G.perm(G.mul(i, j)) == G.perm(i) * G.perm(j), (G.name, i, j)
-    # and a sample for a larger group
-    s5 = symmetric_group(5)
-    rng = random.Random(5)
-    for _ in range(2000):
-        i, j = rng.randrange(120), rng.randrange(120)
-        assert s5.perm(s5.mul(i, j)) == s5.perm(i) * s5.perm(j)
+    # and samples for larger groups, on both sides of order 256, where the
+    # rows change from bytes composed by translate to tuples
+    for spec in ("S5", "C256", "Dic64", "C257", "S4xC11"):
+        G = build_group(spec)
+        rng = random.Random(5)
+        for _ in range(2000):
+            i, j = rng.randrange(G.order), rng.randrange(G.order)
+            assert G.perm(G.mul(i, j)) == G.perm(i) * G.perm(j), (G.name, i, j)
+        assert G._inv == tuple(row.index(0) for row in G._table), G.name
 
 
 def test_generators_generate_the_group():
@@ -164,6 +167,20 @@ def test_wide_point_labels_cost_only_the_moved_points():
     assert peak < 1024 * 1024
     assert G.elements == tuple(sorted(naive_closure(gens)))
     assert G.generators == (G.index(gens[0]), G.index(gens[1]))
+
+
+def test_cayley_rows_are_bytes_up_to_order_256_and_tuples_above():
+    # a byte holds every index of a group of order at most 256, so the
+    # order alone picks the row type
+    for spec, row_type in (("C256", bytes), ("Dic64", bytes), ("C257", tuple), ("S4xC11", tuple)):
+        G = build_group(spec)
+        assert {type(row) for row in G._table} == {row_type}, spec
+    # the 178 catalog tables up to order 96 held 6.11 MiB as tuple rows
+    held = sum(
+        sys.getsizeof(G._table) + sum(map(sys.getsizeof, G._table))
+        for G in map(build_group, catalog_plans(96))
+    )
+    assert held < 1.5 * 2**20
 
 
 def test_construction_keeps_the_cayley_table_and_no_image_copy():
