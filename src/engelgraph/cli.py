@@ -3,8 +3,8 @@
 Subcommands::
 
     engel report --group <spec> [--json <path>] [--dot <path>]
-    engel survey --max-order <N> [--jobs <k>] [--out <dir>] [--verify]
-    engel verify --max-order <N> [--jobs <k>]
+    engel survey --max-order <N> [--out <dir>] [--verify]
+    engel verify --max-order <N>
 
 ``survey --verify`` also prints the theorem verdicts of ``verify``, read
 from the same catalog pass, so every plan is evaluated once.
@@ -61,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_survey = sub.add_parser("survey", help="survey all catalog groups up to an order bound")
     p_survey.add_argument("--max-order", type=int, required=True)
-    p_survey.add_argument("--jobs", type=int, default=1, help="parallel group evaluations")
     p_survey.add_argument("--out", type=Path, help="directory for per-group JSON reports and summary.json")
     p_survey.add_argument(
         "--verify", action="store_true", help="also run the theorem checks, from the same evaluations"
@@ -69,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the theorem checks over the catalog")
     p_verify.add_argument("--max-order", type=int, required=True)
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel group evaluations")
     return parser
 
 
@@ -132,15 +130,15 @@ def _print_verdicts(verdicts: list[TheoremVerdict]) -> None:
 
 def _run_survey(args: argparse.Namespace) -> int:
     # the bounds before the survey, and a bad path after them, fail at once
-    _check_bounds(args.max_order, 12 if args.verify else 6, args.jobs)
+    _check_bounds(args.max_order, 12 if args.verify else 6)
     if args.out:
         with _writing(args.out):
             args.out.mkdir(parents=True, exist_ok=True)
-    result = survey(args.max_order, jobs=args.jobs)
+    result = survey(args.max_order)
     _print_survey(result)
     code = CHECK_FAILED if result.failed_checks else 0
     if args.verify:  # reads the records the survey's catalog pass kept
-        verdicts = verify_theorems(args.max_order, jobs=args.jobs)
+        verdicts = verify_theorems(args.max_order)
         _print_verdicts(verdicts)
         code = max(code, exit_code_for_verdicts(verdicts))
     if args.out:
@@ -157,7 +155,7 @@ def exit_code_for_verdicts(verdicts: list[TheoremVerdict]) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    verdicts = verify_theorems(args.max_order, jobs=args.jobs)
+    verdicts = verify_theorems(args.max_order)
     _print_verdicts(verdicts)
     return exit_code_for_verdicts(verdicts)
 

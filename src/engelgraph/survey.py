@@ -16,11 +16,11 @@ above the order of the randomly-Engel check that it derives in a second
 phase from one of two sources: the products H x C_k lift their records from
 the record of H, and the dihedral and dicyclic groups, whose Engel graphs
 are complete b-partite, write theirs down from a closed form in the order.
-An evaluation is reduced at once, in the process that made it, to its
-record, so about one group is in memory at a time and the verdicts build
-none.  The records of the last catalog are kept, keyed by its plans, until
-another catalog replaces them; ``survey`` and ``verify_theorems`` fold them
-into their results, and whichever runs second evaluates no plan again.
+An evaluation is reduced at once to its record, so about one group is in
+memory at a time and the verdicts build none.  The records of the last
+catalog are kept, keyed by its plans, until another catalog replaces them;
+``survey`` and ``verify_theorems`` fold them into their results, and
+whichever runs second evaluates no plan again.
 Vertex checks test one member per conjugacy class.
 
 A disconnected Engel graph would answer an open question, so it is flagged
@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .engel import (
     fitting_subgroup,
@@ -86,7 +86,12 @@ class GroupReport:
     is_engel: bool
     fitting_order: int
     metrics: GraphMetrics | None  # present exactly when the group is non-Engel
-    checks: dict[str, CheckResult]
+    checks: Mapping[str, CheckResult]
+
+    def __post_init__(self) -> None:
+        # read-only, so no caller can change the report the memoised catalog
+        # pass hands out to the next survey of the same catalog
+        object.__setattr__(self, "checks", MappingProxyType(dict(self.checks)))
 
 
 @dataclass
@@ -308,22 +313,16 @@ def _lifted_record(plan: ProductSpec, base: _Record | None) -> _Record | None:
     return lifted, _TheoremFacts(None, facts.metabelian, {})
 
 
-# the plans of the most recent catalog pass and its records
-_last_catalog: tuple[tuple[GroupSpec, ...], tuple[_Record, ...]] | None = None
-
-
-def _catalog_pass(plans: list[GroupSpec], jobs: int = 1) -> tuple[_Record, ...]:
+@lru_cache(maxsize=1)
+def _catalog_pass(plans: tuple[GroupSpec, ...]) -> tuple[_Record, ...]:
     """The report and theorem facts of every non-nilpotent plan, in plan
     order, from one evaluation per plan that is not lifted.
 
     The pass has two phases.  First every plan that ``_lifts`` does not
     take is evaluated by ``_catalog_record``; each evaluation is dropped as
-    soon as its record is made, so only the records stay alive.  With
-    ``jobs > 1`` these plans are evaluated in ``jobs`` worker processes, but
-    no more than there are such plans or CPUs (one group per task, no
-    shared state).  Then, in plan order, each remaining plan takes its
-    record from one of two sources (``_derived_record``), which need no
-    group.
+    soon as its record is made, so only the records stay alive.  Then, in
+    plan order, each remaining plan takes its record from one of two
+    sources (``_derived_record``), which need no group.
 
     Lifted from the base.  Each product G = H x C_k of order above
     ``RANDOMLY_ENGEL_CHECK_MAX_ORDER`` takes its record from that of its
@@ -400,55 +399,39 @@ def _catalog_pass(plans: list[GroupSpec], jobs: int = 1) -> tuple[_Record, ...]:
     still build these groups.
 
     The records of the last catalog are kept: the same plans again return
-    them without evaluating anything, whatever ``jobs`` is, and other plans
-    replace them.
+    them without evaluating anything, and other plans replace them
+    (``_catalog_pass.cache_clear()`` drops them).
     """
-    global _last_catalog
-    key = tuple(plans)
-    if _last_catalog is None or _last_catalog[0] != key:
-        direct = [p for p in plans if not _lifts(p)]
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            workers = min(jobs, len(direct), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = dict(zip(direct, pool.map(_catalog_record, direct)))
-        else:
-            records = dict(zip(direct, map(_catalog_record, direct)))
-        for p in plans:
-            if p not in records:
-                records[p] = _derived_record(p, records)
-        _last_catalog = key, tuple(records[p] for p in plans if records[p] is not None)
-    return _last_catalog[1]
+    records = {p: _catalog_record(p) for p in plans if not _lifts(p)}
+    for p in plans:
+        if p not in records:
+            records[p] = _derived_record(p, records)
+    return tuple(records[p] for p in plans if records[p] is not None)
 
 
-def _check_bounds(max_order: int, least: int, jobs: int) -> None:
-    """Raise InvalidParameter unless least <= max_order <= MAX_ORDER and
-    jobs >= 1, before any plan is made: a catalog past the order limit
-    would be planned and evaluated, for hours, up to the first group too
-    large to build."""
+def _check_bounds(max_order: int, least: int) -> None:
+    """Raise InvalidParameter unless least <= max_order <= MAX_ORDER,
+    before any plan is made: a catalog past the order limit would be
+    planned and evaluated, for hours, up to the first group too large to
+    build."""
     if max_order < least:
         raise InvalidParameter(f"max_order must be at least {least}, got {max_order}")
     if max_order > MAX_ORDER:
         raise InvalidParameter(
             f"max_order must be at most the order limit of {MAX_ORDER}, got {max_order}"
         )
-    if jobs < 1:
-        raise InvalidParameter(f"jobs must be at least 1, got {jobs}")
 
 
-def survey(max_order: int, *, jobs: int = 1) -> SurveyResult:
+def survey(max_order: int) -> SurveyResult:
     """Reports for every non-nilpotent catalog group of order <= max_order.
 
-    Evaluation may run in parallel (one group per task, no shared state);
-    the result is byte-identical for any ``jobs``.  Reports come in plan
-    order, which is (order, name) order, as a report is named by its plan.
-    Raises InvalidParameter, before any plan is made, for ``max_order``
-    outside 6..MAX_ORDER or ``jobs`` below 1.
+    Reports come in plan order, which is (order, name) order, as a report
+    is named by its plan.  Raises InvalidParameter, before any plan is
+    made, for ``max_order`` outside 6..MAX_ORDER.
     """
-    _check_bounds(max_order, 6, jobs)
+    _check_bounds(max_order, 6)
     plans = catalog_plans(max_order)
-    reports = [r for r, _ in _catalog_pass(plans, jobs)]
+    reports = [r for r, _ in _catalog_pass(tuple(plans))]
 
     histogram: dict[str, int] = {}
     planar_groups = []
@@ -623,14 +606,13 @@ def _theorem_facts(evaluation: GroupEvaluation) -> _TheoremFacts:
     )
 
 
-def verify_theorems(max_order: int, *, jobs: int = 1) -> list[TheoremVerdict]:
+def verify_theorems(max_order: int) -> list[TheoremVerdict]:
     """Run the survey-wide theorem checks over the catalog and report one
     named verdict per check, each failure carrying a counterexample.
-    ``jobs`` is as for ``survey``, and the verdicts are the same for any
-    ``jobs``.  Raises InvalidParameter, before any plan is made, for
-    ``max_order`` outside 12..MAX_ORDER or ``jobs`` below 1."""
-    _check_bounds(max_order, 12, jobs)
-    records = _catalog_pass(catalog_plans(max_order), jobs)
+    Raises InvalidParameter, before any plan is made, for ``max_order``
+    outside 12..MAX_ORDER."""
+    _check_bounds(max_order, 12)
+    records = _catalog_pass(tuple(catalog_plans(max_order)))
     verdicts: list[TheoremVerdict] = []
 
     expected_planar = {r.name for r, f in records if f.planar_graph is not None}

@@ -159,21 +159,21 @@ def test_survey_command(tmp_path, capsys):
 
 def test_survey_reruns_are_byte_identical(tmp_path):
     first, second = tmp_path / "a", tmp_path / "b"
-    survey_module._last_catalog = None
+    survey_module._catalog_pass.cache_clear()
     assert main(["survey", "--max-order", "12", "--out", str(first)]) == 0
-    survey_module._last_catalog = None  # so the second run evaluates too
-    assert main(["survey", "--max-order", "12", "--jobs", "2", "--out", str(second)]) == 0
+    survey_module._catalog_pass.cache_clear()  # so the second run evaluates too
+    assert main(["survey", "--max-order", "12", "--out", str(second)]) == 0
     for path in sorted(first.iterdir()):
         assert path.read_bytes() == (second / path.name).read_bytes()
 
 
 def test_survey_verify_prints_both_from_one_catalog_pass(monkeypatch, capsys):
-    survey_module._last_catalog = None
+    survey_module._catalog_pass.cache_clear()
     assert main(["survey", "--max-order", "12"]) == 0
     assert main(["verify", "--max-order", "12"]) == 0
     separate = capsys.readouterr().out
 
-    survey_module._last_catalog = None
+    survey_module._catalog_pass.cache_clear()
     evaluated = []
     evaluate = survey_module.evaluate_group
 
@@ -195,7 +195,7 @@ def test_survey_verify_exit_codes(monkeypatch, capsys):
     capsys.readouterr()
 
     failing = survey_module.TheoremVerdict("planar_classification", False, "planar=[]")
-    monkeypatch.setattr("engelgraph.cli.verify_theorems", lambda max_order, jobs: [failing])
+    monkeypatch.setattr("engelgraph.cli.verify_theorems", lambda max_order: [failing])
     assert main(["survey", "--max-order", "12", "--verify"]) == 1
     assert capsys.readouterr().out.endswith("FAIL planar_classification: planar=[]\n")
 
@@ -205,14 +205,6 @@ def test_verify_command(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 6
     assert "FAIL" not in out
-
-
-def test_verify_jobs(capsys):
-    survey_module._last_catalog = None
-    assert main(["verify", "--max-order", "12", "--jobs", "2"]) == 0
-    assert capsys.readouterr().out.count("PASS") == 6
-    assert main(["verify", "--max-order", "12", "--jobs", "0"]) == 2
-    assert capsys.readouterr().err == "error: jobs must be at least 1, got 0\n"
 
 
 def test_verify_bad_bound(capsys):
@@ -227,9 +219,11 @@ def test_bounds_above_the_order_limit_are_usage_errors(capsys):
         assert err == "error: max_order must be at most the order limit of 4096, got 5000\n", err
 
 
-def test_survey_rejects_job_counts_below_one(capsys):
-    assert main(["survey", "--max-order", "12", "--jobs", "0"]) == 2
-    assert capsys.readouterr().err == "error: jobs must be at least 1, got 0\n"
+def test_jobs_is_not_an_option(capsys):
+    # every catalog pass is serial, so `--jobs` is a usage error
+    for command in ("survey", "verify"):
+        assert main([command, "--max-order", "12", "--jobs", "2"]) == 2, command
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err, command
 
 
 def test_console_entry_point_smoke():
@@ -242,12 +236,12 @@ def test_console_entry_point_smoke():
     assert json.loads(proc.stdout)["name"] == "S3"
 
 
-def test_catalog_and_report_runs_never_import_networkx_or_the_process_pool():
+def test_catalog_and_report_runs_never_import_networkx_or_a_process_pool():
     # networkx is imported only for the planarity of sparse graphs and for
-    # isomorphism on more than six vertices, and the process pool only for
-    # jobs > 1; neither comes up in a catalog run or a report of S4, so
-    # neither is loaded.  A fresh interpreter, since this suite imports
-    # networkx itself
+    # isomorphism on more than six vertices, which do not come up in a
+    # catalog run or a report of S4, and nothing starts worker processes,
+    # so neither networkx nor the process pool of concurrent.futures is
+    # loaded.  A fresh interpreter, since this suite imports networkx itself
     code = """
 import sys
 import engelgraph

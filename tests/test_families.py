@@ -211,13 +211,13 @@ def test_every_spec_is_built_with_one_group(group_inits):
     assert quotients == 215
 
 
-def test_survey_and_verify_build_one_group_per_plan(monkeypatch, group_inits):
+def test_survey_and_verify_build_one_group_per_plan(group_inits):
     # the catalog pass alone, each group it evaluates with its Engel core
     # when its centre is non-trivial; the 106 products above order 60 are
     # lifted from their base's record and the 45 dihedral and dicyclic
     # groups above it written down from their closed form, so none of them
     # builds a group, and the isomorphic-pair verdict reads the records
-    monkeypatch.setattr(importlib.import_module("engelgraph.survey"), "_last_catalog", None)
+    importlib.import_module("engelgraph.survey")._catalog_pass.cache_clear()
     survey(120)
     verify_theorems(120)
     assert len(catalog_plans(120)) == 243

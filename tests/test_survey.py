@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import hashlib
 import importlib
@@ -53,7 +52,7 @@ survey_module = importlib.import_module("engelgraph.survey")
 def forget_catalog():
     """Drop the records of the last catalog pass, so the next survey or
     verify_theorems call evaluates every plan."""
-    survey_module._last_catalog = None
+    survey_module._catalog_pass.cache_clear()
 
 
 def test_report_s3():
@@ -98,8 +97,8 @@ def test_evaluation_makes_no_element_permutation(spec, raw_permutations):
     evaluation = survey_module.evaluate_group(spec)
     assert raw_permutations == [0]
     G = evaluation.group
-    # a group pickled before its elements are made, as process pools and
-    # the benchmark's snapshots pickle groups, makes the same ones
+    # a group pickled before its elements are made, as the benchmark's
+    # snapshots pickle groups, makes the same ones
     H = pickle.loads(pickle.dumps(G))
     assert all(G.index(G.perm(i)) == i for i in range(G.order))
     assert raw_permutations == [G.order]
@@ -193,21 +192,6 @@ def test_survey_and_verify_reject_bounds_above_the_order_limit(monkeypatch):
     assert (pair.passed, pair.detail) == (False, "not in the catalog: ['D12', 'Dic3']")
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_survey_rejects_job_counts_below_one(jobs):
-    with pytest.raises(InvalidParameter, match=f"jobs must be at least 1, got {jobs}"):
-        survey(12, jobs=jobs)
-
-
-def test_verify_rejects_job_counts_below_one_before_planning(monkeypatch):
-    planned = []
-    monkeypatch.setattr(survey_module, "catalog_plans", planned.append)
-    for jobs in (0, -3):
-        with pytest.raises(InvalidParameter, match=f"jobs must be at least 1, got {jobs}"):
-            verify_theorems(12, jobs=jobs)
-    assert planned == []
-
-
 def counting_evaluations(monkeypatch):
     """The plans that ``evaluate_group`` is called with from now on."""
     evaluate = survey_module.evaluate_group
@@ -255,10 +239,10 @@ def test_catalog_pass_keeps_the_last_catalog_only(monkeypatch):
     forget_catalog()
     survey(12)
     assert len(calls) == len(catalog_plans(12))
-    # the records are keyed by the plans, not by the bound or the job count
+    # the records are keyed by the plans, not by the bound
     assert catalog_plans(13) == catalog_plans(12)
     assert survey(13).max_order == 13
-    verify_theorems(12, jobs=2)
+    verify_theorems(12)
     assert len(calls) == len(catalog_plans(12))
     # another catalog replaces them, so the first is evaluated again
     survey(24)
@@ -267,31 +251,28 @@ def test_catalog_pass_keeps_the_last_catalog_only(monkeypatch):
     assert len(calls) == 2 * len(catalog_plans(12)) + len(catalog_plans(24))
 
 
-def test_parallel_records_equal_serial_records():
-    # at 120, 106 of the plans are lifted from the records the workers made
-    # and 45 written down from their closed form
-    for max_order in (24, 120):
-        plans = catalog_plans(max_order)
-        forget_catalog()
-        serial = survey_module._catalog_pass(plans, 1)
-        forget_catalog()
-        parallel = survey_module._catalog_pass(plans, 2)
-        assert parallel == serial, max_order
-
-
-def test_verdicts_do_not_depend_on_jobs():
-    forget_catalog()
-    serial = verify_theorems(24)
-    forget_catalog()
-    assert verify_theorems(24, jobs=2) == serial
-
-
 def test_reports_are_frozen():
     # a report the records keep cannot be changed by the caller it was
     # handed to, so a later survey of the same catalog returns it unchanged
     r = survey(12).reports[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.name = "changed"
+
+
+def test_report_checks_are_read_only():
+    # a report shares its checks with the record the catalog pass keeps, so
+    # a caller that could change them would change the next survey's report
+    forget_catalog()
+    r = survey(12).reports[0]
+    text = write_report(r)
+    with pytest.raises(TypeError):
+        r.checks["no_isolated_vertices"] = CheckResult(False, "changed")
+    with pytest.raises(TypeError):
+        del r.checks["no_isolated_vertices"]
+    assert not hasattr(r.checks, "clear")
+    again = survey(12).reports[0]
+    assert again is r
+    assert write_report(again) == text
 
 
 def direct_records(max_order):
@@ -552,67 +533,20 @@ def test_product_invariant_counts_each_isolated_vertex_k_times():
     )
 
 
-def _record_pool_sizes(monkeypatch):
-    """Replace the process pool with a stand-in that records max_workers
-    and evaluates in this process; returns the recorded sizes.  The pool
-    is imported from ``concurrent.futures`` only when ``jobs > 1``, so the
-    stand-in goes there."""
-    asked = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return asked
-
-
-def test_survey_asks_for_no_more_workers_than_plans(monkeypatch):
-    asked = _record_pool_sizes(monkeypatch)
-    monkeypatch.setattr(survey_module.os, "cpu_count", lambda: 64)  # above every count here
-    plans = len(catalog_plans(12))
-    forget_catalog()
-    assert [r.name for r in survey(6, jobs=8).reports] == ["S3"]
-    forget_catalog()
-    wide = summary_json(survey(12, jobs=plans + 5))
-    forget_catalog()
-    assert wide == summary_json(survey(12))
-    forget_catalog()
-    survey(12, jobs=2)
-    assert asked == [1, plans, 2]
-
-
-def test_survey_asks_for_no_more_workers_than_cpus(monkeypatch):
-    # `--max-order 4096 --jobs 20000` would ask for one process per plan,
-    # 18,812 of them; no pool is started here
-    asked = _record_pool_sizes(monkeypatch)
-    for cpus, workers in ((3, 3), (None, 1)):
-        monkeypatch.setattr(survey_module.os, "cpu_count", lambda: cpus)
-        forget_catalog()
-        survey(12, jobs=20000)
-        assert asked.pop() == workers, cpus
-
-
 def test_survey_is_deterministic_and_parallel_safe():
     forget_catalog()
     sequential = survey(12)
     forget_catalog()
     again = survey(12)
     assert summary_json(sequential) == summary_json(again)
-    forget_catalog()
-    parallel = survey(12, jobs=2)
-    assert summary_json(parallel) == summary_json(sequential)
-    for a, b in zip(sequential.reports, parallel.reports):
+    for a, b in zip(sequential.reports, again.reports):
         assert write_report(a) == write_report(b)
+    # no evaluation depends on state another left behind: each plan's
+    # record made on its own, in reverse plan order, equals the pass's, so
+    # the plans could be evaluated in any order or at once
+    plans = catalog_plans(12)
+    alone = [survey_module._catalog_record(p) for p in reversed(plans)][::-1]
+    assert tuple(r for r in alone if r is not None) == survey_module._catalog_pass(tuple(plans))
 
 
 def test_survey_histogram_counts_match_reports():
