@@ -1,14 +1,20 @@
 """The Engel graph and exact graph metrics.
 
 A graph keeps one bit row per vertex: an int of n bits on n vertices.
+The Engel graph sets each row as the complement of its vertex's
+non-neighbour list, the shorter list on the dense Engel graphs measured.
 All metrics are exact.  Vertices with equal neighbourhoods (false twins)
 are never adjacent, so a clique meets each twin class at most once, and
 the distance between two classes is the one between any member of each
 (Gallai's modules, in their simplest form).  So the clique search runs on
-the twin quotient, and ``diameter`` searches the graph in place, once from
-the least member of each class and inside the mask of those least
-members, which induces a copy of the quotient.  A breadth-first search
-builds each layer in the cheaper direction (Beamer, Asanovic and
+the twin quotient, and the distances are searched in the graph in place,
+inside the mask of the classes' least members, which induces a copy of
+the quotient, from each of those least members.  Conjugation by G is an
+automorphism of E_G, so eccentricity is constant on each orbit of twin
+classes, and the Engel graph carries one source per class of its Engel
+core (``orbit_sources``): its distances are searched from those sources'
+classes alone, 8 on A7 where it has 1,312 twin classes.  A breadth-first
+search builds each layer in the cheaper direction (Beamer, Asanovic and
 Patterson, SC 2012): top-down, as the OR of the frontier's rows, while
 the frontier is no larger than the unseen set, and bottom-up, as the
 unseen vertices whose rows meet the frontier, once it is larger.  On a
@@ -34,7 +40,7 @@ vertices.
 The rows of an induced subgraph and of the twin quotient are selected
 from the binary digits of the host rows, by one ``itemgetter`` call per
 row (``_selector``); ``_row`` builds a row bit by bit only where the bits
-come as a list of indices (the Engel graph, vertex masks).
+come as a list of indices (the Engel graph's lists, vertex masks).
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequen
 
 from .engel import _engel_core, _engel_rows, left_engel_set
 from .errors import EmptyGraphError, EngelGroupError, SameVertex, UnknownVertex
-from .groups import Group, _getter
+from .groups import Group, _classes, _getter
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -61,9 +67,14 @@ class SimpleGraph:
 
     Adjacency is one bit row per vertex: bit v of ``adjacency[u]`` is set
     when u and v are adjacent.  Duplicate edges collapse; loops fail.
+
+    ``orbit_sources`` is None, or, on a graph from ``build_engel_graph``, a
+    vertex per vertex v whose twin class an automorphism of the graph maps
+    to v's: the distinct entries meet every orbit of twin classes, so the
+    distances are searched from those alone.  Equality ignores it.
     """
 
-    __slots__ = ("labels", "adjacency")
+    __slots__ = ("labels", "adjacency", "orbit_sources")
 
     def __init__(
         self,
@@ -86,13 +97,16 @@ class SimpleGraph:
             rows[v] |= 1 << u
         self.labels = labels
         self.adjacency: tuple[int, ...] = tuple(rows)
+        self.orbit_sources: tuple[int, ...] | None = None
 
     @classmethod
-    def _from_rows(cls, rows: list[int], labels: tuple) -> "SimpleGraph":
+    def _from_rows(
+        cls, rows: list[int], labels: tuple, orbit_sources: tuple[int, ...] | None = None
+    ) -> "SimpleGraph":
         """The graph whose adjacency is ``rows``: symmetric bit rows without
-        loops, taken as given."""
+        loops, taken as given, and so are the ``orbit_sources``."""
         g = cls.__new__(cls)
-        g.labels, g.adjacency = labels, tuple(rows)
+        g.labels, g.adjacency, g.orbit_sources = labels, tuple(rows), orbit_sources
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -179,8 +193,15 @@ def build_engel_graph(G: Group) -> SimpleGraph:
     exactly when its image does in C, and x is never adjacent to xz.  So
     E_G is E_C with each vertex replaced by the members of its coset, and
     every member of a coset gets the preimage of its image's row.  Rows of
-    C come from ``engel._engel_rows``, which conjugates only in C; when
-    Z(G) = 1, C is G and each row is used as it comes.
+    C come from ``engel._engel_rows``, which conjugates only in C, as lists
+    of non-neighbours, whose bits are cleared from the full row; when
+    Z(G) = 1, C is G and each list is used as it comes.
+
+    Conjugation by G is an automorphism of E_G, and so is any swap of twins,
+    so every vertex x is, up to twins, the image of the least preimage of
+    its image's class leader in C.  Those preimages are the graph's
+    ``orbit_sources``, read from C's classes, which ``left_engel_set`` has
+    already found.
 
     Raises EngelGroupError when every element is left Engel.
     """
@@ -189,19 +210,27 @@ def build_engel_graph(G: Group) -> SimpleGraph:
         raise EngelGroupError(f"{G.name!r} is an Engel group, so its Engel graph is undefined")
     verts = [x for x in range(G.order) if x not in L]
     n = len(verts)
+    full = (1 << n) - 1
     C, proj = _engel_core(G)
+    leader = _classes(C).leader
     if C is G:
-        rows = [_row(ys, n) for ys in _engel_rows(G, verts)]
+        rows = [0] * n
+        for v, ys in _engel_rows(G, verts):
+            rows[v] = full ^ _row(ys, n)
+        position = dict(zip(verts, range(n)))
+        sources = tuple(position[leader[x]] for x in verts)
     else:
         cosets: dict[int, list[int]] = {}  # positions in verts, by image in C
         for v, x in enumerate(verts):
             cosets.setdefault(proj[x], []).append(v)
-        masks, rows = [_row(vs, n) for vs in cosets.values()], [0] * n
-        for ys, vs in zip(_engel_rows(C, list(cosets)), cosets.values()):
-            bits = reduce(or_, map(masks.__getitem__, ys), 0)
-            for v in vs:
+        members = list(cosets.values())
+        masks, rows = [_row(vs, n) for vs in members], [0] * n
+        for i, ys in _engel_rows(C, list(cosets)):
+            bits = full ^ reduce(or_, map(masks.__getitem__, ys), 0)
+            for v in members[i]:
                 rows[v] = bits
-    return SimpleGraph._from_rows(rows, labels=tuple(verts))
+        sources = tuple(cosets[leader[proj[x]]][0] for x in verts)
+    return SimpleGraph._from_rows(rows, tuple(verts), sources)
 
 
 def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -251,32 +280,35 @@ def diameter(g: SimpleGraph) -> float:
     """Largest shortest-path distance; math.inf when disconnected, 0 for a
     single vertex.  Raises EmptyGraphError for zero vertices.
 
-    Searched in g itself, once from the least member of each twin class and
-    inside the mask of those least members, which have the quotient's
-    distances (``_components_and_diameter``), so no quotient is built and
+    Searched in g itself, inside the mask of its twin classes' least
+    members, which have the quotient's distances: from each of those
+    members, or, when g has ``orbit_sources``, from those of the sources'
+    classes alone (``_components_and_diameter``).  No quotient is built and
     nothing is sorted."""
-    rows = g.adjacency
-    leaders = _row(_least_members(rows).values(), len(rows))
-    return _components_and_diameter(g, rows, leaders)[1]
+    return _components_and_diameter(g, _least_members(g.adjacency))[1]
 
 
 def _least_members(rows: Sequence[int]) -> dict[int, int]:
-    """Each distinct row, in order of least member, mapped to the least
-    vertex that has it: one entry per false-twin class."""
+    """Each distinct row mapped to the least vertex that has it: one entry
+    per false-twin class."""
     return dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))
 
 
-def _twin_quotient(g: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
+def _twin_quotient(
+    g: SimpleGraph, least: dict[int, int] | None = None
+) -> tuple[SimpleGraph, list[int]]:
     """The quotient of g by its false twins and the size of each class, the
     classes in the clique search's order: by ascending quotient degree,
-    ties by least member.
+    ties by least member.  ``least`` is ``_least_members`` of g's rows, if
+    the caller has it.
 
     Twins are never adjacent (a vertex is not its own neighbour), so the
     quotient is a simple graph; the isolated vertices of g form its one
     isolated vertex, if any."""
     sizes = Counter(g.adjacency)  # by row, in order of least member
     n = len(g.adjacency)
-    least = _least_members(g.adjacency)
+    if least is None:
+        least = _least_members(g.adjacency)
     # a row meets a twin class in all of its members or in none, so its
     # bit at the class's least member says which
     leaders = _row(least.values(), n)
@@ -285,37 +317,44 @@ def _twin_quotient(g: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
     return SimpleGraph._from_rows(rows, tuple(range(len(rows)))), [sizes[row] for row in classes]
 
 
-def _components_and_diameter(
-    g: SimpleGraph, rows: Sequence[int], leaders: int
-) -> tuple[int, float]:
-    """Component count and diameter of g, searched in the bit rows ``rows``
-    inside ``leaders``, a mask of one vertex per false-twin class of g: the
-    rows of g's twin quotient and all its vertices, or g's own rows and the
-    least member of each class.  Raises EmptyGraphError for zero vertices.
+def _components_and_diameter(g: SimpleGraph, least: dict[int, int]) -> tuple[int, float]:
+    """Component count and diameter of g, searched in g's rows inside the
+    mask of ``least``'s values, the least member of each false-twin class
+    (``_least_members``).  Raises EmptyGraphError for zero vertices.
 
     Twins share rows, so a walk may swap each of its vertices for its
-    class's member in ``leaders``: the distance between two vertices of
-    different classes is that between their classes' members inside
-    ``leaders``, which induce a copy of the twin quotient.  Two twins of a
-    connected graph with an edge are at distance 2, through any common
-    neighbour, so the diameter is at least 2 when some class has two
-    members.  The isolated vertices form one class, and each of them is a
-    component."""
-    if not leaders:
+    class's least member: the distance between two vertices of different
+    classes is that between their classes' least members inside the mask,
+    which induce a copy of the twin quotient.  Two twins of a connected
+    graph with an edge are at distance 2, through any common neighbour, so
+    the diameter is at least 2 when some class has two members.  The
+    isolated vertices form one class, and each of them is a component.
+
+    The eccentricity is searched from every class's least member, or, when
+    g has ``orbit_sources``, from the least member of each source's class
+    only: an automorphism maps twin classes to twin classes and keeps
+    eccentricities, and every class is the image of a source's."""
+    rows, n = g.adjacency, len(g.adjacency)
+    if not n:
         raise EmptyGraphError("the diameter of the empty graph is undefined")
-    components, unseen = max(g.adjacency.count(0) - 1, 0), leaders
+    leaders = _row(least.values(), n)
+    components, unseen = max(rows.count(0) - 1, 0), leaders
     while unseen:
         layers = list(_layers(rows, (unseen & -unseen).bit_length() - 1, leaders))
         unseen &= ~reduce(or_, layers)
         components += 1
     if components > 1:
         return components, math.inf
-    rest = _bits(leaders)[1:]  # layers holds the search from the first leader
-    if not rest:  # a single vertex
+    if leaders == 1:  # vertex 0 alone
         return components, 0
-    depth = max(len(layers), *(sum(1 for _ in _layers(rows, v, leaders)) for v in rest))
-    twins = leaders.bit_count() < g.vertex_count
-    return components, max(depth - 1, 2 if twins else 1)
+    starts = leaders
+    if g.orbit_sources is not None:
+        starts = _row({least[rows[s]] for s in set(g.orbit_sources)}, n)
+    # layers holds the search from vertex 0, the least member of its class
+    depths = [len(layers)] if starts & 1 else []
+    depths += [sum(1 for _ in _layers(rows, v, leaders)) for v in _bits(starts & ~1)]
+    twins = len(least) < n
+    return components, max(max(depths) - 1, 2 if twins else 1)
 
 
 def isolated_vertices(g: SimpleGraph) -> tuple[int, ...]:
@@ -565,10 +604,13 @@ def graphs_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:
 
 def compute_metrics(g: SimpleGraph) -> GraphMetrics:
     """All exact metrics for a graph with at least one vertex.  The
-    component count, the diameter and the clique number are read from one
-    twin quotient; planarity from ``is_planar``."""
-    q = _twin_quotient(g)[0]
-    components, diam = _components_and_diameter(g, q.adjacency, (1 << q.vertex_count) - 1)
+    component count and the diameter are searched in g in place, as
+    ``diameter`` does, and the clique number in the twin quotient, both from
+    one map of the twin classes' least members; planarity comes from
+    ``is_planar``."""
+    least = _least_members(g.adjacency)
+    q = _twin_quotient(g, least)[0]
+    components, diam = _components_and_diameter(g, least)
     return GraphMetrics(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections import deque
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ClosureTooLarge, InvalidParameter, NotASubgroup
 from .permutations import Permutation
@@ -192,10 +192,10 @@ class Group:
             inv[rank[x]] = table[inv[rank[u]]][gen_inv[j]]
         self._inv = tuple(inv)
         # Empty until queried: the conjugacy classes with their leader and
-        # via lists, under "classes", written by the first class query; the
-        # lower central series of subgroups, under "series"; the Engel core,
-        # Engel depth maps, L(G) and the randomly-Engel answers, written by
-        # engel.py
+        # via lists and their walk, under "classes", written by the first
+        # class query; the lower central series of subgroups, under
+        # "series"; the Engel core, Engel depth maps, L(G) and the
+        # randomly-Engel answers, written by engel.py
         self._memo: dict = {}
 
     @classmethod
@@ -478,9 +478,18 @@ def is_nilpotent(G: Group, members: Iterable[int]) -> bool:
     return series[-1] == (G.identity,)
 
 
-def _classes(G: Group) -> tuple[list[int], list[int], dict[int, tuple[int, ...]]]:
-    """G's ``leader`` and ``via`` lists and its classes, made on the first
-    class query of any kind by one pass, then read from ``G._memo``.
+class _ClassPass(NamedTuple):
+    """What the one pass of ``_classes`` leaves on G."""
+
+    leader: list[int]  # the least member of each element's class
+    via: list[int]  # for each v, an element t with leader[v]^t = v
+    classes: dict[int, tuple[int, ...]]  # each class, sorted, by least member
+    walks: dict[int, list[int]]  # each class in the order reached, by least member
+
+
+def _classes(G: Group) -> _ClassPass:
+    """G's conjugacy classes, made on the first class query of any kind by
+    one pass, then read from ``G._memo``.
 
     The pass visits x in increasing order, so each x not yet reached is the
     least member of its class, and the class is walked once, from x, over
@@ -488,7 +497,9 @@ def _classes(G: Group) -> tuple[list[int], list[int], dict[int, tuple[int, ...]]
     w -> w g, read at the row of g^-1 by one ``itemgetter``.  Each member v
     gets x as ``leader[v]`` and an element t with x^t = v as ``via[v]``, the
     product of the generators on its way from x; ``classes[x]`` is the
-    sorted class.  The maps are dropped after the pass."""
+    sorted class and ``walks[x]`` the class in the order reached, in which
+    each member after x is u^g for some earlier u and generator g.  The
+    maps are dropped after the pass."""
     memo = G._memo.get("classes")
     if memo is None:
         table, inv, n = G._table, G._inv, G.order
@@ -496,7 +507,7 @@ def _classes(G: Group) -> tuple[list[int], list[int], dict[int, tuple[int, ...]]
             (g, _getter(table[inv[g]])(tuple(map(itemgetter(g), table))))
             for g in G.generators
         ]
-        leader, via, classes = [-1] * n, [G.identity] * n, {}
+        leader, via, classes, walks = [-1] * n, [G.identity] * n, {}, {}
         for x in range(n):
             if leader[x] >= 0:
                 continue
@@ -510,7 +521,8 @@ def _classes(G: Group) -> tuple[list[int], list[int], dict[int, tuple[int, ...]]
                         via[v] = row[g]  # x^(t g) = u^g
                         orbit.append(v)
             classes[x] = tuple(sorted(orbit))
-        memo = G._memo["classes"] = leader, via, classes
+            walks[x] = orbit
+        memo = G._memo["classes"] = _ClassPass(leader, via, classes, walks)
     return memo
 
 
@@ -518,22 +530,14 @@ def conjugacy_class(G: Group, x: int) -> tuple[int, ...]:
     """Orbit of x under conjugation, as sorted indices, from ``_classes``.
     Raises InvalidParameter for an x outside 0..order-1."""
     _check_element(G, x)
-    leader, _, classes = _classes(G)
-    return classes[leader[x]]
-
-
-def _transversal(G: Group, x: int) -> tuple[int, int]:
-    """(r, g) with r the least member of the conjugacy class of x and
-    r^g = x, from ``_classes``."""
-    _check_element(G, x)
-    leader, via, _ = _classes(G)
-    return leader[x], via[x]
+    memo = _classes(G)
+    return memo.classes[memo.leader[x]]
 
 
 def conjugacy_classes(G: Group) -> list[tuple[int, ...]]:
     """All conjugacy classes, ordered by least member, as a new list on each
     call, from ``_classes``."""
-    return list(_classes(G)[2].values())
+    return list(_classes(G).classes.values())
 
 
 def centralizer(G: Group, x: int) -> tuple[int, ...]:

@@ -57,7 +57,7 @@ from engelgraph import (
     subgroup_generated,
 )
 from engelgraph.graphs import _row
-from engelgraph.groups import MAX_ORDER, _transversal
+from engelgraph.groups import MAX_ORDER, _classes
 
 
 def naive_closure(perms, limit=None):
@@ -250,11 +250,14 @@ def class_mismatches(G):
     oracle, one line per failed check, on two copies of G with nothing
     cached (G is pickled first).  On the first, ``conjugacy_classes`` must
     partition G, each class must be the orbit {r^g : g in G} of its least
-    member r, found by conjugating r with every element, and ``_transversal``
-    must give each x that r and an element g with r^g = x.  The second is
-    first asked for the class of the greatest member of the largest class;
-    right after that query its memo must already hold every class, and it
-    must then give the same classes and transversals that hold."""
+    member r, found by conjugating r with every element, and ``_classes``
+    must give each x that r as its leader and an element g with r^g = x
+    as its via, and walk each class from r: every other member v is u^t
+    for an earlier member u and a generator t.  The second
+    is first asked for the class of the greatest member of the largest
+    class; right after that query its memo must already hold every class,
+    and it must then give the same classes, transversals and walks that
+    hold."""
     cold = pickle.dumps(G)
     first = pickle.loads(cold)
     classes = conjugacy_classes(first)
@@ -278,10 +281,20 @@ def class_mismatches(G):
             problems.append(f"{G.name}: classes after a first query of {largest[-1]}")
         copies.append(second)
     for H in copies:
+        memo = _classes(H)
         for x in range(G.order):
-            r, g = _transversal(H, x)
+            r, g = memo.leader[x], memo.via[x]
             if r != least[x] or H.conjugate(r, g) != x:
                 problems.append(f"{G.name}: transversal ({r}, {g}) of {x}")
+        for cls in classes:
+            walk = memo.walks[cls[0]]
+            if sorted(walk) != list(cls) or walk[0] != cls[0]:
+                problems.append(f"{G.name}: walk of the class of {cls[0]}")
+            earlier = {walk[0]}
+            for v in walk[1:]:
+                if not any(H.conjugate(v, H.inv(t)) in earlier for t in H.generators):
+                    problems.append(f"{G.name}: {v} is no earlier member's conjugate by a generator")
+                earlier.add(v)
     return problems
 
 
@@ -364,7 +377,8 @@ def direct_engel_graph(G):
     verts = [x for x in range(G.order) if x not in L]
     position = {x: v for v, x in enumerate(verts)}
     table, inv = G._table, G._inv
-    where = [_transversal(G, y) for y in verts]  # (s, h) with s^h = y
+    memo = _classes(G)
+    where = [(memo.leader[y], memo.via[y]) for y in verts]  # (s, h) with s^h = y
     reps = [cls for cls in conjugacy_classes(G) if cls[0] not in L]
     depth_of = {cls[0]: engel_depths(G, cls[0]) for cls in reps}
     rows = [0] * len(verts)
@@ -375,7 +389,7 @@ def direct_engel_graph(G):
             if depth_of[r][y] < 0 and depth_of[s][table[table[h][r]][inv[h]]] < 0
         ]
         for x in cls:
-            g = _transversal(G, x)[1]
+            g = memo.via[x]
             rows[position[x]] = _row((position[G.conjugate(y, g)] for y in nbrs), len(verts))
     return SimpleGraph._from_rows(rows, tuple(verts))
 

@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -463,6 +464,20 @@ def test_quotient_path_matches_the_direct_path():
     assert centred == 211
 
 
+def test_no_engel_graph_row_holds_its_own_bit():
+    # each row is the complement of a non-neighbour list, which must hold
+    # its own vertex, or the vertex's bit would stay set in its row; both
+    # paths, C is G and the coset blow-up, are taken up to order 120
+    paths = Counter()
+    for plan in catalog_plans(120):
+        G = build_group(plan)
+        if len(left_engel_set(G)) < G.order:
+            g = build_engel_graph(G)
+            assert not any(row >> v & 1 for v, row in enumerate(g.adjacency)), G.name
+            paths[engel_module._engel_core(G)[0] is G] += 1
+    assert paths[True] > 0 and paths[False] > 0, paths
+
+
 def test_engel_graph_is_the_coset_blow_up_of_the_core_graph():
     # with (C, proj) the Engel core G/Z*(G), each row of E_G is the full
     # preimage of the row of proj[x] in E_C, so E_G has |Z*| vertices for
@@ -523,6 +538,18 @@ def test_randomly_engel_reads_each_class_of_the_core_once(monkeypatch, spec, ask
     assert {H for H, _ in calls} == {C}
     assert len(G._memo["randomly_engel"]) == G.order
     assert C is G or "randomly_engel" not in C._memo
+
+
+@pytest.mark.parametrize("spec", ["S5", "A5xC4", "S4xC12"])
+def test_randomly_engel_reads_the_class_from_its_non_neighbours(spec):
+    # some class of the core holds a neighbour of its least member, so that
+    # member's non-neighbours there are fewer than the class; every answer
+    # must still be the element oracle's, over every conjugate
+    G = build_group(spec)
+    C, _ = engel_module._engel_core(G)
+    assert any(len(next(engel_module._engel_rows(C, cls))[1]) < len(cls) for cls in conjugacy_classes(C))
+    for x in range(G.order):
+        assert is_randomly_engel_conjugates(G, x) == randomly_engel_conjugates_by_elements(G, x), x
 
 
 def test_engel_outcome_consistency():

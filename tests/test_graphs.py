@@ -10,6 +10,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+import engelgraph.engel as engel_module
 import engelgraph.graphs as graphs_module
 from engelgraph import (
     EmptyGraphError,
@@ -23,6 +24,7 @@ from engelgraph import (
     clique_number,
     compute_metrics,
     conjugacy_class,
+    conjugacy_classes,
     connected_components,
     diameter,
     find_isomorphism,
@@ -276,6 +278,91 @@ def test_diameter_searches_from_the_least_member_of_each_twin_class(monkeypatch)
         mask = sum(1 << v for v in least)
         assert sorted(source for source, _ in calls) == least
         assert {within for _, within in calls} == {mask}
+
+
+def recorded_sources(monkeypatch):
+    """The list that every later ``_layers`` call appends its source to."""
+    calls = []
+    layers = graphs_module._layers
+
+    def recording(rows, source, within=None):
+        calls.append(source)
+        return layers(rows, source, within)
+
+    monkeypatch.setattr(graphs_module, "_layers", recording)
+    return calls
+
+
+def test_orbit_sources_of_the_path_p5(monkeypatch):
+    # P5, 0-1-2-3-4, has the automorphism v -> 4 - v with the orbits {0, 4},
+    # {1, 3} and {2}, and no twins.  With one source per orbit the distances
+    # are searched from 0, 1 and 2 alone, and the diameter 4 is the ends'
+    # eccentricity; sources that miss the orbit {0, 4} find only 3, the
+    # eccentricity of 1.  No catalog graph can catch such a miss, since all
+    # have diameter 1 or 2
+    calls = recorded_sources(monkeypatch)
+    rows = list(SimpleGraph(5, [(v, v + 1) for v in range(4)]).adjacency)
+    p5 = SimpleGraph._from_rows(rows, tuple(range(5)), (0, 1, 2, 1, 0))
+    assert diameter(p5) == compute_metrics(p5).diameter == 4
+    assert calls == [0, 1, 2] * 2  # the first search also counts the components
+    missing = SimpleGraph._from_rows(rows, tuple(range(5)), (1, 1, 2, 1, 1))
+    assert diameter(missing) == compute_metrics(missing).diameter == 3
+    calls.clear()
+    assert diameter(SimpleGraph._from_rows(rows, tuple(range(5)))) == 4
+    assert calls == [0, 1, 2, 3, 4]
+    # the star K_{1,3} with its leaves 0, 1, 2 as twins and one source per
+    # orbit, 2 and 3: the leaves' search starts at their least member
+    star = SimpleGraph(4, [(v, 3) for v in range(3)])
+    calls.clear()
+    assert diameter(SimpleGraph._from_rows(star.adjacency, star.labels, (2, 2, 2, 3))) == 2
+    assert calls == [0, 3]
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5xC6", "S4xC3"])
+def test_engel_graph_leaves_one_orbit_source_per_class_of_the_core(monkeypatch, spec):
+    # with (C, proj) the Engel core G/Z*(G), each vertex's source is the
+    # least preimage of the least member of its image's class, so there is
+    # one source per class of C outside L(C); the distances are searched
+    # from the least member of each source's twin class, 0 among them
+    G = build_group(spec)
+    C, proj = engel_module._engel_core(G)
+    g = build_engel_graph(G)
+    first: dict[int, int] = {}
+    for x in range(G.order):
+        first.setdefault(proj[x], x)
+    leader = {q: cls[0] for cls in conjugacy_classes(C) for q in cls}
+    assert [g.labels[s] for s in g.orbit_sources] == [first[leader[proj[x]]] for x in g.labels]
+    core_l = set(left_engel_set(C))
+    outside = [first[cls[0]] for cls in conjugacy_classes(C) if cls[0] not in core_l]
+    assert sorted(g.labels[s] for s in set(g.orbit_sources)) == outside
+    least = {row: v for v, row in reversed(list(enumerate(g.adjacency)))}
+    starts = sorted({least[g.adjacency[s]] for s in g.orbit_sources})
+    calls = recorded_sources(monkeypatch)
+    assert diameter(g) == 2
+    assert calls == starts and starts[0] == 0
+    assert len(starts) < len(least), spec
+
+
+def test_orbit_sources_agree_with_the_search_from_every_twin_class():
+    # every catalog Engel graph up to order 120 against a copy without
+    # orbit sources, which diameter and compute_metrics search from every
+    # twin class's least member; on each of them the sources are fewer than
+    # the twin classes
+    graphs, fewer = 0, 0
+    for plan in catalog_plans(120):
+        G = build_group(plan)
+        if len(left_engel_set(G)) == G.order:
+            continue
+        g = build_engel_graph(G)
+        bare = SimpleGraph._from_rows(list(g.adjacency), g.labels)
+        assert bare == g and bare.orbit_sources is None
+        m, oracle = compute_metrics(g), compute_metrics(bare)
+        assert m == oracle, plan
+        assert (len(connected_components(bare)), diameter(bare)) == (1, diameter(g)), plan
+        assert (m.component_count, m.diameter) == (1, diameter(g)), plan
+        graphs += 1
+        fewer += len(set(g.orbit_sources)) < len(set(g.adjacency))
+    assert graphs == fewer == 206
 
 
 @pytest.mark.parametrize("n", [3, 64, 300])
@@ -794,8 +881,8 @@ def test_compute_metrics_converts_to_networkx_once(monkeypatch, a4):
 
 def test_metrics_on_planted_twins():
     # the quotient formulas against the Floyd-Warshall, subset-enumeration
-    # and subdivision-search oracles; compute_metrics searches the twin
-    # quotient and diameter searches g in place, and the two agree
+    # and subdivision-search oracles; compute_metrics and diameter both
+    # search g in place, and the two agree
     with pytest.raises(EmptyGraphError):
         compute_metrics(SimpleGraph(0, []))
     rng = random.Random(31)

@@ -533,7 +533,8 @@ def test_conjugacy_classes(s4):
 def test_first_class_query_finds_every_class_in_one_pass(monkeypatch):
     # asked first about a member that is not the least of its class, the
     # group still walks every class once, from its least member, and keeps
-    # only the classes and their two lists, not the conjugation maps
+    # only the classes, their two lists and the order of the walk, not the
+    # conjugation maps
     expected = conjugacy_classes(build_group("S4"))
     largest = max(expected, key=len)
     G = build_group("S4")

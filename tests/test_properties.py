@@ -85,7 +85,7 @@ from engelgraph import (  # noqa: E402
     subgroup_generated,
 )
 from engelgraph.families import dihedral_group, family_generators, product_group  # noqa: E402
-from engelgraph.groups import _transversal  # noqa: E402
+from engelgraph.groups import _classes  # noqa: E402
 from oracles import (  # noqa: E402
     brute_clique_number,
     class_mismatches,
@@ -152,10 +152,11 @@ def test_depth_maps_match_direct_iteration_and_conjugation(G, data):
     for x in xs:
         assert engel_depths(G, x) == engel_depths_by_iteration(G, x), x
     least = {y: cls[0] for cls in conjugacy_classes(G) for y in cls}
+    memo = _classes(G)
     for x in range(G.order):
-        r, g = _transversal(G, x)
+        r, g = memo.leader[x], memo.via[x]
         assert G.conjugate(r, g) == x and r == least[x]
-        # _engel_rows carries the rows of r to x = r^g on this identity
+        # _engel_rows reads depth_y[r] for y = s^h as depth_s[r^(h^-1)] on this identity
         depth_r, depth_x = engel_depths(G, r), engel_depths(G, x)
         assert all(depth_x[G.conjugate(a, g)] == d for a, d in enumerate(depth_r)), (r, g)
 
