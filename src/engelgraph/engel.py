@@ -19,9 +19,11 @@ one table read per member of each S_k, where a depth map reads all of G.
 
 Conjugation is an automorphism of the relation: [a^g,_k x^g] = [a,_k x]^g,
 so depth_{x^g}[a^g] = depth_x[a].  L(G) is therefore decided at the least
-member r of each conjugacy class only, the Engel graph asks for the maps
-of those r outside L only, and the randomly-Engel check for the map of
-each r.  ``_engel_rows`` decides adjacency only at r, reading each vertex
+member r of each conjugacy class only, and the Engel graph asks for the
+maps of those r outside L only.  The randomly-Engel check asks for no map:
+it walks the sequences of z -> [z, r] from the members of r's class only,
+marking each element met as reaching 1 or not (``_reaching``).
+``_engel_rows`` decides adjacency only at r, reading each vertex
 y = s^h as its class's least member s and h from the one pass that finds
 all of G's classes at its first class query (``groups._classes``), and
 carries r's list to the rest of r's class in the order that pass walked
@@ -264,23 +266,64 @@ def is_randomly_engel_conjugates(G: Group, x: int) -> bool:
     """True iff for every g, at least one of the Engel sequences of
     (x^g, x) and (x, x^g) reaches the identity.
 
-    Read in the Engel core C = G/Z*(G) at the least member r of each class
-    of C: no conjugate of r may be an Engel neighbour of r, so r's
-    non-neighbours within its class, the first row of one ``_engel_rows``
-    call per class of C, must be the whole class.  The first call answers
-    every element of G at once and caches the answers on G as one tuple.
+    Read from ``_randomly_engel_answers``, whose first call answers every
+    element of G at once and caches the answers on G as one tuple.
     Raises InvalidParameter for an x outside 0..order-1."""
     _check_element(G, x)
+    return _randomly_engel_answers(G)[x]
+
+
+def _randomly_engel_answers(G: Group) -> tuple[bool, ...]:
+    """``is_randomly_engel_conjugates`` of every element of G, in index
+    order, cached on G.
+
+    Read in the Engel core C = G/Z*(G) at the least member r of each class
+    of C.  A member y = r^h (h = ``via[y]`` of ``groups._classes``) is no
+    Engel neighbour of r when [y,_k r] = 1 or [r,_k y] = 1 for some k, and
+    the second is [r^(h^-1),_k r] = 1 conjugated by h, with
+    r^(h^-1) = h r h^-1 in the class too.  So both orientations are
+    sequences of the one map z -> [z, r], walked by ``_reaching`` from the
+    members of the class, and the class passes when every member reaches 1
+    or its partner h r h^-1 does.  No depth map is built."""
     answers = G._memo.get("randomly_engel")
     if answers is None:
         C, proj = _engel_core(G)
+        table, inv = C._table, C._inv
+        memo = _classes(C)
         passes = [False] * C.order
-        for cls in conjugacy_classes(C):
-            if len(next(_engel_rows(C, cls))[1]) == len(cls):
+        for r, cls in memo.classes.items():
+            reaches = _reaching(C, r, cls)
+            partners = (table[table[h][r]][inv[h]] for h in map(memo.via.__getitem__, cls))
+            if all(reaches[y] or reaches[p] for y, p in zip(cls, partners)):
                 for y in cls:
                     passes[y] = True
         answers = G._memo["randomly_engel"] = tuple(map(passes.__getitem__, proj))
-    return answers[x]
+    return answers
+
+
+def _reaching(G: Group, r: int, starts: Iterable[int]) -> dict[int, bool | None]:
+    """Whether the Engel sequence z, [z, r], [z,_2 r], ... reaches the
+    identity, for each z of ``starts`` and each element met on the way;
+    every mark is True or False once the walks are done.
+
+    Each sequence is walked until it meets an element already marked: the
+    identity reaches itself, and an element met earlier on the same walk
+    closes a cycle without the identity, so no element of that walk
+    reaches it.  [z, r] = z^-1 ((r^-1 z) r) is read from the row of r^-1,
+    as in ``_depth_map``."""
+    table, inv = G._table, G._inv
+    row = table[inv[r]]
+    marks: dict[int, bool | None] = {G.identity: True}
+    for z in starts:
+        path = []
+        while z not in marks:
+            marks[z] = None  # on the walk in progress
+            path.append(z)
+            z = table[inv[z]][table[row[z]][r]]
+        reached = marks[z] is True
+        for y in path:
+            marks[y] = reached
+    return marks
 
 
 def _engel_rows(G: Group, vertices: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:

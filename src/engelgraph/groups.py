@@ -48,6 +48,7 @@ Every other subgroup query spans its subgroup afresh.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -87,10 +88,14 @@ class Group:
     identity enumerates the elements and, as a by-product, fills the
     Cayley row of every generator.  The search runs on the m points the
     generators move, relabelled 1..m in increasing order, which keeps the
-    order of image sequences.  For m < 256 an element is the ``bytes`` of
-    its images and ``g * u`` is one ``bytes.translate`` of g through u's
-    images; otherwise it is a tuple and ``g * u`` one ``itemgetter`` call
-    made once per generator.  Either way no Permutation is multiplied.
+    order of image sequences.  Each generator's product u -> g * u is made
+    once, before the search, and the search calls it once per element.
+    For m < 256 an element is the ``bytes`` of its images, widened once,
+    when first reached, to a translation table, and ``g * u`` is g's
+    images translated through it by one ``bytes.translate`` bound to g
+    with ``functools.partial``; otherwise an element is a tuple and
+    ``g * u`` one ``itemgetter`` call.  Either way no Permutation is
+    multiplied.
     Elements are indexed in sorted order, so the identity comes first, at
     index 0.  Every other row follows by associativity, in search order:
     an element first reached as ``x = g * u`` has ``x * q = g * (u * q)``,
@@ -112,32 +117,29 @@ class Group:
         label = {p: k for k, p in enumerate(points, 1)}
         relabelled = [[label[move.get(p, p)] for p in points] for move in moves]
         m = len(points)
+        # one product per generator, u -> g * u with (g * u)(i) = u(g(i)),
+        # applied to u widened by head and pad
         if m < 256:
-            pad = bytes(range(m + 1, 256))
-            gens_b = list(map(bytes, relabelled))
-
-            def left_products(u):
-                # (g * u)(i) = u(g(i)): g's images translated through u's
-                images = b"\0" + u + pad
-                return [g.translate(images) for g in gens_b]
-
+            # u as a translation table, fixing 0 and the points past m, so
+            # g * u is g's images translated through it
+            head, pad = b"\0", bytes(range(m + 1, 256))
+            products = [partial(bytes.translate, bytes(r)) for r in relabelled]
             identity = bytes(range(1, m + 1))
         else:
-            steps = [itemgetter(*(i - 1 for i in r)) for r in relabelled]
-
-            def left_products(u):
-                return [step(u) for step in steps]
-
+            head = pad = ()  # concatenating () returns the tuple itself
+            products = [itemgetter(*(i - 1 for i in r)) for r in relabelled]
             identity = tuple(range(1, m + 1))
-        # Search-order indices: reached[x] is element x, first reached as
-        # gens[j] * reached[u] with (j, u) = parent[x]; gen_rows[j][u] is
-        # the index of gens[j] * reached[u].
+        # Search-order indices: reached[x] is element x, widened, first
+        # reached as gens[j] * reached[u] with (j, u) = parent[x];
+        # gen_rows[j][u] is the index of gens[j] * reached[u].
         found = {identity: 0}
-        reached = [identity]
+        reached = [head + identity + pad]
         parent = [(0, 0)]
         gen_rows: list[list[int]] = [[] for _ in gens]
+        steps = list(enumerate(zip(products, gen_rows)))
         for u, p in enumerate(reached):  # also visits the elements appended below
-            for j, v in enumerate(left_products(p)):
+            for j, (product, gen_row) in steps:
+                v = product(p)
                 x = found.get(v)
                 if x is None:
                     if len(reached) >= MAX_ORDER:
@@ -145,9 +147,9 @@ class Group:
                             f"{name!r} exceeds the limit of {MAX_ORDER} elements"
                         )
                     x = found[v] = len(reached)
-                    reached.append(v)
+                    reached.append(head + v + pad)
                     parent.append((j, u))
-                gen_rows[j].append(x)
+                gen_row.append(x)
 
         self.name = name
         self.order = n = len(reached)
@@ -410,10 +412,16 @@ def normal_closure(G: Group, members: Iterable[int]) -> tuple[int, ...]:
 
 
 def derived_subgroup(G: Group) -> tuple[int, ...]:
-    """The derived subgroup G' = [G, G], computed on each call: the normal
-    closure of the commutators [a, b] of pairs of ``G.generators``."""
+    """The derived subgroup G' = [G, G], computed on each call, as the
+    members of ``_derived_span``."""
+    return _derived_span(G).key()
+
+
+def _derived_span(G: Group) -> _Span:
+    """The span of G': the normal closure of the commutators [a, b] of pairs
+    of ``G.generators``."""
     gens = G.generators
-    return normal_closure(G, {G.commutator(a, b) for a in gens for b in gens})
+    return _normal_span(G, {G.commutator(a, b) for a in gens for b in gens}, gens)
 
 
 def is_subgroup(G: Group, members: Iterable[int]) -> bool:
@@ -432,9 +440,15 @@ def is_abelian(G: Group, members: Iterable[int] | None = None) -> bool:
     Only generators are compared: ``G.generators`` for the whole group,
     greedy generators of the members otherwise.  Generators that commute
     pairwise generate an abelian group, which contains every member."""
-    gens = G.generators if members is None else _Span(G, members).gens
+    return _commute(G, G.generators if members is None else _Span(G, members).gens)
+
+
+def _commute(G: Group, gens: Sequence[int]) -> bool:
+    """True iff the elements ``gens`` commute pairwise, so that the group
+    they generate is abelian."""
+    table = G._table
     return all(
-        G.mul(a, b) == G.mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1:]
+        table[a][b] == table[b][a] for i, a in enumerate(gens) for b in gens[i + 1:]
     )
 
 

@@ -37,11 +37,7 @@ from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .engel import (
-    fitting_subgroup,
-    is_randomly_engel_conjugates,
-    left_engel_set,
-)
+from .engel import _randomly_engel_answers, fitting_subgroup, left_engel_set
 from .errors import BaerViolation, InvalidParameter
 from .families import FAMILIES
 from .graphs import (
@@ -57,9 +53,10 @@ from .graphs import (
 from .groups import (
     MAX_ORDER,
     Group,
+    _classes,
+    _commute,
+    _derived_span,
     centralizer,
-    conjugacy_class,
-    derived_subgroup,
     is_abelian,
 )
 from .io import (
@@ -174,14 +171,8 @@ def evaluate_group(spec: GroupSpec | str, *, base_dir: str = ".") -> GroupEvalua
 
     if G.order <= RANDOMLY_ENGEL_CHECK_MAX_ORDER:
         members = set(L)
-        bad = next(
-            (
-                x
-                for x in range(G.order)
-                if (x in members) != is_randomly_engel_conjugates(G, x)
-            ),
-            None,
-        )
+        answers = _randomly_engel_answers(G)
+        bad = next((x for x, passes in enumerate(answers) if (x in members) != passes), None)
         checks["fitting_matches_randomly_engel"] = CheckResult(
             bad is None, "" if bad is None else _describe(G, bad)
         )
@@ -499,8 +490,9 @@ def _class_leaders(G: Group, labels: Iterable[int]) -> Iterator[int]:
     """The members of ``labels`` least in their conjugacy class.  Conjugation
     is an automorphism of E_G fixing L(G), so each fact checked of a vertex
     holds on its whole class or none, and in increasing order fails first at
-    a least member."""
-    return (x for x in labels if conjugacy_class(G, x)[0] == x)
+    a least member.  The leaders are read from ``groups._classes``."""
+    leader = _classes(G).leader
+    return (x for x in labels if leader[x] == x)
 
 
 def _diameter_one_violation(G: Group, L: tuple[int, ...], graph: SimpleGraph) -> str | None:
@@ -575,8 +567,9 @@ def _metabelian_violation(G: Group, graph: SimpleGraph, whole: float) -> str | N
     if whole > 6:
         return f"graph diameter is {whole}"
     position = {x: v for v, x in enumerate(graph.labels)}
+    classes = _classes(G).classes
     for x in _class_leaders(G, graph.labels):
-        cls = conjugacy_class(G, x)
+        cls = classes[x]
         connected, eccentricity = _class_search(graph, [position[y] for y in cls])
         if not connected:
             return f"class of {_describe(G, x)} induces a disconnected subgraph"
@@ -588,7 +581,7 @@ def _metabelian_violation(G: Group, graph: SimpleGraph, whole: float) -> str | N
 def _theorem_facts(evaluation: GroupEvaluation) -> _TheoremFacts:
     G, graph, report = evaluation.group, evaluation.graph, evaluation.report
     m = report.metrics
-    metabelian = is_abelian(G, derived_subgroup(G))
+    metabelian = _commute(G, _derived_span(G).gens)
     violations = {
         "diameter_one_structure": (
             _diameter_one_violation(G, evaluation.engel_set, graph) if m.diameter == 1 else None

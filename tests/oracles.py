@@ -13,7 +13,8 @@ vertices), Engel reachability and depths by direct iteration of the
 commutator map, the left Engel and left k-Engel verdicts from depth maps
 and from [a,_k x] for every a instead of the library's shrinking
 commutator images, the randomly-Engel predicate element by element
-instead of class by class, and subgroup queries by all-pairs loops over the members
+from depth maps instead of class by class from walks of the Engel
+sequences, and subgroup queries by all-pairs loops over the members
 (generation by a BFS that multiplies by every member) instead of work on
 greedy generators, the lower central series a group remembers by the
 all-pairs series, and the rows of induced subgraphs
@@ -358,6 +359,24 @@ def engel_degree_from_first_images(G, x):
     x is left 1-Engel when S_1 = {1}, that is when x is central, and not
     left Engel otherwise."""
     return 1 if all(G.commutator(a, x) == G.identity for a in range(G.order)) else None
+
+
+def reaching_through_cycles(G, r, starts):
+    """A mutant of ``engel._reaching`` that marks a walk meeting itself as
+    reaching the identity, as if a cycle of z -> [z, r] held 1."""
+    table, inv = G._table, G._inv
+    row = table[inv[r]]
+    marks = {G.identity: True}
+    for z in starts:
+        path = []
+        while z not in marks:
+            marks[z] = None
+            path.append(z)
+            z = table[inv[z]][table[row[z]][r]]
+        reached = marks[z] is not False
+        for y in path:
+            marks[y] = reached
+    return marks
 
 
 def direct_left_engel_set(G):

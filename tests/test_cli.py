@@ -122,7 +122,7 @@ def test_internal_errors_are_not_usage_errors(monkeypatch, capsys):
 def test_report_prints_failed_check_details(monkeypatch, capsys):
     # a wrong randomly-Engel test makes the cross-check against L(G) fail
     monkeypatch.setattr(
-        survey_module, "is_randomly_engel_conjugates", lambda G, x: True
+        survey_module, "_randomly_engel_answers", lambda G: (True,) * G.order
     )
     assert main(["report", "--group", "S3"]) == 1
     captured = capsys.readouterr()

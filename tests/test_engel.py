@@ -1,3 +1,4 @@
+import importlib
 import random
 import sys
 import tracemalloc
@@ -33,7 +34,7 @@ from engelgraph import (
     symmetric_group,
 )
 from engelgraph.io import build_group
-from engelgraph.survey import catalog_plans, evaluate_group
+from engelgraph.survey import catalog_plans, evaluate_group, survey
 from conftest import elem
 from oracles import (
     bounded_left_engel_set,
@@ -47,7 +48,11 @@ from oracles import (
     naive_subgroup_generated,
     naive_upper_central_series,
     randomly_engel_conjugates_by_elements,
+    reaching_through_cycles,
 )
+
+# the package's ``survey`` function shadows the module of that name
+survey_module = importlib.import_module("engelgraph.survey")
 
 
 def test_iterated_commutator_base_case(s3):
@@ -501,43 +506,77 @@ def test_engel_graph_is_the_coset_blow_up_of_the_core_graph():
     assert blown_up == 174  # the non-nilpotent plans with a centre
 
 
+def _randomly_engel_mismatches(G):
+    return [
+        x for x in range(G.order)
+        if is_randomly_engel_conjugates(G, x) != randomly_engel_conjugates_by_elements(G, x)
+    ]
+
+
 def test_randomly_engel_by_class_matches_element_oracle():
     # every answer, read from the tuple cached on G, against the oracle
     # over every conjugate, on the catalog groups up to order 60
     for plan in catalog_plans(60):
         G = build_group(plan)
-        for x in range(G.order):
-            assert is_randomly_engel_conjugates(G, x) == randomly_engel_conjugates_by_elements(
-                G, x
-            ), (G.name, x)
+        assert _randomly_engel_mismatches(G) == [], G.name
         assert G._memo["randomly_engel"] == tuple(
             map(randomly_engel_conjugates_by_elements, [G] * G.order, range(G.order))
         ), G.name
 
 
+def test_a_cycle_taken_as_reaching_the_identity_is_caught(monkeypatch, s3):
+    # [t', t] of two transpositions of S3 is a 3-cycle c, and [c, t] = c,
+    # so the walk from t' under t stays on c; the mutant lets every
+    # transposition pass, and S3, the first catalog plan, refuses it there
+    monkeypatch.setattr(engel_module, "_reaching", reaching_through_cycles)
+    groups = map(build_group, catalog_plans(60))
+    G = next(G for G in groups if _randomly_engel_mismatches(G))
+    assert G.name == "S3"
+    assert _randomly_engel_mismatches(G) == [
+        x for x in range(6) if G.order_of(x) == 2
+    ]
+
+
 @pytest.mark.parametrize("spec", ["S4", "A5xC6", "S4xC3"])
 @pytest.mark.parametrize("asked", ["one", "all"])
 def test_randomly_engel_reads_each_class_of_the_core_once(monkeypatch, spec, asked):
-    # the first question answers every element of G: one Engel row per
-    # class of the core C = G/Z*(G), whether one element is asked or all,
-    # and nothing is kept on C
-    calls = []
-    engel_rows = engel_module._engel_rows
+    # the first question answers every element of G from one walk per class
+    # of the core C = G/Z*(G), whether one element is asked or all; it
+    # builds no depth map, reads no Engel row, and keeps nothing on C but
+    # C's class pass
+    built = _count_depth_maps(monkeypatch)
+    rows = []
+    monkeypatch.setattr(engel_module, "_engel_rows", lambda *args: rows.append(args))
+    walks = []
+    reaching = engel_module._reaching
 
-    def counting(H, vertices):
-        calls.append((H, tuple(vertices)))
-        return engel_rows(H, vertices)
+    def counting(H, r, starts):
+        walks.append((H, r))
+        return reaching(H, r, starts)
 
-    monkeypatch.setattr(engel_module, "_engel_rows", counting)
+    monkeypatch.setattr(engel_module, "_reaching", counting)
     G = build_group(spec)
     C, _ = engel_module._engel_core(G)
-    xs = [G.order - 1] if asked == "one" else [*range(G.order), *range(G.order)]
-    for x in xs:
-        is_randomly_engel_conjugates(G, x)
-    assert sorted(vs for _, vs in calls) == sorted(conjugacy_classes(C))
-    assert {H for H, _ in calls} == {C}
+    first, *rest = [G.order - 1] if asked == "one" else [*range(G.order), *range(G.order)]
+    is_randomly_engel_conjugates(G, first)
     assert len(G._memo["randomly_engel"]) == G.order
-    assert C is G or "randomly_engel" not in C._memo
+    assert [r for _, r in walks] == [cls[0] for cls in conjugacy_classes(C)]
+    assert {H for H, _ in walks} == {C}
+    for x in rest:
+        is_randomly_engel_conjugates(G, x)
+    assert len(walks) == len(conjugacy_classes(C))
+    assert built == [] and rows == []
+    assert C is G or set(C._memo) == {"classes"}
+
+
+def test_survey_builds_depth_maps_for_the_graphs_only(monkeypatch):
+    # survey(120) builds one depth map per class outside L of each Engel
+    # core it builds a graph of; the randomly-Engel check walks sequences
+    # and builds none
+    built = _count_depth_maps(monkeypatch)
+    survey_module._catalog_pass.cache_clear()
+    survey(120)
+    assert len(built) == 94
 
 
 @pytest.mark.parametrize("spec", ["S5", "A5xC4", "S4xC12"])
