@@ -52,18 +52,18 @@ from itertools import compress, count, islice
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BaerViolation, NotASubgroup, PreconditionFailed, SameVertex
+from .errors import BaerViolation, PreconditionFailed, SameVertex
 from .groups import (
     Group,
     _check_element,
     _classes,
     _getter,
     _normal_span,
+    _series,
+    _subgroup_span,
     conjugacy_class,
     conjugacy_classes,
     is_abelian,
-    lower_central_series,
-    normal_closure,
 )
 
 
@@ -241,23 +241,23 @@ def fitting_subgroup(G: Group) -> tuple[int, ...]:
 
     The verifications are assertions, not assumptions: for finite groups
     they are guaranteed, so a failure raises BaerViolation and means the
-    implementation is wrong.  The lower central series of L, which spans L
-    and refuses a set that is not a subgroup, decides both the subgroup
-    and the nilpotent check.  A subgroup is normal exactly when it is its
-    own normal closure, which spans L from greedy generators and conjugates
-    only the generators of that span by ``G.generators``.  L(G) is cached, and
-    G remembers L's lower central series, so the subgroup and nilpotent
-    checks span L once per group; normality is checked, with a span of L,
-    on every call.
+    implementation is wrong.  One span decides the first two: the normal
+    closure of L, spanned from greedy generators of L whose conjugates by
+    ``G.generators`` are adjoined when they fall outside, contains L, so L
+    is a normal subgroup exactly when that span has |L| elements.  The
+    lower central series of L is then formed from the same span, so L is
+    spanned once per call, and G remembers the series, so a later call
+    reads it with no further span.  Only when the span is larger is L
+    spanned again, to tell a set that is not a subgroup from a subgroup
+    that is not normal.
     """
     L = left_engel_set(G)
-    try:
-        series = lower_central_series(G, L)
-    except NotASubgroup as err:
-        raise BaerViolation(f"left Engel set of {G.name!r} is not a subgroup") from err
-    if normal_closure(G, L) != L:
+    span = _normal_span(G, L, G.generators)
+    if len(span.elements) != len(L):
+        if _subgroup_span(G, L) is None:
+            raise BaerViolation(f"left Engel set of {G.name!r} is not a subgroup")
         raise BaerViolation(f"left Engel set of {G.name!r} is not normal")
-    if series[-1] != (G.identity,):
+    if _series(G, L, span)[-1] != (G.identity,):
         raise BaerViolation(f"left Engel set of {G.name!r} is not nilpotent")
     return L
 

@@ -19,13 +19,16 @@ to ``MAX_ORDER`` (4096); larger groups raise ClosureTooLarge.
 Subgroup queries work on generators, never on all pairs of members
 (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 3-4).
 A member set is spanned from greedy generators, the members not yet in the
-subgroup the earlier ones generate, by Dimino's coset extension over left
-cosets x K, each read from x's Cayley row by one ``itemgetter`` call.
-Normal closures conjugate the generators of the subgroup by
-``G.generators``, which generate G; the lower central series of H
-conjugates by the generators of H.  Conjugates and commutators are read
-from the Cayley table and the inverses directly.  The all-pairs versions
-are kept as test oracles.
+subgroup the earlier ones generate, found by one C-level scan
+(``itertools.filterfalse``) that tests each member against the span as it
+grows.  The first generator's cyclic group is walked along its Cayley
+row, one read per power; every later generator extends the span by
+Dimino's coset extension over left cosets x K, each read from x's Cayley
+row by one ``itemgetter`` call.  Normal closures conjugate the generators
+of the subgroup by ``G.generators``, which generate G; the lower central
+series of H conjugates by the generators of H.  Conjugates and commutators
+are read from the Cayley table and the inverses directly.  The all-pairs
+versions are kept as test oracles.
 
 Conjugacy classes are orbits under conjugation by ``G.generators``
 (Holt, Eick and O'Brien, §4.1), walked over one conjugation map per
@@ -42,13 +45,17 @@ the tuple of terms.  A later ``lower_central_series`` or ``is_nilpotent``
 on that subgroup reads the terms from there, with no span and no
 Cayley-table read.  An entry is written only once its series has
 stabilized, so a set that is not a subgroup is never remembered as one.
-Every other subgroup query spans its subgroup afresh.
+The series is formed from a span of H by ``_series``, which
+``lower_central_series`` and ``engel.fitting_subgroup`` share, so the
+Fitting check forms it from the one span of L(G) it makes anyway.  Every
+other subgroup query spans its subgroup afresh.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from itertools import filterfalse
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -309,8 +316,14 @@ def closure(generators: Sequence[Permutation], name: str | None = None) -> Group
 class _Span:
     """The subgroup generated by greedy generators of ``members``: each
     member, in increasing order, that is not yet in the span of the earlier
-    ones.  Raises InvalidParameter for a member outside 0..order-1.
+    ones.  The members are scanned once, in C, by ``filterfalse`` over the
+    ``members`` set, which sees the set grow as each generator is adjoined.
+    Raises InvalidParameter for a member outside 0..order-1.
 
+    ``elements`` lists the span in the order it was reached: the identity,
+    the powers s, s^2, ... of the first generator s, then the cosets each
+    later generator added.  On the trivial span, ``adjoin(s)`` walks those
+    powers along s's row, s^(k+1) = s s^k, one read per power.  Every later
     ``adjoin`` is Dimino's algorithm: the span is kept as a union of left
     cosets x K of the subgroup K it had before the new generator came, so
     only coset representatives are multiplied by the generators, as g x
@@ -331,15 +344,25 @@ class _Span:
         members = sorted(set(members))
         if members:
             _check_element(G, members[0], members[-1])
-        for s in members:
-            if s not in self.members:
-                self.adjoin(s)
+        # lazy, so each member is tested against the set adjoin grows in place
+        for s in filterfalse(self.members.__contains__, members):
+            self.adjoin(s)
 
     def adjoin(self, s: int) -> None:
-        """Grow the span to ``<gens, s>``."""
+        """Grow the span to ``<gens, s>``, for an s outside it: on the
+        trivial span, the powers of s read along s's row until they return
+        to the identity, with no coset and no queue; otherwise by Dimino's
+        coset extension."""
         table, members = self.G._table, self.members
-        coset_of = _getter(self.elements)  # x K, from x's row
         self.gens.append(s)
+        if len(self.gens) == 1:
+            row, identity, powers = table[s], self.G.identity, self.elements
+            while s != identity:  # s^(k+1) = s s^k, one read per power
+                powers.append(s)
+                s = row[s]
+            members.update(powers)
+            return
+        coset_of = _getter(self.elements)  # x K, from x's row
         gen_rows = [table[g] for g in self.gens]
         queue = deque([s])
         while queue:
@@ -458,8 +481,10 @@ def lower_central_series(G: Group, members: Iterable[int]) -> list[tuple[int, ..
 
     Each term is γ_{i+1} = [γ_i, H], the normal closure in H (conjugating by
     greedy generators of H) of the commutators [x, y] with x over the
-    generators of γ_i and y over those of H.  G remembers the series once
-    it has stabilized, so a later call on H reads it with no span.
+    generators of γ_i and y over those of H.  H is spanned once, to check
+    that it is a subgroup, and the series is formed from that span by
+    ``_series``.  G remembers the series once it has stabilized, so a
+    later call on H reads it with no span.
 
     Raises NotASubgroup if the member set is not a subgroup of G.
     """
@@ -470,6 +495,16 @@ def lower_central_series(G: Group, members: Iterable[int]) -> list[tuple[int, ..
     span = _subgroup_span(G, H)
     if span is None:
         raise NotASubgroup(f"member set of size {len(H)} is not a subgroup of {G.name!r}")
+    return _series(G, H, span)
+
+
+def _series(G: Group, H: tuple[int, ...], span: _Span) -> list[tuple[int, ...]]:
+    """The lower central series of the subgroup H, a sorted member tuple,
+    from ``span``, a span whose members are H; read from G's series memo
+    when it holds H, and written there otherwise."""
+    memo = G._memo.setdefault("series", {})
+    if H in memo:
+        return list(memo[H])
     table, inv = G._table, G._inv
     hgens = span.gens
     series = [H]

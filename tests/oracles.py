@@ -16,8 +16,11 @@ commutator images, the randomly-Engel predicate element by element
 from depth maps instead of class by class from walks of the Engel
 sequences, and subgroup queries by all-pairs loops over the members
 (generation by a BFS that multiplies by every member) instead of work on
-greedy generators, the lower central series a group remembers by the
-all-pairs series, and the rows of induced subgraphs
+greedy generators, the greedy generators themselves, and the members and
+lower central series of larger spans, by a breadth-first search over
+right products resumed after each generator instead of the library's
+powers and coset extension, the lower central series a group remembers
+by the all-pairs series, and the rows of induced subgraphs
 and twin quotients by one adjacency test per pair instead of the
 library's selection of bits from binary digits.  Conjugacy classes are
 checked against the orbits {r^g : g in G}, conjugating by every element
@@ -163,6 +166,58 @@ def naive_subgroup_generated(G, members):
                 seen.add(v)
                 queue.append(v)
     return tuple(sorted(seen))
+
+
+def greedy_span(G, members, conjugators=()):
+    """(members, generators) of the smallest subgroup of G containing
+    ``members`` that each of ``conjugators`` maps into itself, with the
+    generators picked greedily: each member, in increasing order, outside
+    the subgroup generated by the generators so far, then, for each
+    generator in turn (those appended included) and each conjugator g, the
+    conjugate g^-1 k g of that generator k when it is outside.
+
+    After each new generator the subgroup is the closure under right
+    products by the generators, as in ``naive_subgroup_generated``, resumed
+    from the elements already found: every one of them times every
+    generator is tried again, and each new element joins the search."""
+    table = G._table
+    seen, gens = {G.identity}, []
+
+    def adjoin(s):
+        gens.append(s)
+        queue = list(seen)
+        for u in queue:  # also visits the elements appended below
+            row = table[u]
+            for g in gens:
+                v = row[g]
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+
+    for s in sorted(set(members)):
+        if s not in seen:
+            adjoin(s)
+    for k in gens:  # also visits the generators appended below
+        for g in conjugators:
+            c = G.conjugate(k, g)
+            if c not in seen:
+                adjoin(c)
+    return tuple(sorted(seen)), gens
+
+
+def greedy_lower_central_series(G, members):
+    """The lower central series of the subgroup on ``members``, each term
+    [γ_i, H] the normal closure in H of the commutators of the greedy
+    generators of γ_i with those of H, by ``greedy_span``; listed until it
+    stabilizes."""
+    H, hgens = greedy_span(G, members)
+    series, gens = [H], hgens
+    while True:
+        comms = {G.commutator(x, y) for x in gens for y in hgens}
+        term, gens = greedy_span(G, comms, hgens)
+        if term == series[-1]:
+            return series
+        series.append(term)
 
 
 def naive_normal_closure(G, members):

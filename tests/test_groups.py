@@ -31,10 +31,11 @@ from engelgraph import (
     subgroup_generated,
 )
 from engelgraph.engel import _engel_core
-from engelgraph.groups import _getter
+from engelgraph.groups import _Span, _getter, _normal_span
 from conftest import elem
 from oracles import (
     class_mismatches,
+    greedy_span,
     naive_closure,
     naive_derived_subgroup,
     naive_is_abelian,
@@ -384,10 +385,11 @@ def test_subgroup_queries_match_all_pairs_oracles():
     assert mismatches == []
 
 
-@pytest.mark.parametrize("spec", ["S5", "A5xC2"])
+@pytest.mark.parametrize("spec", ["S5", "A5xC2", "A5xC5"])
 def test_normal_closures_past_order_48_match_all_pairs_oracles(spec):
     # L(G) plus a representative outside it: every adjoin after the first
-    # extends a large subgroup K by cosets of K
+    # extends a large subgroup K by cosets of K.  A5xC5, of order 300, has
+    # tuple rows
     G = build_group(spec)
     L = set(fitting_subgroup(G))
     reps = [cls[0] for cls in conjugacy_classes(G) if cls[0] not in L]
@@ -399,6 +401,99 @@ def test_normal_closures_past_order_48_match_all_pairs_oracles(spec):
         assert is_nilpotent(G, H) == nilpotent, (spec, rep)
 
 
+class CountingRow(tuple):
+    """A Cayley row that counts the entries read from it, through
+    ``__getitem__``, which ``itemgetter`` also calls on a tuple subclass."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        CountingRow.reads += 1
+        return tuple.__getitem__(self, key)
+
+
+@pytest.mark.parametrize("spec", ["S5", "A5xC5"])
+def test_a_span_of_one_element_walks_its_powers_one_read_each(spec, monkeypatch):
+    # bytes rows for S5, tuple rows for A5xC5; s^(k+1) is read from s's
+    # row at s^k, so order(s) - 1 reads reach s^order(s) = 1.  A span
+    # writes nothing to its group, so one counted copy serves every s
+    G = build_group(spec)
+    counted = pickle.loads(pickle.dumps(G))
+    monkeypatch.setattr(counted, "_table", [CountingRow(row) for row in G._table])
+    for s in range(1, G.order):
+        powers = [G.identity]
+        while len(powers) < G.order_of(s):
+            powers.append(G.mul(s, powers[-1]))
+        CountingRow.reads = 0
+        span = _Span(counted, [s])
+        assert (span.elements, span.gens) == (powers, [s]), (spec, s)
+        assert span.members == set(powers)
+        assert CountingRow.reads == len(powers) - 1, (spec, s, CountingRow.reads)
+
+
+def _greedy_generator_mismatches(max_order, rng):
+    """The random member sets of every catalog group up to ``max_order``
+    whose span, or normal span under ``G.generators``, differs from the
+    greedy-generator oracle in its members, its generators or, for a plain
+    span, the order of its first generator's powers."""
+    mismatches = []
+    for plan in catalog_plans(max_order):
+        G = build_group(plan)
+        for _ in range(30):
+            S = rng.sample(range(G.order), rng.randint(1, min(G.order, 6)))
+            span, normal = _Span(G, S), _normal_span(G, S, G.generators)
+            if (span.key(), span.gens) != greedy_span(G, S):
+                mismatches.append(f"{G.name} {sorted(S)}: span")
+            if (normal.key(), normal.gens) != greedy_span(G, S, G.generators):
+                mismatches.append(f"{G.name} {sorted(S)}: normal span")
+            if span.gens:
+                s, k = span.gens[0], G.order_of(span.gens[0])
+                if span.elements[:k] != [G.power(s, i) for i in range(k)]:
+                    mismatches.append(f"{G.name} {sorted(S)}: powers of {s}")
+    return mismatches
+
+
+def test_spans_pick_the_greedy_generators_of_the_oracle():
+    assert _greedy_generator_mismatches(48, random.Random(43)) == []
+
+
+def test_greedy_generator_oracle_refuses_a_scan_that_filters_the_members_once(monkeypatch):
+    # the mutant drops the members inside the trivial span before any
+    # adjoin, so a member that an earlier generator's span already holds
+    # still becomes a generator
+    def filter_once(self, G, members=()):
+        self.G, self.gens = G, []
+        self.elements, self.members = [G.identity], {G.identity}
+        for s in [s for s in sorted(set(members)) if s not in self.members]:
+            self.adjoin(s)
+
+    monkeypatch.setattr(_Span, "__init__", filter_once)
+    assert len(_greedy_generator_mismatches(24, random.Random(43))) > 10
+
+
+def test_a_cold_fitting_subgroup_spans_its_left_engel_set_once(monkeypatch):
+    # one normal span of L decides the subgroup and normal checks and
+    # starts L's lower central series; no term of the series of a
+    # nontrivial nilpotent L is L again
+    spans = []
+    init = _Span.__init__
+
+    def recorded(self, G, members=()):
+        init(self, G, members)
+        spans.append(self)
+
+    monkeypatch.setattr(_Span, "__init__", recorded)
+    for spec in ("S4", "D12", "Dic3", "S5xC2", "A5xC5"):
+        G = build_group(spec)
+        L = left_engel_set(G)
+        assert len(L) > 1
+        spans.clear()
+        assert fitting_subgroup(G) == L
+        assert sum(span.members == set(L) for span in spans) == 1, spec
+        assert L in G._memo["series"]
+        assert series_memo_violations(G) == []
+
+
 def test_subgroup_queries_work_on_generators(monkeypatch):
     # an all-pairs loop over a subgroup H reads at least |H|^2 Cayley-table
     # entries; working on generators stays far below.  Each entry is read
@@ -406,20 +501,11 @@ def test_subgroup_queries_work_on_generators(monkeypatch):
     # tuple subclass; every member but the identity is read at least once
     # by a query on a cold copy of G, which remembers no series.  Once G
     # remembers H's lower central series, is_nilpotent reads none
-    reads = 0
-
-    class CountingRow(tuple):
-        def __getitem__(self, key):
-            nonlocal reads
-            reads += 1
-            return tuple.__getitem__(self, key)
-
     def work(query, G, *args):
-        nonlocal reads
         with monkeypatch.context() as m:
             m.setattr(G, "_table", [CountingRow(row) for row in G._table])
-            reads = 0
-            return query(G, *args), reads
+            CountingRow.reads = 0
+            return query(G, *args), CountingRow.reads
 
     for spec in ("S5", "D12xC5", "A5xC4"):
         G = build_group(spec)
