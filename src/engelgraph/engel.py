@@ -3,34 +3,38 @@
 The iterated commutator [a,_k x] is defined by [a,_0 x] = a and
 [a,_k x] = [[a,_{k-1} x], x].  For fixed x the map y -> [y, x] is a
 deterministic self-map of a finite group, so every question about the Engel
-sequence of (a, x) is a question about the functional graph of that map:
-``engel_depths`` computes, in one reverse breadth-first search from the
-identity, the least k with [a,_k x] = 1 for every a at once.  Pointwise
-questions and the Engel rows read those depth maps; the test suite
-cross-checks them against direct iteration of the commutator map.
+sequence of (a, x) is a question about the functional graph of that map,
+and one walk answers them all.  ``_walk`` follows z -> [z, x] from each
+start until it meets an element already mapped, and maps every element met
+to its depth, the least k with [z,_k x] = 1, or to -1 when the sequence
+never reaches the identity.  ``engel_depths`` walks from every element;
+the pointwise tests and the set predicates walk from the elements asked
+about only.  No walk is kept: each reader drops its map when it is done.
+The test suite cross-checks the walks against a reverse breadth-first
+search from the identity and against direct iteration of the commutator
+map.
 
 Whether x is left Engel, or left k-Engel, asks only where the whole map
-leads, so it is read from the images S_k = {[a,_k x] : a in G} instead.
+leads, so it is read from the images S_k = {[a,_k x] : a in G}.
 S_1 = {(x^-1)^a x} = (x^-1)^G x comes from x's conjugacy class, and
 S_{k+1} = [S_k, x] lies in S_k, since S_2 = [S_1, x] lies in [G, x] = S_1.
-So the sets shrink until they stop: x is left k-Engel exactly when
-S_k = {1}, and left Engel exactly when the sets shrink to {1}.  That takes
-one table read per member of each S_k, where a depth map reads all of G.
+So the walks from S_1 stay in S_1: x is left Engel exactly when every
+member of S_1 reaches 1, and left k-Engel exactly when each does in fewer
+than k steps.  That reads one table entry per member of S_1, where a walk
+from every element reads all of G.
 
 Conjugation is an automorphism of the relation: [a^g,_k x^g] = [a,_k x]^g,
 so depth_{x^g}[a^g] = depth_x[a].  L(G) is therefore decided at the least
-member r of each conjugacy class only, and the Engel graph asks for the
-maps of those r outside L only.  The randomly-Engel check asks for no map:
-it walks the sequences of z -> [z, r] from the members of r's class only,
-marking each element met as reaching 1 or not (``_reaching``).
+member r of each conjugacy class only, and the Engel graph walks from
+every element for those r outside L only.  The randomly-Engel check walks
+from the members of r's class only.
 ``_engel_rows`` decides adjacency only at r, reading each vertex
 y = s^h as its class's least member s and h from the one pass that finds
 all of G's classes at its first class query (``groups._classes``), and
 carries r's list to the rest of r's class in the order that pass walked
 it, one generator's conjugation map at a time.  The list is of r's
 non-neighbours: the Engel graphs measured are dense (74% to 100% of all
-pairs on the large groups), so it is the shorter one.  A map asked for any
-other element is built by the same search.
+pairs on the large groups), so it is the shorter one.
 
 L(G), the Engel graph and the randomly-Engel check read only whether a
 sequence reaches 1, and that is decided in the Engel core C = G/Z*(G), the
@@ -42,13 +46,13 @@ pairwise non-adjacent members of its coset, and the randomly-Engel check
 of x is read in C.  Z*(G) lies in the Fitting subgroup (Baer, 1957), so
 nothing Engel is lost.  Exact depths do not transfer, since the depth in G
 exceeds the depth in C by up to the length of the upper central series, so
-``engel_depths`` and everything read from it stay on G.
+``engel_depths`` and the pointwise tests stay on G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, islice
+from itertools import combinations, compress, count, islice
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -97,10 +101,10 @@ def iterated_commutator(G: Group, a: int, x: int, k: int) -> int:
 
 def engel_reaches_identity(G: Group, a: int, x: int) -> EngelOutcome:
     """Smallest k with [a,_k x] = 1, or reached=False when the sequence
-    never reaches the identity; read from the Engel depth map of x.
+    never reaches the identity; read from one walk from a.
     Raises InvalidParameter for an a or x outside 0..order-1."""
-    _check_element(G, a)
-    depth = engel_depths(G, x)[a]
+    _check_element(G, a, x)
+    depth = _walk(G, x, (a,))[a]
     return EngelOutcome(True, depth) if depth >= 0 else EngelOutcome(False)
 
 
@@ -108,59 +112,57 @@ def engel_depths(G: Group, x: int) -> tuple[int, ...]:
     """For every element a, the smallest k with [a,_k x] = 1, or -1 when the
     Engel sequence of (a, x) never reaches the identity.
 
-    The map is computed for all a at once, by reverse BFS from the
-    identity in the functional graph of y -> [y, x], and cached on the
-    group, so each is built once per group.  Raises InvalidParameter for
-    an x outside 0..order-1.
+    The map is one ``_walk`` from every element, and nothing is cached, so
+    each call walks again.  Raises InvalidParameter for an x outside
+    0..order-1.
     """
-    key = ("engel_depths", x)
-    cached = G._memo.get(key)
-    if cached is None:
-        _check_element(G, x)
-        cached = G._memo[key] = _depth_map(G, x)
-    return cached
+    _check_element(G, x)
+    return tuple(_walk(G, x, range(G.order)))
 
 
-def _depth_map(G: Group, x: int) -> tuple[int, ...]:
-    n, table, inv = G.order, G._table, G._inv
-    # [y, x] = y^-1 * y^x, with y^x = (x^-1 y) x read from the row of x^-1
-    step = [table[iy][table[u][x]] for iy, u in zip(inv, table[inv[x]])]
-    preimages: list[list[int]] = [[] for _ in range(n)]
-    for y, v in enumerate(step):
-        preimages[v].append(y)
-    depth = [-1] * n
+def _walk(G: Group, r: int, starts: Iterable[int]) -> list[int | None]:
+    """For each z of ``starts`` and each element met on the way, the least
+    k with [z,_k r] = 1, or -1 when the Engel sequence z, [z, r],
+    [z,_2 r], ... never reaches the identity; None for the elements not met.
+
+    Each sequence is followed until it meets an element already mapped:
+    the identity at depth 0, or an element met before.  Its elements are
+    mapped to -1 as they are met, so an element of the same walk, which
+    closes a cycle without the identity, leaves them all at -1, as one
+    mapped to -1 by an earlier walk does; one at depth d gives them the
+    depths d + 1, d + 2, ... back to the start.  [z, r] = z^-1 ((r^-1 z) r)
+    is read from the row of r^-1."""
+    table, inv = G._table, G._inv
+    row = table[inv[r]]
+    depth: list[int | None] = [None] * G.order
     depth[G.identity] = 0
-    queue = [G.identity]
-    while queue:
-        nxt = []
-        for v in queue:
-            for y in preimages[v]:
-                if depth[y] < 0:
-                    depth[y] = depth[v] + 1
-                    nxt.append(y)
-        queue = nxt
-    return tuple(depth)
+    for z in starts:
+        path = []
+        while depth[z] is None:
+            depth[z] = -1
+            path.append(z)
+            z = table[inv[z]][table[row[z]][r]]
+        d = depth[z]
+        if d >= 0:
+            for y in reversed(path):
+                d += 1
+                depth[y] = d
+    return depth
 
 
 def _engel_degree(G: Group, x: int) -> int | None:
     """The least k >= 1 with S_k = {[a,_k x] : a in G} = {1}, or None when
-    the sets stop shrinking first.
+    no S_k is.
 
-    [a, x] = (x^a)^-1 x, so S_1 is read from the class of x, and each
-    S_{k+1} = [S_k, x] from the rows of S_k's members: [y, x] = y^-1 y^x
-    with y^x = (x^-1 y) x.  Every S_k holds the identity, [1,_k x].
-    Raises InvalidParameter for an x outside 0..order-1."""
+    [a, x] = (x^a)^-1 x, so S_1 is read from the class of x.  S_1 holds the
+    identity, [1, x], and the walks from S_1 stay in S_1, so k is one more
+    than the largest depth over S_1, and there is none when a member of S_1
+    never reaches 1.  Raises InvalidParameter for an x outside 0..order-1."""
     _check_element(G, x)
     table, inv = G._table, G._inv
-    row = table[inv[x]]
     images = {table[inv[c]][x] for c in conjugacy_class(G, x)}
-    k = 1
-    while len(images) > 1:
-        shrunk = {table[inv[y]][table[row[y]][x]] for y in images}
-        if len(shrunk) == len(images):  # S_{k+1} = S_k, so S_j = S_k for all j > k
-            return None
-        images, k = shrunk, k + 1
-    return k
+    depths = list(map(_walk(G, x, images).__getitem__, images))
+    return None if min(depths) < 0 else 1 + max(depths)
 
 
 def is_left_engel(G: Group, x: int) -> bool:
@@ -221,7 +223,7 @@ def left_engel_set(G: Group) -> tuple[int, ...]:
     x is left Engel exactly when its image in the Engel core C = G/Z*(G)
     is, so L(G) is the preimage of the classes of C that pass.  Each class
     is tested at its least member only, since conjugation preserves the
-    Engel relation, and from its commutator images, with no depth map."""
+    Engel relation, and by walks from its commutator images S_1 only."""
     cached = G._memo.get("left_engel_set")
     if cached is None:
         C, proj = _engel_core(G)
@@ -282,9 +284,9 @@ def _randomly_engel_answers(G: Group) -> tuple[bool, ...]:
     Engel neighbour of r when [y,_k r] = 1 or [r,_k y] = 1 for some k, and
     the second is [r^(h^-1),_k r] = 1 conjugated by h, with
     r^(h^-1) = h r h^-1 in the class too.  So both orientations are
-    sequences of the one map z -> [z, r], walked by ``_reaching`` from the
-    members of the class, and the class passes when every member reaches 1
-    or its partner h r h^-1 does.  No depth map is built."""
+    sequences of the one map z -> [z, r], walked by ``_walk`` from the
+    members of the class only, and the class passes when every member
+    reaches 1 or its partner h r h^-1 does."""
     answers = G._memo.get("randomly_engel")
     if answers is None:
         C, proj = _engel_core(G)
@@ -292,38 +294,13 @@ def _randomly_engel_answers(G: Group) -> tuple[bool, ...]:
         memo = _classes(C)
         passes = [False] * C.order
         for r, cls in memo.classes.items():
-            reaches = _reaching(C, r, cls)
+            depth = _walk(C, r, cls)
             partners = (table[table[h][r]][inv[h]] for h in map(memo.via.__getitem__, cls))
-            if all(reaches[y] or reaches[p] for y, p in zip(cls, partners)):
+            if all(depth[y] >= 0 or depth[p] >= 0 for y, p in zip(cls, partners)):
                 for y in cls:
                     passes[y] = True
         answers = G._memo["randomly_engel"] = tuple(map(passes.__getitem__, proj))
     return answers
-
-
-def _reaching(G: Group, r: int, starts: Iterable[int]) -> dict[int, bool | None]:
-    """Whether the Engel sequence z, [z, r], [z,_2 r], ... reaches the
-    identity, for each z of ``starts`` and each element met on the way;
-    every mark is True or False once the walks are done.
-
-    Each sequence is walked until it meets an element already marked: the
-    identity reaches itself, and an element met earlier on the same walk
-    closes a cycle without the identity, so no element of that walk
-    reaches it.  [z, r] = z^-1 ((r^-1 z) r) is read from the row of r^-1,
-    as in ``_depth_map``."""
-    table, inv = G._table, G._inv
-    row = table[inv[r]]
-    marks: dict[int, bool | None] = {G.identity: True}
-    for z in starts:
-        path = []
-        while z not in marks:
-            marks[z] = None  # on the walk in progress
-            path.append(z)
-            z = table[inv[z]][table[row[z]][r]]
-        reached = marks[z] is True
-        for y in path:
-            marks[y] = reached
-    return marks
 
 
 def _engel_rows(G: Group, vertices: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -332,7 +309,8 @@ def _engel_rows(G: Group, vertices: Sequence[int]) -> Iterator[tuple[int, tuple[
     non-neighbours, x among them.
 
     Each class is decided at its least member r, by one depth test on every
-    vertex y = s^h, where depth_y[r] = depth_s[r^(h^-1)].  Conjugation by a
+    vertex y = s^h, where depth_y[r] = depth_s[r^(h^-1)], read from one walk
+    from every element for each such r and s.  Conjugation by a
     generator t preserves the relation, so it maps the list of u to that of
     u^t.  The other members come in the order the class was walked in
     ``groups._classes``, so each member v is u^t for some generator t and
@@ -347,7 +325,7 @@ def _engel_rows(G: Group, vertices: Sequence[int]) -> Iterator[tuple[int, tuple[
     for i, y in enumerate(vertices):
         at[y] = i
     where = [(leader[y], via[y]) for y in vertices]  # (s, h) with s^h = y
-    depth_of = {s: engel_depths(G, s) for s in dict.fromkeys(s for s, _ in where)}
+    depth_of = {s: _walk(G, s, range(G.order)) for s in dict.fromkeys(s for s, _ in where)}
     steps: list[tuple[int, list[int]]] | None = None  # built when a second row is asked for
     for r, depth_r in depth_of.items():
         nonadjacent = [depth_r[y] >= 0 or depth_of[s][table[table[h][r]][inv[h]]] >= 0
@@ -369,20 +347,20 @@ def _engel_rows(G: Group, vertices: Sequence[int]) -> Iterator[tuple[int, tuple[
 
 def is_engel_set(G: Group, members: Iterable[int]) -> bool:
     """True iff every ordered pair (x, y) of members has [x,_k y] = 1 for
-    some k."""
+    some k.  Raises InvalidParameter for a member outside 0..order-1."""
     ms = sorted(set(members))
-    return all(engel_depths(G, y)[x] >= 0 for x in ms for y in ms)
+    _check_element(G, *ms)
+    return all(min(map(_walk(G, y, ms).__getitem__, ms)) >= 0 for y in ms)
 
 
 def is_randomly_engel_set(G: Group, members: Iterable[int]) -> bool:
     """True iff every pair {x, y} of members vanishes in at least one
-    orientation: [x,_k y] = 1 or [y,_k x] = 1 for some k."""
+    orientation: [x,_k y] = 1 or [y,_k x] = 1 for some k.  Raises
+    InvalidParameter for a member outside 0..order-1."""
     ms = sorted(set(members))
-    for i, x in enumerate(ms):
-        for y in ms[i:]:
-            if engel_depths(G, y)[x] < 0 and engel_depths(G, x)[y] < 0:
-                return False
-    return True
+    _check_element(G, *ms)
+    depth = {y: _walk(G, y, ms) for y in ms}
+    return all(depth[y][x] >= 0 or depth[x][y] >= 0 for x, y in combinations(ms, 2))
 
 
 def engel_adjacent(G: Group, x: int, y: int) -> bool:
@@ -391,7 +369,7 @@ def engel_adjacent(G: Group, x: int, y: int) -> bool:
     _check_element(G, x, y)
     if x == y:
         raise SameVertex(f"adjacency needs two distinct elements, got index {x} twice")
-    return engel_depths(G, y)[x] < 0 and engel_depths(G, x)[y] < 0
+    return _walk(G, y, (x,))[x] < 0 and _walk(G, x, (y,))[y] < 0
 
 
 def lcm_power_engel_check(G: Group, a: int, g: int, ts: Sequence[int]) -> bool:

@@ -203,8 +203,8 @@ class Group:
         # Empty until queried: the conjugacy classes with their leader and
         # via lists and their walk, under "classes", written by the first
         # class query; the lower central series of subgroups, under
-        # "series"; the Engel core, Engel depth maps, L(G) and the
-        # randomly-Engel answers, written by engel.py
+        # "series"; the Engel core, L(G) and the randomly-Engel answers,
+        # written by engel.py, which keeps no Engel depth map
         self._memo: dict = {}
 
     @classmethod

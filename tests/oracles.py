@@ -3,18 +3,20 @@
 These deliberately avoid the library's algorithms: closure by repeated set
 products instead of BFS, clique number by subset enumeration, distances by
 Floyd-Warshall or, on larger graphs, by a queue-based search over plain
-edge lists instead of the library's search over bit rows, L(G) and the
-Engel graph from G's own class representatives' depth maps instead of the
-library's reading of the Engel core G/Z*(G), the upper central series by
+edge lists instead of the library's search over bit rows, Engel depth maps
+by a reverse breadth-first search from the identity over preimage lists
+instead of the library's forward walks, L(G) and the Engel graph from
+those maps of G's own class representatives instead of the library's
+reading of the Engel core G/Z*(G), the upper central series by
 commutators with every element instead of the library's filter over
 generators, planarity by
 exhaustive search for K5/K_{3,3} subdivisions (feasible up to ~12
 vertices), Engel reachability and depths by direct iteration of the
-commutator map, the left Engel and left k-Engel verdicts from depth maps
-and from [a,_k x] for every a instead of the library's shrinking
-commutator images, the randomly-Engel predicate element by element
-from depth maps instead of class by class from walks of the Engel
-sequences, and subgroup queries by all-pairs loops over the members
+commutator map, the left Engel and left k-Engel verdicts from those
+depth maps and from [a,_k x] for every a instead of the library's walks
+from the commutator images, the randomly-Engel predicate element by
+element from those depth maps instead of class by class from walks of the
+Engel sequences, and subgroup queries by all-pairs loops over the members
 (generation by a BFS that multiplies by every member) instead of work on
 greedy generators, the greedy generators themselves, and the members and
 lower central series of larger spans, by a breadth-first search over
@@ -51,7 +53,6 @@ from engelgraph import (
     conjugacy_class,
     conjugacy_classes,
     derived_subgroup,
-    engel_depths,
     is_abelian,
     is_left_engel,
     is_left_k_engel,
@@ -60,6 +61,7 @@ from engelgraph import (
     render_group_spec,
     subgroup_generated,
 )
+from engelgraph.engel import _walk
 from engelgraph.graphs import _row
 from engelgraph.groups import MAX_ORDER, _classes
 
@@ -365,6 +367,30 @@ def engel_reaches_by_iteration(G, a, x):
     return False
 
 
+def depth_map_by_preimages(G, x):
+    """For every a, the least k with [a,_k x] = 1, or -1: one reverse
+    breadth-first search from the identity over the preimage lists of
+    y -> [y, x], with no forward walk."""
+    n, table, inv = G.order, G._table, G._inv
+    # [y, x] = y^-1 * y^x, with y^x = (x^-1 y) x read from the row of x^-1
+    step = [table[iy][table[u][x]] for iy, u in zip(inv, table[inv[x]])]
+    preimages = [[] for _ in range(n)]
+    for y, v in enumerate(step):
+        preimages[v].append(y)
+    depth = [-1] * n
+    depth[G.identity] = 0
+    queue = [G.identity]
+    while queue:
+        nxt = []
+        for v in queue:
+            for y in preimages[v]:
+                if depth[y] < 0:
+                    depth[y] = depth[v] + 1
+                    nxt.append(y)
+        queue = nxt
+    return tuple(depth)
+
+
 def engel_depths_by_iteration(G, x):
     """For every a, the least k <= |G| with [a,_k x] = 1, or -1: each
     sequence iterated with ``G.commutator``, no depth maps and no
@@ -392,12 +418,13 @@ def bounded_left_engel_set(G):
 
 def left_engel_mismatches(G, xs):
     """The (x, k) at which ``is_left_k_engel(G, x, k)`` disagrees with x's
-    depth map or with [a,_k x] for every a, and the (x, None) at which
-    ``is_left_engel(G, x)`` disagrees with the depth map.  Each k runs from
-    1 to one past the largest depth, or to 3 when x is not left Engel."""
+    depth map by preimages or with [a,_k x] for every a, and the (x, None)
+    at which ``is_left_engel(G, x)`` disagrees with that map.  Each k runs
+    from 1 to one past the largest depth, or to 3 when x is not left
+    Engel."""
     e, mismatches = G.identity, []
     for x in xs:
-        depths = engel_depths(G, x)
+        depths = depth_map_by_preimages(G, x)
         engel = min(depths) >= 0
         if is_left_engel(G, x) != engel:
             mismatches.append((x, None))
@@ -416,35 +443,50 @@ def engel_degree_from_first_images(G, x):
     return 1 if all(G.commutator(a, x) == G.identity for a in range(G.order)) else None
 
 
-def reaching_through_cycles(G, r, starts):
-    """A mutant of ``engel._reaching`` that marks a walk meeting itself as
-    reaching the identity, as if a cycle of z -> [z, r] held 1."""
+def engel_degree_one_short(G, x):
+    """A mutant of ``engel._engel_degree`` that returns the largest depth
+    over S_1 = {[a, x]} instead of one more than it, so every x that is not
+    central comes out one degree short."""
+    images = {G.commutator(a, x) for a in range(G.order)}
+    depth = _walk(G, x, images)
+    depths = [depth[y] for y in images]
+    return None if min(depths) < 0 else max(depths)
+
+
+def walk_through_cycles(G, r, starts):
+    """A mutant of ``engel._walk`` that gives a walk meeting itself the
+    depths of one that met the identity there, as if a cycle of
+    z -> [z, r] held 1."""
     table, inv = G._table, G._inv
     row = table[inv[r]]
-    marks = {G.identity: True}
+    depth = [None] * G.order
+    depth[G.identity] = 0
     for z in starts:
         path = []
-        while z not in marks:
-            marks[z] = None
+        while depth[z] is None:
+            depth[z] = -2  # on the walk in progress
             path.append(z)
             z = table[inv[z]][table[row[z]][r]]
-        reached = marks[z] is not False
-        for y in path:
-            marks[y] = reached
-    return marks
+        d = 0 if depth[z] == -2 else depth[z]
+        for y in reversed(path):
+            if d >= 0:
+                d += 1
+            depth[y] = d
+    return depth
 
 
 def direct_left_engel_set(G):
-    """L(G) from G's own depth maps, one per class representative, with no
-    Engel core: the union of the classes whose least member's map
-    reaches the identity from every element."""
+    """L(G) from G's own depth maps by preimages, one per class
+    representative, with no Engel core: the union of the classes whose
+    least member's map reaches the identity from every element."""
     return tuple(sorted(
-        x for cls in conjugacy_classes(G) if min(engel_depths(G, cls[0])) >= 0 for x in cls
+        x for cls in conjugacy_classes(G)
+        if min(depth_map_by_preimages(G, cls[0])) >= 0 for x in cls
     ))
 
 
 def direct_engel_graph(G):
-    """E_G from G's own depth maps, with no Engel core: the
+    """E_G from G's own depth maps by preimages, with no Engel core: the
     neighbourhood of each class's least member r, read from the class
     representatives' maps, carried to every x = r^g as N(r)^g."""
     L = set(direct_left_engel_set(G))
@@ -454,7 +496,7 @@ def direct_engel_graph(G):
     memo = _classes(G)
     where = [(memo.leader[y], memo.via[y]) for y in verts]  # (s, h) with s^h = y
     reps = [cls for cls in conjugacy_classes(G) if cls[0] not in L]
-    depth_of = {cls[0]: engel_depths(G, cls[0]) for cls in reps}
+    depth_of = {cls[0]: depth_map_by_preimages(G, cls[0]) for cls in reps}
     rows = [0] * len(verts)
     for cls in reps:
         r = cls[0]
@@ -470,11 +512,18 @@ def direct_engel_graph(G):
 
 def randomly_engel_conjugates_by_elements(G, x):
     """``is_randomly_engel_conjugates`` element by element: every conjugate
-    x^g of x, over all g, against the depth maps of x and of x^g."""
-    depths_x = engel_depths(G, x)
+    x^g of x, over all g, against the depth maps by preimages of x and of
+    x^g, each built once per call."""
+    maps = {}
+
+    def depths(y):
+        if y not in maps:
+            maps[y] = depth_map_by_preimages(G, y)
+        return maps[y]
+
     for g in range(G.order):
         xg = G.conjugate(x, g)
-        if depths_x[xg] < 0 and engel_depths(G, xg)[x] < 0:
+        if depths(x)[xg] < 0 and depths(xg)[x] < 0:
             return False
     return True
 

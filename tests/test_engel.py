@@ -38,17 +38,19 @@ from engelgraph.survey import catalog_plans, evaluate_group, survey
 from conftest import elem
 from oracles import (
     bounded_left_engel_set,
+    depth_map_by_preimages,
     direct_engel_graph,
     direct_left_engel_set,
     engel_core_mismatches,
     engel_degree_from_first_images,
+    engel_degree_one_short,
     engel_reaches_by_iteration,
     left_engel_mismatches,
     naive_is_abelian,
     naive_subgroup_generated,
     naive_upper_central_series,
     randomly_engel_conjugates_by_elements,
-    reaching_through_cycles,
+    walk_through_cycles,
 )
 
 # the package's ``survey`` function shadows the module of that name
@@ -129,6 +131,14 @@ def test_a_verdict_from_the_first_images_alone_is_caught(monkeypatch, s3):
     monkeypatch.setattr(engel_module, "_engel_degree", engel_degree_from_first_images)
     rotations = {elem(s3, (1, 2, 3)), elem(s3, (1, 3, 2))}
     assert {x for x, _ in left_engel_mismatches(s3, range(6))} == rotations
+
+
+def test_a_degree_one_short_is_caught(monkeypatch, s3):
+    # the rotations of S3 are left 2-Engel, and the largest depth over
+    # S_1 is 1, so the mutant calls them left 1-Engel
+    monkeypatch.setattr(engel_module, "_engel_degree", engel_degree_one_short)
+    rotations = [elem(s3, (1, 2, 3)), elem(s3, (1, 3, 2))]
+    assert left_engel_mismatches(s3, range(6)) == sorted((x, 1) for x in rotations)
 
 
 def test_left_engel_sets(s3, a4, d12, c6):
@@ -231,12 +241,13 @@ def test_normal_randomly_engel_sets_sit_inside_fitting():
         classes = conjugacy_classes(G)
         fitting = set(left_engel_set(G))
         # pairwise compatibility of classes, then unions are cheap to judge
+        depth = [depth_map_by_preimages(G, y) for y in range(G.order)]
         ok = {}
         for i, ci in enumerate(classes):
             for j in range(i, len(classes)):
                 cj = classes[j]
                 ok[(i, j)] = all(
-                    engel_depths(G, y)[x] >= 0 or engel_depths(G, x)[y] >= 0
+                    depth[y][x] >= 0 or depth[x][y] >= 0
                     for x in ci
                     for y in cj
                 )
@@ -350,16 +361,19 @@ def test_caches_do_not_leak_between_groups():
     assert one is not two
 
 
-def _count_depth_maps(monkeypatch):
-    built = []
-    depth_map = engel_module._depth_map
+def _count_full_walks(monkeypatch):
+    """The (G, r) of each ``_walk`` asked to start from every element of G,
+    as ``range(G.order)``: a depth map."""
+    full = []
+    walk = engel_module._walk
 
-    def counting(G, x):
-        built.append((G, x))
-        return depth_map(G, x)
+    def counting(G, r, starts):
+        if starts == range(G.order):
+            full.append((G, r))
+        return walk(G, r, starts)
 
-    monkeypatch.setattr(engel_module, "_depth_map", counting)
-    return built
+    monkeypatch.setattr(engel_module, "_walk", counting)
+    return full
 
 
 @pytest.mark.parametrize("x", [-1, 6])
@@ -368,7 +382,18 @@ def test_engel_depths_refuses_an_index_outside_the_group(x):
     G = build_group("S3")
     with pytest.raises(InvalidParameter, match=rf"index {x} .*'S3'"):
         engel_depths(G, x)
-    assert ("engel_depths", x) not in G._memo
+    assert G._memo == {}
+
+
+@pytest.mark.parametrize("predicate", [is_engel_set, is_randomly_engel_set])
+@pytest.mark.parametrize("x", [-1, 6])
+def test_set_predicates_refuse_an_index_outside_the_group(predicate, x):
+    # a negative index would otherwise answer for element 5, and 6 raise a
+    # bare IndexError; the check comes before any walk or memo
+    G = build_group("S3")
+    with pytest.raises(InvalidParameter, match=rf"index {x} .*'S3'"):
+        predicate(G, [1, x])
+    assert G._memo == {}
 
 
 _ELEMENT_QUERIES = {
@@ -396,10 +421,10 @@ def test_element_queries_refuse_an_index_outside_the_group(query, x):
 
 
 def test_each_engel_depth_map_is_built_once(monkeypatch, repo_root):
-    # L(G), the graph and the randomly-Engel check read only the maps of
-    # class representatives, so a full evaluation builds at most one map
+    # only the graph walks from every element, and only from class
+    # representatives, so a full evaluation makes at most one full walk
     # per conjugacy class, never one per element
-    built = _count_depth_maps(monkeypatch)
+    built = _count_full_walks(monkeypatch)
     for spec in ("S4", "@fixtures/c7_c3.gens"):
         built.clear()
         G = evaluate_group(spec, base_dir=repo_root).group
@@ -410,18 +435,19 @@ def test_each_engel_depth_map_is_built_once(monkeypatch, repo_root):
 
 def test_left_engel_set_of_a5xa5_builds_no_depth_map(monkeypatch):
     # 3,600 elements in 25 classes: L(A5xA5) is trivial, and each class is
-    # decided from its commutator images, which never read a depth map
-    built = _count_depth_maps(monkeypatch)
+    # decided by walks from its commutator images, never from every element
+    built = _count_full_walks(monkeypatch)
     G = build_group("A5xA5")
     assert left_engel_set(G) == (G.identity,)
     assert built == [] and len(conjugacy_classes(G)) == 25
 
 
-def test_evaluation_keeps_at_most_one_depth_map_per_class():
-    # A5xC6 has 360 elements in 30 classes and hypercentre C6, so its maps
-    # sit on the core A5, with 60 elements in 5 classes and a trivial
-    # centre: at most 5 maps of 60 entries, where one map for every element
-    # of A5xC6 would keep about 1 MiB allocated in engel.py
+def test_evaluation_keeps_no_depth_map():
+    # A5xC6 has 360 elements in 30 classes and hypercentre C6, so its graph
+    # is read from the core A5, with 60 elements in 5 classes and a trivial
+    # centre.  Each walk's map is dropped when its reader is done, so
+    # engel.py keeps no map on G or on C: only the core's table and
+    # projection, and 16 KiB for the memos' keys and L(G)
     tracemalloc.start()
     try:
         G = evaluate_group("A5xC6").group
@@ -432,14 +458,9 @@ def test_evaluation_keeps_at_most_one_depth_map_per_class():
     held = sum(stat.size for stat in ours.statistics("filename"))
     C, proj = engel_module._engel_core(G)
     assert (G.order, C.order) == (360, 60)
-    maps = [value for H in (G, C) for key, value in H._memo.items() if isinstance(key, tuple)]
-    classes = len(conjugacy_classes(C))
-    assert 0 < len(maps) <= classes == 5
-    assert all(len(m) == 60 for m in maps)
-    # the maps, the core's table and projection, and 16 KiB for the memos'
-    # keys and L(G)
+    assert not any(isinstance(key, tuple) for H in (G, C) for key in H._memo)
     table = sys.getsizeof(C._table) + sum(map(sys.getsizeof, C._table))
-    assert held <= classes * sys.getsizeof(maps[0]) + table + sys.getsizeof(proj) + 16 * 1024
+    assert held <= table + sys.getsizeof(proj) + 16 * 1024
 
 
 def test_engel_core_is_g_mod_its_hypercentre():
@@ -455,7 +476,8 @@ def test_engel_core_is_g_mod_its_hypercentre():
 
 def test_quotient_path_matches_the_direct_path():
     # L(G) and every bit row of E_G read from the Engel core G/Z*(G) are
-    # those read from G's own class representatives' depth maps
+    # those read from the depth maps by preimages of G's own class
+    # representatives
     centred = 0
     for plan in catalog_plans(120):
         G = build_group(plan)
@@ -526,9 +548,10 @@ def test_randomly_engel_by_class_matches_element_oracle():
 
 def test_a_cycle_taken_as_reaching_the_identity_is_caught(monkeypatch, s3):
     # [t', t] of two transpositions of S3 is a 3-cycle c, and [c, t] = c,
-    # so the walk from t' under t stays on c; the mutant lets every
-    # transposition pass, and S3, the first catalog plan, refuses it there
-    monkeypatch.setattr(engel_module, "_reaching", reaching_through_cycles)
+    # so the walk from t' under t meets itself at c; the mutant gives it a
+    # depth and lets every transposition pass, and S3, the first catalog
+    # plan, refuses it there
+    monkeypatch.setattr(engel_module, "_walk", walk_through_cycles)
     groups = map(build_group, catalog_plans(60))
     G = next(G for G in groups if _randomly_engel_mismatches(G))
     assert G.name == "S3"
@@ -542,38 +565,37 @@ def test_a_cycle_taken_as_reaching_the_identity_is_caught(monkeypatch, s3):
 def test_randomly_engel_reads_each_class_of_the_core_once(monkeypatch, spec, asked):
     # the first question answers every element of G from one walk per class
     # of the core C = G/Z*(G), whether one element is asked or all; it
-    # builds no depth map, reads no Engel row, and keeps nothing on C but
-    # C's class pass
-    built = _count_depth_maps(monkeypatch)
+    # walks from the members of that class only, reads no Engel row, and
+    # keeps nothing on C but C's class pass
     rows = []
     monkeypatch.setattr(engel_module, "_engel_rows", lambda *args: rows.append(args))
     walks = []
-    reaching = engel_module._reaching
+    walk = engel_module._walk
 
     def counting(H, r, starts):
-        walks.append((H, r))
-        return reaching(H, r, starts)
+        walks.append((H, r, tuple(starts)))
+        return walk(H, r, starts)
 
-    monkeypatch.setattr(engel_module, "_reaching", counting)
+    monkeypatch.setattr(engel_module, "_walk", counting)
     G = build_group(spec)
     C, _ = engel_module._engel_core(G)
     first, *rest = [G.order - 1] if asked == "one" else [*range(G.order), *range(G.order)]
     is_randomly_engel_conjugates(G, first)
     assert len(G._memo["randomly_engel"]) == G.order
-    assert [r for _, r in walks] == [cls[0] for cls in conjugacy_classes(C)]
-    assert {H for H, _ in walks} == {C}
+    assert [(r, starts) for _, r, starts in walks] == [(cls[0], cls) for cls in conjugacy_classes(C)]
+    assert {H for H, _, _ in walks} == {C}
     for x in rest:
         is_randomly_engel_conjugates(G, x)
     assert len(walks) == len(conjugacy_classes(C))
-    assert built == [] and rows == []
+    assert rows == []
     assert C is G or set(C._memo) == {"classes"}
 
 
 def test_survey_builds_depth_maps_for_the_graphs_only(monkeypatch):
-    # survey(120) builds one depth map per class outside L of each Engel
-    # core it builds a graph of; the randomly-Engel check walks sequences
-    # and builds none
-    built = _count_depth_maps(monkeypatch)
+    # survey(120) walks from every element once per class outside L of
+    # each Engel core it builds a graph of; L(G) and the randomly-Engel
+    # check walk from a few elements only
+    built = _count_full_walks(monkeypatch)
     survey_module._catalog_pass.cache_clear()
     survey(120)
     assert len(built) == 94

@@ -10,7 +10,8 @@ Two facts about the Engel graph E_G hold in every group:
 The library reads Engel rows at class representatives only and carries
 them to the other members by conjugation, so the equivariance check alone
 would compare the code with itself; on randomly generated groups the depth
-maps are also compared with direct iteration of the commutator map, and
+maps are also compared with a reverse breadth-first search over preimage
+lists and with direct iteration of the commutator map, and
 checked to satisfy depth_{r^g}[a^g] = depth_r[a] along the transversal.
 The left Engel and left k-Engel verdicts, read from shrinking commutator
 images, are compared there with the depth maps and with [a,_k x].
@@ -89,6 +90,7 @@ from engelgraph.groups import _classes  # noqa: E402
 from oracles import (  # noqa: E402
     brute_clique_number,
     class_mismatches,
+    depth_map_by_preimages,
     direct_engel_graph,
     direct_left_engel_set,
     engel_core_mismatches,
@@ -150,15 +152,15 @@ def generated_groups(draw):
 def test_depth_maps_match_direct_iteration_and_conjugation(G, data):
     xs = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3), label="xs")
     for x in xs:
-        assert engel_depths(G, x) == engel_depths_by_iteration(G, x), x
+        assert engel_depths(G, x) == depth_map_by_preimages(G, x) == engel_depths_by_iteration(G, x), x
     least = {y: cls[0] for cls in conjugacy_classes(G) for y in cls}
     memo = _classes(G)
+    depths = [engel_depths(G, x) for x in range(G.order)]
     for x in range(G.order):
         r, g = memo.leader[x], memo.via[x]
         assert G.conjugate(r, g) == x and r == least[x]
         # _engel_rows reads depth_y[r] for y = s^h as depth_s[r^(h^-1)] on this identity
-        depth_r, depth_x = engel_depths(G, r), engel_depths(G, x)
-        assert all(depth_x[G.conjugate(a, g)] == d for a, d in enumerate(depth_r)), (r, g)
+        assert all(depths[x][G.conjugate(a, g)] == d for a, d in enumerate(depths[r])), (r, g)
 
 
 @st.composite
