@@ -64,7 +64,7 @@ from .groups import (
     _getter,
     _normal_span,
     _series,
-    _subgroup_span,
+    _subgroup_gens,
     conjugacy_class,
     conjugacy_classes,
     is_abelian,
@@ -120,13 +120,17 @@ def engel_depths(G: Group, x: int) -> tuple[int, ...]:
     return tuple(_walk(G, x, range(G.order)))
 
 
-def _walk(G: Group, r: int, starts: Iterable[int]) -> list[int | None]:
+def _walk(
+    G: Group, r: int, starts: Iterable[int], depth: dict[int, int | None] | None = None
+) -> list[int | None] | dict[int, int | None]:
     """For each z of ``starts`` and each element met on the way, the least
     k with [z,_k r] = 1, or -1 when the Engel sequence z, [z, r],
     [z,_2 r], ... never reaches the identity; None for the elements not met.
 
-    Each sequence is followed until it meets an element already mapped:
-    the identity at depth 0, or an element met before.  Its elements are
+    The depths go into ``depth`` when given, a dict whose keys, each at
+    None, hold every element the walks can meet; otherwise into a new list
+    of |G| entries.  Each sequence is followed until it meets an element
+    already mapped: the identity at depth 0, or an element met before.  Its elements are
     mapped to -1 as they are met, so an element of the same walk, which
     closes a cycle without the identity, leaves them all at -1, as one
     mapped to -1 by an earlier walk does; one at depth d gives them the
@@ -134,7 +138,8 @@ def _walk(G: Group, r: int, starts: Iterable[int]) -> list[int | None]:
     is read from the row of r^-1."""
     table, inv = G._table, G._inv
     row = table[inv[r]]
-    depth: list[int | None] = [None] * G.order
+    if depth is None:
+        depth = [None] * G.order
     depth[G.identity] = 0
     for z in starts:
         path = []
@@ -155,13 +160,14 @@ def _engel_degree(G: Group, x: int) -> int | None:
     no S_k is.
 
     [a, x] = (x^a)^-1 x, so S_1 is read from the class of x.  S_1 holds the
-    identity, [1, x], and the walks from S_1 stay in S_1, so k is one more
-    than the largest depth over S_1, and there is none when a member of S_1
+    identity, [1, x], and the walks from S_1 stay in S_1, so they keep
+    their depths in a dict over S_1, not a list over G; k is one more than
+    the largest depth over S_1, and there is none when a member of S_1
     never reaches 1.  Raises InvalidParameter for an x outside 0..order-1."""
     _check_element(G, x)
     table, inv = G._table, G._inv
     images = {table[inv[c]][x] for c in conjugacy_class(G, x)}
-    depths = list(map(_walk(G, x, images).__getitem__, images))
+    depths = _walk(G, x, images, dict.fromkeys(images)).values()
     return None if min(depths) < 0 else 1 + max(depths)
 
 
@@ -247,19 +253,19 @@ def fitting_subgroup(G: Group) -> tuple[int, ...]:
     closure of L, spanned from greedy generators of L whose conjugates by
     ``G.generators`` are adjoined when they fall outside, contains L, so L
     is a normal subgroup exactly when that span has |L| elements.  The
-    lower central series of L is then formed from the same span, so L is
-    spanned once per call, and G remembers the series, so a later call
-    reads it with no further span.  Only when the span is larger is L
-    spanned again, to tell a set that is not a subgroup from a subgroup
-    that is not normal.
+    lower central series of L is then formed from the generators of the
+    same span, so L is spanned once per call, and G remembers the series,
+    so a later call reads it with no further span.  Only when the span is
+    larger is L spanned again, to tell a set that is not a subgroup from a
+    subgroup that is not normal.
     """
     L = left_engel_set(G)
     span = _normal_span(G, L, G.generators)
     if len(span.elements) != len(L):
-        if _subgroup_span(G, L) is None:
+        if _subgroup_gens(G, L) is None:
             raise BaerViolation(f"left Engel set of {G.name!r} is not a subgroup")
         raise BaerViolation(f"left Engel set of {G.name!r} is not normal")
-    if _series(G, L, span)[-1] != (G.identity,):
+    if _series(G, L, span.gens)[-1] != (G.identity,):
         raise BaerViolation(f"left Engel set of {G.name!r} is not nilpotent")
     return L
 

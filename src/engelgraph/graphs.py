@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -364,13 +365,13 @@ def isolated_vertices(g: SimpleGraph) -> tuple[int, ...]:
 def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
     """Subgraph on the given vertices (labels carried over), with every edge
     of g joining two of them."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.vertex_count:
-            raise UnknownVertex(f"vertex {v} is not in the graph")
-    select, adjacency = _selector(vs, g.vertex_count), g.adjacency
-    rows = [select(adjacency[u]) for u in vs]
-    return SimpleGraph._from_rows(rows, tuple(g.labels[v] for v in vs))
+    vs, n = sorted(set(vertices)), g.vertex_count
+    if vs and (vs[0] < 0 or vs[-1] >= n):  # the least vertex outside 0..n-1
+        v = vs[0] if vs[0] < 0 else vs[bisect_left(vs, n)]
+        raise UnknownVertex(f"vertex {v} is not in the graph")
+    at_vs = _getter(vs)
+    rows = list(map(_selector(vs, n), at_vs(g.adjacency)))
+    return SimpleGraph._from_rows(rows, at_vs(g.labels))
 
 
 def clique_number(g: SimpleGraph) -> int:

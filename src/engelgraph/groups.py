@@ -43,12 +43,20 @@ A group remembers, in ``G._memo["series"]``, the lower central series of
 each subgroup it has computed one for: the sorted member tuple mapped to
 the tuple of terms.  A later ``lower_central_series`` or ``is_nilpotent``
 on that subgroup reads the terms from there, with no span and no
-Cayley-table read.  An entry is written only once its series has
+Cayley-table read; a tuple of members is looked up as given, and sorted
+only when it is not found.  An entry is written only once its series has
 stabilized, so a set that is not a subgroup is never remembered as one.
-The series is formed from a span of H by ``_series``, which
+The series is formed from generators of H by ``_series``, which
 ``lower_central_series`` and ``engel.fitting_subgroup`` share, so the
-Fitting check forms it from the one span of L(G) it makes anyway.  Every
-other subgroup query spans its subgroup afresh.
+Fitting check forms it from the generators of the one span of L(G) it
+makes anyway.
+
+The whole group needs no span: a sorted, duplicate-free member tuple of
+|G| indices from 0 to |G| - 1 is G, which ``G.generators`` generate, so
+its series starts from them and no member is scanned.  A normal span stops
+adjoining conjugates once it holds all of G, and the key of a span of all
+of G is ``tuple(range(|G|))``, made with no sort.  Any other subgroup is
+spanned afresh by each query whose answer G does not remember.
 """
 
 from __future__ import annotations
@@ -378,8 +386,10 @@ class _Span:
                     queue.append(y)
 
     def key(self) -> tuple[int, ...]:
-        """The members as a sorted tuple."""
-        return tuple(sorted(self.members))
+        """The members as a sorted tuple; ``tuple(range(|G|))``, with no
+        sort, when the span holds every element of G."""
+        n = self.G.order
+        return tuple(range(n)) if len(self.elements) == n else tuple(sorted(self.members))
 
 
 def _check_element(G: Group, *xs: int) -> None:
@@ -391,14 +401,25 @@ def _check_element(G: Group, *xs: int) -> None:
             )
 
 
-def _subgroup_span(G: Group, H: tuple[int, ...]) -> _Span | None:
-    """The span of H, a sorted member tuple, when H is a subgroup of G, or
-    None when it is not one: the span contains H and the identity, so H is
-    a subgroup exactly when its span has ``len(H)`` elements."""
+def _is_whole(G: Group, H: tuple[int, ...]) -> bool:
+    """True iff H, a sorted, duplicate-free member tuple, is all of G: |G|
+    members from 0 to |G| - 1, so every index once."""
+    n = G.order
+    return len(H) == n and H[0] == 0 and H[-1] == n - 1
+
+
+def _subgroup_gens(G: Group, H: tuple[int, ...]) -> Sequence[int] | None:
+    """Generators of H, a sorted member tuple, when H is a subgroup of G, or
+    None when it is not one.  All of G is generated by ``G.generators``, so
+    its members are not scanned.  Any other H is spanned from greedy
+    generators; the span contains H and the identity, so H is a subgroup
+    exactly when its span has ``len(H)`` elements."""
+    if _is_whole(G, H):
+        return G.generators
     if G.identity not in H or H[0] < 0 or H[-1] >= G.order:
         return None
     span = _Span(G, H)
-    return span if len(span.elements) == len(H) else None
+    return span.gens if len(span.elements) == len(H) else None
 
 
 def _normal_span(G: Group, members: Iterable[int], conjugators: Sequence[int]) -> _Span:
@@ -406,10 +427,14 @@ def _normal_span(G: Group, members: Iterable[int], conjugators: Sequence[int]) -
     maps into itself: each generator k of the span, those adjoined on the
     way included, is conjugated by every conjugator, and k^g is adjoined
     when it lies outside.  When the conjugators generate a group H, this is
-    the normal closure in H of the members of H."""
-    table, inv = G._table, G._inv
+    the normal closure in H of the members of H.  The search stops once the
+    span holds all of G, where no conjugate falls outside, so the
+    generators are the same."""
+    table, inv, n = G._table, G._inv, G.order
     span = _Span(G, members)
     for k in span.gens:  # also visits the generators adjoined below
+        if len(span.elements) == n:
+            break
         for g in conjugators:
             c = table[table[inv[g]][k]][g]  # k^g = g^-1 k g
             if c not in span.members:
@@ -454,7 +479,7 @@ def is_subgroup(G: Group, members: Iterable[int]) -> bool:
     the set contains the set and the identity, so the set is a subgroup
     exactly when that span has as many elements.  False for a set with an
     index outside 0..order-1."""
-    return _subgroup_span(G, tuple(sorted(set(members)))) is not None
+    return _subgroup_gens(G, tuple(sorted(set(members)))) is not None
 
 
 def is_abelian(G: Group, members: Iterable[int] | None = None) -> bool:
@@ -480,49 +505,57 @@ def lower_central_series(G: Group, members: Iterable[int]) -> list[tuple[int, ..
     inside G, listed until it stabilizes, as a new list on each call.
 
     Each term is γ_{i+1} = [γ_i, H], the normal closure in H (conjugating by
-    greedy generators of H) of the commutators [x, y] with x over the
-    generators of γ_i and y over those of H.  H is spanned once, to check
-    that it is a subgroup, and the series is formed from that span by
-    ``_series``.  G remembers the series once it has stabilized, so a
-    later call on H reads it with no span.
+    generators of H) of the commutators [x, y] with x over the generators
+    of γ_i and y over those of H.  G remembers the series once it has
+    stabilized, so a later call on H reads it with no span: a tuple of
+    members is looked up as given, since a tuple equal to a remembered
+    sorted member tuple is that tuple, and only on a miss are the members
+    sorted.  All of G takes ``G.generators`` as H's generators and scans no
+    member; any other H is spanned once, to check that it is a subgroup,
+    and its greedy generators are H's.  The series is formed from those
+    generators by ``_series``.
 
     Raises NotASubgroup if the member set is not a subgroup of G.
     """
-    H = tuple(sorted(set(members)))
     memo = G._memo.setdefault("series", {})
+    if isinstance(members, tuple) and members in memo:
+        return list(memo[members])
+    H = tuple(sorted(set(members)))
     if H in memo:
         return list(memo[H])
-    span = _subgroup_span(G, H)
-    if span is None:
+    gens = _subgroup_gens(G, H)
+    if gens is None:
         raise NotASubgroup(f"member set of size {len(H)} is not a subgroup of {G.name!r}")
-    return _series(G, H, span)
+    return _series(G, H, gens)
 
 
-def _series(G: Group, H: tuple[int, ...], span: _Span) -> list[tuple[int, ...]]:
+def _series(G: Group, H: tuple[int, ...], gens: Sequence[int]) -> list[tuple[int, ...]]:
     """The lower central series of the subgroup H, a sorted member tuple,
-    from ``span``, a span whose members are H; read from G's series memo
-    when it holds H, and written there otherwise."""
+    from ``gens``, generators of H; read from G's series memo when it holds
+    H, and written there otherwise."""
     memo = G._memo.setdefault("series", {})
     if H in memo:
         return list(memo[H])
     table, inv = G._table, G._inv
-    hgens = span.gens
-    series = [H]
+    series, term_gens = [H], gens
     while True:
         # [x, y] = x^-1 y^-1 x y
-        comms = {table[table[table[inv[x]][inv[y]]][x]][y] for x in span.gens for y in hgens}
-        span = _normal_span(G, comms, hgens)
+        comms = {table[table[table[inv[x]][inv[y]]][x]][y] for x in term_gens for y in gens}
+        span = _normal_span(G, comms, gens)
         nxt = span.key()
         if nxt == series[-1]:
             break
         series.append(nxt)
+        term_gens = span.gens
     memo[H] = tuple(series)
     return series
 
 
 def is_nilpotent(G: Group, members: Iterable[int]) -> bool:
     """True iff the lower central series of the subgroup reaches {identity}:
-    on a subgroup whose series G remembers, one memo read and no span."""
+    on a subgroup whose series G remembers, one memo read and no span; on
+    all of G, a series formed from ``G.generators`` with no member
+    scanned."""
     series = lower_central_series(G, members)
     return series[-1] == (G.identity,)
 

@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import or_
+from operator import itemgetter, or_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -193,7 +193,9 @@ def report(spec: GroupSpec | str, *, base_dir: str = ".") -> GroupReport:
 
 
 def catalog_plans(max_order: int) -> list[GroupSpec]:
-    """Candidate plans of order <= max_order, sorted by (order, name).
+    """Candidate plans of order <= max_order, sorted by (order, name), each
+    plan's key made with the plan: a product's order is its base's times k,
+    and its name its base's with "xC<k>" appended.
 
     The bases walk each row of ``families.FAMILIES`` from its
     ``catalog_least`` (S_n from 3, A_n from 4, D from order 12, Dic from
@@ -201,21 +203,22 @@ def catalog_plans(max_order: int) -> list[GroupSpec]:
     k >= 2, is a plan too.  Nilpotent members are weeded out at evaluation
     time, matching a survey over non-nilpotent groups only.
     """
-    bases: list[FamilySpec] = []
+    cyclic = FAMILIES["cyclic"].code
+    keyed: list[tuple[tuple[int, str], GroupSpec]] = []  # ((order, name), plan)
     for kind, family in FAMILIES.items():
         if family.catalog_least is None:  # a product factor only
             continue
         n = family.catalog_least
-        while family.order(n) <= max_order:
-            bases.append(FamilySpec(kind, n))
+        while (order := family.order(n)) <= max_order:
+            base, name = FamilySpec(kind, n), f"{family.code}{n}"
+            keyed.append(((order, name), base))
+            keyed += (
+                ((order * k, f"{name}x{cyclic}{k}"), ProductSpec((base, FamilySpec("cyclic", k))))
+                for k in range(2, max_order // order + 1)
+            )
             n += family.step
-    plans: list[GroupSpec] = list(bases)
-    for base in bases:
-        plans += (
-            ProductSpec((base, FamilySpec("cyclic", k)))
-            for k in range(2, max_order // base.order() + 1)
-        )
-    return sorted(plans, key=lambda p: (p.order(), render_group_spec(p)))
+    keyed.sort(key=itemgetter(0))
+    return [plan for _, plan in keyed]
 
 
 def _catalog_record(spec: GroupSpec) -> _Record | None:

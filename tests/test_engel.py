@@ -367,10 +367,10 @@ def _count_full_walks(monkeypatch):
     full = []
     walk = engel_module._walk
 
-    def counting(G, r, starts):
+    def counting(G, r, starts, *store):
         if starts == range(G.order):
             full.append((G, r))
-        return walk(G, r, starts)
+        return walk(G, r, starts, *store)
 
     monkeypatch.setattr(engel_module, "_walk", counting)
     return full
@@ -431,6 +431,29 @@ def test_each_engel_depth_map_is_built_once(monkeypatch, repo_root):
         assert {H for H, _ in built} == {G}, spec
         reps = {cls[0] for cls in conjugacy_classes(G)}
         assert len(set(built)) == len(built) and {x for _, x in built} <= reps, spec
+
+
+@pytest.mark.parametrize("spec", ["S4", "D12xC5", "A5xC6"])
+def test_engel_degrees_keep_depths_over_the_first_images_only(monkeypatch, spec):
+    # the walks from S_1 = {[a, x]} stay in S_1, so the one walk of each
+    # left Engel test keeps a depth for each member of S_1 and no entry
+    # for the rest of G; bytes rows for S4 and D12xC5, tuples for A5xC6
+    walks = []
+    walk = engel_module._walk
+
+    def recording(G, r, starts, *store):
+        depth = walk(G, r, starts, *store)
+        walks.append((G, r, len(depth)))
+        return depth
+
+    monkeypatch.setattr(engel_module, "_walk", recording)
+    G = build_group(spec)
+    for x in range(G.order):
+        walks.clear()
+        engel = is_left_engel(G, x)
+        assert engel == (min(depth_map_by_preimages(G, x)) >= 0), x
+        S1 = {G.commutator(a, x) for a in range(G.order)}
+        assert walks == [(G, x, len(S1))], x
 
 
 def test_left_engel_set_of_a5xa5_builds_no_depth_map(monkeypatch):
@@ -572,9 +595,9 @@ def test_randomly_engel_reads_each_class_of_the_core_once(monkeypatch, spec, ask
     walks = []
     walk = engel_module._walk
 
-    def counting(H, r, starts):
+    def counting(H, r, starts, *store):
         walks.append((H, r, tuple(starts)))
-        return walk(H, r, starts)
+        return walk(H, r, starts, *store)
 
     monkeypatch.setattr(engel_module, "_walk", counting)
     G = build_group(spec)

@@ -430,6 +430,18 @@ def test_isolated_vertices(s3):
     assert isolated_vertices(SimpleGraph(3, [(0, 1)])) == (2,)
 
 
+def test_induced_subgraph_names_the_least_vertex_outside_the_graph(d12):
+    # the bounds are read at the two ends of the sorted vertices: below 0
+    # the least vertex is named, otherwise the least one past the graph
+    g = build_engel_graph(d12)
+    n = g.vertex_count
+    for vertices, named in (
+        ([99], 99), ([0, n + 2, n, 1], n), ([n - 1, -2, -5, n], -5), ([3, -1], -1), ([n], n),
+    ):
+        with pytest.raises(UnknownVertex, match=rf"^vertex {named} is not in the graph$"):
+            induced_subgraph(g, vertices)
+
+
 def test_induced_subgraph(d12):
     g = build_engel_graph(d12)
     full = induced_subgraph(g, range(g.vertex_count))

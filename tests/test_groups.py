@@ -35,6 +35,7 @@ from engelgraph.groups import _Span, _getter, _normal_span
 from conftest import elem
 from oracles import (
     class_mismatches,
+    greedy_lower_central_series,
     greedy_span,
     naive_closure,
     naive_derived_subgroup,
@@ -498,14 +499,40 @@ def test_subgroup_queries_work_on_generators(monkeypatch):
     # an all-pairs loop over a subgroup H reads at least |H|^2 Cayley-table
     # entries; working on generators stays far below.  Each entry is read
     # through its row's __getitem__, which itemgetter also calls on a
-    # tuple subclass; every member but the identity is read at least once
-    # by a query on a cold copy of G, which remembers no series.  Once G
-    # remembers H's lower central series, is_nilpotent reads none
+    # tuple subclass; every member but the identity of an H other than G
+    # is read at least once by a query on a cold copy of G, which
+    # remembers no series.  All of G is generated by G.generators, so no
+    # span scans its members, and at least the members of γ_2 but the
+    # identity are read, since γ_2 is spanned.  Once G remembers H's lower
+    # central series, is_nilpotent reads none
+    scanned = []  # the member count of each span made
+    init = _Span.__init__
+
+    def recorded(self, G, members=()):
+        members = set(members)
+        scanned.append(len(members))
+        init(self, G, members)
+
+    monkeypatch.setattr(_Span, "__init__", recorded)
+
     def work(query, G, *args):
         with monkeypatch.context() as m:
             m.setattr(G, "_table", [CountingRow(row) for row in G._table])
             CountingRow.reads = 0
+            scanned.clear()
             return query(G, *args), CountingRow.reads
+
+    def cold_is_nilpotent(cold, H):
+        G = pickle.loads(cold)
+        answer, n = work(is_nilpotent, G, H)
+        if len(H) < G.order:
+            assert len(H) - 1 <= n <= len(H) ** 2 // 8, (G.name, "is_nilpotent", len(H), n)
+        else:
+            series = lower_central_series(G, H)
+            gamma2 = series[min(1, len(series) - 1)]
+            assert max(scanned) < G.order, (G.name, "is_nilpotent scanned G", scanned)
+            assert len(gamma2) - 1 <= n <= G.order ** 2 // 8, (G.name, "is_nilpotent", n)
+        return answer
 
     for spec in ("S5", "D12xC5", "A5xC4"):
         G = build_group(spec)
@@ -514,13 +541,11 @@ def test_subgroup_queries_work_on_generators(monkeypatch):
         reps = [cls[0] for cls in conjugacy_classes(G) if cls[0] not in L]
         D, n = work(derived_subgroup, pickle.loads(cold))
         assert len(D) - 1 <= n <= G.order ** 2 // 8, (spec, "derived_subgroup", n)
-        _, n = work(is_nilpotent, pickle.loads(cold), range(G.order))
-        assert G.order - 1 <= n <= G.order ** 2 // 8, (spec, "is_nilpotent", n)
+        assert not cold_is_nilpotent(cold, range(G.order))
         for rep in reps:
             H, n = work(normal_closure, pickle.loads(cold), L | {rep})
             assert len(H) - 1 <= n <= len(H) ** 2 // 8, (spec, "normal_closure", rep, n)
-            cold_answer, n = work(is_nilpotent, pickle.loads(cold), H)
-            assert len(H) - 1 <= n <= len(H) ** 2 // 8, (spec, "is_nilpotent", rep, n)
+            cold_answer = cold_is_nilpotent(cold, H)
             assert normal_closure(G, L | {rep}) == H
             warm_answer, _ = work(is_nilpotent, G, H)
             assert not cold_answer and warm_answer == cold_answer
@@ -528,6 +553,71 @@ def test_subgroup_queries_work_on_generators(monkeypatch):
             assert again == warm_answer and n == 0, (spec, "is_nilpotent again", rep, n)
             series, n = work(lower_central_series, G, H)
             assert series[0] == H and n == 0, (spec, "lower_central_series again", rep, n)
+
+
+def _whole_group_impostors(G):
+    """The sets of |G| indices other than 0..|G|-1 that a subgroup query on
+    G takes for a subgroup: one without the identity, one below 0 and one
+    past |G| - 1."""
+    n, impostors = G.order, []
+    for members in (range(1, n + 1), range(-1, n - 1), [*range(n - 1), n]):
+        for query in (is_nilpotent, lower_central_series):
+            try:
+                query(G, members)
+                impostors.append((query.__name__, members))
+            except NotASubgroup:
+                pass
+        if is_subgroup(G, members):
+            impostors.append(("is_subgroup", members))
+    return impostors
+
+
+@pytest.mark.parametrize("spec", ["S3", "D12xC5", "A5xC5"])
+def test_sets_of_order_many_indices_other_than_the_group_are_not_subgroups(spec):
+    # all of G is recognised without a span, so these sets, as long as G,
+    # must still be refused; bytes rows for S3 and D12xC5, tuples for A5xC5
+    G = build_group(spec)
+    assert _whole_group_impostors(G) == []
+    assert G._memo["series"] == {}
+
+
+def test_whole_group_check_on_length_alone_is_refused(monkeypatch):
+    monkeypatch.setattr(groups_module, "_is_whole", lambda G, H: len(H) == G.order)
+    assert len(_whole_group_impostors(build_group("S3"))) == 9
+
+
+_NONABELIAN = ("S3", "S4", "Dic3", "D12xC5", "A5xC5")
+
+
+def _whole_group_series_mismatches(specs):
+    """The specs whose group, built afresh, gives a lower central series of
+    all of G that differs from the greedy-generator oracle's, or leaves a
+    remembered series that differs from the all-pairs one."""
+    mismatches = []
+    for spec in specs:
+        G = build_group(spec)
+        whole = range(G.order)
+        if (lower_central_series(G, whole) != greedy_lower_central_series(G, whole)
+                or series_memo_violations(G)):
+            mismatches.append(spec)
+    return mismatches
+
+
+def test_whole_group_series_from_its_generators_match_the_oracles():
+    assert _whole_group_series_mismatches(_NONABELIAN) == []
+
+
+def test_whole_group_series_from_one_generator_is_refused(monkeypatch):
+    # one generator of a non-abelian group generates a proper abelian
+    # subgroup, so the series formed from it stops at 1 after one term
+    gens_of = groups_module._subgroup_gens
+
+    def first_generator_only(G, H):
+        gens = gens_of(G, H)
+        return gens[:1] if groups_module._is_whole(G, H) else gens
+
+    monkeypatch.setattr(groups_module, "_subgroup_gens", first_generator_only)
+    assert _whole_group_series_mismatches(_NONABELIAN) == list(_NONABELIAN)
 
 
 def _remembering_group(spec):
