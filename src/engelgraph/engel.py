@@ -38,8 +38,11 @@ pairs on the large groups), so it is the shorter one.
 
 L(G), the Engel graph and the randomly-Engel check read only whether a
 sequence reaches 1, and that is decided in the Engel core C = G/Z*(G), the
-quotient by the hypercentre (``_engel_core``, built from G's table in one
-step): [Z_i, G] lies in Z_{i-1}, so a sequence reaches 1 in G exactly when
+quotient by the hypercentre (``_engel_core``, built in one step from G's
+generator rows and columns, so above order 256, where G's rows are composed
+on first read, it composes no other row of G; when the centre is trivial C
+is G, whose table is then completed before any walk): [Z_i, G] lies in
+Z_{i-1}, so a sequence reaches 1 in G exactly when
 its image does in C, whose centre is trivial.  L(G) is the preimage of the
 classes of C that pass, E_G is E_C with each vertex replaced by the
 pairwise non-adjacent members of its coset, and the randomly-Engel check
@@ -59,12 +62,15 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BaerViolation, PreconditionFailed, SameVertex
 from .groups import (
     Group,
+    _Rows,
     _check_element,
     _classes,
+    _complete_table,
     _getter,
     _normal_span,
     _series,
     _subgroup_gens,
+    _table_from_generator_rows,
     conjugacy_class,
     conjugacy_classes,
     is_abelian,
@@ -192,35 +198,93 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
     Z_{i+1} is the union of the cosets of Z_i whose least member x has xg
     and gx in one coset of Z_i for each g in ``G.generators``, filtered one
     generator at a time, until no new coset passes.  The last cosets, by
-    least member, are C's elements, and C's table is read from G's over
-    those members, so no intermediate quotient is built."""
+    least member, are C's elements, so no intermediate quotient is built,
+    and C's table is composed from C's generator rows, (gZ*)(rZ*) =
+    (g r)Z*, read from G's generator rows at the representatives r.
+
+    When G's rows are composed on first read (above order 256), xg is read
+    from the column of g, and each coset x Z_{i+1} is x's orbit under
+    right products by generators of Z_{i+1} (``_cosets_by_columns``), so
+    no row of G is composed but the identity's and the generators'.  When
+    C is G, G's table is completed here, so that no walk composes a row.
+    A complete table is read as it is: xg from x's row, for the candidates
+    left only, and x Z from x's row at the members of Z, which costs less
+    there than columns and orbits do."""
     if "engel_core" not in G._memo:
         table, n = G._table, G.order
+        lazy = isinstance(table, _Rows)  # then x g is read from g's column
+        cols = {g: table.column(g) for g in G.generators} if lazy else {}
         proj: Sequence[int] = range(n)
         reps: Sequence[int] = proj  # the cosets of Z_0 = 1, by least member
+        span, zcols = {G.identity}, []  # Z_i and the columns of its generators, when lazy
         while True:
             central = reps
             for g in G.generators:
                 row_g = table[g]
-                central = [x for x in central if proj[table[x][g]] == proj[row_g[x]]]
+                if lazy:
+                    col = cols[g]
+                    central = [x for x in central if proj[col[x]] == proj[row_g[x]]]
+                else:
+                    central = [x for x in central if proj[table[x][g]] == proj[row_g[x]]]
             if len(central) == 1:  # only the identity's coset
                 break
+            if lazy:
+                proj, reps = _cosets_by_columns(table, central, span, zcols)
+                continue
             upper = {proj[x] for x in central}
             members = [x for x in range(n) if proj[x] in upper]
             proj, reps = [-1] * n, []
-            for x, row in enumerate(table):
+            for x, row in enumerate(table):  # x Z, read from x's row
                 if proj[x] < 0:
                     for z in members:
                         proj[row[z]] = len(reps)
                     reps.append(x)
         G._memo["engel_core"] = None  # C is G, which G's memo must not hold
         if len(reps) < n:
+            # gZ rZ = (g r)Z: C's generator rows, from G's
             at_reps = _getter(reps)
-            rows = [_getter(at_reps(table[r]))(proj) for r in reps]
-            C = Group._from_table(rows, [proj[g] for g in G.generators], f"{G.name}/Z*")
+            rows = [_getter(at_reps(table[g]))(proj) for g in G.generators]
+            C = Group._from_table(
+                _table_from_generator_rows(rows), [proj[g] for g in G.generators], f"{G.name}/Z*"
+            )
             G._memo["engel_core"] = C, proj
+        else:
+            _complete_table(G)  # every walk reads G's rows
     core = G._memo["engel_core"]
     return (G, range(G.order)) if core is None else core
+
+
+def _cosets_by_columns(
+    table: _Rows, central: list[int], span: set[int], zcols: list[list[int]]
+) -> tuple[list[int], list[int]]:
+    """(proj, reps) for the cosets of Z_{i+1}, the union of the cosets of
+    Z_i whose least members are ``central``, read from columns only, so
+    that no row of G is composed.  ``span`` holds Z_i and ``zcols`` the
+    columns of its generators; both grow to Z_{i+1} in place, which is
+    generated by Z_i and greedy generators from ``central``.  Each coset x
+    Z_{i+1} is x's orbit under right products by those generators, so it is
+    walked from its least member, and is numbered in increasing order of
+    that member."""
+    for z in central:
+        if z not in span:
+            zcols.append(table.column(z))
+            queue = list(span)
+            for y in queue:  # also visits the members appended below
+                for col in zcols:
+                    if col[y] not in span:
+                        span.add(col[y])
+                        queue.append(col[y])
+    proj, reps = [-1] * len(table.parent), []
+    for x in range(len(proj)):
+        if proj[x] < 0:
+            proj[x], orbit = len(reps), [x]
+            for y in orbit:  # also visits the members appended below
+                for col in zcols:
+                    if proj[col[y]] < 0:
+                        proj[col[y]] = proj[x]
+                        orbit.append(col[y])
+            reps.append(x)
+    return proj, reps
 
 
 def left_engel_set(G: Group) -> tuple[int, ...]:

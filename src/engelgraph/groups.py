@@ -3,18 +3,23 @@
 A :class:`Group` is built from generating permutations in one breadth-first
 search over the images of the points they move, as ``bytes`` when fewer
 than 256 points move, which enumerates the elements without multiplying
-any Permutation; the Cayley table is then filled one row per call.  A
-group of order at most 256 has ``bytes`` rows, each one ``bytes.translate``
-of an earlier row; a larger group has tuple rows, each one ``itemgetter``
-call.  Every reader indexes a row, so both read alike.  Elements are
+any Permutation; each Cayley row is then one call on an earlier row.  A
+group of order at most 256 has ``bytes`` rows, each one ``bytes.translate``,
+all composed at construction; a larger group has tuple rows, each one
+``itemgetter`` call, composed when first read (``_Rows``), so a group
+whose questions are answered in a small Engel core composes few of them.
+Every reader indexes a row, so all read alike; a reader that needs every
+row completes the table first (``_complete_table``), and one that needs
+x -> x z reads the column of z (``_column``), which above order 256 walks
+the construction's search tree and composes no row.  Elements are
 indexed in the order of their image tuples, so building the same group
 twice, from any generating set, yields identical indices, reports, and DOT
 output.  Elements are referred to by index everywhere; an "element set" is
 a sorted, duplicate-free tuple of indices, and the elements become
 Permutations only when asked for, from the table.
 
-Multiplication is a lookup in the full Cayley table, so orders are limited
-to ``MAX_ORDER`` (4096); larger groups raise ClosureTooLarge.
+Multiplication is a lookup in the Cayley table, so orders are limited to
+``MAX_ORDER`` (4096); larger groups raise ClosureTooLarge.
 
 Subgroup queries work on generators, never on all pairs of members
 (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 3-4).
@@ -33,7 +38,8 @@ versions are kept as test oracles.
 Conjugacy classes are orbits under conjugation by ``G.generators``
 (Holt, Eick and O'Brien, §4.1), walked over one conjugation map per
 generator, v -> g^-1 v g, each made by one ``itemgetter`` over the row of
-g^-1 read through the column of g.  The first class query of any kind
+g^-1 read through the column of g, so above order 256 the pass composes
+the rows of the generators' inverses only.  The first class query of any kind
 finds every class in one pass that visits the elements in increasing
 order, so every class is walked once, from its least member r.  The pass
 records, for each element x, r and an element g with r^g = x, in two flat
@@ -63,8 +69,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from itertools import filterfalse
-from operator import itemgetter
+from itertools import compress, count, filterfalse
+from operator import eq, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ClosureTooLarge, InvalidParameter, NotASubgroup
@@ -85,6 +91,79 @@ def _getter(keys: Iterable[int]) -> Callable[[Sequence], tuple]:
         return lambda seq: ()
     (key,) = keys
     return lambda seq: (seq[key],)
+
+
+class _Rows(dict):
+    """The Cayley table of a group above order 256, as a dict from index to
+    row: the identity's and the generators' rows are there from the start,
+    and any other row is composed when it is first read, by
+    ``__missing__``, and kept.  A row already there is read in C, as from a
+    list.
+
+    ``steps`` is the construction search's tree, (x, j, u) for x = gens[j]
+    * u in search order, so u comes before x; row x is u's row read through
+    ``gen_rows[j]``, composed along the path from the nearest row already
+    there.  ``column(z)`` walks the tree once, one Python step per element,
+    and reads no row but the generators'."""
+
+    def __init__(self, gen_rows: list[tuple[int, ...]], steps: list[tuple[int, int, int]]):
+        self.gen_rows, self.steps = gen_rows, steps
+        self.parent: list = [None] * (len(steps) + 1)  # x -> its step
+        for step in steps:
+            self.parent[step[0]] = step
+
+    def __missing__(self, x: int) -> tuple[int, ...]:
+        path = []
+        while x not in self:
+            path.append(x)
+            x = self.parent[x][2]
+        row = self[x]
+        for x in reversed(path):
+            row = self[x] = itemgetter(*row)(self.gen_rows[self.parent[x][1]])
+        return row
+
+    def column(self, z: int) -> list[int]:
+        """x -> x z: x = g u has x z = g (u z), read from g's row."""
+        col, rows = [z] * len(self.parent), self.gen_rows
+        for x, j, u in self.steps:
+            col[x] = rows[j][col[u]]
+        return col
+
+
+def _column(G: "Group", z: int) -> list[int]:
+    """The column of z in G's Cayley table, x -> x z: from the construction
+    tree when G's rows are composed on first read, so no row is composed;
+    otherwise one C-level read of every row."""
+    table = G._table
+    if isinstance(table, _Rows):
+        return table.column(z)
+    return list(map(itemgetter(z), table))
+
+
+def _complete_table(G: "Group") -> list:
+    """G's Cayley table as a plain list: a table whose rows are composed on
+    first read is completed once, and replaces it on G."""
+    table = G._table
+    if isinstance(table, _Rows):
+        table = G._table = list(map(table.__getitem__, range(G.order)))
+    return table
+
+
+def _table_from_generator_rows(gen_rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The Cayley table, in tuple rows, of the group on the indices 0..n-1,
+    with the identity at 0, whose generators have the rows ``gen_rows``:
+    one breadth-first search from the identity, in which v = g u, first
+    reached, gets u's row read through g's, as in ``Group.__init__``."""
+    n = len(gen_rows[0])
+    table: list = [tuple(range(n))] + [None] * (n - 1)
+    queue = [0]
+    for u in queue:  # also visits the elements appended below
+        for row in gen_rows:
+            v = row[u]
+            if table[v] is None:
+                table[v] = itemgetter(*table[u])(row)
+                queue.append(v)
+    return table
 
 
 class Group:
@@ -112,13 +191,18 @@ class Group:
     ``g * u`` one ``itemgetter`` call.  Either way no Permutation is
     multiplied.
     Elements are indexed in sorted order, so the identity comes first, at
-    index 0.  Every other row follows by associativity, in search order:
-    an element first reached as ``x = g * u`` has ``x * q = g * (u * q)``,
-    so its row is u's row read through g's, and its inverse is
-    u^-1 * g^-1, one table read.  Up to order 256 a byte holds every
-    index, so rows are ``bytes`` and x's row is one ``bytes.translate`` of
-    u's through g's row, padded once to 256 bytes; above it rows are
-    tuples and x's row is one ``itemgetter`` over u's row applied to g's.
+    index 0.  Every other row follows by associativity: an element first
+    reached as ``x = g * u`` has ``x * q = g * (u * q)``, so its row is
+    u's row read through g's, and its inverse is u^-1 * g^-1, read from
+    the column of g^-1 at u^-1.  Up to order 256 a byte holds every
+    index, so rows are ``bytes``, x's row is one ``bytes.translate`` of
+    u's through g's row, padded once to 256 bytes, and every row is
+    composed here, in search order.  Above it rows are tuples, x's row is
+    one ``itemgetter`` over u's row applied to g's, and the table is a
+    ``_Rows`` that composes each row when it is first read, from the
+    search tree it keeps; the columns of the generators' inverses are
+    read along that tree, so construction composes no row but the
+    identity's and the generators'.
     Only the table, the inverses and the generators, ``_gens``, are kept;
     the elements become Permutations, on their original points, only when
     ``elements``, ``perm`` or ``index`` is first used.  Raises
@@ -145,11 +229,11 @@ class Group:
             products = [itemgetter(*(i - 1 for i in r)) for r in relabelled]
             identity = tuple(range(1, m + 1))
         # Search-order indices: reached[x] is element x, widened, first
-        # reached as gens[j] * reached[u] with (j, u) = parent[x];
+        # reached as gens[j] * reached[u] with j = by[x] and u = up[x];
         # gen_rows[j][u] is the index of gens[j] * reached[u].
         found = {identity: 0}
         reached = [head + identity + pad]
-        parent = [(0, 0)]
+        by, up = [0], [0]
         gen_rows: list[list[int]] = [[] for _ in gens]
         steps = list(enumerate(zip(products, gen_rows)))
         for u, p in enumerate(reached):  # also visits the elements appended below
@@ -163,7 +247,8 @@ class Group:
                         )
                     x = found[v] = len(reached)
                     reached.append(head + v + pad)
-                    parent.append((j, u))
+                    by.append(j)
+                    up.append(u)
                 gen_row.append(x)
 
         self.name = name
@@ -180,33 +265,32 @@ class Group:
         # gens[j] = gens[j] * identity was reached from search index 0
         self.generators: tuple[int, ...] = tuple(rank[row[0]] for row in gen_rows)
 
-        row_type = bytes if n <= 256 else tuple  # a byte holds every index below 256
         in_sorted_order = _getter(ordered)
-        gen_table = [row_type(_getter(in_sorted_order(r))(rank)) for r in gen_rows]
-        if row_type is bytes:
+        # (x, j, u) for x = gens[j] * u, in search order, in sorted indices
+        steps = list(zip(rank, by, map(rank.__getitem__, up)))
+        del by, up, steps[0]  # the identity's
+        if n <= 256:  # a byte holds every index
+            gen_table = [bytes(_getter(in_sorted_order(r))(rank)) for r in gen_rows]
             through = [row + bytes(256 - n) for row in gen_table]  # translate reads 256
-
-            def compose(row_u, j):
-                return row_u.translate(through[j])
+            table = [bytes(range(n))] + [None] * (n - 1)
+            for gi, row in zip(self.generators, gen_table):
+                table[gi] = row
+            for x, j, u in steps:
+                if table[x] is None:
+                    table[x] = table[u].translate(through[j])
         else:
-
-            def compose(row_u, j):
-                return itemgetter(*row_u)(gen_table[j])
-        table = [row_type(range(n))] + [None] * (n - 1)
-        for gi, row in zip(self.generators, gen_table):
-            table[gi] = row
-        for x in range(1, n):
-            if table[rank[x]] is None:
-                j, u = parent[x]
-                table[rank[x]] = compose(table[rank[u]], j)
-        self._table: list[bytes] | list[tuple[int, ...]] = table  # type: ignore[assignment]
+            gen_table = [_getter(in_sorted_order(r))(rank) for r in gen_rows]
+            table = _Rows(gen_table, steps)
+            table[0] = tuple(range(n))
+            for gi, row in zip(self.generators, gen_table):
+                table[gi] = row
+        self._table: list | _Rows = table
         # x = g * u, first reached in search order after u, has the inverse
-        # u^-1 * g^-1: one table read per element, one index(0) per generator
-        gen_inv = [table[g].index(0) for g in self.generators]
+        # u^-1 * g^-1: one read of the column of g^-1 per element
+        inv_cols = [_column(self, row.index(0)) for row in gen_table]
         inv = [0] * n
-        for x in range(1, n):
-            j, u = parent[x]
-            inv[rank[x]] = table[inv[rank[u]]][gen_inv[j]]
+        for x, j, u in steps:
+            inv[x] = inv_cols[j][inv[u]]
         self._inv = tuple(inv)
         # Empty until queried: the conjugacy classes with their leader and
         # via lists and their walk, under "classes", written by the first
@@ -585,22 +669,22 @@ def _classes(G: Group) -> _ClassPass:
     memo = G._memo.get("classes")
     if memo is None:
         table, inv, n = G._table, G._inv, G.order
-        conjugation = [
-            (g, _getter(table[inv[g]])(tuple(map(itemgetter(g), table))))
-            for g in G.generators
-        ]
+        conjugation = []  # per generator g, w -> w g and v -> g^-1 v g
+        for g in G.generators:
+            col = _column(G, g)
+            conjugation.append((col, _getter(table[inv[g]])(col)))
         leader, via, classes, walks = [-1] * n, [G.identity] * n, {}, {}
         for x in range(n):
             if leader[x] >= 0:
                 continue
             leader[x], orbit = x, [x]
             for u in orbit:  # also visits the members appended below
-                row = table[via[u]]
-                for g, conj in conjugation:
+                t = via[u]
+                for col, conj in conjugation:
                     v = conj[u]  # u^g
                     if leader[v] < 0:
                         leader[v] = x
-                        via[v] = row[g]  # x^(t g) = u^g
+                        via[v] = col[t]  # x^(t g) = u^g
                         orbit.append(v)
             classes[x] = tuple(sorted(orbit))
             walks[x] = orbit
@@ -627,5 +711,4 @@ def centralizer(G: Group, x: int) -> tuple[int, ...]:
     Cayley rows of g and of x.  Raises InvalidParameter for an x outside
     0..order-1."""
     _check_element(G, x)
-    row_x = G._table[x]
-    return tuple(g for g, row_g in enumerate(G._table) if row_g[x] == row_x[g])
+    return tuple(compress(count(), map(eq, _column(G, x), G._table[x])))

@@ -246,6 +246,25 @@ def _dot_chunks(g: SimpleGraph, labels: list[str] | tuple[str, ...]) -> Iterator
 _EMPTY_GRAPH = GraphMetrics(0, 0, 0, 0, 0, True, 0)
 
 
+# json.dumps(payload, indent=2) of a report, as one template
+_REPORT = """{{
+  "name": {},
+  "order": {},
+  "isEngel": {},
+  "fittingOrder": {},
+  "vertexCount": {},
+  "edgeCount": {},
+  "componentCount": {},
+  "diameter": {},
+  "cliqueNumber": {},
+  "planar": {},
+  "isolatedCount": {},
+  "checks": {}
+}}
+"""
+_JSON_BOOL = {True: "true", False: "false"}
+
+
 def write_report(report: "GroupReport") -> str:
     """Deterministic JSON for a group report, with this fixed key order:
     name, order, isEngel, fittingOrder, vertexCount, edgeCount,
@@ -253,21 +272,27 @@ def write_report(report: "GroupReport") -> str:
 
     A disconnected diameter serializes as the string "inf" (JSON has no
     infinity literal); an Engel group reports the metrics of the empty
-    graph, zeros and planar (``_EMPTY_GRAPH``).
+    graph, zeros and planar (``_EMPTY_GRAPH``).  The text is that of
+    ``json.dumps`` with ``indent=2`` and a final newline, filled into one
+    template: the name goes through ``json.dumps``, so any name escapes as
+    it would there, and the check names, which are identifiers, are quoted
+    as they are.
     """
     m = report.metrics or _EMPTY_GRAPH
-    payload = {
-        "name": report.name,
-        "order": report.order,
-        "isEngel": report.is_engel,
-        "fittingOrder": report.fitting_order,
-        "vertexCount": m.vertex_count,
-        "edgeCount": m.edge_count,
-        "componentCount": m.component_count,
-        "diameter": "inf" if math.isinf(m.diameter) else int(m.diameter),
-        "cliqueNumber": m.clique_number,
-        "planar": m.planar,
-        "isolatedCount": m.isolated_count,
-        "checks": {name: report.checks[name].passed for name in sorted(report.checks)},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    checks = ",\n".join(
+        f'    "{name}": {_JSON_BOOL[report.checks[name].passed]}' for name in sorted(report.checks)
+    )
+    return _REPORT.format(
+        json.dumps(report.name),
+        report.order,
+        _JSON_BOOL[report.is_engel],
+        report.fitting_order,
+        m.vertex_count,
+        m.edge_count,
+        m.component_count,
+        '"inf"' if math.isinf(m.diameter) else int(m.diameter),
+        m.clique_number,
+        _JSON_BOOL[m.planar],
+        m.isolated_count,
+        "{\n" + checks + "\n  }" if checks else "{}",
+    )

@@ -30,12 +30,17 @@ instead of walking the generators' conjugation maps.  The theorem-fact checks ar
 calls the group's methods once per product, the product invariant
 reads a catalog's reports of G x C_k against those of G, and catalog
 groups' invariants are compared with those of sympy's ``PermutationGroup``.
+Report JSON comes from ``json.dumps`` of a dict instead of the library's
+template.  Cayley rows and inverses come from Permutation products of the sorted
+elements instead of the library's search tree.
 The dihedral and dicyclic generators come from the normal-form
 multiplication of words instead of the library's closed image formulas,
 and cycle notation is read by a character scanner instead of the
 library's token pattern.
 """
 
+import importlib
+import json
 import math
 import pickle
 from collections import deque
@@ -53,17 +58,20 @@ from engelgraph import (
     conjugacy_class,
     conjugacy_classes,
     derived_subgroup,
+    fitting_subgroup,
     is_abelian,
     is_left_engel,
     is_left_k_engel,
     is_nilpotent,
     iterated_commutator,
+    left_engel_set,
     render_group_spec,
     subgroup_generated,
+    write_report,
 )
 from engelgraph.engel import _walk
 from engelgraph.graphs import _row
-from engelgraph.groups import MAX_ORDER, _classes
+from engelgraph.groups import MAX_ORDER, _classes, _column, _complete_table
 
 
 def naive_closure(perms, limit=None):
@@ -76,6 +84,102 @@ def naive_closure(perms, limit=None):
             return elems
         elems |= new
     return None
+
+
+def table_by_products(gens):
+    """The Cayley table and the inverses of the group generated by
+    ``gens``, read from Permutation products of its elements in sorted
+    order, the library's index order: row x holds at q the index of
+    e_x * e_q, with no search, table or column of the library read."""
+    elements = sorted(naive_closure(gens))
+    index = {p: i for i, p in enumerate(elements)}
+    rows = [tuple(index[p * q] for q in elements) for p in elements]
+    return rows, [index[p.inverse()] for p in elements]
+
+
+def lazy_table_mismatches(G, rows, inverses, rng):
+    """Where G, a cold group whose Cayley rows are composed on first read,
+    departs from ``rows`` and ``inverses`` of ``table_by_products``: each
+    generator column read from the construction tree before any row but
+    the generators' is composed; every row, read in an order shuffled by
+    ``rng``; every inverse; and each generator column again, read from the
+    table once it is completed."""
+    out = []
+    want = {g: [row[g] for row in rows] for g in G.generators}
+    out += [("tree column", g) for g in G.generators if _column(G, g) != want[g]]
+    for x in rng.sample(range(G.order), G.order):
+        if tuple(G._table[x]) != rows[x]:
+            out.append(("row", x))
+    out += [("inverse", x) for x in range(G.order) if G._inv[x] != inverses[x]]
+    _complete_table(G)
+    out += [("table column", g) for g in G.generators if _column(G, g) != want[g]]
+    return out
+
+
+def report_json_by_dumps(report):
+    """A group report's JSON from ``json.dumps(payload, indent=2)`` of a
+    dict in the report's key order, with "inf" for an infinite diameter
+    and the empty graph's metrics for an Engel group, instead of the
+    library's template."""
+    m = report.metrics
+    payload = {
+        "name": report.name,
+        "order": report.order,
+        "isEngel": report.is_engel,
+        "fittingOrder": report.fitting_order,
+        "vertexCount": m.vertex_count if m else 0,
+        "edgeCount": m.edge_count if m else 0,
+        "componentCount": m.component_count if m else 0,
+        "diameter": (0 if m is None else "inf" if math.isinf(m.diameter) else int(m.diameter)),
+        "cliqueNumber": m.clique_number if m else 0,
+        "planar": m.planar if m else True,
+        "isolatedCount": m.isolated_count if m else 0,
+        "checks": {name: report.checks[name].passed for name in sorted(report.checks)},
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def lazy_group_mismatches(spec, rng, samples=500):
+    """Where a fresh group built from ``spec``, whose Cayley rows are
+    composed on first read, departs from Permutation products or from a
+    copy whose table was completed before any query: ``samples`` products
+    at pairs drawn by ``rng``, every inverse and every generator column
+    against products of Permutations; then, when those agree, L(G), the
+    Fitting subgroup and the report against the completed copy's."""
+    # the package's ``survey`` is the function, which shadows the module
+    survey_module = importlib.import_module("engelgraph.survey")
+
+    G, completed = build_group(spec), build_group(spec)
+    _complete_table(completed)
+    name = G.name
+    out = []
+    for _ in range(samples):
+        i, j = rng.randrange(G.order), rng.randrange(G.order)
+        if G.perm(G.mul(i, j)) != G.perm(i) * G.perm(j):
+            out.append(f"{name}: product of {i} and {j}")
+    out += [f"{name}: inverse of {x}" for x in range(G.order)
+            if G.perm(G.inv(x)) != G.perm(x).inverse()]
+    for g in G.generators:
+        column = _column(G, g)
+        out += [f"{name}: column of {g} at {x}" for x in range(G.order)
+                if G.perm(column[x]) != G.perm(x) * G.perm(g)]
+    if out:  # the queries below would read a wrong table
+        return out
+    if left_engel_set(G) != left_engel_set(completed):
+        out.append(f"{name}: L(G)")
+    if fitting_subgroup(G) != fitting_subgroup(completed):
+        out.append(f"{name}: Fitting subgroup")
+    reports = []
+    build = survey_module.build_group
+    for H in (build_group(spec), completed):
+        survey_module.build_group = lambda spec, base_dir=".", H=H: H
+        try:
+            reports.append(write_report(survey_module.evaluate_group(spec).report))
+        finally:
+            survey_module.build_group = build
+    if reports[0] != reports[1]:
+        out.append(f"{name}: report")
+    return out
 
 
 def regular_representation_by_words(m, c):

@@ -3,6 +3,7 @@ import pickle
 import random
 import sys
 import tracemalloc
+from operator import itemgetter
 
 import pytest
 
@@ -31,12 +32,15 @@ from engelgraph import (
     subgroup_generated,
 )
 from engelgraph.engel import _engel_core
-from engelgraph.groups import _Span, _getter, _normal_span
+from engelgraph.groups import _Rows, _Span, _complete_table, _getter, _normal_span
+from engelgraph.survey import evaluate_group
 from conftest import elem
 from oracles import (
     class_mismatches,
     greedy_lower_central_series,
     greedy_span,
+    lazy_group_mismatches,
+    lazy_table_mismatches,
     naive_closure,
     naive_derived_subgroup,
     naive_is_abelian,
@@ -45,6 +49,7 @@ from oracles import (
     naive_normal_closure,
     naive_subgroup_generated,
     series_memo_violations,
+    table_by_products,
 )
 
 T12 = Permutation.from_cycles([(1, 2)])
@@ -119,7 +124,7 @@ def test_mul_table_agrees_with_direct_composition(repo_root):
         for _ in range(2000):
             i, j = rng.randrange(G.order), rng.randrange(G.order)
             assert G.perm(G.mul(i, j)) == G.perm(i) * G.perm(j), (G.name, i, j)
-        assert G._inv == tuple(row.index(0) for row in G._table), G.name
+        assert G._inv == tuple(row.index(0) for row in _complete_table(G)), G.name
 
 
 def test_generators_generate_the_group():
@@ -176,13 +181,118 @@ def test_cayley_rows_are_bytes_up_to_order_256_and_tuples_above():
     # order alone picks the row type
     for spec, row_type in (("C256", bytes), ("Dic64", bytes), ("C257", tuple), ("S4xC11", tuple)):
         G = build_group(spec)
-        assert {type(row) for row in G._table} == {row_type}, spec
+        assert {type(row) for row in _complete_table(G)} == {row_type}, spec
     # the 178 catalog tables up to order 96 held 6.11 MiB as tuple rows
     held = sum(
         sys.getsizeof(G._table) + sum(map(sys.getsizeof, G._table))
         for G in map(build_group, catalog_plans(96))
     )
     assert held < 1.5 * 2**20
+
+
+def _relabelled_generator_file(path, spec, seed):
+    """The spec of a generator file for ``spec``'s group with its points
+    relabelled by a seeded shuffle: the same group up to isomorphism, whose
+    elements sort, and so are indexed, differently."""
+    gens = build_group(spec)._gens
+    points = list(range(1, max(p.degree for p in gens) + 1))
+    random.Random(seed).shuffle(points)
+    sigma = Permutation(points)
+    path.write_text("".join(f"{sigma.inverse() * p * sigma}\n" for p in gens))
+    return f"@{path.name}"
+
+
+def test_rows_above_order_256_read_on_a_cold_group_match_permutation_products(tmp_path):
+    # each row is composed on first read; on cold groups every row read in
+    # a seeded random order, every inverse, and every generator column,
+    # from the construction tree and from the completed table
+    specs = ["A5xC5", "S4xC12", _relabelled_generator_file(tmp_path / "a5xc6.gens", "A5xC6", 3)]
+    for spec in specs:
+        G = build_group(spec, base_dir=tmp_path)
+        assert G.order > 256 and isinstance(G._table, _Rows), spec
+        rows, inverses = table_by_products(G._gens)
+        assert lazy_table_mismatches(G, rows, inverses, random.Random(11)) == [], spec
+        assert G._table == rows, spec
+
+
+class _ThroughTheNextGenerator(_Rows):
+    """A mutant that composes each row through the row of the generator
+    after its own."""
+
+    def __missing__(self, x):
+        _, j, u = self.parent[x]
+        row = self[x] = itemgetter(*self[u])(self.gen_rows[(j + 1) % len(self.gen_rows)])
+        return row
+
+
+def test_a_row_composed_through_the_wrong_generator_is_refused():
+    G = build_group("S4xC12")
+    rows, inverses = table_by_products(G._gens)
+    mutant = _ThroughTheNextGenerator(G._table.gen_rows, G._table.steps)
+    mutant.update(G._table)  # the identity's and the generators' rows
+    G._table = mutant
+    # the generators' rows are right, so are the tree's columns and the
+    # inverses; the rows composed, and the columns read from them, are not
+    found = lazy_table_mismatches(G, rows, inverses, random.Random(11))
+    assert {kind for kind, _ in found} == {"row", "table column"}
+
+
+def test_a_row_deep_in_the_construction_tree_is_composed_without_recursion():
+    # C1200 has one generator g, so the search reaches g^k after k steps;
+    # the row of the last element reached is composed through 1,198 rows
+    # not yet there, past the interpreter's recursion limit of 1,000
+    G = build_group("C1200")
+    x = G._table.steps[-1][0]
+    assert G._table[x][G.inv(x)] == G.identity
+    assert len(G._table) == G.order
+    rng = random.Random(2)
+    for _ in range(200):
+        q = rng.randrange(G.order)
+        assert G.perm(G.mul(x, q)) == G.perm(x) * G.perm(q), q
+
+
+def test_the_sweep_of_groups_with_rows_composed_on_first_read_refuses_a_wrong_row(monkeypatch):
+    # the CI sweep over the catalog from order 257 to 480, on one plan
+    assert lazy_group_mismatches("A5xC5", random.Random(7)) == []
+    monkeypatch.setattr(_Rows, "__missing__", _ThroughTheNextGenerator.__missing__)
+    assert lazy_group_mismatches("A5xC5", random.Random(7)) != []
+
+
+@pytest.mark.parametrize("spec, composed", [("A5xC6", 15), ("S4xC15", 57)])
+def test_the_engel_core_composes_no_row_and_an_evaluation_few(spec, composed):
+    # the core reads G's generator rows and columns only; the whole
+    # evaluation composed the pinned number of G's 360 rows when measured
+    G = build_group(spec)
+    C, _ = _engel_core(G)
+    assert C.order < G.order and set(G._table) == {0, *G.generators}
+    assert len(evaluate_group(spec).group._table) <= composed
+
+
+@pytest.mark.parametrize("spec", ["A6", "S6"])
+def test_a_group_that_is_its_own_core_holds_its_complete_table(spec):
+    # every Engel walk reads G's rows, so no read goes through __missing__
+    G = build_group(spec)
+    assert isinstance(G._table, _Rows)
+    left_engel_set(G)
+    assert type(G._table) is list and len(G._table) == G.order
+    assert {type(row) for row in G._table} == {tuple}
+
+
+def test_a_group_with_rows_composed_on_first_read_survives_a_pickle_round_trip():
+    # cold, and with some rows composed; each copy answers as the original
+    G = build_group("A5xC6")
+    cold = pickle.dumps(G)
+    _engel_core(G)
+    G.mul(5, 7), G.power(11, 4)
+    warm = pickle.dumps(G)
+    answers = [left_engel_set(G), fitting_subgroup(G), conjugacy_classes(G),
+               derived_subgroup(G), [G.mul(x, x) for x in range(G.order)]]
+    for blob in (cold, warm):
+        H = pickle.loads(blob)
+        assert isinstance(H._table, _Rows) and H._inv == G._inv
+        assert [left_engel_set(H), fitting_subgroup(H), conjugacy_classes(H),
+                derived_subgroup(H), [H.mul(x, x) for x in range(H.order)]] == answers
+        assert _complete_table(H) == _complete_table(G)
 
 
 def test_construction_keeps_the_cayley_table_and_no_image_copy():
@@ -420,7 +530,7 @@ def test_a_span_of_one_element_walks_its_powers_one_read_each(spec, monkeypatch)
     # writes nothing to its group, so one counted copy serves every s
     G = build_group(spec)
     counted = pickle.loads(pickle.dumps(G))
-    monkeypatch.setattr(counted, "_table", [CountingRow(row) for row in G._table])
+    monkeypatch.setattr(counted, "_table", [CountingRow(row) for row in _complete_table(G)])
     for s in range(1, G.order):
         powers = [G.identity]
         while len(powers) < G.order_of(s):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 import random
 import time
 
@@ -23,7 +24,8 @@ from engelgraph import (
     write_dot,
     write_report,
 )
-from engelgraph.survey import report
+from engelgraph.survey import report, survey
+from oracles import report_json_by_dumps
 
 
 # -- group specs --
@@ -316,3 +318,19 @@ def test_write_report_d12():
 
 def test_write_report_is_byte_stable():
     assert write_report(report("A4")) == write_report(report("A4"))
+
+
+def test_write_report_is_the_json_dumps_text_of_every_catalog_report():
+    # one template for json.dumps(payload, indent=2) + "\n": every catalog
+    # report up to 480, a disconnected graph's "inf" diameter, an Engel
+    # group's empty graph, an empty check map, and names that JSON must
+    # escape
+    reports = list(survey(480).reports)
+    assert len(reports) == 1278
+    disconnected = replace(reports[0], metrics=replace(reports[0].metrics, diameter=math.inf))
+    reports += [disconnected, report("C6"), replace(report("C6"), checks={}), report("A4")]
+    for name in ['say "hi"', "back\\slash", "tab\tnew\nline", "Zé→∞", "\u2028", "\x7f"]:
+        reports.append(replace(reports[-1], name=name))
+    for r in reports:
+        assert write_report(r) == report_json_by_dumps(r), r.name
+    assert json.loads(write_report(disconnected))["diameter"] == "inf"
