@@ -39,7 +39,7 @@ Conjugacy classes are orbits under conjugation by ``G.generators``
 (Holt, Eick and O'Brien, §4.1), walked over one conjugation map per
 generator, v -> g^-1 v g, each made by one ``itemgetter`` over the row of
 g^-1 read through the column of g, so above order 256 the pass composes
-the rows of the generators' inverses only.  The first class query of any kind
+only the rows on the search paths of the generators' inverses.  The first class query of any kind
 finds every class in one pass that visits the elements in increasing
 order, so every class is walked once, from its least member r.  The pass
 records, for each element x, r and an element g with r^g = x, in two flat

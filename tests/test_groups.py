@@ -283,7 +283,8 @@ def test_a_group_with_rows_composed_on_first_read_survives_a_pickle_round_trip()
     G = build_group("A5xC6")
     cold = pickle.dumps(G)
     _engel_core(G)
-    G.mul(5, 7), G.power(11, 4)
+    G.power(11, 4)  # composes the rows of 11 and of its powers
+    assert len(G._table) > 1 + len(G.generators)
     warm = pickle.dumps(G)
     answers = [left_engel_set(G), fitting_subgroup(G), conjugacy_classes(G),
                derived_subgroup(G), [G.mul(x, x) for x in range(G.order)]]
