@@ -40,6 +40,7 @@ library's token pattern.
 """
 
 import importlib
+import inspect
 import json
 import math
 import pickle
@@ -52,8 +53,6 @@ from engelgraph import (
     ParseError,
     Permutation,
     SimpleGraph,
-    build_group,
-    catalog_plans,
     centralizer,
     conjugacy_class,
     conjugacy_classes,
@@ -65,13 +64,14 @@ from engelgraph import (
     is_nilpotent,
     iterated_commutator,
     left_engel_set,
-    render_group_spec,
     subgroup_generated,
     write_report,
 )
 from engelgraph.engel import _walk
 from engelgraph.graphs import _row
-from engelgraph.groups import MAX_ORDER, _classes, _column, _complete_table
+from engelgraph.groups import (
+    MAX_ORDER, _classes, _column, _complete_table, _is_whole, _subgroup_gens,
+)
 
 
 def naive_closure(perms, limit=None):
@@ -139,17 +139,17 @@ def report_json_by_dumps(report):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def lazy_group_mismatches(spec, rng, samples=500):
-    """Where a fresh group built from ``spec``, whose Cayley rows are
-    composed on first read, departs from Permutation products or from a
-    copy whose table was completed before any query: ``samples`` products
-    at pairs drawn by ``rng``, every inverse and every generator column
-    against products of Permutations; then, when those agree, L(G), the
-    Fitting subgroup and the report against the completed copy's."""
+def lazy_group_mismatches(cold, rng, samples=500):
+    """Where a fresh group from ``cold()``, whose Cayley rows are composed
+    on first read, departs from Permutation products or from a copy whose
+    table was completed before any query: ``samples`` products at pairs
+    drawn by ``rng``, every inverse and every generator column against
+    products of Permutations; then, when those agree, L(G), the Fitting
+    subgroup and the report against the completed copy's."""
     # the package's ``survey`` is the function, which shadows the module
     survey_module = importlib.import_module("engelgraph.survey")
 
-    G, completed = build_group(spec), build_group(spec)
+    G, completed = cold(), cold()
     _complete_table(completed)
     name = G.name
     out = []
@@ -171,10 +171,10 @@ def lazy_group_mismatches(spec, rng, samples=500):
         out.append(f"{name}: Fitting subgroup")
     reports = []
     build = survey_module.build_group
-    for H in (build_group(spec), completed):
+    for H in (cold(), completed):
         survey_module.build_group = lambda spec, base_dir=".", H=H: H
         try:
-            reports.append(write_report(survey_module.evaluate_group(spec).report))
+            reports.append(write_report(survey_module.evaluate_group(name).report))
         finally:
             survey_module.build_group = build
     if reports[0] != reports[1]:
@@ -324,6 +324,35 @@ def greedy_lower_central_series(G, members):
         if term == series[-1]:
             return series
         series.append(term)
+
+
+def whole_group_from_one_generator(G, H):
+    """A mutant of ``groups._subgroup_gens`` that keeps only the first
+    generator of all of G: on a non-abelian group it generates a proper
+    abelian subgroup, so the series formed from it stops at 1 after one
+    term."""
+    gens = _subgroup_gens(G, H)
+    return gens[:1] if _is_whole(G, H) else gens
+
+
+def span_filtering_members_once(self, G, members=()):
+    """A mutant of ``groups._Span.__init__`` that drops the members inside
+    the trivial span before any adjoin, so a member that an earlier
+    generator's span already holds still becomes a generator."""
+    self.G, self.gens = G, []
+    self.elements, self.members = [G.identity], {G.identity}
+    for s in [s for s in sorted(set(members)) if s not in self.members]:
+        self.adjoin(s)
+
+
+def mutated(function, old, new):
+    """A mutant of ``function``: its source with the one occurrence of
+    ``old`` replaced by ``new``, run in a copy of its module's namespace."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
 
 
 def naive_normal_closure(G, members):
@@ -882,29 +911,22 @@ def product_invariant_mismatches(reports):
     return pairs, mismatches
 
 
-def sympy_invariant_mismatches(max_order):
-    """Build every plan of ``catalog_plans(max_order)`` and compare its
-    order, number of conjugacy classes, derived subgroup order, nilpotency
-    and number of central elements with sympy's ``PermutationGroup`` on the
-    same generators, both sides counting their classes of one element:
+def sympy_invariant_mismatch(G):
+    """G's order, number of conjugacy classes, derived subgroup order,
+    nilpotency and number of central elements against those of sympy's
+    ``PermutationGroup`` on the same generators, or None when they agree.
+    Both sides count their classes of one element:
     ``PermutationGroup.center`` searches for the centralizer, which on the
     regular representations of D_n x C_2 takes up to 0.25 s a group and
-    quadruples the run at 240.
-    Returns the number of plans compared and one line per mismatch."""
-    plans = catalog_plans(max_order)
-    mismatches = []
-    for plan in plans:
-        G = build_group(plan)
-        P = sympy_group(G)
-        ours_classes = conjugacy_classes(G)
-        ours = (G.order, len(ours_classes), len(derived_subgroup(G)),
-                is_nilpotent(G, range(G.order)), sum(len(c) == 1 for c in ours_classes))
-        classes = P.conjugacy_classes()
-        theirs = (P.order(), len(classes), P.derived_subgroup().order(),
-                  P.is_nilpotent, sum(len(c) == 1 for c in classes))
-        if ours != theirs:
-            mismatches.append(f"{render_group_spec(plan)}: {ours} != {theirs}")
-    return len(plans), mismatches
+    quadruples a catalog run at 240."""
+    P = sympy_group(G)
+    ours_classes = conjugacy_classes(G)
+    ours = (G.order, len(ours_classes), len(derived_subgroup(G)),
+            is_nilpotent(G, range(G.order)), sum(len(c) == 1 for c in ours_classes))
+    classes = P.conjugacy_classes()
+    theirs = (P.order(), len(classes), P.derived_subgroup().order(),
+              P.is_nilpotent, sum(len(c) == 1 for c in classes))
+    return None if ours == theirs else f"{ours} != {theirs}"
 
 
 def sympy_group(G):

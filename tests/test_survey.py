@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import importlib
-import inspect
 import math
 import pickle
 import random
@@ -40,6 +39,7 @@ from oracles import (
     bfs_distances,
     direct_engel_graph,
     diameter_one_violation_by_group_calls,
+    mutated,
     product_invariant_mismatches,
     random_graph,
     universal_vertex_violation_by_degree,
@@ -449,15 +449,6 @@ def test_closed_form_records_equal_direct_records(dihedral_and_dicyclic_records)
     assert closed_form_mismatches(survey_module._closed_form_record, small, large) == []
 
 
-def _mutated(old, new):
-    # _closed_form_record with one expression of its source replaced
-    source = inspect.getsource(survey_module._closed_form_record)
-    assert source.count(old) == 1, old
-    namespace = dict(vars(survey_module))
-    exec(source.replace(old, new), namespace)
-    return namespace["_closed_form_record"]
-
-
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -470,7 +461,8 @@ def _mutated(old, new):
 )
 def test_closed_form_mutants_are_caught(dihedral_and_dicyclic_records, old, new):
     small, large = dihedral_and_dicyclic_records
-    assert closed_form_mismatches(_mutated(old, new), small, large) != []
+    mutant = mutated(survey_module._closed_form_record, old, new)
+    assert closed_form_mismatches(mutant, small, large) != []
 
 
 def test_dihedral_and_dicyclic_engel_graphs_are_complete_multipartite():
