@@ -50,7 +50,9 @@ def _copies(G):
     """A function that gives a copy of G as it is now, with nothing shared
     with other copies.  Its attributes are set one by one, as a fresh
     group's are: a copy whose instance dict the unpickler filled at once
-    ran the randomly-Engel check about 18% slower (CPython 3.11)."""
+    ran the randomly-Engel check about 18% slower (CPython 3.11).  A
+    stopgap until ``Group`` has a ``__setstate__`` that does the same:
+    building the group anew for each copy made the CI calls 5-33% slower."""
     state = pickle.dumps(vars(G))
 
     def cold():
@@ -224,14 +226,17 @@ def greedy_closures(plan, cold, seen):
 def series(plan, cold, seen):
     """G's lower central series, and the normal closure of L(G) and each
     class leader outside it with its series, against the greedy-generator
-    oracle: cold, then again once G remembers every closure's series."""
+    oracle: cold, then again once G remembers every closure's series.  G's
+    own series is asked before L(G), whose span remembers its series: for a
+    nilpotent G that is the series of G."""
     G = cold()
     whole = tuple(range(G.order))
     terms, want = {whole: oracles.greedy_lower_central_series(G, whole)}, {}
-    L, leaders = _outside_fitting(G)
     for when in ("cold", "warmed"):
         if lower_central_series(G, range(G.order)) != terms[whole]:
             return f"the series of G, {when}"
+        if when == "cold":
+            L, leaders = _outside_fitting(G)
         for r in leaders:
             if r not in want:
                 H = want[r] = oracles.greedy_span(G, L | {r}, G.generators)[0]

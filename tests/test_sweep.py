@@ -113,6 +113,16 @@ def test_each_check_refuses_a_mutant(monkeypatch, capsys, check, target, owner, 
     assert last.startswith("FAIL ") and f" {check}: " in last
 
 
+def test_series_forms_the_series_of_a_nilpotent_group_cold(monkeypatch, capsys):
+    # L(G) is all of a nilpotent G and its span remembers G's series, so
+    # asked after L(G) the series of G would be read, not formed
+    nilpotent = "Dic2,D8,D16,C2xD8"
+    assert sweep(nilpotent, ["series"]) == 0
+    monkeypatch.setattr(groups_module, "_subgroup_gens", whole_group_from_one_generator)
+    assert sweep(nilpotent, ["series"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL Dic2 series: the series of G, cold"
+
+
 def test_a_failure_names_the_spec_the_check_and_the_counterexample(monkeypatch, capsys):
     # the rotations of S3 are left 2-Engel, and the mutant calls them left
     # 1-Engel; S4 is not read once the check has failed
