@@ -40,9 +40,10 @@ L(G), the Engel graph and the randomly-Engel check read only whether a
 sequence reaches 1, and that is decided in the Engel core C = G/Z*(G), the
 quotient by the hypercentre (``_engel_core``, built in one step from G's
 generator rows and columns, so above order 256, where G's rows are composed
-on first read, it composes no other row of G; when the centre is trivial C
-is G, whose table is then completed before any walk): [Z_i, G] lies in
-Z_{i-1}, so a sequence reaches 1 in G exactly when
+on first read, it composes no other row of G; C's table is built by the
+code that builds G's, from C's generator rows, and when the centre is
+trivial C is G; either way C's table is completed before any walk):
+[Z_i, G] lies in Z_{i-1}, so a sequence reaches 1 in G exactly when
 its image does in C, whose centre is trivial.  L(G) is the preimage of the
 classes of C that pass, E_G is E_C with each vertex replaced by the
 pairwise non-adjacent members of its coset, and the randomly-Engel check
@@ -70,7 +71,6 @@ from .groups import (
     _normal_span,
     _series,
     _subgroup_gens,
-    _table_from_generator_rows,
     conjugacy_class,
     conjugacy_classes,
     is_abelian,
@@ -198,15 +198,16 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
     Z_{i+1} is the union of the cosets of Z_i whose least member x has xg
     and gx in one coset of Z_i for each g in ``G.generators``, filtered one
     generator at a time, until no new coset passes.  The last cosets, by
-    least member, are C's elements, so no intermediate quotient is built,
-    and C's table is composed from C's generator rows, (gZ*)(rZ*) =
-    (g r)Z*, read from G's generator rows at the representatives r.
+    least member, are C's elements, so no intermediate quotient is built.
+    C's generator rows, (gZ*)(rZ*) = (g r)Z*, are read from G's generator
+    rows at the representatives r, and ``Group._from_generator_rows``
+    builds C's table from one per coset as G's table is built.
 
     When G's rows are composed on first read (above order 256), xg is read
     from the column of g, and each coset x Z_{i+1} is x's orbit under
     right products by generators of Z_{i+1} (``_cosets_by_columns``), so
-    no row of G is composed but the identity's and the generators'.  When
-    C is G, G's table is completed here, so that no walk composes a row.
+    no row of G is composed but the identity's and the generators'.  C's
+    table, G's when C is G, is completed here, so no walk composes a row.
     A complete table is read as it is: xg from x's row, for the candidates
     left only, and x Z from x's row at the members of Z, which costs less
     there than columns and orbits do."""
@@ -239,17 +240,14 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
                     for z in members:
                         proj[row[z]] = len(reps)
                     reps.append(x)
-        G._memo["engel_core"] = None  # C is G, which G's memo must not hold
+        C, G._memo["engel_core"] = G, None  # C is G, which G's memo must not hold
         if len(reps) < n:
-            # gZ rZ = (g r)Z: C's generator rows, from G's
+            # gZ rZ = (g r)Z: C's generator rows, read from G's at the reps
             at_reps = _getter(reps)
             rows = [_getter(at_reps(table[g]))(proj) for g in G.generators]
-            C = Group._from_table(
-                _table_from_generator_rows(rows), [proj[g] for g in G.generators], f"{G.name}/Z*"
-            )
+            C = Group._from_generator_rows(rows, f"{G.name}/Z*")
             G._memo["engel_core"] = C, proj
-        else:
-            _complete_table(G)  # every walk reads G's rows
+        _complete_table(C)  # every walk reads C's rows
     core = G._memo["engel_core"]
     return (G, range(G.order)) if core is None else core
 

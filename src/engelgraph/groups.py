@@ -8,6 +8,9 @@ group of order at most 256 has ``bytes`` rows, each one ``bytes.translate``,
 all composed at construction; a larger group has tuple rows, each one
 ``itemgetter`` call, composed when first read (``_Rows``), so a group
 whose questions are answered in a small Engel core composes few of them.
+``Group._set_table`` builds every table, the Engel core's too, from its
+generators' rows along a search tree: the construction's, or one over the
+rows alone (``_search_tree``).
 Every reader indexes a row, so all read alike; a reader that needs every
 row completes the table first (``_complete_table``), and one that needs
 x -> x z reads the column of z (``_column``), which above order 256 walks
@@ -69,7 +72,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from itertools import compress, count, filterfalse
+from itertools import compress, count, filterfalse, repeat
 from operator import eq, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -100,8 +103,8 @@ class _Rows(dict):
     ``__missing__``, and kept.  A row already there is read in C, as from a
     list.
 
-    ``steps`` is the construction search's tree, (x, j, u) for x = gens[j]
-    * u in search order, so u comes before x; row x is u's row read through
+    ``steps`` is the table's search tree, (x, j, u) for x = gens[j] * u
+    in search order, so u comes before x; row x is u's row read through
     ``gen_rows[j]``, composed along the path from the nearest row already
     there.  ``column(z)`` walks the tree once, one Python step per element,
     and reads no row but the generators'."""
@@ -111,6 +114,9 @@ class _Rows(dict):
         self.parent: list = [None] * (len(steps) + 1)  # x -> its step
         for step in steps:
             self.parent[step[0]] = step
+        self[0] = tuple(range(len(self.parent)))
+        for row in gen_rows:
+            self[row[0]] = row
 
     def __missing__(self, x: int) -> tuple[int, ...]:
         path = []
@@ -131,8 +137,8 @@ class _Rows(dict):
 
 
 def _column(G: "Group", z: int) -> list[int]:
-    """The column of z in G's Cayley table, x -> x z: from the construction
-    tree when G's rows are composed on first read, so no row is composed;
+    """The column of z in G's Cayley table, x -> x z: from the search tree
+    when G's rows are composed on first read, so no row is composed;
     otherwise one C-level read of every row."""
     table = G._table
     if isinstance(table, _Rows):
@@ -149,21 +155,21 @@ def _complete_table(G: "Group") -> list:
     return table
 
 
-def _table_from_generator_rows(gen_rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The Cayley table, in tuple rows, of the group on the indices 0..n-1,
-    with the identity at 0, whose generators have the rows ``gen_rows``:
-    one breadth-first search from the identity, in which v = g u, first
-    reached, gets u's row read through g's, as in ``Group.__init__``."""
-    n = len(gen_rows[0])
-    table: list = [tuple(range(n))] + [None] * (n - 1)
-    queue = [0]
-    for u in queue:  # also visits the elements appended below
-        for row in gen_rows:
-            v = row[u]
-            if table[v] is None:
-                table[v] = itemgetter(*table[u])(row)
-                queue.append(v)
-    return table
+def _search_tree(gen_rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, int, int]]:
+    """The breadth-first search tree from the identity, at index 0, of the
+    group on the indices 0..n-1 generated by the elements whose Cayley rows,
+    u -> g u, are ``gen_rows``: (x, j, u) for each other x, first reached
+    as x = gens[j] * u, in search order, so u comes before x."""
+    reached = [True] + [False] * (n - 1)
+    steps, rows = [(0, 0, 0)], list(enumerate(gen_rows))  # a step to the identity, dropped below
+    for u, _, _ in steps:  # also visits the steps appended below
+        for j, row in rows:
+            x = row[u]
+            if not reached[x]:
+                reached[x] = True
+                steps.append((x, j, u))
+    del steps[0]
+    return steps
 
 
 class Group:
@@ -191,17 +197,17 @@ class Group:
     ``g * u`` one ``itemgetter`` call.  Either way no Permutation is
     multiplied.
     Elements are indexed in sorted order, so the identity comes first, at
-    index 0.  Every other row follows by associativity: an element first
-    reached as ``x = g * u`` has ``x * q = g * (u * q)``, so its row is
-    u's row read through g's, and its inverse is u^-1 * g^-1, read from
-    the column of g^-1 at u^-1.  Up to order 256 a byte holds every
-    index, so rows are ``bytes``, x's row is one ``bytes.translate`` of
-    u's through g's row, padded once to 256 bytes, and every row is
-    composed here, in search order.  Above it rows are tuples, x's row is
-    one ``itemgetter`` over u's row applied to g's, and the table is a
+    index 0.  Every other row follows by associativity, along the search
+    tree (``_set_table``): an element first reached as ``x = g * u`` has
+    ``x * q = g * (u * q)``, so its row is u's row read through g's.  Up
+    to order 256 a byte holds every index, so rows are ``bytes``, x's row
+    is one ``bytes.translate`` of u's through g's row, padded once to 256
+    bytes, every row is composed here, in search order, and x^-1 is where
+    x's row holds the identity.  Above it rows are tuples, x's row is one
+    ``itemgetter`` over u's row applied to g's, and the table is a
     ``_Rows`` that composes each row when it is first read, from the
-    search tree it keeps; the columns of the generators' inverses are
-    read along that tree, so construction composes no row but the
+    search tree it keeps; x^-1 = u^-1 * g^-1 is read from the column of
+    g^-1 along that tree, so construction composes no row but the
     identity's and the generators'.
     Only the table, the inverses and the generators, ``_gens``, are kept;
     the elements become Permutations, on their original points, only when
@@ -262,74 +268,69 @@ class Group:
         self._elements: tuple[Permutation, ...] | None = None
         self._index: dict[Permutation, int] | None = None
         self.identity: int = 0
-        # gens[j] = gens[j] * identity was reached from search index 0
-        self.generators: tuple[int, ...] = tuple(rank[row[0]] for row in gen_rows)
-
-        in_sorted_order = _getter(ordered)
-        # (x, j, u) for x = gens[j] * u, in search order, in sorted indices
-        steps = list(zip(rank, by, map(rank.__getitem__, up)))
-        del by, up, steps[0]  # the identity's
-        if n <= 256:  # a byte holds every index
-            gen_table = [bytes(_getter(in_sorted_order(r))(rank)) for r in gen_rows]
-            through = [row + bytes(256 - n) for row in gen_table]  # translate reads 256
-            table = [bytes(range(n))] + [None] * (n - 1)
-            for gi, row in zip(self.generators, gen_table):
-                table[gi] = row
-            for x, j, u in steps:
-                if table[x] is None:
-                    table[x] = table[u].translate(through[j])
-        else:
-            gen_table = [_getter(in_sorted_order(r))(rank) for r in gen_rows]
-            table = _Rows(gen_table, steps)
-            table[0] = tuple(range(n))
-            for gi, row in zip(self.generators, gen_table):
-                table[gi] = row
-        self._table: list | _Rows = table
-        # x = g * u, first reached in search order after u, has the inverse
-        # u^-1 * g^-1: one read of the column of g^-1 per element
-        inv_cols = [_column(self, row.index(0)) for row in gen_table]
-        inv = [0] * n
-        for x, j, u in steps:
-            inv[x] = inv_cols[j][inv[u]]
-        self._inv = tuple(inv)
         # Empty until queried: the conjugacy classes with their leader and
         # via lists and their walk, under "classes", written by the first
         # class query; the lower central series of subgroups, under
         # "series"; the Engel core, L(G) and the randomly-Engel answers,
         # written by engel.py, which keeps no Engel depth map
         self._memo: dict = {}
+        in_sorted_order = _getter(ordered)
+        # (x, j, u) for x = gens[j] * u, in search order, in sorted indices
+        steps = list(zip(rank, by, map(rank.__getitem__, up)))
+        del by, up, steps[0]  # the identity's
+        self._set_table([_getter(in_sorted_order(r))(rank) for r in gen_rows], steps)
 
     @classmethod
-    def _from_table(
-        cls, table: list[tuple[int, ...]], generators: Iterable[int], name: str
-    ) -> "Group":
-        """The group whose Cayley table is ``table``, with the identity at
-        index 0, taken as given.  It has no permutations: ``elements`` is
-        empty, so ``perm`` and ``index`` do not apply."""
+    def _from_generator_rows(cls, gen_rows: Iterable[tuple[int, ...]], name: str) -> "Group":
+        """The group on 0..n-1, identity at 0, generated by the elements
+        whose Cayley rows, u -> g u, are ``gen_rows``, taken as given and
+        kept once each, in order, as its generators; its table is built
+        along ``_search_tree`` over them.  It has no permutations:
+        ``elements`` is empty, so ``perm`` and ``index`` do not apply."""
         G = cls.__new__(cls)
-        G.name, G.order, G.identity = name, len(table), 0
-        G._elements, G._index, G._gens = (), {}, ()
-        G.generators = tuple(dict.fromkeys(generators))
-        G._table, G._memo = table, {}
-        G._inv = tuple(row.index(0) for row in table)
+        gen_rows = list(dict.fromkeys(gen_rows))
+        G.name, G.order, G.identity = name, len(gen_rows[0]), 0
+        G._elements, G._index, G._gens, G._memo = (), {}, (), {}
+        G._set_table(gen_rows, _search_tree(gen_rows, G.order))
         return G
+
+    def _set_table(self, gen_rows: list[tuple[int, ...]], steps: list[tuple[int, int, int]]) -> None:
+        """Set the generators, the Cayley table and the inverses, as the
+        class docstring says, from the generators' rows, u -> g u, and a
+        search tree over them, (x, j, u) for x = gens[j] * u in search
+        order; the row type is picked from the order alone."""
+        n = self.order
+        # gens[j] = gens[j] * identity, at the identity's place in its row
+        self.generators: tuple[int, ...] = tuple(row[0] for row in gen_rows)
+        if n <= 256:  # a byte holds every index
+            table = [bytes(range(n))] + [None] * (n - 1)
+            for row in gen_rows:
+                table[row[0]] = bytes(row)
+            through = [table[g] + bytes(256 - n) for g in self.generators]  # translate reads 256
+            for x, j, u in steps:
+                if table[x] is None:
+                    table[x] = table[u].translate(through[j])
+            self._table: list | _Rows = table
+            self._inv = tuple(map(bytes.index, table, repeat(0)))
+            return
+        self._table = _Rows(gen_rows, steps)
+        inv_cols = [_column(self, row.index(0)) for row in gen_rows]
+        inv = [0] * n
+        for x, j, u in steps:
+            inv[x] = inv_cols[j][inv[u]]
+        self._inv = tuple(inv)
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
         """The elements as Permutations of the original points, in index
-        order, made on first use by one breadth-first search over the
-        generators' Cayley rows from the identity: an element first reached
-        as g u is made as perm(g) * perm(u)."""
+        order, made on first use along the breadth-first tree over the
+        generators' Cayley rows (``_search_tree``): an element first
+        reached as g u is made as perm(g) * perm(u)."""
         if self._elements is None:
-            perms: list = [Permutation._raw(())] + [None] * (self.order - 1)
-            rows = [(self._table[g], p) for g, p in zip(self.generators, self._gens)]
-            queue = [0]
-            for u in queue:  # also visits the elements appended below
-                for row, g in rows:
-                    x = row[u]
-                    if perms[x] is None:
-                        perms[x] = g * perms[u]
-                        queue.append(x)
+            perms = [Permutation._raw(())] * self.order
+            rows = [self._table[g] for g in self.generators]
+            for x, j, u in _search_tree(rows, self.order):
+                perms[x] = self._gens[j] * perms[u]
             self._elements = tuple(perms)
         return self._elements
 

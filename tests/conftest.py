@@ -66,22 +66,22 @@ def catalog240():
 @pytest.fixture
 def group_inits(monkeypatch):
     """The names of the groups constructed during a test, one entry per
-    ``Group.__init__`` call and one per Engel core built from a Cayley
-    table by ``Group._from_table``."""
+    ``Group.__init__`` call and one per Engel core built from generator
+    rows by ``Group._from_generator_rows``."""
     names = []
     init = Group.__init__
-    from_table = Group._from_table.__func__
+    from_rows = Group._from_generator_rows.__func__
 
     def counted(self, generators, name):
         names.append(name)
         init(self, generators, name)
 
-    def counted_from_table(cls, table, generators, name):
+    def counted_from_rows(cls, gen_rows, name):
         names.append(name)
-        return from_table(cls, table, generators, name)
+        return from_rows(cls, gen_rows, name)
 
     monkeypatch.setattr(Group, "__init__", counted)
-    monkeypatch.setattr(Group, "_from_table", classmethod(counted_from_table))
+    monkeypatch.setattr(Group, "_from_generator_rows", classmethod(counted_from_rows))
     return names
 
 

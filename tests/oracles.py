@@ -478,10 +478,10 @@ def class_mismatches(G):
             if r != least[x] or H.conjugate(r, g) != x:
                 problems.append(f"{G.name}: transversal ({r}, {g}) of {x}")
         for cls in classes:
-            walk = memo.walks[cls[0]]
-            if sorted(walk) != list(cls) or walk[0] != cls[0]:
+            walk = memo.walks.get(cls[0], [])  # none when keyed by another member
+            if sorted(walk) != list(cls) or walk[:1] != [cls[0]]:
                 problems.append(f"{G.name}: walk of the class of {cls[0]}")
-            earlier = {walk[0]}
+            earlier = set(walk[:1])
             for v in walk[1:]:
                 if not any(H.conjugate(v, H.inv(t)) in earlier for t in H.generators):
                     problems.append(f"{G.name}: {v} is no earlier member's conjugate by a generator")

@@ -23,6 +23,7 @@ from unittest import mock
 
 import networkx as nx
 
+import engelgraph.engel as engel
 import engelgraph.graphs as graphs
 from engelgraph import (
     SimpleGraph, build_engel_graph, build_group, catalog_plans, cli, compute_metrics, conjugacy_classes,
@@ -193,6 +194,21 @@ def tables(plan, cold, seen):
     return bad[0] if bad else None
 
 
+def core(plan, cold, seen):
+    """The Engel core G/Z*(G) and its projection against the all-pairs
+    upper central series and sympy; the core's table is then a complete
+    list, of ``bytes`` rows up to order 256 and tuple rows above."""
+    G = cold()
+    C, proj = engel._engel_core(G)
+    seen["cores that are G"] += C is G
+    seen[f"{type(C._table[0]).__name__} rows"] += 1
+    if type(C._table) is not list or len(C._table) != C.order:
+        return "the core's table is not complete"
+    if {type(row) for row in C._table} != {bytes if C.order <= 256 else tuple}:
+        return f"the core of order {C.order} has rows of another type"
+    return next(iter(oracles.engel_core_mismatches(G, C, proj)), None)
+
+
 def nilpotent_closures(plan, cold, seen):
     """No normal closure of L(G) and a class leader outside it is nilpotent,
     and each closure and its series equal those of cold copies."""
@@ -261,6 +277,7 @@ CHECKS = {  # name -> (visit of each plan, reading of the whole range)
              None),
     "sympy": (lambda plan, cold, seen: oracles.sympy_invariant_mismatch(cold()), None),
     "classes": (lambda plan, cold, seen: next(iter(oracles.class_mismatches(cold())), None), None),
+    "core": (core, None),
     "closures": (nilpotent_closures, None),
     "greedy_closures": (greedy_closures, None),
     "series": (series, None),
@@ -290,6 +307,7 @@ PINS = {  # (range, check) -> the counts that CI pins
     ("200-320", "tables"): {"plans": 402, "bytes rows": 187, "tuple rows": 215},
     ("257-480", "lazy"): {"plans": 801},
     ("241-480", "greedy_closures"): {"plans": 845, "closures": 12798, "bytes rows": 44, "tuple rows": 801},
+    ("Dic129,D516,A6xC2,S6xC2", "core"): {"plans": 4, "cores that are G": 0, "tuple rows": 4},
 }
 
 

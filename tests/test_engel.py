@@ -497,6 +497,24 @@ def test_engel_core_is_g_mod_its_hypercentre():
     assert deeper == 75
 
 
+@pytest.mark.parametrize("spec, order", [("Dic129", 258), ("D516", 258), ("A6xC2", 360)])
+def test_a_core_above_order_256_is_g_mod_its_hypercentre_with_a_complete_table(spec, order):
+    # its rows are composed on first read, as G's are, and _engel_core
+    # completes them, so no walk in C composes a row
+    G = build_group(spec)
+    C, proj = engel_module._engel_core(G)
+    assert C.order == order and engel_core_mismatches(G, C, proj) == []
+    assert type(C._table) is list and len(C._table) == C.order
+    assert {type(row) for row in C._table} == {tuple}
+
+
+def test_a_core_up_to_order_256_has_bytes_rows():
+    # built by the same table code as G, which picks the row type from the
+    # order alone
+    C, _ = engel_module._engel_core(build_group("S4xC3"))
+    assert C.order == 24 and {type(row) for row in C._table} == {bytes}
+
+
 def test_quotient_path_matches_the_direct_path():
     # L(G) and every bit row of E_G read from the Engel core G/Z*(G) are
     # those read from the depth maps by preimages of G's own class

@@ -74,6 +74,12 @@ def test_closure_of_identity_is_trivial():
     assert G.identity == 0
 
 
+def test_a_group_with_no_generator_has_the_identity_as_its_one_element():
+    # it has no generator row to size a search tree from, only its order
+    G = Group([], "1")
+    assert (G.order, G.generators, G.elements) == (1, (), (Permutation(),))
+
+
 def test_closure_frobenius_21():
     gens = [
         Permutation.from_cycles([(1, 2, 3, 4, 5, 6, 7)]),
@@ -820,7 +826,8 @@ def test_first_class_query_finds_every_class_in_one_pass(monkeypatch):
 
 def test_classes_and_transversals_match_the_orbit_oracle(repo_root):
     # every catalog group up to order 120, the fixture generator files, and
-    # an Engel core, which Group._from_table makes with no permutations
+    # an Engel core, which Group._from_generator_rows makes with no
+    # permutations
     groups = [build_group(plan) for plan in catalog_plans(120)]
     groups += [build_group(f"@fixtures/{path.name}", base_dir=repo_root)
                for path in sorted((repo_root / "fixtures").glob("*.gens"))]

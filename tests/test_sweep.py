@@ -18,9 +18,10 @@ import engelgraph.engel as engel_module  # noqa: E402
 import engelgraph.graphs as graphs_module  # noqa: E402
 import engelgraph.groups as groups_module  # noqa: E402
 import sweep as sweep_module  # noqa: E402
-from engelgraph import build_engel_graph, compute_metrics  # noqa: E402
+from engelgraph import build_engel_graph, build_group, compute_metrics  # noqa: E402
 from engelgraph.groups import _Rows, _Span  # noqa: E402
 from oracles import (  # noqa: E402
+    class_mismatches,
     engel_degree_from_first_images,
     engel_degree_one_short,
     mutated,
@@ -54,6 +55,7 @@ AT_60 = {
     "lazy": {"plans": 91},
     "sympy": {"plans": 91},
     "classes": {"plans": 91},
+    "core": {"plans": 91, "cores that are G": 16, "bytes rows": 91},
     "closures": {"plans": 91, "closures": 266},
     "greedy_closures": {"plans": 91, "bytes rows": 91, "closures": 266},
     "series": {"plans": 91, "closures": 266, "closures that are G": 263},
@@ -98,6 +100,9 @@ MUTANTS = [
     # each member's transversal element without its last generator
     ("classes", "1-60", groups_module, "_classes",
      mutated(groups_module._classes, "via[v] = col[t]", "via[v] = t")),
+    # C's rows read from the rows of G's generators' inverses
+    ("core", "1-60", engel_module, "_engel_core",
+     mutated(engel_module._engel_core, "at_reps(table[g])", "at_reps(table[G._inv[g]])")),
     ("closures", "1-60", groups_module, "_subgroup_gens", whole_group_from_one_generator),
     ("greedy_closures", "1-60", _Span, "__init__", span_filtering_members_once),
     ("series", "1-60", groups_module, "_subgroup_gens", whole_group_from_one_generator),
@@ -111,6 +116,17 @@ def test_each_check_refuses_a_mutant(monkeypatch, capsys, check, target, owner, 
     assert sweep(target, [check]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("FAIL ") and f" {check}: " in last
+
+
+def test_a_class_pass_keyed_by_other_members_fails_the_classes_check(monkeypatch, capsys):
+    # visited in reverse order, each class is walked from its greatest
+    # member and its walk keyed by it; the oracle reports the walks it
+    # finds under no least member, and the sweep prints a failure line
+    reverse = mutated(groups_module._classes, "for x in range(n):", "for x in reversed(range(n)):")
+    monkeypatch.setattr(groups_module, "_classes", reverse)
+    assert "S3: walk of the class of 1" in class_mismatches(build_group("S3"))
+    assert sweep("1-60", ["classes"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("FAIL S3 classes: S3: ")
 
 
 def test_series_forms_the_series_of_a_nilpotent_group_cold(monkeypatch, capsys):
