@@ -66,6 +66,7 @@ from .groups import (
     _Rows,
     _check_element,
     _classes,
+    _column,
     _complete_table,
     _getter,
     _normal_span,
@@ -206,7 +207,8 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
     When G's rows are composed on first read (above order 256), xg is read
     from the column of g, and each coset x Z_{i+1} is x's orbit under
     right products by generators of Z_{i+1} (``_cosets_by_columns``), so
-    no row of G is composed but the identity's and the generators'.  C's
+    no row of G is composed but the identity's and the generators'; G's
+    table keeps those columns, which G's class pass reads again.  C's
     table, G's when C is G, is completed here, so no walk composes a row.
     A complete table is read as it is: xg from x's row, for the candidates
     left only, and x Z from x's row at the members of Z, which costs less
@@ -214,7 +216,6 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
     if "engel_core" not in G._memo:
         table, n = G._table, G.order
         lazy = isinstance(table, _Rows)  # then x g is read from g's column
-        cols = {g: table.column(g) for g in G.generators} if lazy else {}
         proj: Sequence[int] = range(n)
         reps: Sequence[int] = proj  # the cosets of Z_0 = 1, by least member
         span, zcols = {G.identity}, []  # Z_i and the columns of its generators, when lazy
@@ -223,14 +224,14 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
             for g in G.generators:
                 row_g = table[g]
                 if lazy:
-                    col = cols[g]
+                    col = _column(G, g)
                     central = [x for x in central if proj[col[x]] == proj[row_g[x]]]
                 else:
                     central = [x for x in central if proj[table[x][g]] == proj[row_g[x]]]
             if len(central) == 1:  # only the identity's coset
                 break
             if lazy:
-                proj, reps = _cosets_by_columns(table, central, span, zcols)
+                proj, reps = _cosets_by_columns(G, central, span, zcols)
                 continue
             upper = {proj[x] for x in central}
             members = [x for x in range(n) if proj[x] in upper]
@@ -253,7 +254,7 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
 
 
 def _cosets_by_columns(
-    table: _Rows, central: list[int], span: set[int], zcols: list[list[int]]
+    G: Group, central: list[int], span: set[int], zcols: list[list[int]]
 ) -> tuple[list[int], list[int]]:
     """(proj, reps) for the cosets of Z_{i+1}, the union of the cosets of
     Z_i whose least members are ``central``, read from columns only, so
@@ -265,14 +266,14 @@ def _cosets_by_columns(
     that member."""
     for z in central:
         if z not in span:
-            zcols.append(table.column(z))
+            zcols.append(_column(G, z))
             queue = list(span)
             for y in queue:  # also visits the members appended below
                 for col in zcols:
                     if col[y] not in span:
                         span.add(col[y])
                         queue.append(col[y])
-    proj, reps = [-1] * len(table.parent), []
+    proj, reps = [-1] * G.order, []
     for x in range(len(proj)):
         if proj[x] < 0:
             proj[x], orbit = len(reps), [x]
@@ -337,10 +338,15 @@ def is_randomly_engel_conjugates(G: Group, x: int) -> bool:
     (x^g, x) and (x, x^g) reaches the identity.
 
     Read from ``_randomly_engel_answers``, whose first call answers every
-    element of G at once and caches the answers on G as one tuple.
+    element of G at once and caches the answers on G as one tuple; once
+    they are cached, a call is one check of x and one read of that tuple.
     Raises InvalidParameter for an x outside 0..order-1."""
-    _check_element(G, x)
-    return _randomly_engel_answers(G)[x]
+    if not 0 <= x < G.order:
+        _check_element(G, x)  # raises
+    answers = G._memo.get("randomly_engel")
+    if answers is None:
+        answers = _randomly_engel_answers(G)
+    return answers[x]
 
 
 def _randomly_engel_answers(G: Group) -> tuple[bool, ...]:

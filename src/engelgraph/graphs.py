@@ -162,14 +162,15 @@ def _selector(vs: Sequence[int], n: int) -> Callable[[int], int]:
     in any order, renumbered 0..len(vs)-1: bit vs[i] becomes bit i.  When
     ``vs`` is 0..n-1, each row is returned as it is.
 
-    Bit v of a row is character n-1-v of its n binary digits, so the new
-    row's digits are those characters for ``vs`` from last to first, picked
-    by one ``itemgetter`` and read back with ``int``."""
+    Bit v of a row is character -1-v of ``bin(row | 1 << n)``: the
+    sentinel bit n keeps every position 0..n-1 among the digits, however
+    many top bits of the row are zero, and no digits are padded.  So the
+    new row's digits are those characters for ``vs`` from last to first,
+    picked by one ``itemgetter`` and read back with ``int``."""
     if len(vs) == n and all(map(int.__eq__, vs, range(n))):
         return lambda row: row
-    pick = _getter([n - 1 - v for v in reversed(vs)])
-    spec = f"0{n}b"
-    return lambda row: int("".join(pick(format(row, spec))) or "0", 2)
+    pick, sentinel = _getter([-1 - v for v in reversed(vs)]), 1 << n
+    return lambda row: int("".join(pick(bin(row | sentinel))) or "0", 2)
 
 
 @dataclass(frozen=True)

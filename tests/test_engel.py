@@ -396,6 +396,18 @@ def test_set_predicates_refuse_an_index_outside_the_group(predicate, x):
     assert G._memo == {}
 
 
+@pytest.mark.parametrize("x", [-1, 24])
+def test_randomly_engel_answers_refuse_an_index_outside_the_group_once_cached(x):
+    # a cached call reads the answer tuple, where -1 would answer for
+    # element 23; the index is checked before that read, cached or not
+    G = build_group("S4")
+    with pytest.raises(InvalidParameter, match=rf"index {x} .*'S4'"):
+        is_randomly_engel_conjugates(G, x)
+    assert is_randomly_engel_conjugates(G, 0) and "randomly_engel" in G._memo
+    with pytest.raises(InvalidParameter, match=rf"index {x} .*'S4'"):
+        is_randomly_engel_conjugates(G, x)
+
+
 _ELEMENT_QUERIES = {
     "is_randomly_engel_conjugates x": lambda G, b: is_randomly_engel_conjugates(G, b),
     "is_left_engel x": lambda G, b: is_left_engel(G, b),

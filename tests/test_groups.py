@@ -268,6 +268,30 @@ def test_the_engel_core_composes_no_row_and_an_evaluation_few(spec, composed):
     assert len(evaluate_group(spec).group._table) <= composed
 
 
+def test_the_class_pass_above_order_256_composes_no_row():
+    # v -> g^-1 v g is read from the column of g and the inverses; read
+    # through the row of g^-1, the pass composed 42 rows of S3xC43
+    G = build_group("S3xC43")
+    assert isinstance(G._table, _Rows)
+    conjugacy_classes(G)
+    assert set(G._table) == {0, *G.generators}
+    assert class_mismatches(G) == []  # which composes every row
+
+
+def test_each_column_is_walked_once_across_an_evaluation_and_the_class_pass(tmp_path, monkeypatch):
+    # the Engel core's generator columns stay on the table, where the
+    # class pass reads them; walked again, the calls came to 14
+    spec = _relabelled_generator_file(tmp_path / "a5xc6.gens", "A5xC6", 3)
+    walked = []
+    column = _Rows.column
+    monkeypatch.setattr(_Rows, "column", lambda table, z: walked.append(z) or column(table, z))
+    G = evaluate_group(spec, base_dir=tmp_path).group
+    evaluation_walks = list(walked)
+    assert set(G.generators) <= set(walked)
+    conjugacy_classes(G)
+    assert walked == evaluation_walks and len(walked) == len(set(walked)) == 10
+
+
 @pytest.mark.parametrize("spec", ["A6", "S6"])
 def test_a_group_that_is_its_own_core_holds_its_complete_table(spec):
     # every Engel walk reads G's rows, so no read goes through __missing__

@@ -97,6 +97,7 @@ from oracles import (  # noqa: E402
     engel_depths_by_iteration,
     induced_rows_by_renumbering,
     left_engel_mismatches,
+    mutated,
     naive_closure,
     parse_cycles_by_scanning,
     random_graph,
@@ -387,6 +388,38 @@ def test_selected_rows_match_renumbering_past_one_word():
     assert g.vertex_count > 64 and len(twin_quotient_by_neighbourhoods(g)[1]) < 150
     vs = sorted(rng.sample(range(150), 90))
     assert_selected_rows_match_renumbering(g, [vs, [], [149], [0], list(range(150))])
+
+
+def _graphs_with_zero_top_bits(rng, n):
+    """A twinned graph on n - 3 vertices with three isolated vertices on
+    top, so no row sets its top bits and the rows of those three are 0."""
+    g = shuffled_twinned_graph(rng, n - 3, 10)
+    return SimpleGraph(n, list(g.edges()))
+
+
+def _selections_to_the_top(rng, n):
+    return [sorted({*rng.sample(range(n), n // 2), n - 1}), [n - 1], [n - 2, n - 1],
+            list(range(1, n)), list(range(n))]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_selected_rows_with_zero_top_bits_match_renumbering(n):
+    # bit v is read at character -1-v of the row's binary digits, which
+    # the sentinel bit n keeps in range when the row's top bits are zero
+    rng = random.Random(n)
+    g = _graphs_with_zero_top_bits(rng, n)
+    assert_selected_rows_match_renumbering(g, _selections_to_the_top(rng, n))
+
+
+def test_a_selector_without_its_sentinel_bit_is_refused(monkeypatch):
+    # the digits of a row whose top bits are zero end short of position
+    # n-1, so a top position reads the "0b" prefix or past the digits
+    monkeypatch.setattr(graphs_module, "_selector", mutated(
+        graphs_module._selector, "bin(row | sentinel)", "bin(row)"))
+    rng = random.Random(64)
+    g = _graphs_with_zero_top_bits(rng, 64)
+    with pytest.raises((AssertionError, IndexError, ValueError)):
+        assert_selected_rows_match_renumbering(g, _selections_to_the_top(rng, 64))
 
 
 @settings(deadline=None, max_examples=200)

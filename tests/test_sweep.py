@@ -63,7 +63,7 @@ AT_60 = {
 
 
 def test_every_check_passes_on_the_catalog_to_order_60(capsys):
-    assert list(AT_60) == list(CHECKS) == [m[0] for m in MUTANTS]
+    assert list(AT_60) == list(CHECKS) == list(dict.fromkeys(m[0] for m in MUTANTS))
     assert sweep("1-60", list(CHECKS)) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"1-60 {name}: {counts}" for name, counts in AT_60.items()
@@ -100,6 +100,9 @@ MUTANTS = [
     # each member's transversal element without its last generator
     ("classes", "1-60", groups_module, "_classes",
      mutated(groups_module._classes, "via[v] = col[t]", "via[v] = t")),
+    # the conjugation map read from the row of g^-1, which S3xC43 composes
+    ("classes", "S3xC43", groups_module, "_classes",
+     mutated(groups_module._classes, "_getter(half)(half)", "_getter(G._table[G._inv[g]])(col)")),
     # C's rows read from the rows of G's generators' inverses
     ("core", "1-60", engel_module, "_engel_core",
      mutated(engel_module._engel_core, "at_reps(table[g])", "at_reps(table[G._inv[g]])")),
@@ -109,7 +112,12 @@ MUTANTS = [
 ]
 
 
-@pytest.mark.parametrize("check, target, owner, name, mutant", MUTANTS, ids=[m[0] for m in MUTANTS])
+# a check's first mutant is named by the check, a later one by its target too
+_IDS = [check if [m[0] for m in MUTANTS].index(check) == i else f"{check} on {target}"
+        for i, (check, target, *_) in enumerate(MUTANTS)]
+
+
+@pytest.mark.parametrize("check, target, owner, name, mutant", MUTANTS, ids=_IDS)
 def test_each_check_refuses_a_mutant(monkeypatch, capsys, check, target, owner, name, mutant):
     assert sweep(target, [check]) == 0
     monkeypatch.setattr(owner, name, mutant)
