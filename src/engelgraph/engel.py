@@ -44,18 +44,29 @@ on first read, it composes no other row of G; C's table is built by the
 code that builds G's, from C's generator rows, and when the centre is
 trivial C is G; either way C's table is completed before any walk):
 [Z_i, G] lies in Z_{i-1}, so a sequence reaches 1 in G exactly when
-its image does in C, whose centre is trivial.  L(G) is the preimage of the
-classes of C that pass, E_G is E_C with each vertex replaced by the
-pairwise non-adjacent members of its coset, and the randomly-Engel check
-of x is read in C.  Z*(G) lies in the Fitting subgroup (Baer, 1957), so
-nothing Engel is lost.  Exact depths do not transfer, since the depth in G
-exceeds the depth in C by up to the length of the upper central series, so
-``engel_depths`` and the pointwise tests stay on G.
+its image does in C, whose centre is trivial.  L(G) is the preimage of
+L(C), E_G is E_C with each vertex replaced by the pairwise non-adjacent
+members of its coset, and the randomly-Engel check of x is read in C.
+Z*(G) lies in the Fitting subgroup (Baer, 1957), so nothing Engel is lost.
+Exact depths do not transfer, since the depth in G exceeds the depth in C
+by up to the length of the upper central series, so ``engel_depths`` and
+the pointwise tests stay on G.
+
+Groups share their Engel core.  C's table, inverses and generators are a
+function of C's generator rows, so the cores of order at most 256 are kept
+in one process-wide cache keyed by those rows (``_shared_core``), and every
+group whose core has the same rows, such as H x C_k for k = 2, 3, ..., or
+D12, Dic3, D24, Dic6 and D12 x C2, reads one C.  C is its own core, since G/Z*(G) has
+a trivial centre, and it keeps what is decided in it: its class pass, L(C),
+its randomly-Engel answers and E_C's non-neighbour lists.  Each G reads
+them only through its own projection onto C, so what one group asked of C
+answers the next.  The Fitting subgroup's span and series stay on G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, compress, count, islice
 from math import lcm
 from typing import Iterable, Iterator, Sequence
@@ -201,8 +212,15 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
     generator at a time, until no new coset passes.  The last cosets, by
     least member, are C's elements, so no intermediate quotient is built.
     C's generator rows, (gZ*)(rZ*) = (g r)Z*, are read from G's generator
-    rows at the representatives r, and ``Group._from_generator_rows``
-    builds C's table from one per coset as G's table is built.
+    rows at the representatives r, each once and the identity's left out,
+    and C is taken from ``_shared_core`` by those rows, so every group
+    whose core has the same rows reads one C and the answers kept on it.
+
+    That is sound because C's table, inverses and generators are a function
+    of its generator rows alone (``Group._from_generator_rows`` is
+    deterministic), C is its own core, as G/Z*(G) has a trivial centre, and
+    G reads C only through its own ``proj``.  Cores above order 256 are
+    built for G alone, by the same function uncached.
 
     When G's rows are composed on first read (above order 256), xg is read
     from the column of g, and each coset x Z_{i+1} is x's orbit under
@@ -241,16 +259,35 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
                     for z in members:
                         proj[row[z]] = len(reps)
                     reps.append(x)
-        C, G._memo["engel_core"] = G, None  # C is G, which G's memo must not hold
         if len(reps) < n:
-            # gZ rZ = (g r)Z: C's generator rows, read from G's at the reps
+            # gZ rZ = (g r)Z: C's generator rows, read from G's at the reps,
+            # each once and none of the identity's (g in Z*), so D12 and
+            # D12 x C2 key one core; C = 1 keeps the identity's
             at_reps = _getter(reps)
-            rows = [_getter(at_reps(table[g]))(proj) for g in G.generators]
-            C = Group._from_generator_rows(rows, f"{G.name}/Z*")
-            G._memo["engel_core"] = C, proj
-        _complete_table(C)  # every walk reads C's rows
+            rows = dict.fromkeys(_getter(at_reps(table[g]))(proj) for g in G.generators)
+            rows = tuple(row for row in rows if row[0]) or tuple(rows)
+            build = _shared_core if len(reps) <= 256 else _shared_core.__wrapped__
+            G._memo["engel_core"] = build(rows), proj
+        else:
+            G._memo["engel_core"] = None  # C is G, which G's memo must not hold
+            _complete_table(G)  # every walk reads G's rows
     core = G._memo["engel_core"]
     return (G, range(G.order)) if core is None else core
+
+
+@lru_cache(maxsize=16)
+def _shared_core(rows: tuple[tuple[int, ...], ...]) -> Group:
+    """The Engel core whose generator rows are ``rows``, with its table
+    complete and marked as its own core, so no centre filter runs on it;
+    one per distinct ``rows`` among the last 16 asked for.  16 is the
+    least power of two at which ``survey(120)`` and the catalog groups of
+    order at most 96 build as few cores as with no bound (11 and 15; 8
+    entries build 14 and 34).  Its name is the same for every group that
+    reads it."""
+    C = Group._from_generator_rows(rows, "Engel core")
+    C._memo["engel_core"] = None
+    _complete_table(C)  # every walk reads C's rows
+    return C
 
 
 def _cosets_by_columns(
@@ -290,13 +327,16 @@ def left_engel_set(G: Group) -> tuple[int, ...]:
     """All left Engel elements of G, as sorted indices; cached on the group.
 
     x is left Engel exactly when its image in the Engel core C = G/Z*(G)
-    is, so L(G) is the preimage of the classes of C that pass.  Each class
-    is tested at its least member only, since conjugation preserves the
-    Engel relation, and by walks from its commutator images S_1 only."""
+    is, so L(G) is the preimage of L(C), which C keeps.  Each class is
+    tested at its least member only, since conjugation preserves the Engel
+    relation, and by walks from its commutator images S_1 only."""
     cached = G._memo.get("left_engel_set")
     if cached is None:
         C, proj = _engel_core(G)
-        passing = {q for cls in conjugacy_classes(C) if is_left_engel(C, cls[0]) for q in cls}
+        if C is G:
+            passing = {q for cls in conjugacy_classes(G) if is_left_engel(G, cls[0]) for q in cls}
+        else:
+            passing = set(left_engel_set(C))
         cached = tuple(x for x, q in enumerate(proj) if q in passing)
         G._memo["left_engel_set"] = cached
     return cached
@@ -353,28 +393,46 @@ def _randomly_engel_answers(G: Group) -> tuple[bool, ...]:
     """``is_randomly_engel_conjugates`` of every element of G, in index
     order, cached on G.
 
-    Read in the Engel core C = G/Z*(G) at the least member r of each class
-    of C.  A member y = r^h (h = ``via[y]`` of ``groups._classes``) is no
-    Engel neighbour of r when [y,_k r] = 1 or [r,_k y] = 1 for some k, and
-    the second is [r^(h^-1),_k r] = 1 conjugated by h, with
-    r^(h^-1) = h r h^-1 in the class too.  So both orientations are
-    sequences of the one map z -> [z, r], walked by ``_walk`` from the
-    members of the class only, and the class passes when every member
-    reaches 1 or its partner h r h^-1 does."""
+    Read in the Engel core C = G/Z*(G), whose answers C keeps, at the least
+    member r of each class of C.  A member y = r^h (h = ``via[y]`` of
+    ``groups._classes``) is no Engel neighbour of r when [y,_k r] = 1 or
+    [r,_k y] = 1 for some k, and the second is [r^(h^-1),_k r] = 1
+    conjugated by h, with r^(h^-1) = h r h^-1 in the class too.  So both
+    orientations are sequences of the one map z -> [z, r], walked by
+    ``_walk`` from the members of the class only, and the class passes when
+    every member reaches 1 or its partner h r h^-1 does."""
     answers = G._memo.get("randomly_engel")
     if answers is None:
         C, proj = _engel_core(G)
-        table, inv = C._table, C._inv
-        memo = _classes(C)
-        passes = [False] * C.order
-        for r, cls in memo.classes.items():
-            depth = _walk(C, r, cls)
-            partners = (table[table[h][r]][inv[h]] for h in map(memo.via.__getitem__, cls))
-            if all(depth[y] >= 0 or depth[p] >= 0 for y, p in zip(cls, partners)):
-                for y in cls:
-                    passes[y] = True
-        answers = G._memo["randomly_engel"] = tuple(map(passes.__getitem__, proj))
+        if C is G:
+            table, inv = G._table, G._inv
+            memo = _classes(G)
+            passes = [False] * G.order
+            for r, cls in memo.classes.items():
+                depth = _walk(G, r, cls)
+                partners = (table[table[h][r]][inv[h]] for h in map(memo.via.__getitem__, cls))
+                if all(depth[y] >= 0 or depth[p] >= 0 for y, p in zip(cls, partners)):
+                    for y in cls:
+                        passes[y] = True
+            answers = tuple(passes)
+        else:
+            answers = tuple(map(_randomly_engel_answers(C).__getitem__, proj))
+        G._memo["randomly_engel"] = answers
     return answers
+
+
+def _core_rows(C: Group) -> list[tuple[int, ...]]:
+    """The Engel non-neighbour lists of ``_engel_rows`` over C's elements
+    outside L(C), in increasing order, by position there; cached on C, so
+    every group whose Engel core is C reads them."""
+    rows = C._memo.get("engel_rows")
+    if rows is None:
+        L = set(left_engel_set(C))
+        verts = [x for x in range(C.order) if x not in L]
+        rows = C._memo["engel_rows"] = [()] * len(verts)
+        for v, ys in _engel_rows(C, verts):
+            rows[v] = ys
+    return rows
 
 
 def _engel_rows(G: Group, vertices: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:

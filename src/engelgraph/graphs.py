@@ -55,7 +55,7 @@ from itertools import combinations, compress, count, permutations
 from operator import or_
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
 
-from .engel import _engel_core, _engel_rows, left_engel_set
+from .engel import _core_rows, _engel_core, _engel_rows, left_engel_set
 from .errors import EmptyGraphError, EngelGroupError, SameVertex, UnknownVertex
 from .groups import Group, _classes, _getter
 
@@ -196,8 +196,11 @@ def build_engel_graph(G: Group) -> SimpleGraph:
     E_G is E_C with each vertex replaced by the members of its coset, and
     every member of a coset gets the preimage of its image's row.  Rows of
     C come from ``engel._engel_rows``, which conjugates only in C, as lists
-    of non-neighbours, whose bits are cleared from the full row; when
-    Z(G) = 1, C is G and each list is used as it comes.
+    of non-neighbours, whose bits are cleared from the full row; C keeps
+    them (``engel._core_rows``), so the groups that share C read them
+    again.  The cosets outside L(G), met in increasing order of their
+    least members, are C's vertices in order.  When Z(G) = 1, C is G and
+    each list is used as it comes.
 
     Conjugation by G is an automorphism of E_G, and so is any swap of twins,
     so every vertex x is, up to twins, the image of the least preimage of
@@ -227,7 +230,7 @@ def build_engel_graph(G: Group) -> SimpleGraph:
             cosets.setdefault(proj[x], []).append(v)
         members = list(cosets.values())
         masks, rows = [_row(vs, n) for vs in members], [0] * n
-        for i, ys in _engel_rows(C, list(cosets)):
+        for i, ys in enumerate(_core_rows(C)):  # cosets are numbered by least member
             bits = full ^ reduce(or_, map(masks.__getitem__, ys), 0)
             for v in members[i]:
                 rows[v] = bits

@@ -1,8 +1,10 @@
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
+import engelgraph.engel as engel_module
 from engelgraph import (
     Group,
     Permutation,
@@ -18,6 +20,17 @@ from engelgraph import (
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
 REPO_ROOT = Path(__file__).parent.parent
+
+# the package's ``survey`` is the function, which shadows the module
+survey_module = importlib.import_module("engelgraph.survey")
+
+
+@pytest.fixture(autouse=True)
+def forget_process_caches():
+    """Each test starts with no catalog pass and no shared Engel core kept,
+    so no count it pins depends on which tests ran before it."""
+    survey_module._catalog_pass.cache_clear()
+    engel_module._shared_core.cache_clear()
 
 
 @pytest.fixture(scope="session")

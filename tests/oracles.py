@@ -608,6 +608,24 @@ def walk_through_cycles(G, r, starts):
     return depth
 
 
+def core_cache_keyed_by_order_and_rank(build):
+    """A mutant of ``engel._shared_core`` that keys its cores by |C| and
+    the number of generator rows, not by the rows: groups whose cores
+    differ but agree in both read the core of the first of them.  ``build``
+    makes a core from its rows; cores above order 256 are built by it
+    uncached, as by the library."""
+    cores = {}
+
+    def shared(rows):
+        key = (len(rows[0]), len(rows))
+        if key not in cores:
+            cores[key] = build(rows)
+        return cores[key]
+
+    shared.__wrapped__ = build
+    return shared
+
+
 def direct_left_engel_set(G):
     """L(G) from G's own depth maps by preimages, one per class
     representative, with no Engel core: the union of the classes whose
@@ -947,9 +965,10 @@ def engel_core_mismatches(G, C, proj):
     failed check, read against ``naive_upper_central_series`` and sympy:
     C is G with the identity projection exactly when Z(G) = 1; the kernel
     of proj is the series' top term Z*, and |G| = |Z*| |C|; proj is a
-    homomorphism that maps inverses to inverses and G's generators onto
-    C's; C has a trivial centre, and C is trivial exactly when sympy finds
-    G nilpotent."""
+    homomorphism that maps inverses to inverses and the generators of G
+    outside Z* onto C's, which are the identity alone when C is trivial; C
+    has a trivial centre, and C is trivial exactly when sympy finds G
+    nilpotent."""
     series = naive_upper_central_series(G)
     hypercentre = list(series[-1])
     checks = {
@@ -960,7 +979,7 @@ def engel_core_mismatches(G, C, proj):
         "homomorphism": all(proj[G.mul(x, y)] == C.mul(proj[x], proj[y])
                             for x in range(G.order) for y in G.generators),
         "inverses": all(proj[G.inv(x)] == C.inv(proj[x]) for x in range(G.order)),
-        "generators": {proj[g] for g in G.generators} == set(C.generators),
+        "generators": set(C.generators) == ({proj[g] for g in G.generators} - {C.identity} or {C.identity}),
         "trivial centre": len(naive_upper_central_series(C)) == 1,
         "nilpotent": (C.order == 1) == sympy_group(G).is_nilpotent,
     }

@@ -50,7 +50,11 @@ class Tally(Counter):
 def _copies(G):
     """A function that gives a copy of G as it is now, with nothing shared
     with other copies, by one pickle round trip: building the group anew
-    for each copy made the CI calls 5-33% slower."""
+    for each copy made the CI calls 5-33% slower.  The process keeps its
+    shared Engel cores (``engel._shared_core``) across copies and plans,
+    as a survey does, so each check reads the core, and what it keeps,
+    that earlier groups of the range left there, and the oracles, which
+    read G alone, check every group that shares one."""
     state = pickle.dumps(G)
     return lambda: pickle.loads(state)
 

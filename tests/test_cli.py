@@ -159,7 +159,6 @@ def test_survey_command(tmp_path, capsys):
 
 def test_survey_reruns_are_byte_identical(tmp_path):
     first, second = tmp_path / "a", tmp_path / "b"
-    survey_module._catalog_pass.cache_clear()
     assert main(["survey", "--max-order", "12", "--out", str(first)]) == 0
     survey_module._catalog_pass.cache_clear()  # so the second run evaluates too
     assert main(["survey", "--max-order", "12", "--out", str(second)]) == 0
@@ -168,7 +167,6 @@ def test_survey_reruns_are_byte_identical(tmp_path):
 
 
 def test_survey_verify_prints_both_from_one_catalog_pass(monkeypatch, capsys):
-    survey_module._catalog_pass.cache_clear()
     assert main(["survey", "--max-order", "12"]) == 0
     assert main(["verify", "--max-order", "12"]) == 0
     separate = capsys.readouterr().out

@@ -1,4 +1,3 @@
-import importlib
 import random
 import sys
 import tracemalloc
@@ -52,9 +51,6 @@ from oracles import (
     randomly_engel_conjugates_by_elements,
     walk_through_cycles,
 )
-
-# the package's ``survey`` function shadows the module of that name
-survey_module = importlib.import_module("engelgraph.survey")
 
 
 def test_iterated_commutator_base_case(s3):
@@ -518,6 +514,32 @@ def test_a_core_above_order_256_is_g_mod_its_hypercentre_with_a_complete_table(s
     assert C.order == order and engel_core_mismatches(G, C, proj) == []
     assert type(C._table) is list and len(C._table) == C.order
     assert {type(row) for row in C._table} == {tuple}
+    # and it is built for G alone: another copy of G gets a core of its own
+    assert engel_module._engel_core(build_group(spec))[0] is not C
+    assert engel_module._shared_core.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("family", [("D12", "Dic3", "D24", "Dic6", "D12xC2"),
+                                    tuple(f"S3xC{k}" for k in range(2, 8))])
+def test_groups_with_one_engel_core_share_it_and_its_answers(group_inits, family):
+    # each family's cores G/Z*(G) are S3 with the same generator rows, once
+    # the identity's row, from a generator in Z*, is dropped, so the first
+    # group builds its core and the others build none; each reads
+    # L(C), C's randomly-Engel answers and E_C's rows through its own
+    # projection, and gets the answers of the oracles that read G alone
+    cores = set()
+    for spec in family:
+        G = build_group(spec)
+        group_inits.clear()
+        C, _ = engel_module._engel_core(G)
+        cores.add(C)
+        assert left_engel_set(G) == direct_left_engel_set(G), spec
+        assert [is_randomly_engel_conjugates(G, x) for x in range(G.order)] == [
+            randomly_engel_conjugates_by_elements(G, x) for x in range(G.order)], spec
+        got, want = build_engel_graph(G), direct_engel_graph(G)
+        assert (got.labels, got.adjacency) == (want.labels, want.adjacency), spec
+        assert group_inits == (["Engel core"] if spec == family[0] else []), spec
+    assert len(cores) == 1 and C.order == 6
 
 
 def test_a_core_up_to_order_256_has_bytes_rows():
@@ -619,7 +641,7 @@ def test_randomly_engel_reads_each_class_of_the_core_once(monkeypatch, spec, ask
     # the first question answers every element of G from one walk per class
     # of the core C = G/Z*(G), whether one element is asked or all; it
     # walks from the members of that class only, reads no Engel row, and
-    # keeps nothing on C but C's class pass
+    # keeps on C its class pass and its answers, which G reads through proj
     rows = []
     monkeypatch.setattr(engel_module, "_engel_rows", lambda *args: rows.append(args))
     walks = []
@@ -641,17 +663,17 @@ def test_randomly_engel_reads_each_class_of_the_core_once(monkeypatch, spec, ask
         is_randomly_engel_conjugates(G, x)
     assert len(walks) == len(conjugacy_classes(C))
     assert rows == []
-    assert C is G or set(C._memo) == {"classes"}
+    assert C is G or set(C._memo) == {"engel_core", "classes", "randomly_engel"}
 
 
 def test_survey_builds_depth_maps_for_the_graphs_only(monkeypatch):
     # survey(120) walks from every element once per class outside L of
-    # each Engel core it builds a graph of; L(G) and the randomly-Engel
-    # check walk from a few elements only
+    # each distinct Engel core it builds a graph of, and the groups that
+    # share a core read its rows; L(G) and the randomly-Engel check walk
+    # from a few elements only
     built = _count_full_walks(monkeypatch)
-    survey_module._catalog_pass.cache_clear()
     survey(120)
-    assert len(built) == 94
+    assert len(built) == 41
 
 
 @pytest.mark.parametrize("spec", ["S5", "A5xC4", "S4xC12"])

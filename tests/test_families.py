@@ -1,4 +1,3 @@
-import importlib
 from functools import reduce
 from math import factorial
 
@@ -25,6 +24,7 @@ from engelgraph import (
     symmetric_group,
     verify_theorems,
 )
+from engelgraph.engel import _engel_core, _shared_core
 from engelgraph.families import FAMILIES, family_generators
 from engelgraph.groups import MAX_ORDER
 from oracles import regular_representation_by_words
@@ -198,33 +198,36 @@ def test_products_equal_the_composition_of_their_factor_groups():
 
 def test_every_spec_is_built_with_one_group(group_inits):
     specs = [*catalog_plans(120), *EXTRA_PRODUCTS, "T", "D6", "S1", "A2", "C1", "C1xC1"]
-    quotients = 0
+    centred = quotients = 0
     for spec in specs:
         group_inits.clear()
         G = build_group(spec)
         assert len(group_inits) == 1, spec
         # L(G) adds at most one table-built group, the Engel core G/Z*(G),
-        # and none when the centre is trivial
+        # and none when the centre is trivial or a core of the same
+        # generator rows is kept from an earlier group
         left_engel_set(G)
-        assert group_inits in ([G.name], [G.name, G.name + "/Z*"]), spec
+        assert group_inits in ([G.name], [G.name, "Engel core"]), spec
+        centred += _engel_core(G)[0] is not G
         quotients += len(group_inits) - 1
-    assert quotients == 215
+    assert (centred, quotients) == (215, 22)
 
 
 def test_survey_and_verify_build_one_group_per_plan(group_inits):
-    # the catalog pass alone, each group it evaluates with its Engel core
-    # when its centre is non-trivial; the 106 products above order 60 are
-    # lifted from their base's record and the 45 dihedral and dicyclic
-    # groups above it written down from their closed form, so none of them
-    # builds a group, and the isomorphic-pair verdict reads the records
-    importlib.import_module("engelgraph.survey")._catalog_pass.cache_clear()
+    # the catalog pass alone, each group it evaluates, and one Engel core
+    # for each distinct core among the 75 groups with a centre; the 106
+    # products above order 60 are lifted from their base's record and the
+    # 45 dihedral and dicyclic groups above it written down from their
+    # closed form, so none of them builds a group, and the isomorphic-pair
+    # verdict reads the records
     survey(120)
     verify_theorems(120)
     assert len(catalog_plans(120)) == 243
-    quotients = [name for name in group_inits if name.endswith("/Z*")]
+    quotients = [name for name in group_inits if name == "Engel core"]
     groups = [name for name in group_inits if name not in quotients]
+    asked = _shared_core.cache_info()
     assert len(groups) == 92
-    assert len(quotients) == 75
+    assert (asked.hits + asked.misses, len(quotients)) == (75, 11)
     # above order 60 only the symmetric and alternating groups are built
     above = [name for name in groups if parse_group_spec(name).order() > 60]
     assert above and all(name[0] in "SA" and "x" not in name for name in above)

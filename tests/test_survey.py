@@ -181,7 +181,6 @@ def test_survey_and_verify_reject_bounds_above_the_order_limit(monkeypatch):
             run(MAX_ORDER + 1)
         assert planned == []
     # the limit itself is a valid bound
-    forget_catalog()
     assert survey(MAX_ORDER).reports == []
     forget_catalog()
     verdicts = {v.name: v for v in verify_theorems(MAX_ORDER)}
@@ -222,7 +221,6 @@ def test_survey_and_verify_share_one_catalog_pass(monkeypatch):
     assert len(plans) == 243
     direct = [p for p in plans if not survey_module._lifts(p)]
     assert len(direct) == 92
-    forget_catalog()
     surveyed = survey(120)
     from_records = verify_theorems(120)
     assert calls == direct
@@ -236,7 +234,6 @@ def test_survey_and_verify_share_one_catalog_pass(monkeypatch):
 
 def test_catalog_pass_keeps_the_last_catalog_only(monkeypatch):
     calls = counting_evaluations(monkeypatch)
-    forget_catalog()
     survey(12)
     assert len(calls) == len(catalog_plans(12))
     # the records are keyed by the plans, not by the bound
@@ -262,7 +259,6 @@ def test_reports_are_frozen():
 def test_report_checks_are_read_only():
     # a report shares its checks with the record the catalog pass keeps, so
     # a caller that could change them would change the next survey's report
-    forget_catalog()
     r = survey(12).reports[0]
     text = write_report(r)
     with pytest.raises(TypeError):
@@ -526,7 +522,6 @@ def test_product_invariant_counts_each_isolated_vertex_k_times():
 
 
 def test_survey_is_deterministic_and_parallel_safe():
-    forget_catalog()
     sequential = survey(12)
     forget_catalog()
     again = survey(12)
@@ -577,7 +572,6 @@ def test_verify_theorems_at_24():
 def test_verify_after_survey_builds_no_group(group_inits):
     # the isomorphic pair is read from the catalog's records of D12 and
     # Dic3, not built again
-    forget_catalog()
     survey(120)
     group_inits.clear()
     verdicts = {v.name: v for v in verify_theorems(120)}
@@ -600,7 +594,6 @@ def test_verify_holds_about_one_group_at_a_time(monkeypatch):
         return evaluation
 
     monkeypatch.setattr(survey_module, "evaluate_group", recording_evaluate)
-    forget_catalog()
     verify_theorems(24)
     assert len(alive_at_call) == len(catalog_plans(24))
     assert max(alive_at_call) <= 2

@@ -22,6 +22,7 @@ from engelgraph import build_engel_graph, build_group, compute_metrics  # noqa: 
 from engelgraph.groups import _Rows, _Span  # noqa: E402
 from oracles import (  # noqa: E402
     class_mismatches,
+    core_cache_keyed_by_order_and_rank,
     engel_degree_from_first_images,
     engel_degree_one_short,
     mutated,
@@ -106,6 +107,11 @@ MUTANTS = [
     # C's rows read from the rows of G's generators' inverses
     ("core", "1-60", engel_module, "_engel_core",
      mutated(engel_module._engel_core, "at_reps(table[g])", "at_reps(table[G._inv[g]])")),
+    # S3xC2 and D12xC2 have Engel cores of order 6 from 2 generator rows
+    # each, numbered apart, so the second reads the first's core
+    *[(check, "S3xC2,D12xC2", engel_module, "_shared_core",
+       core_cache_keyed_by_order_and_rank(engel_module._shared_core.__wrapped__))
+      for check in ("core", "rows", "randomly_engel")],
     ("closures", "1-60", groups_module, "_subgroup_gens", whole_group_from_one_generator),
     ("greedy_closures", "1-60", _Span, "__init__", span_filtering_members_once),
     ("series", "1-60", groups_module, "_subgroup_gens", whole_group_from_one_generator),
