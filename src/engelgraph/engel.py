@@ -5,14 +5,14 @@ The iterated commutator [a,_k x] is defined by [a,_0 x] = a and
 deterministic self-map of a finite group, so every question about the Engel
 sequence of (a, x) is a question about the functional graph of that map,
 and one walk answers them all.  ``_walk`` follows z -> [z, x] from each
-start until it meets an element already mapped, and maps every element met
-to its depth, the least k with [z,_k x] = 1, or to -1 when the sequence
-never reaches the identity.  ``engel_depths`` walks from every element;
-the pointwise tests and the set predicates walk from the elements asked
-about only.  No walk is kept: each reader drops its map when it is done.
-The test suite cross-checks the walks against a reverse breadth-first
-search from the identity and against direct iteration of the commutator
-map.
+start until it meets an element already mapped, and maps every element met,
+in one list of |G| entries, to its depth, the least k with [z,_k x] = 1,
+or to -1 when the sequence never reaches the identity.  ``engel_depths``
+walks from every element; the pointwise tests and the set predicates walk
+from the elements asked about only.  No walk is kept: each reader drops
+its map when it is done.  The test suite cross-checks the walks against a
+reverse breadth-first search from the identity and against direct
+iteration of the commutator map.
 
 Whether x is left Engel, or left k-Engel, asks only where the whole map
 leads, so it is read from the images S_k = {[a,_k x] : a in G}.
@@ -28,7 +28,7 @@ so depth_{x^g}[a^g] = depth_x[a].  L(G) is therefore decided at the least
 member r of each conjugacy class only, and the Engel graph walks from
 every element for those r outside L only.  The randomly-Engel check walks
 from the members of r's class only.
-``_engel_rows`` decides adjacency only at r, reading each vertex
+``_core_rows`` decides adjacency only at r, reading each vertex
 y = s^h as its class's least member s and h from the one pass that finds
 all of G's classes at its first class query (``groups._classes``), and
 carries r's list to the rest of r's class in the order that pass walked
@@ -60,7 +60,9 @@ D12, Dic3, D24, Dic6 and D12 x C2, reads one C.  C is its own core, since G/Z*(G
 a trivial centre, and it keeps what is decided in it: its class pass, L(C),
 its randomly-Engel answers and E_C's non-neighbour lists.  Each G reads
 them only through its own projection onto C, so what one group asked of C
-answers the next.  The Fitting subgroup's span and series stay on G.
+answers the next.  A group with a trivial centre is its own core and keeps
+the same on its own memo, so E_C's lists have one maker, ``_core_rows``,
+whether C is G or shared.  The Fitting subgroup's span and series stay on G.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, count, islice
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BaerViolation, PreconditionFailed, SameVertex
 from .groups import (
@@ -138,26 +140,22 @@ def engel_depths(G: Group, x: int) -> tuple[int, ...]:
     return tuple(_walk(G, x, range(G.order)))
 
 
-def _walk(
-    G: Group, r: int, starts: Iterable[int], depth: dict[int, int | None] | None = None
-) -> list[int | None] | dict[int, int | None]:
+def _walk(G: Group, r: int, starts: Iterable[int]) -> list[int | None]:
     """For each z of ``starts`` and each element met on the way, the least
     k with [z,_k r] = 1, or -1 when the Engel sequence z, [z, r],
     [z,_2 r], ... never reaches the identity; None for the elements not met.
 
-    The depths go into ``depth`` when given, a dict whose keys, each at
-    None, hold every element the walks can meet; otherwise into a new list
-    of |G| entries.  Each sequence is followed until it meets an element
-    already mapped: the identity at depth 0, or an element met before.  Its elements are
-    mapped to -1 as they are met, so an element of the same walk, which
-    closes a cycle without the identity, leaves them all at -1, as one
-    mapped to -1 by an earlier walk does; one at depth d gives them the
-    depths d + 1, d + 2, ... back to the start.  [z, r] = z^-1 ((r^-1 z) r)
-    is read from the row of r^-1."""
+    The depths go into a new list of |G| entries.  Each sequence is
+    followed until it meets an element already mapped: the identity at
+    depth 0, or an element met before.  Its elements are mapped to -1 as
+    they are met, so an element of the same walk, which closes a cycle
+    without the identity, leaves them all at -1, as one mapped to -1 by an
+    earlier walk does; one at depth d gives them the depths d + 1, d + 2,
+    ... back to the start.  [z, r] = z^-1 ((r^-1 z) r) is read from the
+    row of r^-1."""
     table, inv = G._table, G._inv
     row = table[inv[r]]
-    if depth is None:
-        depth = [None] * G.order
+    depth: list[int | None] = [None] * G.order
     depth[G.identity] = 0
     for z in starts:
         path = []
@@ -178,14 +176,14 @@ def _engel_degree(G: Group, x: int) -> int | None:
     no S_k is.
 
     [a, x] = (x^a)^-1 x, so S_1 is read from the class of x.  S_1 holds the
-    identity, [1, x], and the walks from S_1 stay in S_1, so they keep
-    their depths in a dict over S_1, not a list over G; k is one more than
-    the largest depth over S_1, and there is none when a member of S_1
-    never reaches 1.  Raises InvalidParameter for an x outside 0..order-1."""
+    identity, [1, x], and the walks from S_1 stay in S_1, so one walk from
+    S_1 gives every depth read here; k is one more than the largest depth
+    over S_1, and there is none when a member of S_1 never reaches 1.
+    Raises InvalidParameter for an x outside 0..order-1."""
     _check_element(G, x)
     table, inv = G._table, G._inv
     images = {table[inv[c]][x] for c in conjugacy_class(G, x)}
-    depths = _walk(G, x, images, dict.fromkeys(images)).values()
+    depths = list(map(_walk(G, x, images).__getitem__, images))
     return None if min(depths) < 0 else 1 + max(depths)
 
 
@@ -422,23 +420,10 @@ def _randomly_engel_answers(G: Group) -> tuple[bool, ...]:
 
 
 def _core_rows(C: Group) -> list[tuple[int, ...]]:
-    """The Engel non-neighbour lists of ``_engel_rows`` over C's elements
-    outside L(C), in increasing order, by position there; cached on C, so
-    every group whose Engel core is C reads them."""
-    rows = C._memo.get("engel_rows")
-    if rows is None:
-        L = set(left_engel_set(C))
-        verts = [x for x in range(C.order) if x not in L]
-        rows = C._memo["engel_rows"] = [()] * len(verts)
-        for v, ys in _engel_rows(C, verts):
-            rows[v] = ys
-    return rows
-
-
-def _engel_rows(G: Group, vertices: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """For each x of ``vertices``, a union of conjugacy classes, its
-    position in ``vertices`` and the positions there of its Engel
-    non-neighbours, x among them.
+    """For each element of C outside L(C), in increasing order, the
+    positions there of its Engel non-neighbours, itself among them; cached
+    on C, so every group whose Engel core is C, C itself included, reads
+    them.
 
     Each class is decided at its least member r, by one depth test on every
     vertex y = s^h, where depth_y[r] = depth_s[r^(h^-1)], read from one walk
@@ -447,34 +432,37 @@ def _engel_rows(G: Group, vertices: Sequence[int]) -> Iterator[tuple[int, tuple[
     u^t.  The other members come in the order the class was walked in
     ``groups._classes``, so each member v is u^t for some generator t and
     some u listed before it, found as u = t v t^-1, and gets u's list mapped
-    by t's conjugation map on positions in one ``itemgetter`` call.  So the
-    rows come one class at a time, r's first, and a class's lists are kept
-    until its last row."""
-    table, inv = G._table, G._inv
-    memo = _classes(G)
-    leader, via = memo.leader, memo.via
-    at = [-1] * G.order  # at[y] is the position of y
-    for i, y in enumerate(vertices):
-        at[y] = i
-    where = [(leader[y], via[y]) for y in vertices]  # (s, h) with s^h = y
-    depth_of = {s: _walk(G, s, range(G.order)) for s in dict.fromkeys(s for s, _ in where)}
-    steps: list[tuple[int, list[int]]] | None = None  # built when a second row is asked for
-    for r, depth_r in depth_of.items():
-        nonadjacent = [depth_r[y] >= 0 or depth_of[s][table[table[h][r]][inv[h]]] >= 0
-                       for y, (s, h) in zip(vertices, where)]
-        ys = tuple(compress(count(), nonadjacent))
-        yield at[r], ys
-        lists = {r: ys}
-        for v in islice(memo.walks[r], 1, None):
-            if steps is None:  # for each generator t, the position of y^t = t^-1 (y t)
-                steps = [(t, [at[table[inv[t]][table[y][t]]] for y in vertices])
-                         for t in G.generators]
-            for t, step in steps:
-                u = table[table[t][v]][inv[t]]
-                if u in lists:
-                    break
-            ys = lists[v] = _getter(lists[u])(step)
-            yield at[v], ys
+    by t's conjugation map on positions in one ``itemgetter`` call.  A list
+    not yet made is empty, since every list holds its own vertex."""
+    rows = C._memo.get("engel_rows")
+    if rows is None:
+        table, inv = C._table, C._inv
+        memo = _classes(C)
+        leader, via = memo.leader, memo.via
+        L = set(left_engel_set(C))
+        vertices = [x for x in range(C.order) if x not in L]
+        at = [-1] * C.order  # at[y] is the position of y
+        for i, y in enumerate(vertices):
+            at[y] = i
+        where = [(leader[y], via[y]) for y in vertices]  # (s, h) with s^h = y
+        depth_of = {s: _walk(C, s, range(C.order)) for s in dict.fromkeys(s for s, _ in where)}
+        rows = [()] * len(vertices)
+        steps: list[tuple[int, list[int]]] | None = None  # built when a row is first mapped
+        for r, depth_r in depth_of.items():
+            nonadjacent = [depth_r[y] >= 0 or depth_of[s][table[table[h][r]][inv[h]]] >= 0
+                           for y, (s, h) in zip(vertices, where)]
+            rows[at[r]] = tuple(compress(count(), nonadjacent))
+            for v in islice(memo.walks[r], 1, None):
+                if steps is None:  # for each generator t, the position of y^t = t^-1 (y t)
+                    steps = [(t, [at[table[inv[t]][table[y][t]]] for y in vertices])
+                             for t in C.generators]
+                for t, step in steps:
+                    u = table[table[t][v]][inv[t]]
+                    if rows[at[u]]:
+                        break
+                rows[at[v]] = _getter(rows[at[u]])(step)
+        C._memo["engel_rows"] = rows
+    return rows
 
 
 def is_engel_set(G: Group, members: Iterable[int]) -> bool:

@@ -55,7 +55,7 @@ from itertools import combinations, compress, count, permutations
 from operator import or_
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
 
-from .engel import _core_rows, _engel_core, _engel_rows, left_engel_set
+from .engel import _core_rows, _engel_core, left_engel_set
 from .errors import EmptyGraphError, EngelGroupError, SameVertex, UnknownVertex
 from .groups import Group, _classes, _getter
 
@@ -194,13 +194,14 @@ def build_engel_graph(G: Group) -> SimpleGraph:
     exactly when their images are, because a sequence reaches 1 in G
     exactly when its image does in C, and x is never adjacent to xz.  So
     E_G is E_C with each vertex replaced by the members of its coset, and
-    every member of a coset gets the preimage of its image's row.  Rows of
-    C come from ``engel._engel_rows``, which conjugates only in C, as lists
-    of non-neighbours, whose bits are cleared from the full row; C keeps
-    them (``engel._core_rows``), so the groups that share C read them
-    again.  The cosets outside L(G), met in increasing order of their
-    least members, are C's vertices in order.  When Z(G) = 1, C is G and
-    each list is used as it comes.
+    every member of a coset gets the preimage of its image's row.  E_C's
+    rows are lists of non-neighbours from ``engel._core_rows``, which
+    conjugates only in C and keeps them on C, so the groups that share C,
+    and a later graph of G, read them again.  The cosets outside L(G), met
+    in increasing order of their least members, are C's vertices in order.
+    A list becomes bits one of two ways: when Z(G) = 1, C is G and each
+    coset one vertex, so its bits are cleared from the full row; otherwise
+    the masks of its cosets are.
 
     Conjugation by G is an automorphism of E_G, and so is any swap of twins,
     so every vertex x is, up to twins, the image of the least preimage of
@@ -217,24 +218,20 @@ def build_engel_graph(G: Group) -> SimpleGraph:
     n = len(verts)
     full = (1 << n) - 1
     C, proj = _engel_core(G)
+    cosets: dict[int, list[int]] = {}  # positions in verts, by image in C
+    for v, x in enumerate(verts):
+        cosets.setdefault(proj[x], []).append(v)
     leader = _classes(C).leader
+    sources = tuple(cosets[leader[proj[x]]][0] for x in verts)
     if C is G:
-        rows = [0] * n
-        for v, ys in _engel_rows(G, verts):
-            rows[v] = full ^ _row(ys, n)
-        position = dict(zip(verts, range(n)))
-        sources = tuple(position[leader[x]] for x in verts)
+        rows = [full ^ _row(ys, n) for ys in _core_rows(C)]
     else:
-        cosets: dict[int, list[int]] = {}  # positions in verts, by image in C
-        for v, x in enumerate(verts):
-            cosets.setdefault(proj[x], []).append(v)
         members = list(cosets.values())
         masks, rows = [_row(vs, n) for vs in members], [0] * n
-        for i, ys in enumerate(_core_rows(C)):  # cosets are numbered by least member
+        for vs, ys in zip(members, _core_rows(C)):  # cosets are numbered by least member
             bits = full ^ reduce(or_, map(masks.__getitem__, ys), 0)
-            for v in members[i]:
+            for v in vs:
                 rows[v] = bits
-        sources = tuple(cosets[leader[proj[x]]][0] for x in verts)
     return SimpleGraph._from_rows(rows, tuple(verts), sources)
 
 

@@ -363,10 +363,10 @@ def _count_full_walks(monkeypatch):
     full = []
     walk = engel_module._walk
 
-    def counting(G, r, starts, *store):
+    def counting(G, r, starts):
         if starts == range(G.order):
             full.append((G, r))
-        return walk(G, r, starts, *store)
+        return walk(G, r, starts)
 
     monkeypatch.setattr(engel_module, "_walk", counting)
     return full
@@ -444,14 +444,16 @@ def test_each_engel_depth_map_is_built_once(monkeypatch, repo_root):
 @pytest.mark.parametrize("spec", ["S4", "D12xC5", "A5xC6"])
 def test_engel_degrees_keep_depths_over_the_first_images_only(monkeypatch, spec):
     # the walks from S_1 = {[a, x]} stay in S_1, so the one walk of each
-    # left Engel test keeps a depth for each member of S_1 and no entry
-    # for the rest of G; bytes rows for S4 and D12xC5, tuples for A5xC6
+    # left Engel test starts from S_1 only and maps no element outside it;
+    # bytes rows for S4 and D12xC5, tuples for A5xC6
     walks = []
     walk = engel_module._walk
 
-    def recording(G, r, starts, *store):
-        depth = walk(G, r, starts, *store)
-        walks.append((G, r, len(depth)))
+    def recording(G, r, starts):
+        starts = set(starts)
+        depth = walk(G, r, starts)
+        met = {y for y, d in enumerate(depth) if d is not None}
+        walks.append((G, r, starts, met))
         return depth
 
     monkeypatch.setattr(engel_module, "_walk", recording)
@@ -461,7 +463,7 @@ def test_engel_degrees_keep_depths_over_the_first_images_only(monkeypatch, spec)
         engel = is_left_engel(G, x)
         assert engel == (min(depth_map_by_preimages(G, x)) >= 0), x
         S1 = {G.commutator(a, x) for a in range(G.order)}
-        assert walks == [(G, x, len(S1))], x
+        assert walks == [(G, x, S1, S1)], x
 
 
 def test_left_engel_set_of_a5xa5_builds_no_depth_map(monkeypatch):
@@ -643,13 +645,13 @@ def test_randomly_engel_reads_each_class_of_the_core_once(monkeypatch, spec, ask
     # walks from the members of that class only, reads no Engel row, and
     # keeps on C its class pass and its answers, which G reads through proj
     rows = []
-    monkeypatch.setattr(engel_module, "_engel_rows", lambda *args: rows.append(args))
+    monkeypatch.setattr(engel_module, "_core_rows", lambda *args: rows.append(args))
     walks = []
     walk = engel_module._walk
 
-    def counting(H, r, starts, *store):
+    def counting(H, r, starts):
         walks.append((H, r, tuple(starts)))
-        return walk(H, r, starts, *store)
+        return walk(H, r, starts)
 
     monkeypatch.setattr(engel_module, "_walk", counting)
     G = build_group(spec)
@@ -683,9 +685,31 @@ def test_randomly_engel_reads_the_class_from_its_non_neighbours(spec):
     # must still be the element oracle's, over every conjugate
     G = build_group(spec)
     C, _ = engel_module._engel_core(G)
-    assert any(len(next(engel_module._engel_rows(C, cls))[1]) < len(cls) for cls in conjugacy_classes(C))
+    L = set(left_engel_set(C))
+    vertices = [x for x in range(C.order) if x not in L]
+    lists = dict(zip(vertices, engel_module._core_rows(C)))
+    assert any(len(set(cls) & {vertices[i] for i in lists[cls[0]]}) < len(cls)
+               for cls in conjugacy_classes(C) if cls[0] in lists)
     for x in range(G.order):
         assert is_randomly_engel_conjugates(G, x) == randomly_engel_conjugates_by_elements(G, x), x
+
+
+@pytest.mark.parametrize("spec, core_is_g", [("S5", True), ("S3xC2", False)])
+def test_a_second_engel_graph_makes_no_walk(monkeypatch, spec, core_is_g):
+    # E_C's lists are kept on C, whether C is G (Z(S5) = 1) or the core S3
+    # that S3xC2 shares, so a second graph of G reads them and walks nowhere
+    G = build_group(spec)
+    assert (engel_module._engel_core(G)[0] is G) == core_is_g
+    first = build_engel_graph(G)
+    walks = []
+    walk = engel_module._walk
+
+    def counting(H, r, starts):
+        walks.append((H, r))
+        return walk(H, r, starts)
+
+    monkeypatch.setattr(engel_module, "_walk", counting)
+    assert build_engel_graph(G) == first and walks == []
 
 
 def test_engel_outcome_consistency():

@@ -160,7 +160,7 @@ def test_depth_maps_match_direct_iteration_and_conjugation(G, data):
     for x in range(G.order):
         r, g = memo.leader[x], memo.via[x]
         assert G.conjugate(r, g) == x and r == least[x]
-        # _engel_rows reads depth_y[r] for y = s^h as depth_s[r^(h^-1)] on this identity
+        # _core_rows reads depth_y[r] for y = s^h as depth_s[r^(h^-1)] on this identity
         assert all(depths[x][G.conjugate(a, g)] == d for a, d in enumerate(depths[r])), (r, g)
 
 

@@ -93,6 +93,9 @@ MUTANTS = [
     # the diameter then searched from every twin class: right, but slow
     ("distances", "1-60", survey_module, "build_engel_graph", _no_orbit_sources),
     ("rows", "1-60", engel_module, "_engel_degree", engel_degree_from_first_images),
+    # a member's list mapped from a class member whose list is not yet made
+    ("rows", "1-60", graphs_module, "_core_rows",
+     mutated(engel_module._core_rows, "if rows[at[u]]:", "if True:")),
     ("randomly_engel", "1-60", engel_module, "_walk", walk_through_cycles),
     ("depths", "1-60", engel_module, "_engel_degree", engel_degree_one_short),
     ("tables", "A5xC5", _Rows, "__missing__", _ThroughTheNextGenerator.__missing__),
