@@ -14,6 +14,7 @@ from engelgraph import (
     InvalidParameter,
     NotASubgroup,
     Permutation,
+    build_engel_graph,
     build_group,
     catalog_plans,
     closure,
@@ -31,12 +32,13 @@ from engelgraph import (
     normal_closure,
     subgroup_generated,
 )
-from engelgraph.engel import _engel_core
-from engelgraph.groups import _Rows, _Span, _complete_table, _getter, _normal_span
+from engelgraph.engel import _engel_core, _randomly_engel_answers
+from engelgraph.groups import _Rows, _Span, _getter, _normal_span
 from engelgraph.survey import evaluate_group
 from conftest import elem
 from oracles import (
     class_mismatches,
+    complete_table,
     greedy_lower_central_series,
     greedy_span,
     lazy_table_mismatches,
@@ -131,7 +133,7 @@ def test_mul_table_agrees_with_direct_composition(repo_root):
         for _ in range(2000):
             i, j = rng.randrange(G.order), rng.randrange(G.order)
             assert G.perm(G.mul(i, j)) == G.perm(i) * G.perm(j), (G.name, i, j)
-        assert G._inv == tuple(row.index(0) for row in _complete_table(G)), G.name
+        assert G._inv == tuple(row.index(0) for row in complete_table(G)), G.name
 
 
 def test_generators_generate_the_group():
@@ -188,7 +190,7 @@ def test_cayley_rows_are_bytes_up_to_order_256_and_tuples_above():
     # order alone picks the row type
     for spec, row_type in (("C256", bytes), ("Dic64", bytes), ("C257", tuple), ("S4xC11", tuple)):
         G = build_group(spec)
-        assert {type(row) for row in _complete_table(G)} == {row_type}, spec
+        assert {type(row) for row in complete_table(G)} == {row_type}, spec
     # the 178 catalog tables up to order 96 held 6.11 MiB as tuple rows
     held = sum(
         sys.getsizeof(G._table) + sum(map(sys.getsizeof, G._table))
@@ -197,13 +199,26 @@ def test_cayley_rows_are_bytes_up_to_order_256_and_tuples_above():
     assert held < 1.5 * 2**20
 
 
-def _relabelled_generator_file(path, spec, seed):
-    """The spec of a generator file for ``spec``'s group with its points
-    relabelled by a seeded shuffle: the same group up to isomorphism, whose
-    elements sort, and so are indexed, differently."""
-    gens = build_group(spec)._gens
+def _relabelled_generator_file(path, spec, seed, moves=0):
+    """The spec of a generator file for ``spec``'s group: ``moves`` seeded
+    Nielsen moves on its generators (x -> x y, x -> x^-1 or a swap, each
+    of which keeps them generating the group), then its points relabelled
+    by a seeded shuffle, as the benchmark's ``large`` workload makes its
+    files: the same group up to isomorphism, whose elements sort, and so
+    are indexed, differently."""
+    rng = random.Random(seed)
+    gens = list(build_group(spec)._gens)
+    for _ in range(moves):
+        i, j = rng.sample(range(len(gens)), 2)
+        move = rng.randrange(3)
+        if move == 0:
+            gens[i] = gens[i] * gens[j]
+        elif move == 1:
+            gens[i] = gens[i].inverse()
+        else:
+            gens[i], gens[j] = gens[j], gens[i]
     points = list(range(1, max(p.degree for p in gens) + 1))
-    random.Random(seed).shuffle(points)
+    rng.shuffle(points)
     sigma = Permutation(points)
     path.write_text("".join(f"{sigma.inverse() * p * sigma}\n" for p in gens))
     return f"@{path.name}"
@@ -258,14 +273,56 @@ def test_a_row_deep_in_the_construction_tree_is_composed_without_recursion():
         assert G.perm(G.mul(x, q)) == G.perm(x) * G.perm(q), q
 
 
-@pytest.mark.parametrize("spec, composed", [("A5xC6", 15), ("S4xC15", 57)])
-def test_the_engel_core_composes_no_row_and_an_evaluation_few(spec, composed):
+@pytest.mark.parametrize("spec, composed", [("A5xC6", 9), ("S4xC15", 23), ("@A5xC6", 12), ("@S4xC15", 28)])
+def test_the_engel_core_composes_no_row_and_an_evaluation_few(tmp_path, spec, composed):
     # the core reads G's generator rows and columns only; the whole
-    # evaluation composed the pinned number of G's 360 rows when measured
-    G = build_group(spec)
+    # evaluation composed the pinned number of G's 360 rows when measured,
+    # on the family's generators and, for "@", on a generator file made as
+    # the benchmark makes its files.  When spans read each coset from its
+    # representative's row, these were 15, 57, 34 and 87 rows
+    if spec.startswith("@"):
+        spec = _relabelled_generator_file(tmp_path / "g.gens", spec[1:], 0, moves=16)
+    G = build_group(spec, base_dir=tmp_path)
     C, _ = _engel_core(G)
     assert C.order < G.order and set(G._table) == {0, *G.generators}
-    assert len(evaluate_group(spec).group._table) <= composed
+    assert len(evaluate_group(spec, base_dir=tmp_path).group._table) <= composed
+
+
+def test_orders_are_walked_along_the_row_of_the_element_itself():
+    # x^(k+1) = x x^k composes x's row and the rows on its way down the
+    # construction tree; x^(k+1) = x^k x composed the rows of the powers,
+    # 71 for these three elements of S4xC15, against 29
+    G = build_group("S4xC15")
+    xs = (17, 200, 359)
+    assert [G.order_of(x) for x in xs] == [G.perm(x).order() for x in xs]
+    assert set(G._table) == {0, *G.generators} | _on_the_way(G, xs)
+    assert len(G._table) - 1 - len(G.generators) == 29
+    assert [G.order_of(x) for x in range(G.order)] == [p.order() for p in G.elements]
+
+
+def test_conjugates_and_commutators_compose_no_row_of_a_product():
+    # y^-1 (x y) and x^-1 (y^-1 (x y)) read the rows of x, y and their
+    # inverses only; each against Permutation products
+    G = build_group("A5xC6")
+    xs = [5, 77, 300]
+    for x in xs:
+        for y in xs:
+            p, q = G.perm(x), G.perm(y)
+            assert G.perm(G.conjugate(x, y)) == q.inverse() * p * q
+            assert G.perm(G.commutator(x, y)) == p.inverse() * q.inverse() * p * q
+    assert set(G._table) <= {0, *G.generators} | _on_the_way(G, [*xs, *map(G.inv, xs)])
+
+
+def _on_the_way(G, xs):
+    """The members of xs and every element on their way to the identity
+    along the construction tree of G, whose rows are composed on first
+    read: the rows that composing the rows of xs may compose."""
+    met = set()
+    for x in xs:
+        while x and x not in met:
+            met.add(x)
+            x = G._table.parent[x][2]
+    return met
 
 
 def test_the_class_pass_above_order_256_composes_no_row():
@@ -293,13 +350,16 @@ def test_each_column_is_walked_once_across_an_evaluation_and_the_class_pass(tmp_
 
 
 @pytest.mark.parametrize("spec", ["A6", "S6"])
-def test_a_group_that_is_its_own_core_holds_its_complete_table(spec):
-    # every Engel walk reads G's rows, so no read goes through __missing__
+def test_a_group_that_is_its_own_core_composes_no_row_for_its_engel_answers(spec):
+    # every Engel walk reads a step array made from the generators' rows
+    # and columns along the construction tree; the table was completed for
+    # them, 360 and 720 rows
     G = build_group(spec)
-    assert isinstance(G._table, _Rows)
+    assert isinstance(G._table, _Rows) and _engel_core(G)[0] is G
     left_engel_set(G)
-    assert type(G._table) is list and len(G._table) == G.order
-    assert {type(row) for row in G._table} == {tuple}
+    build_engel_graph(G)
+    _randomly_engel_answers(G)
+    assert set(G._table) == {0, *G.generators}
 
 
 def test_a_group_with_rows_composed_on_first_read_survives_a_pickle_round_trip():
@@ -317,7 +377,7 @@ def test_a_group_with_rows_composed_on_first_read_survives_a_pickle_round_trip()
         assert isinstance(H._table, _Rows) and H._inv == G._inv
         assert [left_engel_set(H), fitting_subgroup(H), conjugacy_classes(H),
                 derived_subgroup(H), [H.mul(x, x) for x in range(H.order)]] == answers
-        assert _complete_table(H) == _complete_table(G)
+        assert complete_table(H) == complete_table(G)
 
 
 def test_construction_keeps_the_cayley_table_and_no_image_copy():
@@ -555,7 +615,7 @@ def test_a_span_of_one_element_walks_its_powers_one_read_each(spec, monkeypatch)
     # writes nothing to its group, so one counted copy serves every s
     G = build_group(spec)
     counted = pickle.loads(pickle.dumps(G))
-    monkeypatch.setattr(counted, "_table", [CountingRow(row) for row in _complete_table(G)])
+    monkeypatch.setattr(counted, "_table", [CountingRow(row) for row in complete_table(G)])
     for s in range(1, G.order):
         powers = [G.identity]
         while len(powers) < G.order_of(s):

@@ -86,10 +86,11 @@ from engelgraph import (  # noqa: E402
     subgroup_generated,
 )
 from engelgraph.families import dihedral_group, family_generators, product_group  # noqa: E402
-from engelgraph.groups import _classes, _complete_table  # noqa: E402
+from engelgraph.groups import _Rows, _Span, _classes, _normal_span  # noqa: E402
 from oracles import (  # noqa: E402
     brute_clique_number,
     class_mismatches,
+    complete_table,
     depth_map_by_preimages,
     direct_engel_graph,
     direct_left_engel_set,
@@ -106,6 +107,7 @@ from oracles import (  # noqa: E402
     twin_quotient_by_neighbourhoods,
     with_planted_twins,
 )
+from test_groups import _relabelled_generator_file  # noqa: E402
 
 SPECS = ("S3", "A4", "D12", "Dic3", "S4", "S3xC2", "@fixtures/c7_c3.gens")
 
@@ -271,6 +273,34 @@ def test_subgroup_queries_on_a_warmed_group_match_a_cold_copy(warmed, data):
         assert list(terms) == lower_central_series(pickle.loads(cold), key), (G.name, key)
 
 
+LAZY_SPECS = ("A5xC5", "S4xC12", "A5xC6", "S4xC15", "A6")
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(LAZY_SPECS), st.integers(0, 2**16), st.data())
+def test_spans_above_order_256_match_a_copy_completed_first(tmp_path_factory, spec, seed, data):
+    # cosets chained through the generators' rows, conjugates read from
+    # columns or from the rows of inverses, and commutators read as
+    # x^-1 (y^-1 (x y)), against the row reads of a copy whose table was
+    # completed before any query: members, greedy generators and series
+    path = tmp_path_factory.mktemp("gens") / "g.gens"
+    G = build_group(_relabelled_generator_file(path, spec, seed, moves=16), base_dir=path.parent)
+    completed = pickle.loads(pickle.dumps(G))
+    complete_table(completed)
+    S = data.draw(st.sets(st.integers(0, G.order - 1), max_size=4), label="S")
+
+    def answers(H):
+        span, closure = _Span(H, S), _normal_span(H, S, H.generators)
+        fitting = fitting_subgroup(H)
+        return [span.key(), span.gens, subgroup_generated(H, S), closure.key(), closure.gens,
+                normal_closure(H, S), lower_central_series(H, span.key()),
+                lower_central_series(H, closure.key()), fitting,
+                _normal_span(H, fitting, H.generators).gens]
+
+    assert isinstance(G._table, _Rows) and not isinstance(completed._table, _Rows)
+    assert answers(G) == answers(completed), (spec, seed, sorted(S))
+
+
 @st.composite
 def generator_lists(draw):
     """Up to three permutations of degree 0 to 7, shuffled with up to two
@@ -298,7 +328,7 @@ def assert_matches_closure_oracle(G, gens, oracle):
     assert list(G.elements) == elements
     assert G.generators == tuple(index[g] for g in dict.fromkeys(gens))
     assert G._inv == tuple(index[p.inverse()] for p in elements)
-    table = _complete_table(G)
+    table = complete_table(G)
     assert G._inv == tuple(row.index(0) for row in table)
     # rows are bytes up to order 256 and tuples above
     assert [tuple(row) for row in table] == [
@@ -313,7 +343,7 @@ def assert_round_trips(G, oracle):
     elements = sorted(oracle)
     assert all(G.perm(i) == p and G.index(p) == i for i, p in enumerate(elements))
     assert list(copy.elements) == elements
-    assert _complete_table(copy) == _complete_table(G)
+    assert complete_table(copy) == complete_table(G)
 
 
 def moved_point_count(gens):
