@@ -7,12 +7,7 @@ sequence of (a, x) is a question about the functional graph of that map,
 and one walk answers them all.  ``_walk`` follows z -> [z, x] from each
 start until it meets an element already mapped, and maps every element met,
 in one list of |G| entries, to its depth, the least k with [z,_k x] = 1,
-or to -1 when the sequence never reaches the identity.  Up to order 256 a
-step is three reads of the Cayley table.  Above it, where rows are
-composed on first read, a step is one read of x's step array
-(``_steps``): [z, x] = (x^-1)^z x = col_x[inv[x^z]], made from x's column
-and x's conjugates along the construction's search tree, so no walk
-composes a row.  ``engel_depths``
+or to -1 when the sequence never reaches the identity.  ``engel_depths``
 walks from every element; the pointwise tests and the set predicates walk
 from the elements asked about only.  No walk is kept: each reader drops
 its map when it is done.  The test suite cross-checks the walks against a
@@ -21,27 +16,23 @@ iteration of the commutator map.
 
 Whether x is left Engel, or left k-Engel, asks only where the whole map
 leads, so it is read from the images S_k = {[a,_k x] : a in G}.
-S_1 = {(x^-1)^a x} = (x^-1)^G x comes from x's conjugacy class, or above
-order 256 from the image of x's step array, and
+S_1 = {(x^-1)^a x} = (x^-1)^G x comes from x's conjugacy class, and
 S_{k+1} = [S_k, x] lies in S_k, since S_2 = [S_1, x] lies in [G, x] = S_1.
 So the walks from S_1 stay in S_1: x is left Engel exactly when every
 member of S_1 reaches 1, and left k-Engel exactly when each does in fewer
-than k steps.  Up to order 256 that reads one table entry per member of
-S_1, where a walk from every element reads all of G.
+than k steps.  That reads one table entry per member of S_1, where a walk
+from every element reads all of G.
 
 Conjugation is an automorphism of the relation: [a^g,_k x^g] = [a,_k x]^g,
 so depth_{x^g}[a^g] = depth_x[a].  L(G) is therefore decided at the least
 member r of each conjugacy class only, and the Engel graph walks from
 every element for those r outside L only.  The randomly-Engel check walks
-from the members of r's class only.  Both read the partner h r h^-1 of a
-member r^h, above order 256 from the conjugates that r's step array is
-made with.
+from the members of r's class only.
 ``_core_rows`` decides adjacency only at r, reading each vertex
 y = s^h as its class's least member s and h from the one pass that finds
 all of G's classes at its first class query (``groups._classes``), and
 carries r's list to the rest of r's class in the order that pass walked
-it, one generator's conjugation map at a time, each read from the
-generator's row or column and the inverses.  The list is of r's
+it, one generator's conjugation map at a time.  The list is of r's
 non-neighbours: the Engel graphs measured are dense (74% to 100% of all
 pairs on the large groups), so it is the shorter one.
 
@@ -51,7 +42,7 @@ quotient by the hypercentre (``_engel_core``, built in one step from G's
 generator rows and columns, so above order 256, where G's rows are composed
 on first read, it composes no other row of G; C's table is built by the
 code that builds G's, from C's generator rows, and when the centre is
-trivial C is G; either way no walk in C composes a row of it):
+trivial C is G; either way C's table is completed before any walk):
 [Z_i, G] lies in Z_{i-1}, so a sequence reaches 1 in G exactly when
 its image does in C, whose centre is trivial.  L(G) is the preimage of
 L(C), E_G is E_C with each vertex replaced by the pairwise non-adjacent
@@ -89,10 +80,10 @@ from .groups import (
     _check_element,
     _classes,
     _column,
+    _complete_table,
     _getter,
     _normal_span,
     _series,
-    _squared,
     _subgroup_gens,
     conjugacy_class,
     conjugacy_classes,
@@ -149,7 +140,7 @@ def engel_depths(G: Group, x: int) -> tuple[int, ...]:
     return tuple(_walk(G, x, range(G.order)))
 
 
-def _walk(G: Group, r: int, starts: Iterable[int], step: Sequence[int] | None = None) -> list[int | None]:
+def _walk(G: Group, r: int, starts: Iterable[int]) -> list[int | None]:
     """For each z of ``starts`` and each element met on the way, the least
     k with [z,_k r] = 1, or -1 when the Engel sequence z, [z, r],
     [z,_2 r], ... never reaches the identity; None for the elements not met.
@@ -161,27 +152,11 @@ def _walk(G: Group, r: int, starts: Iterable[int], step: Sequence[int] | None = 
     without the identity, leaves them all at -1, as one mapped to -1 by an
     earlier walk does; one at depth d gives them the depths d + 1, d + 2,
     ... back to the start.  [z, r] = z^-1 ((r^-1 z) r) is read from the
-    row of r^-1; when G's rows are composed on first read, from the step
-    array of r, ``step`` or else ``_steps(G, r)``, so no row is composed."""
-    depth: list[int | None] = [None] * G.order
-    depth[G.identity] = 0
-    if isinstance(G._table, _Rows):
-        if step is None:
-            step = _steps(G, r)[0]
-        for z in starts:
-            path = []
-            while depth[z] is None:
-                depth[z] = -1
-                path.append(z)
-                z = step[z]
-            d = depth[z]
-            if d >= 0:
-                for y in reversed(path):
-                    d += 1
-                    depth[y] = d
-        return depth
+    row of r^-1."""
     table, inv = G._table, G._inv
     row = table[inv[r]]
+    depth: list[int | None] = [None] * G.order
+    depth[G.identity] = 0
     for z in starts:
         path = []
         while depth[z] is None:
@@ -196,50 +171,19 @@ def _walk(G: Group, r: int, starts: Iterable[int], step: Sequence[int] | None = 
     return depth
 
 
-def _steps(G: Group, r: int) -> tuple[tuple[int, ...], list[int]]:
-    """(step, phi) for G whose rows are composed on first read: step[z] =
-    [z, r] and phi[x] = x r x^-1, read from the generators' rows alone.
-
-    [z, r] = (r^-1)^z r = col_r[inv[r^z]], and r^z = phi[z^-1].  Both the
-    column of r and phi follow the construction's search tree, x = g u,
-    in one walk, one Python step per element: x r = g (u r) is read from
-    g's row, and x r x^-1 = g (u r u^-1) g^-1 from the map v -> g v g^-1,
-    made from g's row and the inverses by ``_squared``.  Walked the other
-    way, as u g, the tree would give u^-1 r u, not x r x^-1.  The rest is
-    ``itemgetter`` calls.  Neither array is kept; the tree, with g's row and
-    map in each step, is kept on G, which saves about a fifth of each call
-    on D4094."""
-    tree = G._memo.get("conjugation_tree")
-    if tree is None:  # (x, g's row, v -> g v g^-1, u) for each step x = g u
-        at_inv, rows = _getter(G._inv), G._table.gen_rows
-        maps = [_squared(at_inv(row)) for row in rows]
-        tree = G._memo["conjugation_tree"] = at_inv, [(x, rows[j], maps[j], u) for x, j, u in G._table.steps]
-    at_inv, steps = tree
-    col, phi = [r] * G.order, [r] * G.order
-    for x, row, back, u in steps:
-        col[x] = row[col[u]]
-        phi[x] = back[phi[u]]
-    return _getter(_getter(at_inv(phi))(G._inv))(col), phi
-
-
 def _engel_degree(G: Group, x: int) -> int | None:
     """The least k >= 1 with S_k = {[a,_k x] : a in G} = {1}, or None when
     no S_k is.
 
-    [a, x] = (x^a)^-1 x, so S_1 is read from the class of x, or above order
-    256, where the walk reads x's step array, as its image.  S_1 holds the
+    [a, x] = (x^a)^-1 x, so S_1 is read from the class of x.  S_1 holds the
     identity, [1, x], and the walks from S_1 stay in S_1, so one walk from
     S_1 gives every depth read here; k is one more than the largest depth
     over S_1, and there is none when a member of S_1 never reaches 1.
     Raises InvalidParameter for an x outside 0..order-1."""
     _check_element(G, x)
     table, inv = G._table, G._inv
-    if isinstance(table, _Rows):  # S_1 is the image of x's step array
-        step = _steps(G, x)[0]
-        images = set(step)
-    else:
-        step, images = None, {table[inv[c]][x] for c in conjugacy_class(G, x)}
-    depths = list(map(_walk(G, x, images, step).__getitem__, images))
+    images = {table[inv[c]][x] for c in conjugacy_class(G, x)}
+    depths = list(map(_walk(G, x, images).__getitem__, images))
     return None if min(depths) < 0 else 1 + max(depths)
 
 
@@ -281,11 +225,10 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
     right products by generators of Z_{i+1} (``_cosets_by_columns``), so
     no row of G is composed but the identity's and the generators'; G's
     table keeps those columns, which G's class pass reads again.  C's
-    table, G's when C is G, is left as it is: above order 256 its walks
-    read step arrays, so none composes a row.  A complete table is read as
-    it is: xg from x's row, for the candidates left only, and x Z from x's
-    row at the members of Z, which costs less there than columns and orbits
-    do."""
+    table, G's when C is G, is completed here, so no walk composes a row.
+    A complete table is read as it is: xg from x's row, for the candidates
+    left only, and x Z from x's row at the members of Z, which costs less
+    there than columns and orbits do."""
     if "engel_core" not in G._memo:
         table, n = G._table, G.order
         lazy = isinstance(table, _Rows)  # then x g is read from g's column
@@ -325,14 +268,15 @@ def _engel_core(G: Group) -> tuple[Group, Sequence[int]]:
             G._memo["engel_core"] = build(rows), proj
         else:
             G._memo["engel_core"] = None  # C is G, which G's memo must not hold
+            _complete_table(G)  # every walk reads G's rows
     core = G._memo["engel_core"]
     return (G, range(G.order)) if core is None else core
 
 
 @lru_cache(maxsize=16)
 def _shared_core(rows: tuple[tuple[int, ...], ...]) -> Group:
-    """The Engel core whose generator rows are ``rows``, marked as its own
-    core, so no centre filter runs on it;
+    """The Engel core whose generator rows are ``rows``, with its table
+    complete and marked as its own core, so no centre filter runs on it;
     one per distinct ``rows`` among the last 16 asked for.  16 is the
     least power of two at which ``survey(120)`` and the catalog groups of
     order at most 96 build as few cores as with no bound (11 and 15; 8
@@ -340,6 +284,7 @@ def _shared_core(rows: tuple[tuple[int, ...], ...]) -> Group:
     reads it."""
     C = Group._from_generator_rows(rows, "Engel core")
     C._memo["engel_core"] = None
+    _complete_table(C)  # every walk reads C's rows
     return C
 
 
@@ -453,25 +398,17 @@ def _randomly_engel_answers(G: Group) -> tuple[bool, ...]:
     conjugated by h, with r^(h^-1) = h r h^-1 in the class too.  So both
     orientations are sequences of the one map z -> [z, r], walked by
     ``_walk`` from the members of the class only, and the class passes when
-    every member reaches 1 or its partner h r h^-1 does.  Above order 256
-    the partner is read from the conjugates of r that r's step array is
-    made with (``_steps``)."""
+    every member reaches 1 or its partner h r h^-1 does."""
     answers = G._memo.get("randomly_engel")
     if answers is None:
         C, proj = _engel_core(G)
         if C is G:
             table, inv = G._table, G._inv
-            lazy = isinstance(table, _Rows)
             memo = _classes(G)
             passes = [False] * G.order
             for r, cls in memo.classes.items():
-                if lazy:  # h r h^-1 = phi[h]
-                    step, phi = _steps(G, r)
-                    depth = _walk(G, r, cls, step)
-                    partners = map(phi.__getitem__, map(memo.via.__getitem__, cls))
-                else:
-                    depth = _walk(G, r, cls)
-                    partners = (table[table[h][r]][inv[h]] for h in map(memo.via.__getitem__, cls))
+                depth = _walk(G, r, cls)
+                partners = (table[table[h][r]][inv[h]] for h in map(memo.via.__getitem__, cls))
                 if all(depth[y] >= 0 or depth[p] >= 0 for y, p in zip(cls, partners)):
                     for y in cls:
                         passes[y] = True
@@ -495,15 +432,11 @@ def _core_rows(C: Group) -> list[tuple[int, ...]]:
     u^t.  The other members come in the order the class was walked in
     ``groups._classes``, so each member v is u^t for some generator t and
     some u listed before it, found as u = t v t^-1, and gets u's list mapped
-    by t's conjugation map on positions in one ``itemgetter`` call.  Both
-    maps are read from t's column or row and the inverses (``_squared``),
-    and above order 256 the partners h r h^-1 from the conjugates that r's
-    step array is made with, so no row of C is composed.  A list not yet
-    made is empty, since every list holds its own vertex."""
+    by t's conjugation map on positions in one ``itemgetter`` call.  A list
+    not yet made is empty, since every list holds its own vertex."""
     rows = C._memo.get("engel_rows")
     if rows is None:
         table, inv = C._table, C._inv
-        lazy = isinstance(table, _Rows)
         memo = _classes(C)
         leader, via = memo.leader, memo.via
         L = set(left_engel_set(C))
@@ -512,30 +445,19 @@ def _core_rows(C: Group) -> list[tuple[int, ...]]:
         for i, y in enumerate(vertices):
             at[y] = i
         where = [(leader[y], via[y]) for y in vertices]  # (s, h) with s^h = y
-        leaders = dict.fromkeys(s for s, _ in where)
-        if lazy:  # the partner h r h^-1 is phi_r[h]
-            walked = {s: _steps(C, s) for s in leaders}
-            depth_of = {s: _walk(C, s, range(C.order), step) for s, (step, _) in walked.items()}
-        else:
-            depth_of = {s: _walk(C, s, range(C.order)) for s in leaders}
+        depth_of = {s: _walk(C, s, range(C.order)) for s in dict.fromkeys(s for s, _ in where)}
         rows = [()] * len(vertices)
-        maps: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None  # made when a row is first mapped
+        steps: list[tuple[int, list[int]]] | None = None  # built when a row is first mapped
         for r, depth_r in depth_of.items():
-            if lazy:
-                phi = walked[r][1]
-                nonadjacent = [depth_r[y] >= 0 or depth_of[s][phi[h]] >= 0
-                               for y, (s, h) in zip(vertices, where)]
-            else:
-                nonadjacent = [depth_r[y] >= 0 or depth_of[s][table[table[h][r]][inv[h]]] >= 0
-                               for y, (s, h) in zip(vertices, where)]
+            nonadjacent = [depth_r[y] >= 0 or depth_of[s][table[table[h][r]][inv[h]]] >= 0
+                           for y, (s, h) in zip(vertices, where)]
             rows[at[r]] = tuple(compress(count(), nonadjacent))
             for v in islice(memo.walks[r], 1, None):
-                if maps is None:  # per generator t, the position of each y^t, and v -> t v t^-1
-                    at_inv, at_vertices = _getter(inv), _getter(vertices)
-                    maps = [(_getter(at_vertices(_squared(at_inv(_column(C, t)))))(at),
-                             _squared(at_inv(table[t]))) for t in C.generators]
-                for step, back in maps:
-                    u = back[v]
+                if steps is None:  # for each generator t, the position of y^t = t^-1 (y t)
+                    steps = [(t, [at[table[inv[t]][table[y][t]]] for y in vertices])
+                             for t in C.generators]
+                for t, step in steps:
+                    u = table[table[t][v]][inv[t]]
                     if rows[at[u]]:
                         break
                 rows[at[v]] = _getter(rows[at[u]])(step)

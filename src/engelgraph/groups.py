@@ -11,15 +11,16 @@ whose questions are answered in a small Engel core composes few of them.
 ``Group._set_table`` builds every table, the Engel core's too, from its
 generators' rows along a search tree: the construction's, or one over the
 rows alone (``_search_tree``).
-Every reader indexes a row, so all read alike; one that needs x -> x z
-reads the column of z (``_column``), which above order 256 walks the
-construction's search tree once, composes no row, and keeps the column on
-the table for the next reader.  Above order 256 no reader composes the row
-of a product it was not asked about: spans compose their generators' rows
-and those of their inverses, and the Engel walks none (``engel``).
-Elements are indexed in the
-order of their image tuples, so building the same group twice, from any
-generating set, yields identical indices, reports, and DOT output.
+Every reader indexes a row, so all read alike; a reader that needs every
+row completes the table first (``_complete_table``), and one that needs
+x -> x z reads the column of z (``_column``), which above order 256 walks
+the construction's search tree once, composes no row, and keeps the
+column on the table for the next reader.  Above order 256 no subgroup
+query composes the row of a product it was not asked about: spans
+compose their generators' rows and those of their inverses.  Elements
+are indexed in the order of their image tuples, so building the same
+group twice, from any generating set, yields identical indices, reports,
+and DOT output.
 Elements are referred to by index everywhere; an "element set" is a
 sorted, duplicate-free tuple of indices, and the elements become
 Permutations only when asked for, from the table.
@@ -161,6 +162,15 @@ def _column(G: "Group", z: int) -> list[int]:
     return list(map(itemgetter(z), table))
 
 
+def _complete_table(G: "Group") -> list:
+    """G's Cayley table as a plain list: a table whose rows are composed on
+    first read is completed once, and replaces it on G."""
+    table = G._table
+    if isinstance(table, _Rows):
+        table = G._table = list(map(table.__getitem__, range(G.order)))
+    return table
+
+
 def _search_tree(gen_rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, int, int]]:
     """The breadth-first search tree from the identity, at index 0, of the
     group on the indices 0..n-1 generated by the elements whose Cayley rows,
@@ -277,8 +287,7 @@ class Group:
         # Empty until queried: the conjugacy classes with their leader and
         # via lists and their walk, under "classes", written by the first
         # class query; the lower central series of subgroups, under
-        # "series"; the Engel core, L(G), the randomly-Engel answers and,
-        # above order 256, the tree its step arrays are walked along,
+        # "series"; the Engel core, L(G) and the randomly-Engel answers,
         # written by engel.py, which keeps no Engel depth map
         self._memo: dict = {}
         in_sorted_order = _getter(ordered)
@@ -512,8 +521,9 @@ class _Span:
             elements.extend(coset)
             at_coset = _getter(coset)
             for row in gen_rows:
-                if row[y] not in members:
-                    queue.append((row[y], at_coset, row))
+                gy = row[y]
+                if gy not in members:
+                    queue.append((gy, at_coset, row))
 
     def key(self) -> tuple[int, ...]:
         """The members as a sorted tuple; ``tuple(range(|G|))``, with no
@@ -717,13 +727,6 @@ class _ClassPass(NamedTuple):
     walks: dict[int, list[int]]  # each class in the order reached, by least member
 
 
-def _squared(half: Sequence[int]) -> tuple[int, ...]:
-    """v -> half[half[v]], by two ``itemgetter`` calls: for half(v) =
-    v^-1 g, g's column read at the inverses, the conjugation v -> g^-1 v g,
-    and for half(v) = g v^-1, g's row read there, v -> g v g^-1."""
-    return _getter(half)(half)
-
-
 def _classes(G: Group) -> _ClassPass:
     """G's conjugacy classes, made on the first class query of any kind by
     one pass, then read from ``G._memo``.
@@ -745,7 +748,8 @@ def _classes(G: Group) -> _ClassPass:
         conjugation = []  # per generator g, w -> w g and v -> g^-1 v g
         for g in G.generators:
             col = _column(G, g)
-            conjugation.append((col, _squared(at_inv(col))))
+            half = at_inv(col)  # v -> v^-1 g, so half[half[v]] = g^-1 v g
+            conjugation.append((col, _getter(half)(half)))
         leader, via, classes, walks = [-1] * n, [G.identity] * n, {}, {}
         for x in range(n):
             if leader[x] >= 0:

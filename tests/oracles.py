@@ -71,7 +71,7 @@ from engelgraph import (
 from engelgraph.engel import _walk
 from engelgraph.graphs import _row
 from engelgraph.groups import (
-    MAX_ORDER, _Rows, _classes, _column, _is_whole, _subgroup_gens,
+    MAX_ORDER, _classes, _column, _complete_table, _is_whole, _subgroup_gens,
 )
 
 
@@ -98,16 +98,6 @@ def table_by_products(gens):
     return rows, [index[p.inverse()] for p in elements]
 
 
-def complete_table(G):
-    """G's Cayley table as a plain list: a table whose rows are composed on
-    first read is completed once, and replaces it on G, whose queries then
-    read every row as a group of order at most 256 does."""
-    table = G._table
-    if isinstance(table, _Rows):
-        table = G._table = list(map(table.__getitem__, range(G.order)))
-    return table
-
-
 def lazy_table_mismatches(G, rows, inverses, rng):
     """Where G, a cold group whose Cayley rows are composed on first read,
     departs from ``rows`` and ``inverses`` of ``table_by_products``: each
@@ -122,7 +112,7 @@ def lazy_table_mismatches(G, rows, inverses, rng):
         if tuple(G._table[x]) != rows[x]:
             out.append(("row", x))
     out += [("inverse", x) for x in range(G.order) if G._inv[x] != inverses[x]]
-    complete_table(G)
+    _complete_table(G)
     out += [("table column", g) for g in G.generators if _column(G, g) != want[g]]
     return out
 
@@ -161,7 +151,7 @@ def lazy_group_mismatches(cold, rng, samples=500):
     survey_module = importlib.import_module("engelgraph.survey")
 
     G, completed = cold(), cold()
-    complete_table(completed)
+    _complete_table(completed)
     name = G.name
     out = []
     for _ in range(samples):
@@ -598,10 +588,10 @@ def engel_degree_one_short(G, x):
     return None if min(depths) < 0 else max(depths)
 
 
-def walk_through_cycles(G, r, starts, step=None):
+def walk_through_cycles(G, r, starts):
     """A mutant of ``engel._walk`` that gives a walk meeting itself the
     depths of one that met the identity there, as if a cycle of
-    z -> [z, r] held 1; it reads the rows, never ``step``."""
+    z -> [z, r] held 1."""
     table, inv = G._table, G._inv
     row = table[inv[r]]
     depth = [None] * G.order

@@ -32,7 +32,6 @@ from engelgraph import (
     subgroup_generated,
     symmetric_group,
 )
-from engelgraph.groups import _Rows
 from engelgraph.io import build_group
 from engelgraph.survey import catalog_plans, evaluate_group, survey
 from conftest import elem
@@ -364,10 +363,10 @@ def _count_full_walks(monkeypatch):
     full = []
     walk = engel_module._walk
 
-    def counting(G, r, starts, *step):
+    def counting(G, r, starts):
         if starts == range(G.order):
             full.append((G, r))
-        return walk(G, r, starts, *step)
+        return walk(G, r, starts)
 
     monkeypatch.setattr(engel_module, "_walk", counting)
     return full
@@ -450,9 +449,9 @@ def test_engel_degrees_keep_depths_over_the_first_images_only(monkeypatch, spec)
     walks = []
     walk = engel_module._walk
 
-    def recording(G, r, starts, *step):
+    def recording(G, r, starts):
         starts = set(starts)
-        depth = walk(G, r, starts, *step)
+        depth = walk(G, r, starts)
         met = {y for y, d in enumerate(depth) if d is not None}
         walks.append((G, r, starts, met))
         return depth
@@ -510,46 +509,16 @@ def test_engel_core_is_g_mod_its_hypercentre():
 
 @pytest.mark.parametrize("spec, order", [("Dic129", 258), ("D516", 258), ("A6xC2", 360)])
 def test_a_core_above_order_256_is_g_mod_its_hypercentre_with_a_complete_table(spec, order):
-    # its rows are composed on first read, as G's are: L(G), E_G and the
-    # randomly-Engel answers, whose walks read step arrays, compose none
-    # but the identity's and the generators', and the oracle, which reads
-    # every product, completes the table, as _engel_core used to before
-    # any walk
+    # its rows are composed on first read, as G's are, and _engel_core
+    # completes them, so no walk in C composes a row
     G = build_group(spec)
     C, proj = engel_module._engel_core(G)
-    assert C.order == order and isinstance(C._table, _Rows)
-    left_engel_set(G)
-    build_engel_graph(G)
-    engel_module._randomly_engel_answers(G)
-    assert set(C._table) == {0, *C.generators}
-    assert engel_core_mismatches(G, C, proj) == []
-    assert len(C._table) == C.order and {type(row) for row in C._table.values()} == {tuple}
+    assert C.order == order and engel_core_mismatches(G, C, proj) == []
+    assert type(C._table) is list and len(C._table) == C.order
+    assert {type(row) for row in C._table} == {tuple}
     # and it is built for G alone: another copy of G gets a core of its own
     assert engel_module._engel_core(build_group(spec))[0] is not C
     assert engel_module._shared_core.cache_info().currsize == 0
-
-
-@pytest.mark.parametrize("spec", ["A6", "A5xC5"])
-def test_each_step_array_holds_the_commutators_with_its_leader(spec):
-    # step[z] = [z, r] and phi[x] = x r x^-1, read along the construction
-    # tree from the generators' rows alone, at every z and x
-    G = build_group(spec)
-    for r in [cls[0] for cls in conjugacy_classes(G)]:
-        step, phi = engel_module._steps(G, r)
-        p = G.perm(r)
-        assert [G.perm(y) for y in phi] == [q * p * q.inverse() for q in G.elements], r
-        assert list(step) == [G.commutator(z, r) for z in range(G.order)], r
-
-
-@pytest.mark.parametrize("spec, composed", [("S6xC2", 4), ("A5xA5", 7), ("D4094", 5)])
-def test_a_report_above_order_256_composes_few_rows(spec, composed):
-    # construction composes the identity's and the generators' rows, 4, 7
-    # and 3 of them, and the Engel walks none; the Fitting check's spans
-    # compose their generators' rows, 2 more on D4094.  Completing the
-    # table for the walks and chaining each coset from the row of its
-    # representative composed 10, all 3,600 and all 4,094 rows
-    evaluation = evaluate_group(spec)
-    assert len(evaluation.group._table) == composed
 
 
 @pytest.mark.parametrize("family", [("D12", "Dic3", "D24", "Dic6", "D12xC2"),
@@ -680,9 +649,9 @@ def test_randomly_engel_reads_each_class_of_the_core_once(monkeypatch, spec, ask
     walks = []
     walk = engel_module._walk
 
-    def counting(H, r, starts, *step):
+    def counting(H, r, starts):
         walks.append((H, r, tuple(starts)))
-        return walk(H, r, starts, *step)
+        return walk(H, r, starts)
 
     monkeypatch.setattr(engel_module, "_walk", counting)
     G = build_group(spec)
@@ -735,9 +704,9 @@ def test_a_second_engel_graph_makes_no_walk(monkeypatch, spec, core_is_g):
     walks = []
     walk = engel_module._walk
 
-    def counting(H, r, starts, *step):
+    def counting(H, r, starts):
         walks.append((H, r))
-        return walk(H, r, starts, *step)
+        return walk(H, r, starts)
 
     monkeypatch.setattr(engel_module, "_walk", counting)
     assert build_engel_graph(G) == first and walks == []

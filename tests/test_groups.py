@@ -14,7 +14,6 @@ from engelgraph import (
     InvalidParameter,
     NotASubgroup,
     Permutation,
-    build_engel_graph,
     build_group,
     catalog_plans,
     closure,
@@ -32,13 +31,12 @@ from engelgraph import (
     normal_closure,
     subgroup_generated,
 )
-from engelgraph.engel import _engel_core, _randomly_engel_answers
-from engelgraph.groups import _Rows, _Span, _getter, _normal_span
+from engelgraph.engel import _engel_core
+from engelgraph.groups import _Rows, _Span, _complete_table, _getter, _normal_span
 from engelgraph.survey import evaluate_group
 from conftest import elem
 from oracles import (
     class_mismatches,
-    complete_table,
     greedy_lower_central_series,
     greedy_span,
     lazy_table_mismatches,
@@ -133,7 +131,7 @@ def test_mul_table_agrees_with_direct_composition(repo_root):
         for _ in range(2000):
             i, j = rng.randrange(G.order), rng.randrange(G.order)
             assert G.perm(G.mul(i, j)) == G.perm(i) * G.perm(j), (G.name, i, j)
-        assert G._inv == tuple(row.index(0) for row in complete_table(G)), G.name
+        assert G._inv == tuple(row.index(0) for row in _complete_table(G)), G.name
 
 
 def test_generators_generate_the_group():
@@ -190,7 +188,7 @@ def test_cayley_rows_are_bytes_up_to_order_256_and_tuples_above():
     # order alone picks the row type
     for spec, row_type in (("C256", bytes), ("Dic64", bytes), ("C257", tuple), ("S4xC11", tuple)):
         G = build_group(spec)
-        assert {type(row) for row in complete_table(G)} == {row_type}, spec
+        assert {type(row) for row in _complete_table(G)} == {row_type}, spec
     # the 178 catalog tables up to order 96 held 6.11 MiB as tuple rows
     held = sum(
         sys.getsizeof(G._table) + sum(map(sys.getsizeof, G._table))
@@ -350,16 +348,13 @@ def test_each_column_is_walked_once_across_an_evaluation_and_the_class_pass(tmp_
 
 
 @pytest.mark.parametrize("spec", ["A6", "S6"])
-def test_a_group_that_is_its_own_core_composes_no_row_for_its_engel_answers(spec):
-    # every Engel walk reads a step array made from the generators' rows
-    # and columns along the construction tree; the table was completed for
-    # them, 360 and 720 rows
+def test_a_group_that_is_its_own_core_holds_its_complete_table(spec):
+    # every Engel walk reads G's rows, so no read goes through __missing__
     G = build_group(spec)
-    assert isinstance(G._table, _Rows) and _engel_core(G)[0] is G
+    assert isinstance(G._table, _Rows)
     left_engel_set(G)
-    build_engel_graph(G)
-    _randomly_engel_answers(G)
-    assert set(G._table) == {0, *G.generators}
+    assert type(G._table) is list and len(G._table) == G.order
+    assert {type(row) for row in G._table} == {tuple}
 
 
 def test_a_group_with_rows_composed_on_first_read_survives_a_pickle_round_trip():
@@ -377,7 +372,7 @@ def test_a_group_with_rows_composed_on_first_read_survives_a_pickle_round_trip()
         assert isinstance(H._table, _Rows) and H._inv == G._inv
         assert [left_engel_set(H), fitting_subgroup(H), conjugacy_classes(H),
                 derived_subgroup(H), [H.mul(x, x) for x in range(H.order)]] == answers
-        assert complete_table(H) == complete_table(G)
+        assert _complete_table(H) == _complete_table(G)
 
 
 def test_construction_keeps_the_cayley_table_and_no_image_copy():
@@ -615,7 +610,7 @@ def test_a_span_of_one_element_walks_its_powers_one_read_each(spec, monkeypatch)
     # writes nothing to its group, so one counted copy serves every s
     G = build_group(spec)
     counted = pickle.loads(pickle.dumps(G))
-    monkeypatch.setattr(counted, "_table", [CountingRow(row) for row in complete_table(G)])
+    monkeypatch.setattr(counted, "_table", [CountingRow(row) for row in _complete_table(G)])
     for s in range(1, G.order):
         powers = [G.identity]
         while len(powers) < G.order_of(s):

@@ -86,11 +86,10 @@ from engelgraph import (  # noqa: E402
     subgroup_generated,
 )
 from engelgraph.families import dihedral_group, family_generators, product_group  # noqa: E402
-from engelgraph.groups import _Rows, _Span, _classes, _normal_span  # noqa: E402
+from engelgraph.groups import _Rows, _Span, _classes, _complete_table, _normal_span  # noqa: E402
 from oracles import (  # noqa: E402
     brute_clique_number,
     class_mismatches,
-    complete_table,
     depth_map_by_preimages,
     direct_engel_graph,
     direct_left_engel_set,
@@ -286,7 +285,7 @@ def test_spans_above_order_256_match_a_copy_completed_first(tmp_path_factory, sp
     path = tmp_path_factory.mktemp("gens") / "g.gens"
     G = build_group(_relabelled_generator_file(path, spec, seed, moves=16), base_dir=path.parent)
     completed = pickle.loads(pickle.dumps(G))
-    complete_table(completed)
+    _complete_table(completed)
     S = data.draw(st.sets(st.integers(0, G.order - 1), max_size=4), label="S")
 
     def answers(H):
@@ -328,7 +327,7 @@ def assert_matches_closure_oracle(G, gens, oracle):
     assert list(G.elements) == elements
     assert G.generators == tuple(index[g] for g in dict.fromkeys(gens))
     assert G._inv == tuple(index[p.inverse()] for p in elements)
-    table = complete_table(G)
+    table = _complete_table(G)
     assert G._inv == tuple(row.index(0) for row in table)
     # rows are bytes up to order 256 and tuples above
     assert [tuple(row) for row in table] == [
@@ -343,7 +342,7 @@ def assert_round_trips(G, oracle):
     elements = sorted(oracle)
     assert all(G.perm(i) == p and G.index(p) == i for i, p in enumerate(elements))
     assert list(copy.elements) == elements
-    assert complete_table(copy) == complete_table(G)
+    assert _complete_table(copy) == _complete_table(G)
 
 
 def moved_point_count(gens):

@@ -57,7 +57,6 @@ AT_60 = {
     "sympy": {"plans": 91},
     "classes": {"plans": 91},
     "core": {"plans": 91, "cores that are G": 16, "bytes rows": 91},
-    "steps": {"plans": 91},
     "closures": {"plans": 91, "closures": 266},
     "greedy_closures": {"plans": 91, "bytes rows": 91, "closures": 266},
     "series": {"plans": 91, "closures": 266, "closures that are G": 263},
@@ -107,7 +106,7 @@ MUTANTS = [
      mutated(groups_module._classes, "via[v] = col[t]", "via[v] = t")),
     # the conjugation map read from the row of g^-1, which S3xC43 composes
     ("classes", "S3xC43", groups_module, "_classes",
-     mutated(groups_module._classes, "_squared(at_inv(col))", "_getter(G._table[G._inv[g]])(col)")),
+     mutated(groups_module._classes, "_getter(half)(half)", "_getter(G._table[G._inv[g]])(col)")),
     # C's rows read from the rows of G's generators' inverses
     ("core", "1-60", engel_module, "_engel_core",
      mutated(engel_module._engel_core, "at_reps(table[g])", "at_reps(table[G._inv[g]])")),
@@ -116,16 +115,12 @@ MUTANTS = [
     *[(check, "S3xC2,D12xC2", engel_module, "_shared_core",
        core_cache_keyed_by_order_and_rank(engel_module._shared_core.__wrapped__))
       for check in ("core", "rows", "randomly_engel")],
-    # phi walked along the tree as it is, x = g u, with v -> g^-1 v g, so
-    # each conjugate of r comes out as r^(u^-1 g), not x r x^-1
-    ("steps", "A5xC5", engel_module, "_steps",
-     mutated(engel_module._steps, "_squared(at_inv(row)) for row", "_squared(at_inv(_column(G, row[0]))) for row")),
     ("closures", "1-60", groups_module, "_subgroup_gens", whole_group_from_one_generator),
     ("greedy_closures", "1-60", _Span, "__init__", span_filtering_members_once),
     # a coset chained from its parent through the first generator's row,
     # not through that of the generator that reached it
     ("greedy_closures", "A5xC5", _Span, "_chain",
-     mutated(_Span._chain, "queue.append((row[y], at_coset, row))", "queue.append((row[y], at_coset, gen_rows[0]))")),
+     mutated(_Span._chain, "queue.append((gy, at_coset, row))", "queue.append((gy, at_coset, gen_rows[0]))")),
     ("series", "1-60", groups_module, "_subgroup_gens", whole_group_from_one_generator),
 ]
 
